@@ -74,11 +74,7 @@ fn main() {
                 }
             }
             let cand = CandidateSet::build(&task, pairs);
-            let seeds: Vec<(Vec<f64>, bool)> = task
-                .seeds
-                .iter()
-                .map(|&(k, l)| (task.vectorize(k), l))
-                .collect();
+            let seeds = task.seed_vectors();
             let mut mcfg = CorleoneConfig::default().matcher;
             tweak(&mut mcfg);
             let cents_before = platform.ledger().total_cents;

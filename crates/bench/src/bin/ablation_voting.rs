@@ -60,11 +60,7 @@ fn main() {
                 }
             }
             let cand = CandidateSet::build(&task, pairs);
-            let seeds: Vec<(Vec<f64>, bool)> = task
-                .seeds
-                .iter()
-                .map(|&(k, l)| (task.vectorize(k), l))
-                .collect();
+            let seeds = task.seed_vectors();
             let cfg = CorleoneConfig::default();
             let learn = run_active_learning(
                 &cand,

@@ -86,11 +86,7 @@ fn main() {
             }
         }
         let cand = CandidateSet::build(&task, pairs);
-        let seeds: Vec<(Vec<f64>, bool)> = task
-            .seeds
-            .iter()
-            .map(|&(k, l)| (task.vectorize(k), l))
-            .collect();
+        let seeds = task.seed_vectors();
 
         // Iteration 1.
         let m1 = run_active_learning(

@@ -64,11 +64,7 @@ fn main() {
             }
         }
         let cand = CandidateSet::build(&task, pairs);
-        let seeds: Vec<(Vec<f64>, bool)> = task
-            .seeds
-            .iter()
-            .map(|&(k, l)| (task.vectorize(k), l))
-            .collect();
+        let seeds = task.seed_vectors();
         let learn =
             run_active_learning(
                 &cand,

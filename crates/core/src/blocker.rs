@@ -19,7 +19,6 @@ use crate::ruleeval::{
 use crate::source::{plan_blocking_source, CandidateSource, CartesianScan};
 use crate::task::MatchTask;
 use crowd::{CrowdPlatform, PairKey, TruthOracle};
-use exec::Threads;
 use forest::{negative_rules, Rule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -69,7 +68,7 @@ pub struct BlockerOutcome {
     pub applied_rules: Vec<Rule>,
 }
 
-/// Run the Blocker. `env` carries the run's thread budget and shared
+/// Run the Blocker. `env` carries the run's thread budget and optional
 /// feature cache (use `RunEnv::default()` for a standalone call).
 pub fn run_blocker(
     task: &MatchTask,
@@ -132,11 +131,7 @@ pub fn run_blocker(
     let sample = CandidateSet::build_with(task, sample_pairs, env.threads, env.cache);
 
     // 3. Crowdsourced active learning on S (§4.1 step 3).
-    let seed_vectors: Vec<(Vec<f64>, bool)> = task
-        .seeds
-        .iter()
-        .map(|&(k, l)| (env.vectorize(task, k), l))
-        .collect();
+    let seed_vectors = task.seed_vectors();
     let learn: LearnOutcome = run_active_learning(
         &sample,
         &seed_vectors,
@@ -305,34 +300,13 @@ pub fn run_blocker(
     }
 }
 
-/// Apply blocking rules over the full Cartesian product on the machine's
-/// available parallelism.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `CartesianScan::new(task, rules.to_vec()).generate(Threads::auto())` or let \
-            `plan_blocking_source` pick the indexed path (see `corleone::source`)"
-)]
-pub fn apply_rules_parallel(task: &MatchTask, rules: &[Rule]) -> Vec<PairKey> {
-    CartesianScan::new(task, rules.to_vec()).generate(Threads::auto())
-}
-
-/// Apply blocking rules over the full Cartesian product with an explicit
-/// thread budget. Returns the surviving pairs, in row-major order.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `CartesianScan::new(task, rules.to_vec()).generate(threads)` or let \
-            `plan_blocking_source` pick the indexed path (see `corleone::source`)"
-)]
-pub fn apply_rules_with(task: &MatchTask, rules: &[Rule], threads: Threads) -> Vec<PairKey> {
-    CartesianScan::new(task, rules.to_vec()).generate(threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StoppingConfig;
     use crate::task::task_from_parts;
     use crowd::{CrowdConfig, GoldOracle, WorkerPool};
+    use exec::Threads;
     use forest::{Op, Predicate};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
@@ -430,16 +404,6 @@ mod tests {
         let (task, _) = toy_task(6);
         let all = CartesianScan::new(&task, Vec::new()).generate(Threads::auto());
         assert_eq!(all.len(), 36);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_scan_source() {
-        let (task, _) = toy_task(5);
-        let via_wrapper = apply_rules_with(&task, &[], Threads::new(2));
-        let via_source = CartesianScan::new(&task, Vec::new()).generate(Threads::new(2));
-        assert_eq!(via_wrapper, via_source);
-        assert_eq!(apply_rules_parallel(&task, &[]), via_source);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The shared feature-vector cache.
+//! An optional feature-vector cache for stepping-API callers.
 //!
-//! Vectorizing a pair — computing every similarity feature over its two
-//! records — is the dominant cost of blocking and candidate-set
-//! construction, and the same pair is routinely vectorized more than once
-//! in a run: the blocker's sample `S` overlaps the candidate set `C`, and
-//! the four seed pairs are vectorized by both the blocker and the engine.
-//! A [`FeatureCache`] owned by the engine run makes every repeat a cheap
-//! `Arc` clone.
+//! Sessions and service tenants run without one: the candidate set's
+//! dense matrix is the run's single copy of the feature vectors, and the
+//! pairs a run vectorizes twice (the four seeds, the blocker sample's
+//! overlap with `C`) are a fraction of a percent of its work. A caller
+//! driving [`Engine::start_run`](crate::engine::Engine::start_run) and
+//! friends directly may still pass a [`FeatureCache`]; results are
+//! identical with or without one, and its counters land in
+//! `PerfReport::cache`. It is never written into a snapshot.
 //!
 //! The cache is sharded: a key hashes to one of a fixed number of
 //! independently locked shards, so concurrent `get_or_compute` calls from
@@ -27,7 +28,8 @@ use std::sync::Arc;
 
 const N_SHARDS: usize = 16;
 
-/// Default entry capacity for a session's feature cache (~262k vectors).
+/// Suggested entry capacity for a caller-owned feature cache (~262k
+/// vectors).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 18;
 
 /// Hit/miss/occupancy counters, surfaced in `RunReport`.
@@ -131,11 +133,6 @@ impl FeatureCache {
         value
     }
 
-    /// The vector for `key`, if resident (does not touch the counters).
-    pub fn peek(&self, key: PairKey) -> Option<Arc<Vec<f64>>> {
-        self.shards[Self::shard_of(key)].read().get(&key).map(Arc::clone)
-    }
-
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -145,64 +142,6 @@ impl FeatureCache {
             capacity: self.capacity,
         }
     }
-
-    /// Drop every entry (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-    }
-
-    /// Capture the cache's full contents and counters for a checkpoint.
-    /// Entries are sorted by key so the snapshot bytes are deterministic
-    /// regardless of insertion order or thread interleaving.
-    pub fn dump(&self) -> CacheSnapshot {
-        let mut entries: Vec<(PairKey, Vec<f64>)> = Vec::new();
-        for shard in &self.shards {
-            for (k, v) in shard.read().iter() {
-                entries.push((*k, v.as_ref().clone()));
-            }
-        }
-        entries.sort_by_key(|(k, _)| *k);
-        CacheSnapshot {
-            capacity: self.capacity,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-        }
-    }
-
-    /// Rebuild a cache from a [`CacheSnapshot`]. The restored cache serves
-    /// the same hits a continued run would have seen (warm start) and its
-    /// counters continue from the recorded values, so cumulative cache
-    /// stats in a resumed run match the uninterrupted run's.
-    pub fn restore(snapshot: &CacheSnapshot) -> Self {
-        let cache = FeatureCache::with_capacity(snapshot.capacity);
-        for (k, v) in &snapshot.entries {
-            let shard = &cache.shards[Self::shard_of(*k)];
-            let mut guard = shard.write();
-            if guard.len() < cache.shard_capacity {
-                guard.insert(*k, Arc::new(v.clone()));
-            }
-        }
-        cache.hits.store(snapshot.hits, Ordering::Relaxed);
-        cache.misses.store(snapshot.misses, Ordering::Relaxed);
-        cache
-    }
-}
-
-/// Serializable image of a [`FeatureCache`]: configured capacity, counter
-/// values, and every resident `(pair, vector)` entry in key order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CacheSnapshot {
-    /// Requested entry capacity of the dumped cache.
-    pub capacity: usize,
-    /// Cumulative hit counter at dump time.
-    pub hits: u64,
-    /// Cumulative miss counter at dump time.
-    pub misses: u64,
-    /// Resident entries, sorted by key.
-    pub entries: Vec<(PairKey, Vec<f64>)>,
 }
 
 #[cfg(test)]
@@ -294,47 +233,5 @@ mod tests {
             FeatureCache::with_capacity(super::DEFAULT_CACHE_CAPACITY).stats().capacity,
             super::DEFAULT_CACHE_CAPACITY
         );
-    }
-
-    #[test]
-    fn dump_restore_round_trips_entries_and_counters() {
-        let cache = FeatureCache::with_capacity(1000);
-        for i in 0..50u32 {
-            cache.get_or_compute(key(i, i + 1), || vec![i as f64, 0.5]);
-        }
-        cache.get_or_compute(key(0, 1), || panic!("resident")); // one hit
-        let snap = cache.dump();
-        assert_eq!(snap.entries.len(), 50);
-        assert!(snap.entries.windows(2).all(|w| w[0].0 < w[1].0), "sorted by key");
-
-        let restored = FeatureCache::restore(&snap);
-        let s = restored.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.capacity), (1, 50, 50, 1000));
-        for i in 0..50u32 {
-            let v = restored.get_or_compute(key(i, i + 1), || panic!("must be warm"));
-            assert_eq!(*v, vec![i as f64, 0.5]);
-        }
-        // Dumps of original and restored caches are byte-identical modulo
-        // the hit counter we just advanced.
-        let again = restored.dump();
-        assert_eq!(again.entries, snap.entries);
-    }
-
-    #[test]
-    fn restore_respects_capacity() {
-        let mut snap = FeatureCache::with_capacity(N_SHARDS).dump();
-        snap.entries = (0..500u32).map(|i| (key(i, i), vec![i as f64])).collect();
-        let restored = FeatureCache::restore(&snap);
-        assert!(restored.stats().entries <= N_SHARDS);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let cache = FeatureCache::with_capacity(100);
-        cache.get_or_compute(key(1, 1), || vec![1.0]);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().misses, 1);
-        assert!(cache.peek(key(1, 1)).is_none());
     }
 }

@@ -5,9 +5,9 @@
 //! vectors of all these pairs in memory" (§4.1) — this type is that
 //! in-memory materialization: a dense row-major matrix parallel to the
 //! pair list. Vectorization runs through the shared [`exec`] core since it
-//! is the dominant cost when `C` is large, and consults the run's
-//! [`FeatureCache`] when one is attached, so a pair vectorized by an
-//! earlier phase is never recomputed.
+//! is the dominant cost when `C` is large. A caller may pass a
+//! [`FeatureCache`] to read through; engine runs started by a session pass
+//! none.
 
 use crate::cache::FeatureCache;
 use crate::source::{CandidateSource, CartesianScan};
@@ -32,7 +32,8 @@ impl CandidateSet {
     }
 
     /// Materialize feature vectors for `pairs` with an explicit thread
-    /// budget, consulting `cache` (read-through) when given.
+    /// budget, consulting `cache` (read-through) when given. Builds the
+    /// task's record analysis on that budget first if it is missing.
     pub fn build_with(
         task: &MatchTask,
         pairs: Vec<PairKey>,
@@ -40,6 +41,7 @@ impl CandidateSet {
         cache: Option<&FeatureCache>,
     ) -> Self {
         let n_features = task.n_features();
+        task.ensure_analysis(threads);
         let rows: Vec<Vec<f64>> = exec::par_map(threads, &pairs, |&key| match cache {
             Some(c) => c.get_or_compute(key, || task.vectorize(key)).as_ref().clone(),
             None => task.vectorize(key),

@@ -83,7 +83,9 @@ pub struct PhaseTiming {
 pub struct PerfReport {
     /// Worker threads the run was given.
     pub threads: usize,
-    /// Feature-cache hit/miss/occupancy counters.
+    /// Hit/miss/occupancy counters of the feature cache a stepping-API
+    /// caller passed in; all zero for session and service runs, which
+    /// carry no cache.
     pub cache: CacheStats,
     /// Per-phase wall-clock, in pipeline order.
     pub phases: Vec<PhaseTiming>,
@@ -109,23 +111,19 @@ pub struct PerfReport {
 /// Telemetry for the precomputed record-analysis layer and the similarity
 /// kernels it feeds (see `similarity::analysis`).
 ///
-/// `cache.hits` counts pairs served without computing anything;
-/// `features_pre` counts features actually computed through the
-/// precomputed kernels (cache misses and uncached paths), so cache hits
-/// and precompute hits are separately attributable.
+/// Every feature value is computed through the precomputed kernels;
+/// `MatchTask` builds the analysis on first use.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KernelPerf {
     /// Wall-clock to build the task's record-analysis layer, in
     /// milliseconds (0 when another run of the same task already built it).
     pub analysis_build_ms: f64,
-    /// Pairs fully vectorized during this run (cache misses + uncached).
+    /// Pairs fully vectorized during this run.
     pub pairs_vectorized: u64,
     /// Single-feature evaluations (the blocker's lazy rule path).
     pub single_features: u64,
     /// Feature values computed via the precomputed-analysis kernels.
     pub features_pre: u64,
-    /// Feature values computed via the string-based reference kernels.
-    pub features_string: u64,
     /// Memory telemetry of the arena-packed analysis layer.
     pub analysis_memory: AnalysisMemory,
 }
@@ -286,8 +284,8 @@ impl Engine {
     }
 
     /// Execute one full run. All session knobs arrive resolved: the
-    /// thread budget, the shared feature cache (`None` disables caching),
-    /// the RNG seed, and the checkpoint/resume plan.
+    /// thread budget, the RNG seed, and the checkpoint/resume plan. The
+    /// run carries no feature cache.
     ///
     /// Composed from the stepping API so a driver that interleaves many
     /// runs ([`MatchService`-style](crate::engine::RunState)) exercises
@@ -300,15 +298,14 @@ impl Engine {
         oracle: &dyn TruthOracle,
         gold: Option<&HashSet<PairKey>>,
         threads: Threads,
-        cache: Option<&FeatureCache>,
         seed: u64,
         ckpt: CheckpointPlan,
     ) -> Result<RunReport, CorleoneError> {
-        let mut state = self.start_run(task, platform, oracle, gold, threads, cache, seed, ckpt)?;
+        let mut state = self.start_run(task, platform, oracle, gold, threads, None, seed, ckpt)?;
         while !state.is_done() {
-            self.step_run(&mut state, task, platform, oracle, gold, threads, cache)?;
+            self.step_run(&mut state, task, platform, oracle, gold, threads, None)?;
         }
-        Ok(self.finish_run(state, task, platform, gold, threads, cache))
+        Ok(self.finish_run(state, task, platform, gold, threads, None))
     }
 
     /// Stepping API, part 1 of 3: run everything up to the first
@@ -414,9 +411,9 @@ impl Engine {
                 ledger_start = snap.ledger_start;
                 fault_start = snap.fault_start;
                 // Vectorization is pure, so rebuilding the feature matrix
-                // from the stored pair keys (through the restored warm
-                // cache) reproduces it bit-for-bit. Billed as blocker
-                // time: the rebuild stands in for blocking on this path.
+                // from the stored pair keys reproduces it bit-for-bit.
+                // Billed as blocker time: the rebuild stands in for
+                // blocking on this path.
                 let t0 = Instant::now();
                 cand = CandidateSet::build_with(task, snap.cand_pairs, threads, cache);
                 t_blocker = snap.timings_ms[0] + t0.elapsed().as_secs_f64() * 1000.0;
@@ -478,11 +475,7 @@ impl Engine {
             return Err(CorleoneError::EmptyCandidates);
         }
 
-        let seed_vectors: Vec<(Vec<f64>, bool)> = task
-            .seeds
-            .iter()
-            .map(|&(k, l)| (env.vectorize(task, k), l))
-            .collect();
+        let seed_vectors = task.seed_vectors();
 
         // Snapshot 0: the post-blocking boundary. A resume from here
         // skips the (expensive, crowd-labeled) blocking phase entirely.
@@ -505,7 +498,6 @@ impl Engine {
                     timings_ms: [t_blocker, t_matcher, t_estimator, t_locator],
                     forest_json: None,
                     platform: platform.export_state(),
-                    cache: cache.map(FeatureCache::dump),
                     snapshots_written: snapshots_written + 1,
                 };
                 sn.write(0, &snap)?;
@@ -788,7 +780,6 @@ impl Engine {
                     timings_ms: [st.t_blocker, st.t_matcher, st.t_estimator, st.t_locator],
                     forest_json: Some(learn.forest.to_json()),
                     platform: platform.export_state(),
-                    cache: cache.map(FeatureCache::dump),
                     snapshots_written: st.snapshots_written + 1,
                 };
                 sn.write(iter_no as u64, &snap)?;
@@ -879,7 +870,6 @@ impl Engine {
                         pairs_vectorized: d.pairs_vectorized,
                         single_features: d.single_features,
                         features_pre: d.features_pre,
-                        features_string: d.features_string,
                         analysis_memory: task
                             .analysis
                             .get()
@@ -1072,12 +1062,15 @@ mod tests {
             .as_ref()
             .expect("a run with at least one completed iteration always carries a final estimate");
         assert!((est.f1 - f1).abs() < 0.25, "est {} vs true {}", est.f1, f1);
-        // Telemetry is populated: phase timings exist, the cache saw
-        // traffic (seed pairs alone guarantee lookups).
+        // Telemetry is populated: phase timings exist and the kernels saw
+        // traffic. A session run carries no feature cache.
         assert_eq!(report.perf.phases.len(), 4);
         assert!(report.perf.threads >= 1);
-        let c = report.perf.cache;
-        assert!(c.hits + c.misses > 0, "cache must have been consulted");
+        let k = &report.perf.kernels;
+        assert!(k.pairs_vectorized > 0, "the run must have vectorized pairs");
+        let n = task.n_features() as u64;
+        assert_eq!(k.features_pre, k.pairs_vectorized * n + k.single_features);
+        assert_eq!(report.perf.cache, CacheStats::default());
     }
 
     #[test]

@@ -1,23 +1,21 @@
 //! Shared execution resources for one engine run.
 //!
 //! A [`RunEnv`] bundles the two things every phase of the pipeline needs
-//! but no phase should own: the parallelism budget and the (optional)
-//! shared [`FeatureCache`]. The engine constructs one per run from the
-//! session settings and threads it through the Blocker, Matcher,
-//! Accuracy Estimator, and Difficult Pairs' Locator, so a pair
-//! vectorized in one phase is never re-vectorized in another.
+//! but no phase should own: the parallelism budget and an optional
+//! [`FeatureCache`]. The engine constructs one per run and threads it
+//! through the Blocker, Matcher, Accuracy Estimator, and Difficult Pairs'
+//! Locator. Session runs carry no cache.
 
 use crate::cache::FeatureCache;
-use crate::task::MatchTask;
-use crowd::PairKey;
 pub use exec::Threads;
 
-/// Per-run execution context: thread budget plus shared feature cache.
+/// Per-run execution context: thread budget plus optional feature cache.
 #[derive(Debug, Clone, Copy)]
 pub struct RunEnv<'c> {
     /// Parallelism budget for every hot loop in this run.
     pub threads: Threads,
-    /// Shared feature-vector cache, if the run owns one.
+    /// Feature-vector cache the candidate-set builds read through, if the
+    /// caller supplied one.
     pub cache: Option<&'c FeatureCache>,
 }
 
@@ -33,18 +31,10 @@ impl<'c> RunEnv<'c> {
         RunEnv { threads: Threads::new(1), cache: None }
     }
 
-    /// Attach a shared feature cache.
+    /// Attach a feature cache.
     pub fn with_cache(mut self, cache: &'c FeatureCache) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// Vectorize one pair through the cache when one is attached.
-    pub fn vectorize(&self, task: &MatchTask, key: PairKey) -> Vec<f64> {
-        match self.cache {
-            Some(c) => c.get_or_compute(key, || task.vectorize(key)).as_ref().clone(),
-            None => task.vectorize(key),
-        }
     }
 }
 

@@ -281,11 +281,7 @@ mod tests {
     fn run(cfg: &MatcherConfig, err: f64) -> (LearnOutcome, CandidateSet, GoldOracle) {
         let (task, gold) = toy();
         let cand = CandidateSet::full_cartesian(&task);
-        let seeds: Vec<(Vec<f64>, bool)> = task
-            .seeds
-            .iter()
-            .map(|&(k, l)| (task.vectorize(k), l))
-            .collect();
+        let seeds = task.seed_vectors();
         let pool = if err == 0.0 {
             WorkerPool::perfect(5)
         } else {

@@ -26,8 +26,9 @@
 //!
 //! Every hot loop — vectorization, rule application over `A × B`, forest
 //! training and prediction, entropy scans — runs on the shared [`exec`]
-//! work-stealing core, and each run owns a sharded
-//! [`FeatureCache`](cache::FeatureCache) so no pair is vectorized twice.
+//! work-stealing core. Features are computed through a record-analysis
+//! layer built once per task, and the candidate set's dense matrix holds
+//! the run's only copy of the feature vectors.
 //!
 //! ## Quick start
 //!
@@ -45,7 +46,7 @@
 //!     .threads(8)
 //!     .run();
 //! println!("estimated F1: {:?}", report.final_estimate);
-//! println!("cache hit rate: {:.1}%", report.perf.cache.hit_rate() * 100.0);
+//! println!("pairs vectorized: {}", report.perf.kernels.pairs_vectorized);
 //! ```
 //!
 //! ## Naming convention

@@ -177,11 +177,7 @@ mod tests {
         let task = task_from_parts(a, b, "same?", [(0, 0), (1, 1)], [(0, 29), (2, 27)]);
         let gold = GoldOracle::from_pairs((0..30).map(|i| (i, i)));
         let cand = CandidateSet::full_cartesian(&task);
-        let seeds: Vec<(Vec<f64>, bool)> = task
-            .seeds
-            .iter()
-            .map(|&(k, l)| (task.vectorize(k), l))
-            .collect();
+        let seeds = task.seed_vectors();
         let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
         let mut rng = StdRng::seed_from_u64(31);
         let mcfg = MatcherConfig {

@@ -7,10 +7,14 @@
 //!
 //! * **collaborators** — the crowd platform, the truth oracle, and an
 //!   optional gold standard for experiment metrics;
-//! * **execution settings** — worker threads, feature-cache capacity,
-//!   and the RNG seed. These affect how fast a run goes, never what it
-//!   computes, so they live on the session rather than on
-//!   [`CorleoneConfig`](crate::config::CorleoneConfig).
+//! * **execution settings** — worker threads and the RNG seed. They are
+//!   per-run choices, not algorithm settings (the thread count never
+//!   changes what a run computes), so they live on the session rather
+//!   than on [`CorleoneConfig`](crate::config::CorleoneConfig).
+//!
+//! A session run owns no feature cache: the candidate set's matrix is
+//! its one copy of the feature vectors, and snapshots carry pair keys
+//! only.
 //!
 //! ```no_run
 //! # use corleone::{Engine, CorleoneConfig, MatchTask};
@@ -26,7 +30,6 @@
 //!     .run();
 //! ```
 
-use crate::cache::{FeatureCache, DEFAULT_CACHE_CAPACITY};
 use crate::engine::{CheckpointPlan, Engine, RunReport};
 use crate::error::CorleoneError;
 use crate::snapshot::RunSnapshot;
@@ -42,8 +45,7 @@ impl Engine {
     ///
     /// The returned builder needs [`RunSession::platform`] and
     /// [`RunSession::oracle`] before [`RunSession::run`]; everything else
-    /// has defaults (auto threads, default cache capacity, the engine's
-    /// seed).
+    /// has defaults (auto threads, the engine's seed).
     pub fn session<'s>(&'s self, task: &'s MatchTask) -> RunSession<'s> {
         RunSession {
             engine: self,
@@ -52,7 +54,6 @@ impl Engine {
             oracle: None,
             gold: None,
             threads: Threads::auto(),
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
             seed: None,
             checkpoint_dir: None,
             checkpoint_every: 1,
@@ -70,7 +71,6 @@ pub struct RunSession<'s> {
     oracle: Option<&'s dyn TruthOracle>,
     gold: Option<&'s HashSet<PairKey>>,
     threads: Threads,
-    cache_capacity: usize,
     seed: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: usize,
@@ -103,13 +103,6 @@ impl<'s> RunSession<'s> {
     /// identical at every thread count.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Threads::new(n);
-        self
-    }
-
-    /// Entry capacity of the run's shared feature-vector cache.
-    /// `0` disables the cache entirely.
-    pub fn cache_capacity(mut self, entries: usize) -> Self {
-        self.cache_capacity = entries;
         self
     }
 
@@ -149,10 +142,10 @@ impl<'s> RunSession<'s> {
     ///
     /// The session's platform is overwritten with the snapshot's platform
     /// state, the engine RNG continues from its recorded stream position,
-    /// the feature cache is warm-started from the snapshot (the
-    /// [`Self::cache_capacity`] setting is ignored), and the run proceeds
-    /// from the iteration after the snapshot. With the same engine
-    /// configuration and task, the final report is byte-identical
+    /// the candidate feature matrix is recomputed from the stored pair
+    /// keys, and the run proceeds from the iteration after the snapshot.
+    /// With the same engine configuration and task, the final report is
+    /// byte-identical
     /// (`deterministic_json`) to the uninterrupted run's at any thread
     /// count. Raising the engine budget before resuming lets a
     /// `BudgetExhausted` run continue and converge.
@@ -200,13 +193,6 @@ impl<'s> RunSession<'s> {
             }
             None => None,
         };
-        // A resumed run continues the snapshot's cache (warm entries and
-        // counters); a fresh run builds an empty one per the capacity knob.
-        let cache = match &resume {
-            Some(snap) => snap.cache.as_ref().map(FeatureCache::restore),
-            None => (self.cache_capacity > 0)
-                .then(|| FeatureCache::with_capacity(self.cache_capacity)),
-        };
         let snapshotter = match &self.checkpoint_dir {
             Some(dir) => Some(
                 Snapshotter::create(dir.clone())?
@@ -221,7 +207,6 @@ impl<'s> RunSession<'s> {
             oracle,
             self.gold,
             self.threads,
-            cache.as_ref(),
             self.seed.unwrap_or(self.engine.seed),
             CheckpointPlan { snapshotter, every: self.checkpoint_every, resume },
         )
@@ -317,20 +302,5 @@ mod tests {
             default_seed.deterministic_json(),
             same_engine_seed.deterministic_json()
         );
-    }
-
-    #[test]
-    fn zero_cache_capacity_disables_cache() {
-        let (task, gold) = toy();
-        let engine = Engine::new(CorleoneConfig::small()).with_seed(2);
-        let mut platform = CrowdPlatform::new(WorkerPool::perfect(3), CrowdConfig::default());
-        let report = engine
-            .session(&task)
-            .platform(&mut platform)
-            .oracle(&gold)
-            .cache_capacity(0)
-            .run();
-        let c = report.perf.cache;
-        assert_eq!((c.hits, c.misses, c.entries, c.capacity), (0, 0, 0, 0));
     }
 }

@@ -17,7 +17,6 @@
 //!   simulated clock, and — critically — the exact stream positions of the
 //!   worker RNG and the fault RNG;
 //! * the engine RNG's stream position;
-//! * the feature cache's contents and counters, for a warm restart;
 //! * the run-start ledger/fault baselines that all budget math and fault
 //!   deltas are computed against.
 //!
@@ -38,7 +37,6 @@
 //! complete and small.
 
 use crate::blocker::BlockerReport;
-use crate::cache::CacheSnapshot;
 use crate::engine::IterationReport;
 use crate::estimator::AccuracyEstimate;
 use crowd::platform::PlatformState;
@@ -91,9 +89,6 @@ pub struct RunSnapshot {
     /// Complete crowd platform state (ledger, label cache, worker pool,
     /// fault layer, both RNG stream positions, simulated clock).
     pub platform: PlatformState,
-    /// Feature-cache contents and counters (`None` when the run has no
-    /// cache).
-    pub cache: Option<CacheSnapshot>,
     /// Snapshots written by the run chain up to and including this one.
     pub snapshots_written: u64,
 }
@@ -126,7 +121,6 @@ mod tests {
                 crowd::CrowdConfig::default(),
             )
             .export_state(),
-            cache: None,
             snapshots_written: 3,
         };
         let json = serde_json::to_string(&snap).expect("serialize");

@@ -131,7 +131,7 @@ impl CandidateSource for CartesianScan<'_> {
                     out.push(PairKey::new(a, b));
                 }
             }
-            task.analysis.note_single_features(n_computed, 0);
+            task.analysis.note_single_features(n_computed);
             out
         });
         per_row.into_iter().flatten().collect()
@@ -369,7 +369,7 @@ impl CandidateSource for IndexedJoin<'_> {
                     out.push(pair);
                 }
             }
-            task.analysis.note_single_features(n_computed, 0);
+            task.analysis.note_single_features(n_computed);
             out
         });
         survivors.into_iter().flatten().collect()

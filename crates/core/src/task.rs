@@ -19,9 +19,6 @@ pub struct KernelCounters {
     /// Individual feature values computed via the precomputed-analysis
     /// kernels.
     pub features_pre: u64,
-    /// Individual feature values computed via the string-based reference
-    /// kernels (analysis not built yet).
-    pub features_string: u64,
 }
 
 impl KernelCounters {
@@ -32,7 +29,6 @@ impl KernelCounters {
             pairs_vectorized: self.pairs_vectorized - start.pairs_vectorized,
             single_features: self.single_features - start.single_features,
             features_pre: self.features_pre - start.features_pre,
-            features_string: self.features_string - start.features_string,
         }
     }
 }
@@ -51,7 +47,6 @@ pub struct AnalysisCell {
     pairs_vectorized: AtomicU64,
     single_features: AtomicU64,
     features_pre: AtomicU64,
-    features_string: AtomicU64,
 }
 
 impl AnalysisCell {
@@ -63,14 +58,9 @@ impl AnalysisCell {
     /// Batched counter add for single-feature evaluations: hot loops
     /// count locally and flush one atomic add per work item instead of
     /// contending on the shared counters once per feature.
-    pub fn note_single_features(&self, n_pre: u64, n_string: u64) {
-        self.single_features.fetch_add(n_pre + n_string, Ordering::Relaxed);
-        if n_pre > 0 {
-            self.features_pre.fetch_add(n_pre, Ordering::Relaxed);
-        }
-        if n_string > 0 {
-            self.features_string.fetch_add(n_string, Ordering::Relaxed);
-        }
+    pub fn note_single_features(&self, n: u64) {
+        self.single_features.fetch_add(n, Ordering::Relaxed);
+        self.features_pre.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Install a prebuilt analysis handle (the shared-registry path:
@@ -92,7 +82,6 @@ impl AnalysisCell {
             pairs_vectorized: self.pairs_vectorized.load(Ordering::Relaxed),
             single_features: self.single_features.load(Ordering::Relaxed),
             features_pre: self.features_pre.load(Ordering::Relaxed),
-            features_string: self.features_string.load(Ordering::Relaxed),
         }
     }
 }
@@ -109,7 +98,6 @@ impl Clone for AnalysisCell {
             pairs_vectorized: AtomicU64::new(c.pairs_vectorized),
             single_features: AtomicU64::new(c.single_features),
             features_pre: AtomicU64::new(c.features_pre),
-            features_string: AtomicU64::new(c.features_string),
         }
     }
 }
@@ -194,10 +182,10 @@ impl MatchTask {
         }
     }
 
-    /// Build (once) and return the precomputed record-analysis layer.
-    /// Subsequent [`Self::vectorize`] / [`Self::feature`] calls route
-    /// through the allocation-free kernels; results are bit-identical
-    /// either way, so mixing paths is safe.
+    /// Build (once) and return the precomputed record-analysis layer that
+    /// [`Self::vectorize`] and [`Self::feature`] compute through. Those
+    /// build it single-threaded on first use; call this first to build it
+    /// on a wider thread budget.
     pub fn ensure_analysis(&self, threads: Threads) -> &TaskAnalysis {
         self.analysis
             .cell
@@ -245,42 +233,32 @@ impl MatchTask {
         self.vectorizer.n_features()
     }
 
-    /// Compute the full feature vector of a pair, through the precomputed
-    /// analysis when it has been built (bit-identical either way).
+    /// Compute the full feature vector of a pair through the precomputed
+    /// analysis (built on first use).
     pub fn vectorize(&self, pair: PairKey) -> Vec<f64> {
+        let an = self.ensure_analysis(Threads::new(1));
         let a = self.table_a.record(pair.a);
         let b = self.table_b.record(pair.b);
-        let n = self.n_features() as u64;
         self.analysis.pairs_vectorized.fetch_add(1, Ordering::Relaxed);
-        match self.analysis.get() {
-            Some(an) => {
-                self.analysis.features_pre.fetch_add(n, Ordering::Relaxed);
-                self.vectorizer.vectorize_pre(a, b, an)
-            }
-            None => {
-                self.analysis.features_string.fetch_add(n, Ordering::Relaxed);
-                self.vectorizer.vectorize(a, b)
-            }
-        }
+        self.analysis.features_pre.fetch_add(self.n_features() as u64, Ordering::Relaxed);
+        self.vectorizer.vectorize_pre(a, b, an)
     }
 
     /// Compute one feature of a pair (lazy path for blocking-rule
-    /// application over `A × B`), through the precomputed analysis when
-    /// it has been built.
+    /// application over `A × B`) through the precomputed analysis (built
+    /// on first use).
     pub fn feature(&self, idx: usize, pair: PairKey) -> f64 {
+        let an = self.ensure_analysis(Threads::new(1));
         let a = self.table_a.record(pair.a);
         let b = self.table_b.record(pair.b);
-        self.analysis.single_features.fetch_add(1, Ordering::Relaxed);
-        match self.analysis.get() {
-            Some(an) => {
-                self.analysis.features_pre.fetch_add(1, Ordering::Relaxed);
-                self.vectorizer.feature_pre(idx, a, b, an)
-            }
-            None => {
-                self.analysis.features_string.fetch_add(1, Ordering::Relaxed);
-                self.vectorizer.feature(idx, a, b)
-            }
-        }
+        self.analysis.note_single_features(1);
+        self.vectorizer.feature_pre(idx, a, b, an)
+    }
+
+    /// Feature vectors of the four seed examples, with their labels —
+    /// the labeled set every active-learning run starts from.
+    pub fn seed_vectors(&self) -> Vec<(Vec<f64>, bool)> {
+        self.seeds.iter().map(|&(k, l)| (self.vectorize(k), l)).collect()
     }
 
     /// Per-feature unit costs (for rule ranking, §4.3).
@@ -334,9 +312,19 @@ mod tests {
         assert_eq!(t.cartesian_size(), 36);
         assert_eq!(t.seeds.len(), 4);
         assert!(t.n_features() > 0);
+        // A fresh task has no analysis; the first vectorize builds it and
+        // computes every feature through the precomputed kernels.
+        assert!(t.analysis.get().is_none());
         let v = t.vectorize(PairKey::new(0, 0));
+        assert!(t.analysis.get().is_some(), "vectorize builds the analysis");
+        let k = t.kernel_counters();
+        assert_eq!((k.pairs_vectorized, k.features_pre), (1, t.n_features() as u64));
         assert_eq!(v.len(), t.n_features());
         assert_eq!(t.feature(0, PairKey::new(0, 0)), v[0]);
+        let seeds = t.seed_vectors();
+        assert_eq!(seeds.len(), 4);
+        let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!((bits(&seeds[0].0), seeds[0].1), (bits(&v), true), "seed (0, 0)");
         assert_eq!(t.feature_costs().len(), t.n_features());
         assert_eq!(t.feature_names().len(), t.n_features());
     }

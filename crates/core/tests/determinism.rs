@@ -1,8 +1,10 @@
 //! The tentpole guarantee of the execution layer: a run's result is a
 //! function of the task and the seed alone — never of the worker-thread
-//! count, and never of whether the feature cache is enabled.
+//! count, and never of whether a stepping-API caller passes a feature
+//! cache.
 
 use corleone::prelude::*;
+use corleone::CheckpointPlan;
 use corleone::task::task_from_parts;
 use proptest::prelude::*;
 use similarity::{Attribute, Schema, Table, Value};
@@ -30,7 +32,7 @@ fn toy_task() -> (MatchTask, GoldOracle) {
     (task, gold)
 }
 
-fn run_json(task: &MatchTask, gold: &GoldOracle, seed: u64, threads: usize, cache: usize) -> String {
+fn run_json(task: &MatchTask, gold: &GoldOracle, seed: u64, threads: usize) -> String {
     let mut platform = CrowdPlatform::new(WorkerPool::perfect(3), CrowdConfig::default());
     let engine = Engine::new(CorleoneConfig::small());
     engine
@@ -40,29 +42,55 @@ fn run_json(task: &MatchTask, gold: &GoldOracle, seed: u64, threads: usize, cach
         .gold(gold.matches())
         .seed(seed)
         .threads(threads)
-        .cache_capacity(cache)
         .run()
         .deterministic_json()
+}
+
+/// The same run driven through the stepping API with a caller-owned
+/// feature cache of `capacity` entries.
+fn stepped_json(
+    task: &MatchTask,
+    gold: &GoldOracle,
+    seed: u64,
+    threads: usize,
+    capacity: usize,
+) -> String {
+    let mut platform = CrowdPlatform::new(WorkerPool::perfect(3), CrowdConfig::default());
+    let engine = Engine::new(CorleoneConfig::small());
+    let cache = FeatureCache::with_capacity(capacity);
+    let (threads, g) = (Threads::new(threads), Some(gold.matches()));
+    let mut state = engine
+        .start_run(task, &mut platform, gold, g, threads, Some(&cache), seed, CheckpointPlan::none())
+        .expect("start");
+    while !state.is_done() {
+        engine
+            .step_run(&mut state, task, &mut platform, gold, g, threads, Some(&cache))
+            .expect("step");
+    }
+    let report = engine.finish_run(state, task, &mut platform, g, threads, Some(&cache));
+    assert!(report.perf.cache.misses > 0, "the cache must have been consulted");
+    report.deterministic_json()
 }
 
 #[test]
 fn report_is_byte_identical_at_1_2_and_8_threads() {
     let (task, gold) = toy_task();
-    let t1 = run_json(&task, &gold, 7, 1, 1 << 14);
-    let t2 = run_json(&task, &gold, 7, 2, 1 << 14);
-    let t8 = run_json(&task, &gold, 7, 8, 1 << 14);
+    let t1 = run_json(&task, &gold, 7, 1);
+    let t2 = run_json(&task, &gold, 7, 2);
+    let t8 = run_json(&task, &gold, 7, 8);
     assert_eq!(t1, t2, "2 threads diverged from serial");
     assert_eq!(t1, t8, "8 threads diverged from serial");
 }
 
 #[test]
 fn cache_configuration_never_changes_results() {
+    use corleone::cache::DEFAULT_CACHE_CAPACITY;
     let (task, gold) = toy_task();
-    let uncached = run_json(&task, &gold, 11, 4, 0);
-    let cached = run_json(&task, &gold, 11, 4, 1 << 14);
-    let tiny = run_json(&task, &gold, 11, 4, 8); // constant eviction pressure
-    assert_eq!(uncached, cached);
-    assert_eq!(uncached, tiny);
+    let session = run_json(&task, &gold, 11, 4);
+    let cached = stepped_json(&task, &gold, 11, 4, DEFAULT_CACHE_CAPACITY);
+    let tiny = stepped_json(&task, &gold, 11, 4, 8); // constant eviction pressure
+    assert_eq!(session, cached);
+    assert_eq!(session, tiny);
 }
 
 /// With a fully zeroed `FaultConfig`, the fault RNG is never drawn: the
@@ -145,8 +173,8 @@ proptest! {
     #[test]
     fn any_seed_is_thread_count_invariant(seed in 0u64..1_000_000) {
         let (task, gold) = toy_task();
-        let serial = run_json(&task, &gold, seed, 1, 1 << 14);
-        let parallel = run_json(&task, &gold, seed, 8, 1 << 14);
+        let serial = run_json(&task, &gold, seed, 1);
+        let parallel = run_json(&task, &gold, seed, 8);
         prop_assert_eq!(serial, parallel);
     }
 }

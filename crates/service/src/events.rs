@@ -7,7 +7,6 @@
 
 use corleone::engine::Termination;
 use corleone::estimator::AccuracyEstimate;
-use corleone::CacheStats;
 use serde::{Deserialize, Serialize};
 
 /// One progress notification from the service.
@@ -123,8 +122,6 @@ pub struct TenantPerf {
     pub cost_cents: f64,
     /// Distinct pairs the crowd labeled.
     pub pairs_labeled: u64,
-    /// The tenant's feature-cache counters.
-    pub cache: CacheStats,
     /// Milliseconds spent building the record-analysis layer (0 when it
     /// was adopted from the shared registry — the hit is visible here).
     pub analysis_build_ms: f64,

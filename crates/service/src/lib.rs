@@ -42,7 +42,7 @@
 //! A tenant's final report is byte-identical
 //! ([`RunReport::deterministic_json`](corleone::RunReport::deterministic_json))
 //! to the same task run solo through `RunSession`, at any thread count
-//! and any interleaving: each tenant owns its platform, RNG, cache, and
+//! and any interleaving: each tenant owns its platform, RNG, and
 //! [`RunState`](corleone::RunState); the only shared mutable state is
 //! the analysis registry, whose values are content-addressed and
 //! therefore value-identical to a solo build.
@@ -76,10 +76,9 @@ mod events;
 pub use error::ServiceError;
 pub use events::{ServiceEvent, ServicePerf, TenantPerf};
 
-use corleone::cache::DEFAULT_CACHE_CAPACITY;
 use corleone::engine::{CheckpointPlan, RunState, StepOutcome};
 use corleone::snapshot::RunSnapshot;
-use corleone::{CorleoneConfig, CorleoneError, Engine, FeatureCache, MatchTask, RunReport};
+use corleone::{CorleoneConfig, CorleoneError, Engine, MatchTask, RunReport};
 use crowd::{CrowdPlatform, PairKey, TruthOracle};
 use exec::Threads;
 use similarity::TaskAnalysis;
@@ -114,8 +113,6 @@ pub struct ServiceConfig {
     pub checkpoint_every: usize,
     /// Keep-last-K snapshot retention per tenant (`0` keeps everything).
     pub checkpoint_keep: usize,
-    /// Per-tenant feature-cache capacity (`0` disables the cache).
-    pub cache_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -128,7 +125,6 @@ impl Default for ServiceConfig {
             checkpoint_root: None,
             checkpoint_every: 1,
             checkpoint_keep: store::DEFAULT_KEEP_LAST,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
         }
     }
 }
@@ -168,7 +164,6 @@ struct Tenant {
     budget_cents: Option<f64>,
     snapshotter: Option<Snapshotter>,
     resume: Option<Box<RunSnapshot>>,
-    cache: Option<FeatureCache>,
     state: Option<RunState>,
 }
 
@@ -275,7 +270,6 @@ impl MatchService {
             budget_cents,
             snapshotter,
             resume,
-            cache: None,
             state: None,
         };
         if queued {
@@ -408,12 +402,11 @@ impl MatchService {
     fn drive(&mut self, idx: usize) -> bool {
         let threads = self.threads;
         let every = self.cfg.checkpoint_every;
-        let cache_capacity = self.cfg.cache_capacity;
         let MatchService { active, events, analyses, reports, perf, .. } = self;
         let t = &mut active[idx];
 
         if t.state.is_none() {
-            match start_tenant(t, threads, every, cache_capacity, analyses, perf) {
+            match start_tenant(t, threads, every, analyses, perf) {
                 Ok(()) => {
                     if let Some(st) = &t.state {
                         if st.resumed_from_iteration().is_none() && st.snapshots_written() > 0 {
@@ -465,7 +458,7 @@ impl MatchService {
                                 &mut t.platform,
                                 t.gold.as_ref(),
                                 threads,
-                                t.cache.as_ref(),
+                                None,
                             );
                             record_completion(t, &report, events, perf);
                             reports.push((t.run_id.clone(), report));
@@ -495,7 +488,6 @@ fn start_tenant(
     t: &mut Tenant,
     threads: Threads,
     every: usize,
-    cache_capacity: usize,
     analyses: &mut Vec<(String, Arc<TaskAnalysis>)>,
     perf: &mut ServicePerf,
 ) -> Result<(), CorleoneError> {
@@ -517,12 +509,6 @@ fn start_tenant(
         perf.analysis_cache_misses += 1;
     }
 
-    // Same cache semantics as a solo RunSession: resume restores the
-    // snapshot's warm cache, a fresh run builds per the capacity knob.
-    let cache = match &t.resume {
-        Some(s) => s.cache.as_ref().map(FeatureCache::restore),
-        None => (cache_capacity > 0).then(|| FeatureCache::with_capacity(cache_capacity)),
-    };
     if t.resume.is_some() {
         perf.tenants_resumed += 1;
     }
@@ -537,7 +523,7 @@ fn start_tenant(
         t.oracle.as_ref(),
         t.gold.as_ref(),
         threads,
-        cache.as_ref(),
+        None,
         t.seed,
         ckpt,
     )?;
@@ -547,14 +533,13 @@ fn start_tenant(
             analyses.push((afp, a));
         }
     }
-    t.cache = cache;
     t.state = Some(state);
     Ok(())
 }
 
 /// One pipeline iteration of a started tenant.
 fn step_tenant(t: &mut Tenant, threads: Threads) -> Result<StepOutcome, CorleoneError> {
-    let Tenant { engine, task, platform, oracle, gold, cache, state, .. } = t;
+    let Tenant { engine, task, platform, oracle, gold, state, .. } = t;
     match state.as_mut() {
         Some(st) => engine.step_run(
             st,
@@ -563,7 +548,7 @@ fn step_tenant(t: &mut Tenant, threads: Threads) -> Result<StepOutcome, Corleone
             oracle.as_ref(),
             gold.as_ref(),
             threads,
-            cache.as_ref(),
+            None,
         ),
         None => Ok(StepOutcome { iterated: false, checkpointed: false, finished: false }),
     }
@@ -585,7 +570,6 @@ fn record_completion(
         iterations: report.iterations.len() as u64,
         cost_cents: report.total_cost_cents,
         pairs_labeled: report.total_pairs_labeled,
-        cache: report.perf.cache,
         analysis_build_ms: report.perf.kernels.analysis_build_ms,
         analysis_bytes: report.perf.kernels.analysis_memory.resident_bytes,
         pairs_vectorized: report.perf.kernels.pairs_vectorized,

@@ -65,7 +65,11 @@ use std::path::{Path, PathBuf};
 /// resume under a different `RunConfig` or feature schema refuses with a
 /// typed [`StoreError::FingerprintMismatch`] instead of silently
 /// diverging (see [`read_snapshot_checked`]).
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: the run payload dropped its feature-cache image (runs no longer
+/// own a cache). A v4 snapshot fails with a typed
+/// [`StoreError::SchemaMismatch`].
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Magic string identifying a snapshot file.
 pub const MAGIC: &str = "corleone.run-snapshot";

@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> e2e_bench tests (builds the benchmark, runs --quick end to end)"
+# e2e_bench is its own Cargo workspace, so the root `cargo test` never
+# builds it; this stage fails when a library change breaks the API the
+# benchmark compiles against or any of its output checks.
+cargo test -q --manifest-path e2e_bench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

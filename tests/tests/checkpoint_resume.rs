@@ -189,14 +189,19 @@ fn schema_version_mismatch_is_a_typed_error() {
     let (task, gold, latest, dir) = checkpointed_run("schema");
     let text = std::fs::read_to_string(&latest).expect("read snapshot");
     let current = format!("\"schema_version\":{}", store::SCHEMA_VERSION);
-    let future = text.replacen(&current, "\"schema_version\":999", 1);
-    assert_ne!(text, future, "envelope layout changed; update the version probe");
-    std::fs::write(&latest, future).expect("write future snapshot");
-    match try_resume(&task, &gold, &latest) {
-        Err(CorleoneError::Store(StoreError::SchemaMismatch { found: 999, expected, .. })) => {
-            assert_eq!(expected, store::SCHEMA_VERSION);
+    // A future version, and v4: the last layout whose payload carried a
+    // feature-cache image.
+    for found in [999, 4] {
+        let other = text.replacen(&current, &format!("\"schema_version\":{found}"), 1);
+        assert_ne!(text, other, "envelope layout changed; update the version probe");
+        std::fs::write(&latest, other).expect("write other-version snapshot");
+        match try_resume(&task, &gold, &latest) {
+            Err(CorleoneError::Store(StoreError::SchemaMismatch { found: f, expected, .. })) => {
+                assert_eq!((f, expected), (found, 5));
+                assert_eq!(expected, store::SCHEMA_VERSION);
+            }
+            other => panic!("expected SchemaMismatch for v{found}, got {other:?}"),
         }
-        other => panic!("expected SchemaMismatch, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -324,6 +329,11 @@ fn snapshots_carry_no_analysis_payload_and_resume_byte_identically() {
                 "snapshot {sp:?} leaked analysis internals ({marker})"
             );
         }
+        // Nor a feature-cache image: runs own no cache.
+        let envelope: serde::Value = serde_json::from_str(&text_pre).expect("parse snapshot");
+        let payload = envelope.get("payload").expect("snapshot payload");
+        assert!(payload.get("cand_pairs").is_some(), "payload layout changed");
+        assert!(payload.get("cache").is_none(), "snapshot {sp:?} carries a cache image");
         let (norm_pre, norm_cold) = (normalized(sp), normalized(sc));
         assert_eq!(
             norm_pre.len(),

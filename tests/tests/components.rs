@@ -69,11 +69,7 @@ fn label_cache_reused_across_modules() {
     // cheaper: run the locator twice and check the second pass is free.
     let (task, gold, mut platform) = citations_setup(0.012, 22);
     let cand = CandidateSet::full_cartesian(&task);
-    let seeds: Vec<(Vec<f64>, bool)> = task
-        .seeds
-        .iter()
-        .map(|&(k, l)| (task.vectorize(k), l))
-        .collect();
+    let seeds = task.seed_vectors();
     let mut rng = StdRng::seed_from_u64(22);
     let cfg = CorleoneConfig::small();
     let learn = run_active_learning(
@@ -156,11 +152,7 @@ fn forest_rules_route_like_forest_on_real_features() {
     // (NaNs from missing fields included), across crates.
     let (task, gold, mut platform) = citations_setup(0.012, 24);
     let cand = CandidateSet::full_cartesian(&task);
-    let seeds: Vec<(Vec<f64>, bool)> = task
-        .seeds
-        .iter()
-        .map(|&(k, l)| (task.vectorize(k), l))
-        .collect();
+    let seeds = task.seed_vectors();
     let mut rng = StdRng::seed_from_u64(24);
     let learn = run_active_learning(
         &cand,
