@@ -6,11 +6,13 @@
 //! accuracy; training longer wastes money and — under a noisy crowd —
 //! can *decrease* accuracy.
 
-use bench::{dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table};
-use corleone::{run_active_learning, CandidateSet, CorleoneConfig, StoppingConfig, Threads};
+use bench::{
+    dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table,
+    sampled_candidates,
+};
+use corleone::{run_active_learning, CorleoneConfig, StoppingConfig, Threads};
 use crowd::TruthOracle;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
@@ -60,20 +62,7 @@ fn main() {
             let (task, gold) = make_task(&ds);
             let mut platform = make_platform(&ds, opts.error_rate, opts.seed + run as u64);
             let mut rng = StdRng::seed_from_u64(opts.seed + run as u64);
-            let mut pairs = Vec::new();
-            for a in 0..task.table_a.len() as u32 {
-                for b in 0..task.table_b.len() as u32 {
-                    pairs.push(crowd::PairKey::new(a, b));
-                }
-            }
-            pairs.shuffle(&mut rng);
-            pairs.truncate(15_000);
-            for &(s, _) in &task.seeds {
-                if !pairs.contains(&s) {
-                    pairs.push(s);
-                }
-            }
-            let cand = CandidateSet::build(&task, pairs);
+            let cand = sampled_candidates(&task, 15_000, &mut rng);
             let seeds = task.seed_vectors();
             let mut mcfg = CorleoneConfig::default().matcher;
             tweak(&mut mcfg);

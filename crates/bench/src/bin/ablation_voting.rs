@@ -7,12 +7,14 @@
 //! needlessly expensive, and the asymmetric hybrid gets strong-majority
 //! accuracy at close to `2+1` cost.
 
-use bench::{dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table};
-use corleone::{estimate_accuracy, run_active_learning, CandidateSet, CorleoneConfig, RunEnv, Threads};
+use bench::{
+    dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table,
+    sampled_candidates,
+};
+use corleone::{estimate_accuracy, run_active_learning, CorleoneConfig, RunEnv, Threads};
 use crowd::TruthOracle;
 use crowd::Scheme;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
@@ -46,20 +48,7 @@ fn main() {
 
             // Bounded slice of A×B; train one matcher per run (shared
             // across schemes via identical seeds).
-            let mut pairs = Vec::new();
-            for a in 0..task.table_a.len() as u32 {
-                for b in 0..task.table_b.len() as u32 {
-                    pairs.push(crowd::PairKey::new(a, b));
-                }
-            }
-            pairs.shuffle(&mut rng);
-            pairs.truncate(20_000);
-            for &(s, _) in &task.seeds {
-                if !pairs.contains(&s) {
-                    pairs.push(s);
-                }
-            }
-            let cand = CandidateSet::build(&task, pairs);
+            let cand = sampled_candidates(&task, 20_000, &mut rng);
             let seeds = task.seed_vectors();
             let cfg = CorleoneConfig::default();
             let learn = run_active_learning(

@@ -414,6 +414,7 @@ fn main() {
                         if pre {
                             VBUF.with(|v| {
                                 let mut v = v.borrow_mut();
+                                v.resize(task.n_features(), 0.0);
                                 task.vectorizer.vectorize_pre_into(ra, rb, an, &mut v);
                                 v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
                             })

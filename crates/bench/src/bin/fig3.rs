@@ -4,9 +4,9 @@
 //! and prints each run's smoothed monitoring-set confidence series with
 //! the detected stopping pattern.
 
-use bench::{make_platform, make_task, parse_args};
+use bench::{make_platform, make_task, parse_args, sampled_candidates};
 use corleone::stopping::smooth;
-use corleone::{run_active_learning, CandidateSet, MatcherConfig, Threads};
+use corleone::{run_active_learning, MatcherConfig, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,21 +45,7 @@ fn main() {
         // Learn over a random slice of the Cartesian product so every
         // scenario runs in seconds regardless of dataset size.
         let mut rng = StdRng::seed_from_u64(opts.seed);
-        let mut pairs = Vec::new();
-        for a in 0..task.table_a.len() as u32 {
-            for b in 0..task.table_b.len() as u32 {
-                pairs.push(crowd::PairKey::new(a, b));
-            }
-        }
-        use rand::seq::SliceRandom;
-        pairs.shuffle(&mut rng);
-        pairs.truncate(20_000);
-        for &(s, _) in &task.seeds {
-            if !pairs.contains(&s) {
-                pairs.push(s);
-            }
-        }
-        let cand = CandidateSet::build(&task, pairs);
+        let cand = sampled_candidates(&task, 20_000, &mut rng);
         let seeds = task.seed_vectors();
         let cfg = MatcherConfig::default();
         let out = run_active_learning(

@@ -7,14 +7,13 @@
 //! matcher, locates the difficult pairs, trains the iteration-2 matcher on
 //! them, and compares accuracy on the difficult subset before and after.
 
-use bench::{dataset, make_platform, make_task, parse_args, pct, render_table};
+use bench::{dataset, make_platform, make_task, parse_args, pct, render_table, sampled_candidates};
 use corleone::ruleeval::RuleEvalConfig;
 use corleone::{
     locate_difficult_pairs, run_active_learning, CandidateSet, CorleoneConfig, RunEnv, Threads,
 };
 use crowd::TruthOracle;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
@@ -72,20 +71,7 @@ fn main() {
 
         // Work over a bounded random slice of A×B so the experiment runs
         // in seconds at any scale (difficult-pair dynamics are unchanged).
-        let mut pairs = Vec::new();
-        for a in 0..task.table_a.len() as u32 {
-            for b in 0..task.table_b.len() as u32 {
-                pairs.push(crowd::PairKey::new(a, b));
-            }
-        }
-        pairs.shuffle(&mut rng);
-        pairs.truncate(30_000);
-        for &(s, _) in &task.seeds {
-            if !pairs.contains(&s) {
-                pairs.push(s);
-            }
-        }
-        let cand = CandidateSet::build(&task, pairs);
+        let cand = sampled_candidates(&task, 30_000, &mut rng);
         let seeds = task.seed_vectors();
 
         // Iteration 1.

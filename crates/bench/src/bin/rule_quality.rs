@@ -7,13 +7,14 @@
 //! steps are 97.5–99.99% precise; the locator uses ~11–17 negative and
 //! ~9–16 positive rules on Citations/Products.
 
-use bench::{dataset, make_platform, make_task, mean, parse_args, render_table};
+use bench::{
+    dataset, make_platform, make_task, mean, parse_args, render_table, sampled_candidates,
+};
 use corleone::ruleeval::{evaluate_rules_jointly, select_top_rules, RuleEvalConfig};
 use corleone::{run_active_learning, CandidateSet, CorleoneConfig, Threads};
 use crowd::TruthOracle;
 use forest::{negative_rules, positive_rules, Rule};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 
@@ -50,20 +51,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(opts.seed);
 
         // Bounded random slice of A×B (same trick as the other §9.3 bins).
-        let mut pairs = Vec::new();
-        for a in 0..task.table_a.len() as u32 {
-            for b in 0..task.table_b.len() as u32 {
-                pairs.push(crowd::PairKey::new(a, b));
-            }
-        }
-        pairs.shuffle(&mut rng);
-        pairs.truncate(30_000);
-        for &(s, _) in &task.seeds {
-            if !pairs.contains(&s) {
-                pairs.push(s);
-            }
-        }
-        let cand = CandidateSet::build(&task, pairs);
+        let cand = sampled_candidates(&task, 30_000, &mut rng);
         let seeds = task.seed_vectors();
         let learn =
             run_active_learning(

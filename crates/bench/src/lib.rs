@@ -27,10 +27,13 @@
 
 use corleone::error::CorleoneError;
 use corleone::task::task_from_parts;
-use corleone::{BlockerConfig, CorleoneConfig, Engine, MatchTask, RunReport};
-use crowd::{CrowdConfig, CrowdPlatform, FaultConfig, GoldOracle, RetryPolicy, WorkerPool};
+use corleone::{BlockerConfig, CandidateSet, CorleoneConfig, Engine, MatchTask, RunReport};
+use crowd::{
+    CrowdConfig, CrowdPlatform, FaultConfig, GoldOracle, PairKey, RetryPolicy, WorkerPool,
+};
 use datagen::{EmDataset, GenConfig};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Parsed common command-line options.
@@ -179,6 +182,25 @@ pub fn make_task(ds: &EmDataset) -> (MatchTask, GoldOracle) {
     );
     let gold = GoldOracle::from_pairs(ds.gold.iter().copied());
     (task, gold)
+}
+
+/// A bounded random slice of `A × B`, vectorized: every pair in row-major
+/// order, shuffled by `rng`, cut to the first `n`, then every seed pair
+/// the cut dropped appended. The bins that learn on a sample use it so a
+/// scenario runs in seconds at any dataset scale.
+pub fn sampled_candidates(task: &MatchTask, n: usize, rng: &mut StdRng) -> CandidateSet {
+    let n_b = task.table_b.len() as u32;
+    let mut pairs: Vec<PairKey> = (0..task.table_a.len() as u32)
+        .flat_map(|a| (0..n_b).map(move |b| PairKey::new(a, b)))
+        .collect();
+    pairs.shuffle(rng);
+    pairs.truncate(n);
+    for &(s, _) in &task.seeds {
+        if !pairs.contains(&s) {
+            pairs.push(s);
+        }
+    }
+    CandidateSet::build(task, pairs)
 }
 
 /// Build the simulated crowd for a dataset: a heterogeneous worker pool
@@ -353,5 +375,15 @@ mod tests {
         assert_eq!(gold.n_matches(), ds.gold.len());
         let platform = make_platform(&ds, 0.05, 1);
         assert_eq!(platform.ledger().total_cents, 0.0);
+
+        // The sample holds every seed, stays within n + |seeds|, and
+        // repeats for the same RNG seed.
+        let sample = |seed| sampled_candidates(&task, 50, &mut StdRng::seed_from_u64(seed));
+        let first = sample(9);
+        for &(s, _) in &task.seeds {
+            assert!(first.index_of(s).is_some(), "seed pair {s:?} missing");
+        }
+        assert!(first.len() <= 50 + task.seeds.len());
+        assert_eq!(first.pairs(), sample(9).pairs());
     }
 }

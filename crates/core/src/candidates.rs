@@ -34,22 +34,31 @@ impl CandidateSet {
     /// Materialize feature vectors for `pairs` with an explicit thread
     /// budget, consulting `cache` (read-through) when given. Builds the
     /// task's record analysis on that budget first if it is missing.
+    /// The matrix is allocated once and each row is written in place.
     pub fn build_with(
         task: &MatchTask,
         pairs: Vec<PairKey>,
         threads: Threads,
         cache: Option<&FeatureCache>,
     ) -> Self {
+        /// Pairs per parallel task: fixed, so the work split never
+        /// depends on the thread budget.
+        const ROWS_PER_CHUNK: usize = 64;
         let n_features = task.n_features();
         task.ensure_analysis(threads);
-        let rows: Vec<Vec<f64>> = exec::par_map(threads, &pairs, |&key| match cache {
-            Some(c) => c.get_or_compute(key, || task.vectorize(key)).as_ref().clone(),
-            None => task.vectorize(key),
+        let mut matrix = vec![0.0; pairs.len() * n_features];
+        let chunk_len = ROWS_PER_CHUNK * n_features;
+        exec::par_chunks_mut(threads, &mut matrix, chunk_len, |c, rows| {
+            let keys = &pairs[c * ROWS_PER_CHUNK..];
+            for (&key, row) in keys.iter().zip(rows.chunks_exact_mut(n_features)) {
+                match cache {
+                    Some(cache) => {
+                        row.copy_from_slice(&cache.get_or_compute(key, || task.vectorize(key)))
+                    }
+                    None => task.vectorize_into(key, row),
+                }
+            }
         });
-        let mut matrix = Vec::with_capacity(pairs.len() * n_features);
-        for row in &rows {
-            matrix.extend_from_slice(row);
-        }
         CandidateSet { pairs, n_features, matrix }
     }
 

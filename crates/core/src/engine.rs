@@ -64,7 +64,10 @@ pub struct IterationReport {
     pub locator: Option<LocatorReport>,
 }
 
-/// Wall-clock spent in one pipeline phase, summed over iterations.
+/// Wall-clock spent in one pipeline phase, summed over the iterations
+/// this process ran. Snapshots carry no wall-clock, so a resumed run
+/// starts every phase at 0 and bills the candidate-matrix rebuild as its
+/// blocker time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseTiming {
     /// Phase name: `blocker`, `matcher`, `estimator`, or `locator`.
@@ -87,7 +90,9 @@ pub struct PerfReport {
     /// caller passed in; all zero for session and service runs, which
     /// carry no cache.
     pub cache: CacheStats,
-    /// Per-phase wall-clock, in pipeline order.
+    /// Per-phase wall-clock, in pipeline order. A resumed run covers only
+    /// its own process: blocker is the candidate-matrix rebuild, and the
+    /// other phases start at 0.
     pub phases: Vec<PhaseTiming>,
     /// Injected crowd faults and the recovery work they caused during
     /// this run (all zero on a fault-free platform). Unlike the rest of
@@ -365,9 +370,6 @@ impl Engine {
         let ledger_start;
         let fault_start;
         let t_blocker;
-        let t_matcher;
-        let t_estimator;
-        let t_locator;
         let cand: CandidateSet;
         let blocker_report;
         let predictions: Vec<bool>;
@@ -377,7 +379,7 @@ impl Engine {
         let best: Option<(AccuracyEstimate, Vec<bool>)>;
         let start_iter;
         let seed_hex;
-        let mut snapshots_written;
+        let snapshots_written;
 
         match resume {
             Some(snap) => {
@@ -416,16 +418,15 @@ impl Engine {
                 // blocking on this path.
                 let t0 = Instant::now();
                 cand = CandidateSet::build_with(task, snap.cand_pairs, threads, cache);
-                t_blocker = snap.timings_ms[0] + t0.elapsed().as_secs_f64() * 1000.0;
-                t_matcher = snap.timings_ms[1];
-                t_estimator = snap.timings_ms[2];
-                t_locator = snap.timings_ms[3];
+                t_blocker = t0.elapsed().as_secs_f64() * 1000.0;
                 blocker_report = snap.blocker_report;
+                // The best estimate's predictions are the snapshot's
+                // predictions (see `RunSnapshot::best`).
+                best = snap.best.map(|e| (e, snap.predictions.clone()));
                 predictions = snap.predictions;
                 known_labels = snap.known_labels.into_iter().collect();
                 region = snap.region;
                 iterations = snap.iterations;
-                best = snap.best;
                 start_iter = snap.completed_iterations + 1;
                 seed_hex = snap.seed_hex;
                 snapshots_written = snap.snapshots_written;
@@ -450,9 +451,6 @@ impl Engine {
                     &env,
                 );
                 t_blocker = t0.elapsed().as_secs_f64() * 1000.0;
-                t_matcher = 0.0;
-                t_estimator = 0.0;
-                t_locator = 0.0;
                 cand = blocked.candidates;
                 blocker_report = blocked.report;
                 predictions = vec![false; cand.len()];
@@ -476,43 +474,14 @@ impl Engine {
         }
 
         let seed_vectors = task.seed_vectors();
-
-        // Snapshot 0: the post-blocking boundary. A resume from here
-        // skips the (expensive, crowd-labeled) blocking phase entirely.
-        if let Some(sn) = &snapshotter {
-            if resumed_from_iteration.is_none() {
-                let snap = RunSnapshot {
-                    seed_hex: seed_hex.clone(),
-                    completed_iterations: 0,
-                    rng_state: store::encode_rng_state(rng.state()),
-                    ledger_start,
-                    fault_start,
-                    cand_pairs: cand.pairs().to_vec(),
-                    n_features: cand.n_features(),
-                    blocker_report: blocker_report.clone(),
-                    predictions: predictions.clone(),
-                    known_labels: sorted_labels(&known_labels),
-                    region: region.clone(),
-                    iterations: iterations.clone(),
-                    best: best.clone(),
-                    timings_ms: [t_blocker, t_matcher, t_estimator, t_locator],
-                    forest_json: None,
-                    platform: platform.export_state(),
-                    snapshots_written: snapshots_written + 1,
-                };
-                sn.write(0, &snap)?;
-                snapshots_written += 1;
-            }
-        }
-
-        Ok(RunState {
+        let mut state = RunState {
             rng,
             ledger_start,
             fault_start,
             t_blocker,
-            t_matcher,
-            t_estimator,
-            t_locator,
+            t_matcher: 0.0,
+            t_estimator: 0.0,
+            t_locator: 0.0,
             cand,
             blocker_report,
             blocking_rec,
@@ -533,7 +502,13 @@ impl Engine {
             done: false,
             snapshotter,
             every,
-        })
+        };
+        // Snapshot 0: the post-blocking boundary. A resume from here
+        // skips the (expensive, crowd-labeled) blocking phase entirely.
+        if resumed_from_iteration.is_none() {
+            state.checkpoint(platform)?;
+        }
+        Ok(state)
     }
 
     fn budget_left(&self, platform: &CrowdPlatform, ledger_start: &Ledger) -> bool {
@@ -761,31 +736,8 @@ impl Engine {
         // ---- Iteration boundary: the narrowest point of the loop.
         // No phase is mid-flight, so the state closure is complete —
         // checkpoint it.
-        if let Some(sn) = &st.snapshotter {
-            if st.every > 0 && iter_no.is_multiple_of(st.every) {
-                let snap = RunSnapshot {
-                    seed_hex: st.seed_hex.clone(),
-                    completed_iterations: iter_no,
-                    rng_state: store::encode_rng_state(st.rng.state()),
-                    ledger_start: st.ledger_start,
-                    fault_start: st.fault_start,
-                    cand_pairs: st.cand.pairs().to_vec(),
-                    n_features: st.cand.n_features(),
-                    blocker_report: st.blocker_report.clone(),
-                    predictions: st.predictions.clone(),
-                    known_labels: sorted_labels(&st.known_labels),
-                    region: st.region.clone(),
-                    iterations: st.iterations.clone(),
-                    best: st.best.clone(),
-                    timings_ms: [st.t_blocker, st.t_matcher, st.t_estimator, st.t_locator],
-                    forest_json: Some(learn.forest.to_json()),
-                    platform: platform.export_state(),
-                    snapshots_written: st.snapshots_written + 1,
-                };
-                sn.write(iter_no as u64, &snap)?;
-                st.snapshots_written += 1;
-                out.checkpointed = true;
-            }
+        if st.every > 0 && iter_no.is_multiple_of(st.every) {
+            out.checkpointed = st.checkpoint(platform)?;
         }
         Ok(out)
     }
@@ -885,7 +837,7 @@ impl Engine {
 /// Checkpoint/resume controls for one run, resolved by
 /// [`RunSession`](crate::session::RunSession) from its builder settings
 /// or built directly by a multi-run driver (the service layer gives each
-/// tenant a registry-scoped snapshotter).
+/// tenant a snapshotter over its own run directory).
 pub struct CheckpointPlan {
     /// Where to write snapshots; `None` disables checkpointing.
     pub snapshotter: Option<Snapshotter>,
@@ -974,6 +926,40 @@ impl RunState {
     /// `None` for a fresh start.
     pub fn resumed_from_iteration(&self) -> Option<usize> {
         self.resumed_from_iteration
+    }
+
+    /// Write the state closure at the current iteration boundary as
+    /// snapshot `completed_iterations()`. Returns `false` when the run
+    /// has no snapshotter.
+    fn checkpoint(&mut self, platform: &CrowdPlatform) -> Result<bool, StoreError> {
+        let Some(sn) = &self.snapshotter else {
+            return Ok(false);
+        };
+        // Boundaries follow an improving iteration (or none at all), so
+        // the best predictions are the current ones; the snapshot stores
+        // them once.
+        debug_assert!(self.best.as_ref().is_none_or(|(_, p)| *p == self.predictions));
+        let completed = self.completed_iterations();
+        let snap = RunSnapshot {
+            seed_hex: self.seed_hex.clone(),
+            completed_iterations: completed,
+            rng_state: store::encode_rng_state(self.rng.state()),
+            ledger_start: self.ledger_start,
+            fault_start: self.fault_start,
+            cand_pairs: self.cand.pairs().to_vec(),
+            n_features: self.cand.n_features(),
+            blocker_report: self.blocker_report.clone(),
+            predictions: self.predictions.clone(),
+            known_labels: sorted_labels(&self.known_labels),
+            region: self.region.clone(),
+            iterations: self.iterations.clone(),
+            best: self.best.as_ref().map(|(e, _)| e.clone()),
+            platform: platform.export_state(),
+            snapshots_written: self.snapshots_written + 1,
+        };
+        sn.write(completed as u64, &snap)?;
+        self.snapshots_written += 1;
+        Ok(true)
     }
 }
 

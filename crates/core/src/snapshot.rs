@@ -3,15 +3,16 @@
 //!
 //! A [`RunSnapshot`] is the *full state closure* of a run at the end of an
 //! engine iteration — everything needed to continue the run as if it had
-//! never stopped:
+//! never stopped, and nothing a resume can derive or never reads:
 //!
 //! * the labeled pair set and active-learning outputs accumulated so far
 //!   (`predictions`, `known_labels`, per-iteration reports, the running
-//!   best estimate);
-//! * the current difficult region (the next iteration's training set);
+//!   best estimate — its predictions are `predictions` itself, see
+//!   [`RunSnapshot::best`]);
+//! * the current difficult region (the next iteration's training set —
+//!   each iteration trains a fresh matcher on it, so no model is stored);
 //! * the surviving candidate set as pair keys (feature vectors are
 //!   recomputed deterministically on resume — vectorization is pure);
-//! * the last trained random-forest model, serialized;
 //! * the crowd platform in full ([`crowd::PlatformState`]): ledger,
 //!   label cache, worker pool (including attrition), fault counters, the
 //!   simulated clock, and — critically — the exact stream positions of the
@@ -35,6 +36,10 @@
 //! has chosen the next region — because that is the narrowest point of
 //! the engine loop: no phase is mid-flight, so the closure above is
 //! complete and small.
+//!
+//! The payload carries no wall-clock, so a snapshot's bytes are a
+//! deterministic function of the run's inputs: two runs of the same task
+//! and seed write identical files at any thread count.
 
 use crate::blocker::BlockerReport;
 use crate::engine::IterationReport;
@@ -77,15 +82,11 @@ pub struct RunSnapshot {
     pub region: Vec<usize>,
     /// Per-iteration reports accumulated so far.
     pub iterations: Vec<IterationReport>,
-    /// Best (estimate, predictions) seen so far — the pair the stopping
-    /// rule compares against and rolls back to.
-    pub best: Option<(AccuracyEstimate, Vec<bool>)>,
-    /// Cumulative phase wall-clock so far, in ms:
-    /// `[blocker, matcher, estimator, locator]`.
-    pub timings_ms: [f64; 4],
-    /// The most recently trained random-forest model, serialized with
-    /// [`forest::RandomForest::to_json`]. `None` only for snapshot 0.
-    pub forest_json: Option<String>,
+    /// Best estimate seen so far — what the stopping rule compares
+    /// against. Its predictions are `predictions`: an iteration snapshot
+    /// is written only after an improving iteration, which makes the
+    /// current predictions the best ones (`None` only for snapshot 0).
+    pub best: Option<AccuracyEstimate>,
     /// Complete crowd platform state (ledger, label cache, worker pool,
     /// fault layer, both RNG stream positions, simulated clock).
     pub platform: PlatformState,
@@ -114,8 +115,6 @@ mod tests {
             region: vec![1],
             iterations: Vec::new(),
             best: None,
-            timings_ms: [1.0, 2.0, 3.0, 4.0],
-            forest_json: None,
             platform: crowd::CrowdPlatform::new(
                 crowd::WorkerPool::perfect(3),
                 crowd::CrowdConfig::default(),
@@ -129,7 +128,6 @@ mod tests {
         assert_eq!(back.rng_state, snap.rng_state);
         assert_eq!(back.cand_pairs, snap.cand_pairs);
         assert_eq!(back.known_labels, snap.known_labels);
-        assert_eq!(back.timings_ms, snap.timings_ms);
         assert_eq!(
             store::decode_rng_state(&back.rng_state).expect("state"),
             [u64::MAX, 1, 2, 1 << 60]

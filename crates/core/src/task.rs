@@ -236,12 +236,21 @@ impl MatchTask {
     /// Compute the full feature vector of a pair through the precomputed
     /// analysis (built on first use).
     pub fn vectorize(&self, pair: PairKey) -> Vec<f64> {
+        let mut row = vec![0.0; self.n_features()];
+        self.vectorize_into(pair, &mut row);
+        row
+    }
+
+    /// [`Self::vectorize`] into `row`, which holds [`Self::n_features`]
+    /// values: the allocation-free form a candidate matrix is filled
+    /// through.
+    pub(crate) fn vectorize_into(&self, pair: PairKey, row: &mut [f64]) {
         let an = self.ensure_analysis(Threads::new(1));
         let a = self.table_a.record(pair.a);
         let b = self.table_b.record(pair.b);
         self.analysis.pairs_vectorized.fetch_add(1, Ordering::Relaxed);
         self.analysis.features_pre.fetch_add(self.n_features() as u64, Ordering::Relaxed);
-        self.vectorizer.vectorize_pre(a, b, an)
+        self.vectorizer.vectorize_pre_into(a, b, an, row);
     }
 
     /// Compute one feature of a pair (lazy path for blocking-rule

@@ -4,10 +4,12 @@
 //! Every hot loop in the workspace — pair vectorization, blocking-rule
 //! application over the Cartesian product, per-tree forest training,
 //! batched prediction, entropy scans, probe scoring — funnels through the
-//! three primitives here instead of hand-rolled `crossbeam::scope` blocks:
+//! primitives here instead of hand-rolled `crossbeam::scope` blocks:
 //!
 //! * [`par_map`] — chunked data-parallel map with work stealing;
 //! * [`par_for_each`] — the side-effect variant;
+//! * [`par_chunks_mut`] — in-place fill of a buffer, one disjoint
+//!   fixed-size `&mut` chunk per task;
 //! * [`par_map_seeded`] — deterministic randomized map: per-item RNG
 //!   seeds are drawn *serially* from the parent generator, so results are
 //!   byte-identical at any thread count.
@@ -147,6 +149,50 @@ where
     result
 }
 
+/// Fill `data` in place, in parallel: `f(c, chunk)` receives the `c`-th
+/// run of `chunk_len` consecutive elements (the last run may be shorter)
+/// as a disjoint `&mut` slice. Every element is handed to exactly one
+/// call.
+///
+/// The partition depends only on `chunk_len`, never on the thread count,
+/// so a deterministic `f` fills `data` identically at every budget.
+/// Workers claim chunks from a shared counter, as in [`indexed_par_map`].
+pub fn par_chunks_mut<T, F>(threads: Threads, data: &mut [T], chunk_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let chunk_len = chunk_len.max(1);
+    let n_chunks = data.len().div_ceil(chunk_len);
+    let n_threads = threads.get().min(n_chunks);
+    if n_threads <= 1 {
+        for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            f(c, chunk);
+        }
+        return;
+    }
+
+    // One slot per chunk; the claim counter hands each index to exactly
+    // one thread, which takes the chunk out of its slot.
+    let slots: Vec<std::sync::Mutex<Option<&mut [T]>>> =
+        data.chunks_mut(chunk_len).map(|c| std::sync::Mutex::new(Some(c))).collect();
+    let next_chunk = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..n_threads {
+            scope.spawn(|| loop {
+                let c = next_chunk.fetch_add(1, Ordering::Relaxed);
+                if c >= n_chunks {
+                    break;
+                }
+                let chunk = slots[c].lock().unwrap_or_else(|e| e.into_inner()).take();
+                if let Some(chunk) = chunk {
+                    f(c, chunk);
+                }
+            });
+        }
+    });
+}
+
 /// Deterministic randomized parallel map.
 ///
 /// Draws one `u64` seed per item *serially* from `rng`, then maps in
@@ -198,6 +244,23 @@ mod tests {
             sum.fetch_add(x as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.into_inner(), 5_000 * 4_999 / 2);
+    }
+
+    #[test]
+    fn par_chunks_mut_writes_every_index_exactly_once() {
+        for len in [0usize, 1, 63, 64, 1000] {
+            for threads in [1, 2, 8] {
+                let mut data = vec![0u32; len];
+                par_chunks_mut(Threads::new(threads), &mut data, 64, |c, chunk| {
+                    assert!(chunk.len() == 64 || (c + 1) * 64 >= len, "short chunk {c}");
+                    for (j, x) in chunk.iter_mut().enumerate() {
+                        *x += (c * 64 + j) as u32 + 1;
+                    }
+                });
+                let want: Vec<u32> = (1..=len as u32).collect();
+                assert_eq!(data, want, "len {len}, {threads} threads");
+            }
+        }
     }
 
     #[test]

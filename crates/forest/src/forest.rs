@@ -113,21 +113,6 @@ impl RandomForest {
         RandomForest { trees }
     }
 
-    /// Serialize the trained model to JSON for checkpointing.
-    ///
-    /// # Panics
-    /// Never in practice — the model contains only finite numbers and
-    /// derives `Serialize` throughout.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("a trained forest always serializes")
-    }
-
-    /// Reconstruct a model written by [`RandomForest::to_json`]. The
-    /// restored forest votes identically to the original on every input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Fraction of trees voting "matched" for `x` — `P₊(e)` in Eq. 1.
     pub fn positive_fraction(&self, x: &[f64]) -> f64 {
         let pos = self.trees.iter().filter(|t| t.predict(x)).count();
@@ -252,25 +237,6 @@ mod tests {
             .filter(|&i| f.predict(ds.row(i)) == ds.label(i))
             .count();
         assert!(correct as f64 / ds.len() as f64 > 0.97);
-    }
-
-    #[test]
-    fn json_round_trip_votes_identically() {
-        let ds = separable(150);
-        let mut rng = StdRng::seed_from_u64(7);
-        let f = RandomForest::train_all(&ds, &ForestConfig::default(), &mut rng);
-        let back = RandomForest::from_json(&f.to_json()).expect("round trip");
-        assert_eq!(back.n_trees(), f.n_trees());
-        for i in 0..ds.len() {
-            assert_eq!(back.predict(ds.row(i)), f.predict(ds.row(i)));
-            assert_eq!(back.positive_fraction(ds.row(i)), f.positive_fraction(ds.row(i)));
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(RandomForest::from_json("not json").is_err());
-        assert!(RandomForest::from_json("{\"trees\": 3}").is_err());
     }
 
     #[test]

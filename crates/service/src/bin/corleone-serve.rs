@@ -57,7 +57,8 @@ const HELP: &str = "corleone-serve: run the multi-tenant matching service
 
 USAGE: corleone-serve [FLAGS]
 
-  --root DIR        checkpoint-registry root (enables durability/resume)
+  --root DIR        checkpoint root (enables durability/resume): each
+                    tenant snapshots into DIR/runs/<run_id>/
   --out DIR         write each finished run's deterministic report JSON
                     to DIR/<run_id>.json
   --datasets CSV    datasets to submit, one tenant each

@@ -38,7 +38,7 @@ pub enum ServiceError {
     },
     /// No tenant with this run id is known to the service.
     UnknownTenant(String),
-    /// The checkpoint store refused (registry, snapshot, or fingerprint).
+    /// The checkpoint store refused (run id, snapshot, or fingerprint).
     Store(StoreError),
     /// The engine refused before any iteration ran.
     Engine(CorleoneError),

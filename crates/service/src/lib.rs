@@ -31,11 +31,13 @@
 //!   submission must declare a per-run budget, and overcommitting the
 //!   cap rejects with [`ServiceError::QuotaExceeded`] — quota is
 //!   released when a tenant finishes.
-//! * **Durability.** With a checkpoint root, every tenant registers in
-//!   a [`store::Registry`] (run id → snapshot dir, fingerprint-stamped
-//!   envelopes, keep-last-K GC). Killing the service and resubmitting
-//!   the same run ids resumes every in-flight tenant from its newest
-//!   snapshot, byte-identically.
+//! * **Durability.** With a checkpoint root, every tenant checkpoints
+//!   into its own directory, `<root>/runs/<run_id>/`
+//!   ([`store::Snapshotter::for_run`]: fingerprint-stamped envelopes,
+//!   keep-last-K GC). The directories are the only on-disk state; there
+//!   is no index. Killing the service and resubmitting the same run ids
+//!   resumes every in-flight tenant from its newest snapshot,
+//!   byte-identically.
 //!
 //! ## Determinism contract
 //!
@@ -85,7 +87,7 @@ use similarity::TaskAnalysis;
 use std::collections::{HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
-use store::{Registry, Snapshotter, StoreError};
+use store::{Snapshotter, StoreError};
 
 /// Service-wide knobs. The defaults match a solo
 /// [`RunSession`](corleone::RunSession)'s execution settings, which is
@@ -105,8 +107,9 @@ pub struct ServiceConfig {
     /// tenants' declared budgets. `None` disables budget admission
     /// control.
     pub aggregate_budget_cents: Option<f64>,
-    /// Root directory of the multi-run checkpoint registry. `None`
-    /// disables durability.
+    /// Checkpoint root: each tenant's snapshots go to
+    /// `<root>/runs/<run_id>/`, and a resubmitted run id resumes from the
+    /// newest one there. `None` disables durability.
     pub checkpoint_root: Option<PathBuf>,
     /// Checkpoint every N completed iterations per tenant (snapshot 0 is
     /// always written when durability is on).
@@ -133,8 +136,8 @@ impl Default for ServiceConfig {
 /// configuration. The service takes ownership of everything — tenants
 /// outlive the submitting call.
 pub struct TenantSpec {
-    /// Unique id; also the run's directory name in the checkpoint
-    /// registry (path-safe `[A-Za-z0-9._-]+`).
+    /// Unique id; also the run's directory name under the checkpoint
+    /// root (path-safe `[A-Za-z0-9._-]+`, not `.` or `..`).
     pub run_id: String,
     /// The matching task.
     pub task: MatchTask,
@@ -172,7 +175,6 @@ struct Tenant {
 pub struct MatchService {
     cfg: ServiceConfig,
     threads: Threads,
-    registry: Option<Registry>,
     queue: VecDeque<Tenant>,
     active: Vec<Tenant>,
     cursor: usize,
@@ -186,19 +188,22 @@ pub struct MatchService {
 }
 
 impl MatchService {
-    /// Open a service. With a `checkpoint_root`, the multi-run registry
-    /// is opened (created if missing) and resubmitted run ids will
-    /// resume from their newest snapshots.
+    /// Open a service. With a `checkpoint_root`, `<root>/runs` is
+    /// created if missing (so an unwritable root fails here, not at the
+    /// first submission) and resubmitted run ids will resume from their
+    /// newest snapshots.
     pub fn new(cfg: ServiceConfig) -> Result<Self, ServiceError> {
         let threads = if cfg.threads == 0 { Threads::auto() } else { Threads::new(cfg.threads) };
-        let registry = match &cfg.checkpoint_root {
-            Some(root) => Some(Registry::open(root.clone())?),
-            None => None,
-        };
+        if let Some(root) = &cfg.checkpoint_root {
+            let runs = root.join("runs");
+            std::fs::create_dir_all(&runs).map_err(|e| StoreError::Io {
+                path: runs.display().to_string(),
+                message: e.to_string(),
+            })?;
+        }
         Ok(MatchService {
             cfg,
             threads,
-            registry,
             queue: VecDeque::new(),
             active: Vec::new(),
             cursor: 0,
@@ -237,16 +242,18 @@ impl MatchService {
         }
 
         let engine = Engine::new(config).with_seed(seed);
-        // Durability: register the run and pick up any prior snapshot
-        // (the kill-and-restart path). The engine's run fingerprint is
-        // stamped into every envelope and demanded on resume, so a
-        // resubmission under a different config or feature schema is a
-        // typed refusal here, not a silent divergence.
+        // Durability: open the run's directory and pick up any prior
+        // snapshot (the kill-and-restart path). The engine's run
+        // fingerprint is stamped into every envelope and demanded on
+        // resume, so a resubmission under a different config or feature
+        // schema is a typed refusal here, not a silent divergence.
         let mut snapshotter = None;
         let mut resume: Option<Box<RunSnapshot>> = None;
-        if let Some(reg) = self.registry.as_mut() {
+        if let Some(root) = &self.cfg.checkpoint_root {
             let fingerprint = engine.run_fingerprint(&task)?;
-            let sn = reg.register(&run_id, self.cfg.checkpoint_keep, Some(&fingerprint))?;
+            let sn = Snapshotter::for_run(root, &run_id)?
+                .keep_last(self.cfg.checkpoint_keep)
+                .with_fingerprint(fingerprint.clone());
             match sn.latest() {
                 Ok(path) => {
                     resume =
@@ -623,7 +630,7 @@ mod tests {
 
     #[test]
     fn duplicate_run_id_is_rejected() {
-        let mut svc = MatchService::new(ServiceConfig::default()).expect("no registry");
+        let mut svc = MatchService::new(ServiceConfig::default()).expect("no checkpoint root");
         svc.submit(spec("r", None, 1)).expect("first admission");
         match svc.submit(spec("r", None, 1)) {
             Err(ServiceError::DuplicateRunId(id)) => assert_eq!(id, "r"),
@@ -634,7 +641,7 @@ mod tests {
     #[test]
     fn queue_overflow_is_a_typed_error() {
         let cfg = ServiceConfig { max_active: 1, max_queued: 1, ..Default::default() };
-        let mut svc = MatchService::new(cfg).expect("no registry");
+        let mut svc = MatchService::new(cfg).expect("no checkpoint root");
         svc.submit(spec("a", None, 1)).expect("activates");
         svc.submit(spec("b", None, 2)).expect("queues");
         assert_eq!((svc.active_tenants(), svc.queued_tenants()), (1, 1));
@@ -649,7 +656,7 @@ mod tests {
     #[test]
     fn aggregate_budget_admission_control() {
         let cfg = ServiceConfig { aggregate_budget_cents: Some(1000.0), ..Default::default() };
-        let mut svc = MatchService::new(cfg).expect("no registry");
+        let mut svc = MatchService::new(cfg).expect("no checkpoint root");
         // Under a cap, every tenant must declare a budget.
         match svc.submit(spec("unbounded", None, 1)) {
             Err(ServiceError::UnboundedBudget { run_id }) => assert_eq!(run_id, "unbounded"),
@@ -671,7 +678,7 @@ mod tests {
 
     #[test]
     fn events_stream_in_order_and_reports_are_claimable() {
-        let mut svc = MatchService::new(ServiceConfig::default()).expect("no registry");
+        let mut svc = MatchService::new(ServiceConfig::default()).expect("no checkpoint root");
         svc.submit(spec("solo", None, 3)).expect("admitted");
         svc.run_all();
         let events = svc.poll_events();
@@ -696,7 +703,7 @@ mod tests {
 
     #[test]
     fn identical_tables_share_one_analysis_build() {
-        let mut svc = MatchService::new(ServiceConfig::default()).expect("no registry");
+        let mut svc = MatchService::new(ServiceConfig::default()).expect("no checkpoint root");
         svc.submit(spec("first", None, 7)).expect("admitted");
         svc.submit(spec("second", None, 7)).expect("admitted");
         svc.run_all();
@@ -712,7 +719,7 @@ mod tests {
 
     #[test]
     fn interleaved_tenant_matches_solo_session_bytes() {
-        let mut svc = MatchService::new(ServiceConfig::default()).expect("no registry");
+        let mut svc = MatchService::new(ServiceConfig::default()).expect("no checkpoint root");
         // Two competing tenants so "svc"'s quanta genuinely interleave.
         svc.submit(spec("svc", None, 11)).expect("admitted");
         svc.submit(spec("other", None, 12)).expect("admitted");

@@ -224,23 +224,18 @@ impl FeatureVectorizer {
     /// are hoisted out of the per-feature loop — with tens of features
     /// per schema they are a measurable share of the per-pair cost.
     pub fn vectorize_pre(&self, a: &Record, b: &Record, an: &TaskAnalysis) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.lib.len());
+        let mut out = vec![0.0; self.lib.len()];
         self.vectorize_pre_into(a, b, an, &mut out);
         out
     }
 
-    /// [`Self::vectorize_pre`] into a caller-reused buffer — the
-    /// allocation-free form for per-pair hot loops. `out` is cleared and
-    /// refilled; schemas wider than the stack-resident attr-lookup cap
-    /// (far beyond any real schema) take two transient side tables.
-    pub fn vectorize_pre_into(
-        &self,
-        a: &Record,
-        b: &Record,
-        an: &TaskAnalysis,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
+    /// [`Self::vectorize_pre`] into a caller-owned row of
+    /// [`Self::n_features`] values — the allocation-free form for per-pair
+    /// hot loops and in-place matrix fills. Schemas wider than the
+    /// stack-resident attr-lookup cap (far beyond any real schema) take
+    /// two transient side tables.
+    pub fn vectorize_pre_into(&self, a: &Record, b: &Record, an: &TaskAnalysis, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.lib.len(), "row length must equal n_features");
         const MAX_ATTRS: usize = 32;
         let n_attrs = self.tfidf.len();
         let mut abuf = [None; MAX_ATTRS];
@@ -259,9 +254,9 @@ impl FeatureVectorizer {
                 (va.as_slice(), vb.as_slice())
             };
         charkernels::with_scratch(|s| {
-            for fi in 0..self.lib.len() {
+            for (fi, v) in out.iter_mut().enumerate() {
                 let attr = self.lib.defs[fi].attr;
-                out.push(self.feature_pre_with(fi, a, b, an, ra[attr], rb[attr], s));
+                *v = self.feature_pre_with(fi, a, b, an, ra[attr], rb[attr], s);
             }
         })
     }

@@ -14,7 +14,8 @@
 //! ```json
 //! {
 //!   "magic": "corleone.run-snapshot",
-//!   "schema_version": 1,
+//!   "schema_version": 6,
+//!   "fingerprint": "3b0c5e7a12f4d9e1",
 //!   "checksum": "9f86d081884c7d65",
 //!   "payload": { ... }
 //! }
@@ -24,6 +25,8 @@
 //! * `schema_version` makes incompatibility explicit — a reader refuses a
 //!   snapshot written by a different schema rather than misinterpreting
 //!   its fields;
+//! * `fingerprint` (optional) names the run configuration the snapshot
+//!   was written under (see [`read_snapshot_checked`]);
 //! * `checksum` is an FNV-1a 64 hash of the canonical payload JSON, so a
 //!   truncated or bit-flipped file fails loudly with
 //!   [`StoreError::ChecksumMismatch`] instead of resuming from garbage.
@@ -36,6 +39,14 @@
 //! snapshot survives intact. [`Snapshotter`] adds a keep-last-K retention
 //! policy on top so checkpointing a long run does not grow the directory
 //! without bound.
+//!
+//! ## Many runs under one root
+//!
+//! [`Snapshotter::for_run`] gives each run of a multi-run process (the
+//! service layer's tenants) its own directory, `<root>/runs/<run_id>/`,
+//! after checking that the id is a safe directory name. The directory is
+//! the whole record of a run: there is no index file, and resuming a run
+//! means opening its directory again and reading the newest snapshot.
 //!
 //! The payload type is generic: this crate knows nothing about engines or
 //! crowds, only about getting a `serde` value to disk and back without
@@ -69,7 +80,13 @@ use std::path::{Path, PathBuf};
 /// v5: the run payload dropped its feature-cache image (runs no longer
 /// own a cache). A v4 snapshot fails with a typed
 /// [`StoreError::SchemaMismatch`].
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the run payload holds only what a resume reads — no serialized
+/// forest, no second copy of the predictions beside the best estimate,
+/// no wall-clock — so its bytes are a deterministic function of the
+/// run's inputs. A v5 snapshot fails with a typed
+/// [`StoreError::SchemaMismatch`].
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Magic string identifying a snapshot file.
 pub const MAGIC: &str = "corleone.run-snapshot";
@@ -137,15 +154,8 @@ pub enum StoreError {
         /// carries no fingerprint at all).
         found: Option<String>,
     },
-    /// A [`Registry`] operation named a run id with no registered run.
-    UnknownRun {
-        /// The run id requested.
-        run_id: String,
-        /// Registry root directory.
-        root: String,
-    },
-    /// A run id unusable as a directory name (empty, or containing
-    /// characters outside `[A-Za-z0-9._-]`).
+    /// A run id unusable as a directory name (empty, `.`, `..`, or
+    /// containing characters outside `[A-Za-z0-9._-]`).
     InvalidRunId {
         /// The offending id.
         run_id: String,
@@ -187,9 +197,6 @@ impl fmt::Display for StoreError {
                      requires {expected}; refusing to resume"
                 ),
             },
-            StoreError::UnknownRun { run_id, root } => {
-                write!(f, "no run {run_id:?} registered under {root}")
-            }
             StoreError::InvalidRunId { run_id } => write!(
                 f,
                 "run id {run_id:?} is not usable as a directory name \
@@ -264,14 +271,9 @@ pub fn fingerprint64(bytes: &[u8]) -> String {
 }
 
 /// Serialize `payload` into a versioned, checksummed envelope and write it
-/// to `path` atomically (temp file + rename). The parent directory must
-/// exist.
-pub fn write_snapshot<T: Serialize>(path: &Path, payload: &T) -> Result<(), StoreError> {
-    write_snapshot_tagged(path, payload, None)
-}
-
-/// [`write_snapshot`] with an optional run fingerprint stamped into the
-/// envelope (see [`read_snapshot_checked`] for the verification side).
+/// to `path` atomically (temp file + rename), stamping the envelope with
+/// `fingerprint` when given (see [`read_snapshot_checked`] for the
+/// verification side). The parent directory must exist.
 pub fn write_snapshot_tagged<T: Serialize>(
     path: &Path,
     payload: &T,
@@ -301,20 +303,16 @@ pub fn write_snapshot_tagged<T: Serialize>(
 }
 
 /// Read, verify, and decode a snapshot envelope written by
-/// [`write_snapshot`]. Verification order: parse → magic → schema version
-/// → checksum → payload decode, each failing with its own typed error.
-/// The envelope's fingerprint, if any, is not checked — use
-/// [`read_snapshot_checked`] to require one.
-pub fn read_snapshot<T: Deserialize>(path: &Path) -> Result<T, StoreError> {
-    read_snapshot_checked(path, None)
-}
-
-/// [`read_snapshot`] that additionally requires the envelope to carry
-/// exactly the expected run fingerprint. A missing or different
-/// fingerprint fails with [`StoreError::FingerprintMismatch`] — the typed
-/// refusal that keeps a resume under a different run configuration,
-/// feature schema, or platform from silently diverging. The check runs
-/// after schema-version verification and before the checksum.
+/// [`write_snapshot_tagged`]. Verification order: parse → magic → schema
+/// version → fingerprint → checksum → payload decode, each failing with
+/// its own typed error.
+///
+/// With `Some(expected_fingerprint)` the envelope must carry exactly that
+/// run fingerprint. A missing or different fingerprint fails with
+/// [`StoreError::FingerprintMismatch`] — the typed refusal that keeps a
+/// resume under a different run configuration, feature schema, or
+/// platform from silently diverging. With `None` the envelope's
+/// fingerprint, if any, is not checked.
 pub fn read_snapshot_checked<T: Deserialize>(
     path: &Path,
     expected_fingerprint: Option<&str>,
@@ -403,6 +401,18 @@ impl Snapshotter {
         Ok(Snapshotter { dir, keep_last: DEFAULT_KEEP_LAST, fingerprint: None })
     }
 
+    /// Open (creating if needed) the snapshot directory of run `run_id`
+    /// under a multi-run root: `<root>/runs/<run_id>/`. The id becomes a
+    /// directory name, so anything outside `[A-Za-z0-9._-]+`, and the
+    /// `.`/`..` traversal names, fail with [`StoreError::InvalidRunId`]
+    /// before any directory is created.
+    pub fn for_run(root: &Path, run_id: &str) -> Result<Self, StoreError> {
+        if !valid_run_id(run_id) {
+            return Err(StoreError::InvalidRunId { run_id: run_id.to_string() });
+        }
+        Self::create(root.join("runs").join(run_id))
+    }
+
     /// Retain only the newest `k` snapshots after each write; `0` keeps
     /// everything.
     pub fn keep_last(mut self, k: usize) -> Self {
@@ -473,47 +483,6 @@ impl Snapshotter {
     }
 }
 
-/// Metadata for one registered run in a [`Registry`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunMeta {
-    /// The run's id (also its directory name under `<root>/runs/`).
-    pub run_id: String,
-    /// Keep-last-K retention applied to the run's snapshots (`0` keeps
-    /// everything).
-    pub keep_last: usize,
-    /// Run fingerprint stamped into the run's snapshot envelopes, if any.
-    pub fingerprint: Option<String>,
-}
-
-/// The registry's on-disk index payload (`<root>/registry.json`), stored
-/// through the same checksummed envelope as snapshots. Runs are kept
-/// sorted by id so the index bytes are deterministic.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct RegistryIndex {
-    runs: Vec<RunMeta>,
-}
-
-/// A multi-run snapshot store: run id → snapshot directory, with a
-/// crash-safe metadata index and per-run keep-last-K retention.
-///
-/// Layout under the registry root:
-///
-/// ```text
-/// <root>/registry.json          checksummed index of RunMeta entries
-/// <root>/runs/<run_id>/snap-*.json
-/// ```
-///
-/// This is the piece the multi-tenant service layer checkpoints through —
-/// every tenant registers its run id and gets a [`Snapshotter`] scoped to
-/// its own directory — and what bench sweeps can use to checkpoint and
-/// resume a whole sweep as a unit. Operations naming an unregistered id
-/// fail with the typed [`StoreError::UnknownRun`].
-#[derive(Debug, Clone)]
-pub struct Registry {
-    root: PathBuf,
-    index: RegistryIndex,
-}
-
 /// Run ids become directory names: restrict to a path-safe alphabet and
 /// reject the `.`/`..` traversal names.
 fn valid_run_id(id: &str) -> bool {
@@ -523,112 +492,6 @@ fn valid_run_id(id: &str) -> bool {
         && id
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
-}
-
-impl Registry {
-    /// Open (creating if needed) a registry rooted at `root`, loading the
-    /// index if one exists.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        let root = root.into();
-        fs::create_dir_all(root.join("runs")).map_err(|e| io_err(&root, e))?;
-        let index_path = root.join("registry.json");
-        let index = if index_path.is_file() {
-            read_snapshot::<RegistryIndex>(&index_path)?
-        } else {
-            RegistryIndex::default()
-        };
-        Ok(Registry { root, index })
-    }
-
-    /// The registry's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// All registered runs, sorted by run id.
-    pub fn runs(&self) -> &[RunMeta] {
-        &self.index.runs
-    }
-
-    /// Is this run id registered?
-    pub fn contains(&self, run_id: &str) -> bool {
-        self.index.runs.iter().any(|m| m.run_id == run_id)
-    }
-
-    /// The directory a run's snapshots live (or would live) in.
-    pub fn run_dir(&self, run_id: &str) -> PathBuf {
-        self.root.join("runs").join(run_id)
-    }
-
-    fn persist(&self) -> Result<(), StoreError> {
-        write_snapshot(&self.root.join("registry.json"), &self.index)
-    }
-
-    fn meta(&self, run_id: &str) -> Result<&RunMeta, StoreError> {
-        self.index.runs.iter().find(|m| m.run_id == run_id).ok_or_else(|| {
-            StoreError::UnknownRun {
-                run_id: run_id.to_string(),
-                root: self.root.display().to_string(),
-            }
-        })
-    }
-
-    /// Register a run (idempotent: re-registering updates its retention
-    /// and fingerprint) and return a [`Snapshotter`] scoped to its
-    /// directory. The index write is atomic, so a crash leaves either the
-    /// old or the new index, never a torn one.
-    pub fn register(
-        &mut self,
-        run_id: &str,
-        keep_last: usize,
-        fingerprint: Option<&str>,
-    ) -> Result<Snapshotter, StoreError> {
-        if !valid_run_id(run_id) {
-            return Err(StoreError::InvalidRunId { run_id: run_id.to_string() });
-        }
-        let meta = RunMeta {
-            run_id: run_id.to_string(),
-            keep_last,
-            fingerprint: fingerprint.map(str::to_string),
-        };
-        match self.index.runs.iter_mut().find(|m| m.run_id == run_id) {
-            Some(existing) => *existing = meta,
-            None => {
-                self.index.runs.push(meta);
-                self.index.runs.sort_by(|a, b| a.run_id.cmp(&b.run_id));
-            }
-        }
-        self.persist()?;
-        self.snapshotter(run_id)
-    }
-
-    /// A [`Snapshotter`] for a registered run, configured with the run's
-    /// recorded retention and fingerprint.
-    pub fn snapshotter(&self, run_id: &str) -> Result<Snapshotter, StoreError> {
-        let meta = self.meta(run_id)?;
-        let mut sn = Snapshotter::create(self.run_dir(run_id))?.keep_last(meta.keep_last);
-        if let Some(fp) = &meta.fingerprint {
-            sn = sn.with_fingerprint(fp.clone());
-        }
-        Ok(sn)
-    }
-
-    /// The newest snapshot of a registered run
-    /// ([`StoreError::NoSnapshots`] when it has not checkpointed yet).
-    pub fn latest_snapshot(&self, run_id: &str) -> Result<PathBuf, StoreError> {
-        self.snapshotter(run_id)?.latest()
-    }
-
-    /// Unregister a run and delete its snapshot directory.
-    pub fn remove_run(&mut self, run_id: &str) -> Result<(), StoreError> {
-        self.meta(run_id)?;
-        let dir = self.run_dir(run_id);
-        if dir.is_dir() {
-            fs::remove_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        }
-        self.index.runs.retain(|m| m.run_id != run_id);
-        self.persist()
-    }
 }
 
 #[cfg(test)]
@@ -664,8 +527,8 @@ mod tests {
     fn round_trip_preserves_payload() {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("snap-00000001.json");
-        write_snapshot(&path, &sample()).expect("write");
-        let back: Payload = read_snapshot(&path).expect("read");
+        write_snapshot_tagged(&path, &sample(), None).expect("write");
+        let back: Payload = read_snapshot_checked(&path, None).expect("read");
         assert_eq!(back.name, "iteration-3");
         assert_eq!(back.xs[..4], sample().xs[..4]);
         assert!(back.xs[4].is_nan(), "NaN survives via null");
@@ -677,10 +540,10 @@ mod tests {
     fn bit_flip_in_payload_is_a_checksum_mismatch() {
         let dir = tmp_dir("bitflip");
         let path = dir.join("snap-00000001.json");
-        write_snapshot(&path, &sample()).expect("write");
+        write_snapshot_tagged(&path, &sample(), None).expect("write");
         let text = fs::read_to_string(&path).unwrap().replace("-2.5", "-2.6");
         fs::write(&path, text).unwrap();
-        match read_snapshot::<Payload>(&path) {
+        match read_snapshot_checked::<Payload>(&path, None) {
             Err(StoreError::ChecksumMismatch { expected, actual, .. }) => {
                 assert_ne!(expected, actual)
             }
@@ -692,11 +555,11 @@ mod tests {
     fn truncation_is_corrupt_not_a_panic() {
         let dir = tmp_dir("truncate");
         let path = dir.join("snap-00000001.json");
-        write_snapshot(&path, &sample()).expect("write");
+        write_snapshot_tagged(&path, &sample(), None).expect("write");
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() / 2]).unwrap();
         assert!(matches!(
-            read_snapshot::<Payload>(&path),
+            read_snapshot_checked::<Payload>(&path, None),
             Err(StoreError::Corrupt { .. })
         ));
     }
@@ -705,12 +568,12 @@ mod tests {
     fn wrong_schema_version_is_typed() {
         let dir = tmp_dir("version");
         let path = dir.join("snap-00000001.json");
-        write_snapshot(&path, &sample()).expect("write");
+        write_snapshot_tagged(&path, &sample(), None).expect("write");
         let text = fs::read_to_string(&path)
             .unwrap()
             .replace(&format!("\"schema_version\":{SCHEMA_VERSION}"), "\"schema_version\":99");
         fs::write(&path, text).unwrap();
-        match read_snapshot::<Payload>(&path) {
+        match read_snapshot_checked::<Payload>(&path, None) {
             Err(StoreError::SchemaMismatch { found, expected, .. }) => {
                 assert_eq!((found, expected), (99, SCHEMA_VERSION))
             }
@@ -723,7 +586,7 @@ mod tests {
         let dir = tmp_dir("magic");
         let path = dir.join("snap-00000001.json");
         fs::write(&path, "{\"hello\": \"world\"}").unwrap();
-        match read_snapshot::<Payload>(&path) {
+        match read_snapshot_checked::<Payload>(&path, None) {
             Err(StoreError::Corrupt { message, .. }) => assert!(message.contains("magic")),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -733,7 +596,7 @@ mod tests {
     fn missing_file_is_io() {
         let dir = tmp_dir("missing");
         assert!(matches!(
-            read_snapshot::<Payload>(&dir.join("nope.json")),
+            read_snapshot_checked::<Payload>(&dir.join("nope.json"), None),
             Err(StoreError::Io { .. })
         ));
     }
@@ -742,9 +605,9 @@ mod tests {
     fn wrong_payload_shape_is_decode() {
         let dir = tmp_dir("decode");
         let path = dir.join("snap-00000001.json");
-        write_snapshot(&path, &vec![1.0f64, 2.0]).expect("write");
+        write_snapshot_tagged(&path, &vec![1.0f64, 2.0], None).expect("write");
         assert!(matches!(
-            read_snapshot::<Payload>(&path),
+            read_snapshot_checked::<Payload>(&path, None),
             Err(StoreError::Decode { .. })
         ));
     }
@@ -762,7 +625,7 @@ mod tests {
         assert!(list[0].ends_with("snap-00000005.json"), "{list:?}");
         // Retained snapshots all still verify.
         for p in &list {
-            read_snapshot::<Payload>(p).expect("retained snapshot valid");
+            read_snapshot_checked::<Payload>(p, None).expect("retained snapshot valid");
         }
     }
 
@@ -791,7 +654,7 @@ mod tests {
         let mut other = sample();
         other.name = "rewritten".to_string();
         snap.write(1, &other).expect("second");
-        let back: Payload = read_snapshot(&snap.path_for(1)).expect("read");
+        let back: Payload = read_snapshot_checked(&snap.path_for(1), None).expect("read");
         assert_eq!(back.name, "rewritten");
         assert_eq!(snap.list().expect("list").len(), 1);
     }
@@ -813,12 +676,12 @@ mod tests {
         let path = dir.join("snap-00000001.json");
         let fp = fingerprint64(b"config+schema+platform");
         write_snapshot_tagged(&path, &sample(), Some(&fp)).expect("write");
-        // Checked read with the matching fingerprint succeeds; the plain
-        // reader ignores the tag entirely.
+        // Checked read with the matching fingerprint succeeds; a read
+        // expecting no fingerprint ignores the tag entirely.
         let back: Payload = read_snapshot_checked(&path, Some(&fp)).expect("checked read");
         assert_eq!(back.name, "iteration-3");
         assert_eq!(back.words, sample().words);
-        let _: Payload = read_snapshot(&path).expect("untagged read");
+        let _: Payload = read_snapshot_checked(&path, None).expect("untagged read");
         // A different expected fingerprint refuses with the typed error.
         match read_snapshot_checked::<Payload>(&path, Some("deadbeef00000000")) {
             Err(StoreError::FingerprintMismatch { expected, found, .. }) => {
@@ -833,7 +696,7 @@ mod tests {
     fn untagged_snapshot_refuses_checked_read() {
         let dir = tmp_dir("fingerprint-missing");
         let path = dir.join("snap-00000001.json");
-        write_snapshot(&path, &sample()).expect("write");
+        write_snapshot_tagged(&path, &sample(), None).expect("write");
         match read_snapshot_checked::<Payload>(&path, Some("aa11")) {
             Err(StoreError::FingerprintMismatch { found, .. }) => assert_eq!(found, None),
             other => panic!("expected FingerprintMismatch, got {other:?}"),
@@ -856,67 +719,30 @@ mod tests {
     }
 
     #[test]
-    fn registry_round_trips_runs_and_persists_across_reopen() {
-        let dir = tmp_dir("registry");
-        let mut reg = Registry::open(&dir).expect("open");
-        assert!(reg.runs().is_empty());
-        let snap = reg.register("tenant-b", 2, Some("fp-b")).expect("register b");
-        snap.write(1, &sample()).expect("write");
-        reg.register("tenant-a", 0, None).expect("register a");
-        // Sorted by run id, independent of registration order.
-        let ids: Vec<&str> = reg.runs().iter().map(|m| m.run_id.as_str()).collect();
-        assert_eq!(ids, ["tenant-a", "tenant-b"]);
-        // Reopen from disk: index survives, snapshotter is reconstructed
-        // with the recorded retention + fingerprint.
-        let reg2 = Registry::open(&dir).expect("reopen");
-        assert!(reg2.contains("tenant-a") && reg2.contains("tenant-b"));
-        assert_eq!(reg2.latest_snapshot("tenant-b").expect("latest"), snap.path_for(1));
-        let _: Payload =
-            read_snapshot_checked(&snap.path_for(1), Some("fp-b")).expect("tagged via registry");
-        let snap2 = reg2.snapshotter("tenant-b").expect("snapshotter");
-        for seq in 2..=5u64 {
-            snap2.write(seq, &sample()).expect("write");
-        }
-        assert_eq!(snap2.list().expect("list").len(), 2, "keep-last-2 GC per run");
-    }
-
-    #[test]
-    fn registry_unknown_and_invalid_run_ids_are_typed() {
-        let dir = tmp_dir("registry-errs");
-        let mut reg = Registry::open(&dir).expect("open");
-        assert!(matches!(
-            reg.snapshotter("ghost"),
-            Err(StoreError::UnknownRun { run_id, .. }) if run_id == "ghost"
-        ));
-        assert!(matches!(
-            reg.latest_snapshot("ghost"),
-            Err(StoreError::UnknownRun { .. })
-        ));
-        assert!(matches!(
-            reg.remove_run("ghost"),
-            Err(StoreError::UnknownRun { .. })
-        ));
-        for bad in ["", "..", ".", "a/b", "a b", "x\u{e9}"] {
+    fn for_run_rejects_unsafe_run_ids_before_touching_disk() {
+        let dir = tmp_dir("for-run-bad");
+        for bad in ["", ".", "..", "a/b", "a b", "x\u{e9}"] {
             assert!(
-                matches!(reg.register(bad, 0, None), Err(StoreError::InvalidRunId { .. })),
+                matches!(
+                    Snapshotter::for_run(&dir, bad),
+                    Err(StoreError::InvalidRunId { run_id }) if run_id == bad
+                ),
                 "id {bad:?} should be rejected"
             );
         }
+        assert!(!dir.join("runs").exists(), "a rejected id created a directory");
     }
 
     #[test]
-    fn registry_remove_run_deletes_dir_and_index_entry() {
-        let dir = tmp_dir("registry-rm");
-        let mut reg = Registry::open(&dir).expect("open");
-        let snap = reg.register("gone", 0, None).expect("register");
-        snap.write(1, &sample()).expect("write");
-        let run_dir = reg.run_dir("gone");
-        assert!(run_dir.is_dir());
-        reg.remove_run("gone").expect("remove");
-        assert!(!run_dir.exists());
-        assert!(!reg.contains("gone"));
-        let reg2 = Registry::open(&dir).expect("reopen");
-        assert!(!reg2.contains("gone"), "removal persisted");
+    fn for_run_scopes_a_run_under_root_runs() {
+        let dir = tmp_dir("for-run");
+        let snap = Snapshotter::for_run(&dir, "tenant-a.1_b").expect("valid id");
+        assert_eq!(snap.dir(), dir.join("runs").join("tenant-a.1_b"));
+        assert!(snap.dir().is_dir(), "the run directory is created");
+        assert!(matches!(snap.latest(), Err(StoreError::NoSnapshots { .. })));
+        snap.write(0, &sample()).expect("write");
+        let reopened = Snapshotter::for_run(&dir, "tenant-a.1_b").expect("reopen");
+        assert_eq!(reopened.latest().expect("latest"), snap.path_for(0));
     }
 
     #[test]

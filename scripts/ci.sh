@@ -85,36 +85,46 @@ if ! echo "$fault_out" | grep -qE "termination=|run failed:"; then
     exit 1
 fi
 
-echo "==> kill-and-resume smoke (faults + --checkpoint-every 1)"
+echo "==> kill-and-resume smoke (noisy crowd, faults, --checkpoint-every 1)"
 # Crash-safety contract: a faulty checkpointed run, "killed" by throwing
-# away everything after an early snapshot and resumed from it, must end
-# with a final report byte-identical to the uninterrupted reference.
+# away everything after a snapshot and resumed from it, must end with a
+# final report byte-identical to the uninterrupted reference, from every
+# snapshot it wrote. The noisy crowd (--error 0.1) keeps the run
+# iterating, so the snapshots include a real iteration boundary, not only
+# the post-blocking one. Snapshots carry no wall-clock, so the reference
+# is written twice and the two snapshot directories must be identical.
 ckpt_dir=$(mktemp -d)
 trap 'rm -rf "$ckpt_dir"' EXIT
-cargo run --release -q -p bench --bin smoke -- \
-    --datasets restaurants --scale 0.05 --runs 1 \
-    --fault-expiry 0.1 --fault-abandon 0.05 \
-    --checkpoint-dir "$ckpt_dir/snaps" --checkpoint-every 1 --checkpoint-keep 0 \
-    --emit-json "$ckpt_dir/reference"
-# "Interrupt" the run: resume from the oldest retained snapshot, i.e. the
-# point where the least work had been done.
-oldest=$(ls "$ckpt_dir"/snaps/restaurants-run0/snap-*.json | head -n 1)
-echo "resuming from $oldest"
-cargo run --release -q -p bench --bin smoke -- \
-    --datasets restaurants --scale 0.05 --runs 1 \
-    --resume-from "$oldest" \
-    --emit-json "$ckpt_dir/resumed"
-if ! diff -q "$ckpt_dir/reference/restaurants.json" "$ckpt_dir/resumed/restaurants.json"; then
-    echo "resumed run diverged from the uninterrupted reference" >&2
-    exit 1
-fi
-echo "resumed run is byte-identical to the uninterrupted reference"
+ckpt_flags=(--datasets restaurants --scale 0.05 --runs 1 --error 0.1)
+for copy in a b; do
+    cargo run --release -q -p bench --bin smoke -- "${ckpt_flags[@]}" \
+        --fault-expiry 0.1 --fault-abandon 0.05 \
+        --checkpoint-dir "$ckpt_dir/snaps-$copy" --checkpoint-every 1 --checkpoint-keep 0 \
+        --emit-json "$ckpt_dir/reference-$copy"
+done
+diff -r "$ckpt_dir/snaps-a" "$ckpt_dir/snaps-b" \
+    || { echo "FAIL: two identical checkpointed runs wrote different snapshots"; exit 1; }
+snaps=("$ckpt_dir"/snaps-a/restaurants-run0/snap-*.json)
+[ "${#snaps[@]}" -ge 2 ] \
+    || { echo "FAIL: expected >= 2 snapshots (an iteration boundary), got ${#snaps[@]}"; exit 1; }
+for snap in "${snaps[@]}"; do
+    echo "resuming from $snap"
+    rm -rf "$ckpt_dir/resumed"
+    cargo run --release -q -p bench --bin smoke -- "${ckpt_flags[@]}" \
+        --resume-from "$snap" \
+        --emit-json "$ckpt_dir/resumed"
+    if ! diff -q "$ckpt_dir/reference-a/restaurants.json" "$ckpt_dir/resumed/restaurants.json"; then
+        echo "resume from $snap diverged from the uninterrupted reference" >&2
+        exit 1
+    fi
+done
+echo "all ${#snaps[@]} snapshots resume byte-identically; both reference runs wrote identical snapshots"
 
 echo "==> service smoke (3 concurrent tenants, kill mid-flight, restart)"
 # The multi-tenant durability contract end-to-end through the corleone-serve
 # bin: run three tenants uninterrupted for reference, then the same three
-# against a fresh registry but killed after a few scheduling quanta
-# (--max-ticks), then restart over the same registry. Every tenant must
+# against a fresh checkpoint root but killed after a few scheduling quanta
+# (--max-ticks), then restart over the same root. Every tenant must
 # resume (tenants_resumed=3 in the service_perf line) and every final
 # report must be byte-identical to the uninterrupted reference.
 svc_dir=$(mktemp -d)

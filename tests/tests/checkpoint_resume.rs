@@ -31,9 +31,9 @@ fn setup(scale: f64, seed: u64) -> (MatchTask, GoldOracle, f64) {
     (task, gold, ds.price_cents)
 }
 
-fn platform(price_cents: f64, seed: u64, faults: FaultConfig) -> CrowdPlatform {
+fn platform(price_cents: f64, seed: u64, faults: FaultConfig, error: f64) -> CrowdPlatform {
     CrowdPlatform::with_faults(
-        WorkerPool::uniform(25, 0.05),
+        WorkerPool::uniform(25, error),
         CrowdConfig { price_cents, seed, ..Default::default() },
         faults,
         RetryPolicy::default(),
@@ -49,15 +49,21 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// Run once: reference, then checkpointed (must match), then a resume from
 /// every retained snapshot (each must match), all at thread count
-/// `threads`. The platform any resumed session starts with is deliberately
-/// a *blank* one — `resume_from` must overwrite it wholesale with the
-/// snapshot's platform state.
-fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize) {
+/// `threads` with crowd error rate `error`. The platform any resumed
+/// session starts with is deliberately a *blank* one — `resume_from` must
+/// overwrite it wholesale with the snapshot's platform state. Returns the
+/// deepest iteration any resume started from.
+fn assert_every_boundary_resumes(
+    tag: &str,
+    faults: FaultConfig,
+    threads: usize,
+    error: f64,
+) -> usize {
     let (task, gold, price) = setup(0.1, 17);
     let engine = Engine::new(CorleoneConfig::small()).with_seed(17);
     let dir = fresh_dir(tag);
 
-    let mut p_ref = platform(price, 17, faults);
+    let mut p_ref = platform(price, 17, faults, error);
     let reference = engine
         .session(&task)
         .platform(&mut p_ref)
@@ -66,7 +72,7 @@ fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize)
         .threads(threads)
         .run();
 
-    let mut p_ck = platform(price, 17, faults);
+    let mut p_ck = platform(price, 17, faults, error);
     let checkpointed = engine
         .session(&task)
         .platform(&mut p_ck)
@@ -86,6 +92,7 @@ fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize)
 
     let snaps = store::Snapshotter::create(&dir).expect("open dir").list().expect("list");
     assert!(!snaps.is_empty(), "checkpointed run left no snapshots ({tag})");
+    let mut deepest = 0;
     for snap in &snaps {
         let mut p_res = CrowdPlatform::new(WorkerPool::perfect(1), CrowdConfig::default());
         let resumed = engine
@@ -101,24 +108,39 @@ fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize)
             reference.deterministic_json(),
             "resume from {snap:?} diverged ({tag}, {threads} threads)"
         );
-        assert!(resumed.perf.resumed_from_iteration.is_some());
+        let from = resumed.perf.resumed_from_iteration.expect("a resumed run says so");
+        deepest = deepest.max(from);
     }
     let _ = std::fs::remove_dir_all(&dir);
+    deepest
+}
+
+/// The default crowd: accurate enough that restaurants@0.1 converges in
+/// one iteration, so these runs checkpoint only snapshot 0.
+const CLEAN_ERROR: f64 = 0.05;
+
+/// A noisy crowd keeps the estimate improving for several iterations,
+/// so the run crosses real iteration boundaries.
+const NOISY_ERROR: f64 = 0.15;
+
+/// HIT expiries and worker abandonments drawn from fault stream `seed`.
+fn faults(seed: u64) -> FaultConfig {
+    FaultConfig { hit_expiry_prob: 0.10, abandonment_prob: 0.05, seed, ..Default::default() }
 }
 
 #[test]
 fn clean_run_resumes_byte_identically_one_thread() {
-    assert_every_boundary_resumes("clean-t1", FaultConfig::default(), 1);
+    assert_every_boundary_resumes("clean-t1", FaultConfig::default(), 1, CLEAN_ERROR);
 }
 
 #[test]
 fn clean_run_resumes_byte_identically_two_threads() {
-    assert_every_boundary_resumes("clean-t2", FaultConfig::default(), 2);
+    assert_every_boundary_resumes("clean-t2", FaultConfig::default(), 2, CLEAN_ERROR);
 }
 
 #[test]
 fn clean_run_resumes_byte_identically_eight_threads() {
-    assert_every_boundary_resumes("clean-t8", FaultConfig::default(), 8);
+    assert_every_boundary_resumes("clean-t8", FaultConfig::default(), 8, CLEAN_ERROR);
 }
 
 #[test]
@@ -126,14 +148,24 @@ fn faulty_run_resumes_byte_identically() {
     // Fault injection draws from its own seeded stream whose position is
     // part of the snapshot, so resume must replay the same expiries and
     // abandonments the uninterrupted run saw.
-    let faults = FaultConfig {
-        hit_expiry_prob: 0.10,
-        abandonment_prob: 0.05,
-        seed: 17,
-        ..Default::default()
-    };
     for threads in [1, 2, 8] {
-        assert_every_boundary_resumes(&format!("faulty-t{threads}"), faults, threads);
+        let tag = format!("faulty-t{threads}");
+        assert_every_boundary_resumes(&tag, faults(17), threads, CLEAN_ERROR);
+    }
+}
+
+#[test]
+fn noisy_run_resumes_mid_loop_byte_identically() {
+    // Resuming after iteration k restores the iteration reports, the
+    // crowd labels, the next region and the best estimate so far — state
+    // snapshot 0 never exercises. Under fault stream 0 the faulty run
+    // still iterates twice (under stream 17 it converges after one).
+    for (kind, faults) in [("clean", FaultConfig::default()), ("faulty", faults(0))] {
+        for threads in [1, 2, 8] {
+            let tag = format!("noisy-{kind}-t{threads}");
+            let deepest = assert_every_boundary_resumes(&tag, faults, threads, NOISY_ERROR);
+            assert!(deepest >= 1, "{tag}: no resume crossed an iteration boundary");
+        }
     }
 }
 
@@ -142,7 +174,7 @@ fn faulty_run_resumes_byte_identically() {
 fn checkpointed_run(tag: &str) -> (MatchTask, GoldOracle, PathBuf, PathBuf) {
     let (task, gold, price) = setup(0.1, 29);
     let dir = fresh_dir(tag);
-    let mut p = platform(price, 29, FaultConfig::default());
+    let mut p = platform(price, 29, FaultConfig::default(), CLEAN_ERROR);
     Engine::new(CorleoneConfig::small())
         .with_seed(29)
         .session(&task)
@@ -189,15 +221,16 @@ fn schema_version_mismatch_is_a_typed_error() {
     let (task, gold, latest, dir) = checkpointed_run("schema");
     let text = std::fs::read_to_string(&latest).expect("read snapshot");
     let current = format!("\"schema_version\":{}", store::SCHEMA_VERSION);
-    // A future version, and v4: the last layout whose payload carried a
-    // feature-cache image.
-    for found in [999, 4] {
+    // A future version; v4, the last layout whose payload carried a
+    // feature-cache image; and v5, the last whose payload carried a
+    // serialized forest, wall-clock timings and a second predictions copy.
+    for found in [999, 4, 5] {
         let other = text.replacen(&current, &format!("\"schema_version\":{found}"), 1);
         assert_ne!(text, other, "envelope layout changed; update the version probe");
         std::fs::write(&latest, other).expect("write other-version snapshot");
         match try_resume(&task, &gold, &latest) {
             Err(CorleoneError::Store(StoreError::SchemaMismatch { found: f, expected, .. })) => {
-                assert_eq!((f, expected), (found, 5));
+                assert_eq!((f, expected), (found, 6));
                 assert_eq!(expected, store::SCHEMA_VERSION);
             }
             other => panic!("expected SchemaMismatch for v{found}, got {other:?}"),
@@ -252,6 +285,26 @@ fn snapshot_from_a_different_task_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every key of a snapshot payload, in order: exactly the state a
+/// resume reads and cannot derive.
+const RESUME_STATE_KEYS: [&str; 15] = [
+    "seed_hex",
+    "completed_iterations",
+    "rng_state",
+    "ledger_start",
+    "fault_start",
+    "cand_pairs",
+    "n_features",
+    "blocker_report",
+    "predictions",
+    "known_labels",
+    "region",
+    "iterations",
+    "best",
+    "platform",
+    "snapshots_written",
+];
+
 #[test]
 fn snapshots_carry_no_analysis_payload_and_resume_byte_identically() {
     use corleone::Threads;
@@ -269,57 +322,36 @@ fn snapshots_carry_no_analysis_payload_and_resume_byte_identically() {
     // A checkpointed run (which builds the analysis internally) must write
     // snapshots free of analysis internals, and byte-identical to the
     // snapshots written when the task enters the run with the analysis
-    // already built.
+    // already built — at a different thread count, since snapshots hold
+    // no wall-clock or scheduling-dependent state. The crowd is noisy so
+    // an iteration snapshot is compared too, not only snapshot 0.
     let engine = Engine::new(CorleoneConfig::small()).with_seed(53);
-    let run_with = |task: &MatchTask, dir: &Path| {
-        let mut p = platform(price, 53, FaultConfig::default());
+    let run_with = |task: &MatchTask, dir: &Path, threads: usize| {
+        let mut p = platform(price, 53, FaultConfig::default(), NOISY_ERROR);
         let report = engine
             .session(task)
             .platform(&mut p)
             .oracle(&gold)
             .gold(gold.matches())
+            .threads(threads)
             .checkpoint_dir(dir)
             .checkpoint_every(1)
             .checkpoint_keep(0)
             .run();
         let snaps = store::Snapshotter::create(dir).expect("open").list().expect("list");
-        assert!(!snaps.is_empty());
+        assert!(snaps.len() >= 2, "the run must cross an iteration boundary");
         (report, snaps)
     };
 
     let dir_pre = fresh_dir("analysis-prebuilt");
-    let (report_pre, snaps_pre) = run_with(&task, &dir_pre);
+    let (report_pre, snaps_pre) = run_with(&task, &dir_pre, 1);
 
     let (cold_task, _, _) = setup(0.1, 53);
     let dir_cold = fresh_dir("analysis-cold");
-    let (report_cold, snaps_cold) = run_with(&cold_task, &dir_cold);
+    let (report_cold, snaps_cold) = run_with(&cold_task, &dir_cold, 8);
 
     assert_eq!(report_pre.deterministic_json(), report_cold.deterministic_json());
     assert_eq!(snaps_pre.len(), snaps_cold.len());
-
-    // Zero the wall-clock fields (and the checksum that covers them) so
-    // the only run-to-run variation left is timing digits.
-    fn normalized(path: &Path) -> String {
-        fn scrub(v: &mut serde::Value) {
-            match v {
-                serde::Value::Obj(fields) => {
-                    for (k, val) in fields.iter_mut() {
-                        if k == "timings_ms" || k == "checksum" {
-                            *val = serde::Value::Null;
-                        } else {
-                            scrub(val);
-                        }
-                    }
-                }
-                serde::Value::Arr(items) => items.iter_mut().for_each(scrub),
-                _ => {}
-            }
-        }
-        let text = std::fs::read_to_string(path).expect("read snapshot");
-        let mut v = serde_json::from_str(&text).expect("parse snapshot");
-        scrub(&mut v);
-        serde_json::to_string(&v).expect("render snapshot")
-    }
 
     for (sp, sc) in snaps_pre.iter().zip(&snaps_cold) {
         let text_pre = std::fs::read_to_string(sp).expect("read snapshot");
@@ -329,23 +361,24 @@ fn snapshots_carry_no_analysis_payload_and_resume_byte_identically() {
                 "snapshot {sp:?} leaked analysis internals ({marker})"
             );
         }
-        // Nor a feature-cache image: runs own no cache.
+        // Nor anything else a resume does not read: no feature-cache
+        // image, no trained model, no wall-clock.
         let envelope: serde::Value = serde_json::from_str(&text_pre).expect("parse snapshot");
-        let payload = envelope.get("payload").expect("snapshot payload");
-        assert!(payload.get("cand_pairs").is_some(), "payload layout changed");
-        assert!(payload.get("cache").is_none(), "snapshot {sp:?} carries a cache image");
-        let (norm_pre, norm_cold) = (normalized(sp), normalized(sc));
+        let payload = envelope.get("payload").and_then(|p| p.as_obj()).expect("payload");
+        let keys: Vec<&str> = payload.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, RESUME_STATE_KEYS, "snapshot {sp:?} payload layout");
+        let text_cold = std::fs::read_to_string(sc).expect("read snapshot");
         assert_eq!(
-            norm_pre.len(),
-            norm_cold.len(),
+            text_pre.len(),
+            text_cold.len(),
             "prebuilt analysis changed snapshot size ({sp:?} vs {sc:?})"
         );
-        assert_eq!(norm_pre, norm_cold, "prebuilt analysis changed snapshot contents");
+        assert!(text_pre == text_cold, "snapshot bytes differ ({sp:?} vs {sc:?})");
     }
 
     // And a resume from the prebuilt-analysis snapshots still reproduces
     // the reference run exactly.
-    let mut p_ref = platform(price, 53, FaultConfig::default());
+    let mut p_ref = platform(price, 53, FaultConfig::default(), NOISY_ERROR);
     let reference = engine
         .session(&task)
         .platform(&mut p_ref)
@@ -373,7 +406,7 @@ fn budget_exhausted_run_resumes_under_a_raised_budget_and_converges() {
 
     let mut starved = CorleoneConfig::small();
     starved.engine.budget_cents = Some(400.0);
-    let mut p1 = platform(price, 41, FaultConfig::default());
+    let mut p1 = platform(price, 41, FaultConfig::default(), CLEAN_ERROR);
     let exhausted = Engine::new(starved)
         .with_seed(41)
         .session(&task)

@@ -113,7 +113,7 @@ fn concurrent_tenants_match_solo_runs_at_every_thread_count() {
 
     for threads in [1usize, 2, 8] {
         let mut svc = MatchService::new(ServiceConfig { threads, ..Default::default() })
-            .expect("no registry to open");
+            .expect("no checkpoint root to open");
         for (id, ds, seed, faults) in &fixtures {
             svc.submit(spec_for(id, ds, *seed, *faults)).expect("admitted");
         }
@@ -140,7 +140,7 @@ fn killed_service_resumes_every_tenant_byte_identically() {
     // First incarnation: admit everyone, run a few quanta, then "crash"
     // (drop the service mid-flight).
     let cfg = ServiceConfig { checkpoint_root: Some(root.clone()), ..Default::default() };
-    let mut first = MatchService::new(cfg.clone()).expect("registry opens");
+    let mut first = MatchService::new(cfg.clone()).expect("checkpoint root opens");
     for (id, ds, seed, faults) in &fixtures {
         first.submit(spec_for(id, ds, *seed, *faults)).expect("admitted");
     }
@@ -148,9 +148,9 @@ fn killed_service_resumes_every_tenant_byte_identically() {
     assert!(!idle, "the kill must land mid-flight; shrink the tick budget");
     drop(first);
 
-    // Second incarnation over the same registry root: resubmitting the
+    // Second incarnation over the same checkpoint root: resubmitting the
     // same specs resumes every tenant from its newest snapshot.
-    let mut second = MatchService::new(cfg).expect("registry reopens");
+    let mut second = MatchService::new(cfg).expect("checkpoint root reopens");
     for (id, ds, seed, faults) in &fixtures {
         second.submit(spec_for(id, ds, *seed, *faults)).expect("readmitted");
     }
@@ -174,7 +174,7 @@ fn killed_service_resumes_every_tenant_byte_identically() {
 fn resubmission_under_a_changed_config_is_a_typed_refusal() {
     let root = fresh_dir("fp-mismatch");
     let cfg = ServiceConfig { checkpoint_root: Some(root.clone()), ..Default::default() };
-    let mut svc = MatchService::new(cfg.clone()).expect("registry opens");
+    let mut svc = MatchService::new(cfg.clone()).expect("checkpoint root opens");
     svc.submit(spec_for("tenant", "restaurants", 17, FaultConfig::default()))
         .expect("admitted");
     svc.run_all();
@@ -184,7 +184,7 @@ fn resubmission_under_a_changed_config_is_a_typed_refusal() {
     // fingerprint ⇒ the stamped snapshots refuse to resume.
     let mut changed = spec_for("tenant", "restaurants", 17, FaultConfig::default());
     changed.config.matcher.batch_size += 1;
-    let mut svc = MatchService::new(cfg).expect("registry reopens");
+    let mut svc = MatchService::new(cfg).expect("checkpoint root reopens");
     match svc.submit(changed) {
         Err(ServiceError::Store(StoreError::FingerprintMismatch { expected, found, .. })) => {
             assert!(found.is_some(), "the snapshot carries a fingerprint");
@@ -196,8 +196,34 @@ fn resubmission_under_a_changed_config_is_a_typed_refusal() {
 }
 
 #[test]
+fn durable_service_rejects_unsafe_run_ids_and_creates_nothing() {
+    // Run ids become directory names under the checkpoint root, so ids
+    // that could escape `<root>/runs/` are refused before any directory
+    // is created.
+    let root = fresh_dir("bad-ids");
+    let cfg = ServiceConfig { checkpoint_root: Some(root.clone()), ..Default::default() };
+    let mut svc = MatchService::new(cfg).expect("checkpoint root opens");
+    for bad in ["..", "a/b"] {
+        match svc.submit(spec_for(bad, "restaurants", 17, FaultConfig::default())) {
+            Err(ServiceError::Store(StoreError::InvalidRunId { run_id })) => {
+                assert_eq!(run_id, bad)
+            }
+            other => panic!("expected InvalidRunId for {bad:?}, got {other:?}"),
+        }
+    }
+    assert!(!svc.has_live_tenants());
+    let names = |dir: &std::path::Path| -> Vec<String> {
+        let entries = std::fs::read_dir(dir).expect("list dir");
+        entries.map(|e| e.expect("entry").file_name().to_string_lossy().into_owned()).collect()
+    };
+    assert_eq!(names(&root), ["runs"], "only <root>/runs exists");
+    assert!(names(&root.join("runs")).is_empty(), "no run directory was created");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn same_table_tenants_share_one_analysis_build() {
-    let mut svc = MatchService::new(ServiceConfig::default()).expect("no registry");
+    let mut svc = MatchService::new(ServiceConfig::default()).expect("no checkpoint root");
     // Same dataset seed (identical tables + vectorizer), different run
     // seeds: the runs differ, the analysis layer is content-identical.
     svc.submit(spec_over("alpha", "restaurants", 17, 17, FaultConfig::default()))
@@ -218,7 +244,7 @@ fn same_table_tenants_share_one_analysis_build() {
 #[test]
 fn queued_tenants_run_after_active_ones_and_still_match_solo() {
     let mut svc = MatchService::new(ServiceConfig { max_active: 1, ..Default::default() })
-        .expect("no registry");
+        .expect("no checkpoint root");
     svc.submit(spec_for("front", "restaurants", 17, FaultConfig::default()))
         .expect("activates");
     svc.submit(spec_for("back", "restaurants", 99, FaultConfig::default()))
