@@ -4,11 +4,12 @@
 //! ("string"), the precomputed-analysis Cartesian scan ("pre"), and the
 //! output-sensitive indexed join ("index_probe").
 //!
-//! Writes `BENCH_blocking.json` (v3: `{schema_version, records}` where
+//! Writes `BENCH_blocking.json` (v4: `{schema_version, records}` where
 //! each record is `{dataset, scale, phase, wall_ms, pairs_per_sec,
-//! analysis_bytes}` — the last being the resident bytes of the arena
-//! analysis for that dataset × scale) so future PRs have a perf
-//! trajectory, and prints a before/after table.
+//! analysis_bytes}` — `records_per_sec` in place of `pairs_per_sec` on
+//! `analysis_build` records, and `analysis_bytes` the resident bytes of
+//! the arena analysis for that dataset × scale) so future PRs have a
+//! perf trajectory, and prints a before/after table.
 //!
 //! Phases per dataset × scale:
 //! * `analysis_build`   — one-time `TableAnalysis` build (rate = records/s)
@@ -34,9 +35,10 @@
 //! (`arena_equivalence=ok` marker); all three markers are grepped by
 //! `scripts/ci.sh`.
 //!
-//! Flags: `--quick` (CI-sized run), `--out PATH`, `--scales a,b`,
-//! `--datasets a,b`, `--threads N`, `--kinds` (per-kernel ns/pair table,
-//! used to calibrate `FeatureKind::unit_cost`).
+//! Flags: `--quick` (CI-sized run: every dataset at scale 0.05),
+//! `--out PATH`, `--scales a,b`, `--datasets a,b`, `--threads N`,
+//! `--kinds` (per-kernel ns/pair table, used to calibrate
+//! `FeatureKind::unit_cost`).
 
 use bench::{dataset, make_task, render_table, ExpOptions};
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin};
@@ -49,20 +51,36 @@ use std::time::Instant;
 
 /// Bump when the JSON layout changes. v2 added the envelope object and
 /// the `index_probe` phase; v3 added the `char_kernels_string` /
-/// `char_kernels_pre` phases and the per-record `analysis_bytes` field.
-const BENCH_SCHEMA_VERSION: u32 = 3;
+/// `char_kernels_pre` phases and the per-record `analysis_bytes` field;
+/// v4 names the `analysis_build` rate `records_per_sec`.
+const BENCH_SCHEMA_VERSION: u32 = 4;
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct BenchRecord {
     dataset: String,
     scale: f64,
     phase: String,
     wall_ms: f64,
-    pairs_per_sec: f64,
+    /// Items per second: records for `analysis_build`, pairs otherwise.
+    per_sec: f64,
     /// Resident bytes of the arena-packed analysis for this dataset ×
     /// scale (same value on every phase record of the combination;
     /// backfilled after the analysis builds).
     analysis_bytes: u64,
+}
+
+impl Serialize for BenchRecord {
+    fn to_json_value(&self) -> serde::Value {
+        let rate = if self.phase == "analysis_build" { "records_per_sec" } else { "pairs_per_sec" };
+        serde::Value::Obj(vec![
+            ("dataset".into(), self.dataset.to_json_value()),
+            ("scale".into(), self.scale.to_json_value()),
+            ("phase".into(), self.phase.to_json_value()),
+            ("wall_ms".into(), self.wall_ms.to_json_value()),
+            (rate.into(), self.per_sec.to_json_value()),
+            ("analysis_bytes".into(), self.analysis_bytes.to_json_value()),
+        ])
+    }
 }
 
 #[derive(Debug, Serialize)]
@@ -97,7 +115,6 @@ fn parse() -> Args {
             "--quick" => {
                 args.quick = true;
                 args.scales = vec![0.05];
-                args.datasets = vec!["restaurants".into()];
             }
             "--kinds" => args.kinds = true,
             "--defs" => {
@@ -311,7 +328,7 @@ fn main() {
                     scale,
                     phase: phase.to_string(),
                     wall_ms,
-                    pairs_per_sec: rate,
+                    per_sec: rate,
                     analysis_bytes: 0,
                 });
                 (wall_ms, rate)

@@ -33,12 +33,32 @@
 //! type: a `Copy` pair of pointers whose methods return slices into the
 //! slabs.
 //!
-//! The build is two-pass deterministic: pass 1 interns the shared pools;
-//! pass 2 analyzes records in parallel into *record-local* slab chunks,
-//! then a serial stitch appends the chunks in record order and rebases
-//! their offsets. Offsets therefore depend only on the input data and
-//! its order — never on the thread count — so the slabs (not just the
-//! values read out of them) are byte-identical at 1/2/8 threads.
+//! # Build
+//!
+//! Each table is cut into one run of records per thread ("chunk"), and
+//! every text value is normalized and tokenized exactly once:
+//!
+//! 1. **Normalize** (per chunk, in parallel): each value's collapsed
+//!    form goes into one chunk buffer, padded as `"##" + collapsed +
+//!    "##"`, next to its trimmed char sequence.
+//! 2. **Tokenize** (per chunk, in parallel): words, padded 3-grams and
+//!    raw values go into hash-cons tables as `&str` slices borrowed from
+//!    that buffer and from the records, chars into a table with an ASCII
+//!    fast path. Each distinct key gets a provisional id in first-seen
+//!    order, and every occurrence is stored as that `u32`.
+//! 3. **Rank** (serial): the distinct keys of all chunks are sorted once
+//!    per pool, which maps each chunk's provisional ids to lexicographic
+//!    ranks. Soundex codes are computed once per distinct word, and each
+//!    attribute's IDF once per distinct word that occurs in it.
+//! 4. **Fill** (per chunk, in parallel): the slabs are filled from the
+//!    remapped ids into chunk-local slabs, then a serial stitch appends
+//!    the chunks in record order and rebases their offsets.
+//!
+//! The final ids are ranks, which do not depend on provisional ids or on
+//! the chunking, and every offset depends only on the records and their
+//! order — so the slabs (not just the values read out of them) are
+//! byte-identical at any thread count. Exactly the text-typed attributes
+//! are analyzed; any other cell is missing, whatever its value.
 //!
 //! # Bit-identity contract
 //!
@@ -53,15 +73,22 @@
 //!   accumulation order is unchanged.
 //! * **TF/IDF vectors store raw weights plus a precomputed norm** (not
 //!   pre-divided weights), so the final `(dot / (na * nb)).clamp(..)`
-//!   is computed by the same expression as the reference.
+//!   is computed by the same expression as the reference. A weight is
+//!   `count as f64 * idf` and the norm `sqrt(Σ w²)` in rank order: the
+//!   bits `TfIdfModel::weights` produces by adding `1.0` per occurrence
+//!   and multiplying once.
 //!
 //! The property suite (`tests/analysis_equivalence.rs`) enforces the
 //! contract with `f64::to_bits` equality on random inputs, and checks
-//! slab-offset identity across thread counts.
+//! slab-offset identity across thread counts. The workspace test
+//! `analysis_golden.rs` pins digests of every view of the three
+//! generated datasets at 1, 2 and 8 threads.
 
 use crate::cosine::TfIdfModel;
 use crate::record::{AttrType, Record, RecordId, Table};
-use crate::tokenize::{normalize, qgrams, words};
+use crate::tokenize::normalize;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 // Segment ranks of one value's runs inside the shared `u32` slab. All
@@ -491,23 +518,316 @@ fn off32(n: usize) -> u32 {
     u32::try_from(n).expect("analysis slab exceeds u32 offsets")
 }
 
-/// Map sorted tokens to pool ids via binary search. The pool contains
-/// every token of both tables by construction, so lookups cannot miss.
-fn intern_sorted(tokens: &mut Vec<String>, pool: &[String]) -> Vec<u32> {
-    tokens.sort_unstable();
-    tokens.dedup();
-    tokens
-        .iter()
-        .map(|t| {
-            pool.binary_search(t).map(|i| i as u32).unwrap_or_else(|_| {
-                panic!("token {t:?} missing from intern pool")
-            })
+/// Hash-cons table: every distinct key gets a provisional id in
+/// first-seen order. The map is only probed, never iterated (`keys`
+/// holds the first-seen order), so hash order cannot reach any output.
+struct Interner<K> {
+    ids: HashMap<K, u32>,
+    keys: Vec<K>,
+}
+
+impl<K> Default for Interner<K> {
+    fn default() -> Self {
+        Interner { ids: HashMap::new(), keys: Vec::new() }
+    }
+}
+
+impl<K: Hash + Eq + Copy> Interner<K> {
+    fn id(&mut self, key: K) -> u32 {
+        let next = self.keys.len() as u32;
+        let id = *self.ids.entry(key).or_insert(next);
+        if id == next {
+            self.keys.push(key);
+        }
+        id
+    }
+}
+
+/// [`Interner`] for chars with a direct-indexed ASCII fast path: char
+/// occurrences (raw, lowercased and token runs of every value) outnumber
+/// word and gram occurrences several times over.
+struct CharInterner {
+    ascii: [u32; 128],
+    other: HashMap<char, u32>,
+    keys: Vec<char>,
+}
+
+impl Default for CharInterner {
+    fn default() -> Self {
+        CharInterner { ascii: [MISSING; 128], other: HashMap::new(), keys: Vec::new() }
+    }
+}
+
+impl CharInterner {
+    fn id(&mut self, c: char) -> u32 {
+        let slot = match self.ascii.get_mut(c as usize) {
+            Some(slot) => slot,
+            None => self.other.entry(c).or_insert(MISSING),
+        };
+        if *slot == MISSING {
+            *slot = self.keys.len() as u32;
+            self.keys.push(c);
+        }
+        *slot
+    }
+}
+
+/// Lexicographic ranks of chunk-local pools: returns the distinct keys of
+/// all chunks, sorted, and `ranks[c][id]` = the rank of chunk `c`'s key
+/// `id` among them. Equal keys in different chunks share a rank, so the
+/// ranks depend only on the set of keys, never on how the records were
+/// chunked or in which order keys were first seen.
+fn rank_pools<'p, K: Ord + Copy + 'p>(
+    pools: impl Iterator<Item = &'p [K]>,
+) -> (Vec<K>, Vec<Vec<u32>>) {
+    let mut all: Vec<(K, u32, u32)> = Vec::new();
+    let mut ranks: Vec<Vec<u32>> = Vec::new();
+    for (c, keys) in pools.enumerate() {
+        all.extend(keys.iter().enumerate().map(|(id, &k)| (k, c as u32, id as u32)));
+        ranks.push(vec![0; keys.len()]);
+    }
+    all.sort_unstable_by_key(|x| x.0);
+    let mut sorted: Vec<K> = Vec::new();
+    for (k, c, id) in all {
+        if sorted.last() != Some(&k) {
+            sorted.push(k);
+        }
+        ranks[c as usize][id as usize] = (sorted.len() - 1) as u32;
+    }
+    (sorted, ranks)
+}
+
+/// The cells that get an analysis, in row-major order: `(record *
+/// n_attrs + attr, value)` for every non-null text value of a text-typed
+/// attribute. Every build stage walks cells through this one iterator,
+/// so cell `k` of a chunk means the same value in each of them.
+fn text_cells<'t>(
+    records: &'t [Record],
+    is_text: &'t [bool],
+) -> impl Iterator<Item = (usize, &'t str)> + 't {
+    let n_attrs = is_text.len();
+    records.iter().enumerate().flat_map(move |(ri, r)| {
+        r.values.iter().enumerate().filter_map(move |(ai, v)| match v.as_text() {
+            Some(s) if is_text[ai] => Some((ri * n_attrs + ai, s)),
+            _ => None,
         })
-        .collect()
+    })
+}
+
+/// Stage 1 of the build for one chunk: every text cell normalized once.
+struct Normalized {
+    /// Each cell's collapsed form padded as `"##" + collapsed + "##"`,
+    /// back to back: word tokens and padded 3-grams are borrowed slices
+    /// of this one buffer. Cell `k` spans `bounds[k]..bounds[k + 1]`.
+    padded: String,
+    bounds: Vec<u32>,
+    /// Each cell's trimmed, uncollapsed normalized chars (the prefix
+    /// kernel's input), back to back, spanning `prefix_bounds[k]..[k + 1]`.
+    prefix: Vec<char>,
+    prefix_bounds: Vec<u32>,
+}
+
+/// Normalize every text cell of `records` once, keeping both forms the
+/// kernels read: collapsed (`split_whitespace`, single spaces) and
+/// trimmed.
+fn normalize_chunk(records: &[Record], is_text: &[bool]) -> Normalized {
+    let mut n = Normalized {
+        padded: String::new(),
+        bounds: vec![0],
+        prefix: Vec::new(),
+        prefix_bounds: vec![0],
+    };
+    for (_, s) in text_cells(records, is_text) {
+        let norm = normalize(s);
+        n.prefix.extend(norm.trim().chars());
+        n.prefix_bounds.push(off32(n.prefix.len()));
+        n.padded.push_str("##");
+        for (i, w) in norm.split_whitespace().enumerate() {
+            if i > 0 {
+                n.padded.push(' ');
+            }
+            n.padded.push_str(w);
+        }
+        n.padded.push_str("##");
+        n.bounds.push(off32(n.padded.len()));
+    }
+    n
+}
+
+/// One tokenized cell: its header slot and the extent of its runs in the
+/// [`Tokenized`] buffers.
+struct Cell {
+    /// `record * n_attrs + attr`, chunk-local.
+    slot: usize,
+    /// Provisional value id.
+    value: u32,
+    /// Raw, lowercased and word-token char runs in `cids`:
+    /// `chars[0]..chars[1]`, `chars[1]..chars[2]`, `chars[2]..chars[3]`.
+    chars: [u32; 4],
+    /// Word-id run in `wids`, and the parallel word-end run in `ends`.
+    words: [u32; 2],
+    /// Gram-id run in `gids` (occurrence order, duplicates kept).
+    grams: [u32; 2],
+}
+
+/// Stage 2 of the build for one chunk: every cell tokenized once against
+/// chunk-local hash-cons tables. Ids are provisional until ranked.
+#[derive(Default)]
+struct Tokenized<'t> {
+    words: Interner<&'t str>,
+    grams: Interner<&'t str>,
+    values: Interner<&'t str>,
+    chars: CharInterner,
+    cells: Vec<Cell>,
+    /// Provisional char ids of every cell's three char runs.
+    cids: Vec<u32>,
+    /// Provisional word ids, in occurrence order.
+    wids: Vec<u32>,
+    /// End (exclusive, value-local) of each token's chars in the cell's
+    /// word-token char run, parallel to `wids`.
+    ends: Vec<u32>,
+    /// Provisional gram ids, in occurrence order.
+    gids: Vec<u32>,
+}
+
+fn tokenize_chunk<'t>(
+    records: &'t [Record],
+    is_text: &'t [bool],
+    n: &'t Normalized,
+) -> Tokenized<'t> {
+    let mut t = Tokenized::default();
+    let mut char_starts: Vec<usize> = Vec::new();
+    for (k, (slot, s)) in text_cells(records, is_text).enumerate() {
+        let padded = &n.padded[n.bounds[k] as usize..n.bounds[k + 1] as usize];
+        let collapsed = &padded[2..padded.len() - 2];
+        let c0 = off32(t.cids.len());
+        t.cids.extend(s.chars().map(|c| t.chars.id(c)));
+        let c1 = off32(t.cids.len());
+        // `str::to_lowercase`, not the char-wise mapping of `normalize`:
+        // its context rules (Greek final sigma) are what Smith-Waterman's
+        // reference aligns.
+        t.cids.extend(s.to_lowercase().chars().map(|c| t.chars.id(c)));
+        let c2 = off32(t.cids.len());
+        let w0 = off32(t.wids.len());
+        let g0 = off32(t.gids.len());
+        if !collapsed.is_empty() {
+            for w in collapsed.split(' ') {
+                t.cids.extend(w.chars().map(|c| t.chars.id(c)));
+                t.ends.push(off32(t.cids.len()) - c2);
+                t.wids.push(t.words.id(w));
+            }
+            // Padded 3-grams are windows of three chars, not bytes.
+            char_starts.clear();
+            char_starts.extend(padded.char_indices().map(|(i, _)| i));
+            char_starts.push(padded.len());
+            for w in char_starts.windows(4) {
+                t.gids.push(t.grams.id(&padded[w[0]..w[3]]));
+            }
+        }
+        t.cells.push(Cell {
+            slot,
+            value: t.values.id(s),
+            chars: [c0, c1, c2, off32(t.cids.len())],
+            words: [w0, off32(t.wids.len())],
+            grams: [g0, off32(t.gids.len())],
+        });
+    }
+    t
+}
+
+/// Stage 3 of the build: the pools of every chunk ranked together, plus
+/// the per-distinct-word material every cell reads.
+struct Ranked {
+    /// The `distinct_*` pool sizes; every other field is zero.
+    stats: AnalysisStats,
+    /// Per pool, `[chunk][provisional id]` → rank.
+    word_rank: Vec<Vec<u32>>,
+    gram_rank: Vec<Vec<u32>>,
+    char_rank: Vec<Vec<u32>>,
+    value_rank: Vec<Vec<u32>>,
+    /// Packed Soundex code per word rank, computed once per distinct word.
+    soundex: Vec<Option<u32>>,
+    /// One entry per attribute: `idf[attr][word rank]` for text-typed
+    /// attributes with a TF/IDF model, computed once per (attribute,
+    /// distinct word) that occurs in it.
+    idf: Vec<Option<Vec<f64>>>,
+    /// The char pool fits in `i16` (see [`TableAnalysis`]).
+    narrow: bool,
+}
+
+impl Ranked {
+    fn new(
+        chunks: &[Tokenized<'_>],
+        tfidf: &[Option<TfIdfModel>],
+        is_text: &[bool],
+        threads: exec::Threads,
+    ) -> Ranked {
+        let (words, word_rank) = rank_pools(chunks.iter().map(|t| t.words.keys.as_slice()));
+        let (grams, gram_rank) = rank_pools(chunks.iter().map(|t| t.grams.keys.as_slice()));
+        let (chars, char_rank) = rank_pools(chunks.iter().map(|t| t.chars.keys.as_slice()));
+        let (values, value_rank) = rank_pools(chunks.iter().map(|t| t.values.keys.as_slice()));
+        let soundex = exec::par_map(threads, &words, |w| {
+            crate::phonetic::soundex(w).map(|c| pack_soundex(&c))
+        });
+        let idf = exec::indexed_par_map(threads, is_text.len(), |ai| {
+            let (true, Some(model)) = (is_text[ai], tfidf[ai].as_ref()) else {
+                return None;
+            };
+            // NaN marks words absent from this attribute (an idf is
+            // always finite).
+            let mut idf = vec![f64::NAN; words.len()];
+            for (t, ranks) in chunks.iter().zip(&word_rank) {
+                for cell in t.cells.iter().filter(|c| c.slot % is_text.len() == ai) {
+                    for &w in &t.wids[cell.words[0] as usize..cell.words[1] as usize] {
+                        let r = ranks[w as usize] as usize;
+                        if idf[r].is_nan() {
+                            idf[r] = model.idf(words[r]);
+                        }
+                    }
+                }
+            }
+            Some(idf)
+        });
+        Ranked {
+            stats: AnalysisStats {
+                distinct_words: words.len(),
+                distinct_grams: grams.len(),
+                distinct_chars: chars.len(),
+                distinct_values: values.len(),
+                ..Default::default()
+            },
+            narrow: chars.len() <= i16::MAX as usize,
+            word_rank,
+            gram_rank,
+            char_rank,
+            value_rank,
+            soundex,
+            idf,
+        }
+    }
+}
+
+/// Sort `v[start..]` and drop its duplicates, leaving `counts[i]` = the
+/// multiplicity of the `i`-th distinct entry.
+fn sort_dedup_from(v: &mut Vec<u32>, start: usize, counts: &mut Vec<u32>) {
+    v[start..].sort_unstable();
+    counts.clear();
+    let mut end = start;
+    for i in start..v.len() {
+        if end > start && v[i] == v[end - 1] {
+            let last = counts.len() - 1;
+            counts[last] += 1;
+        } else {
+            v[end] = v[i];
+            end += 1;
+            counts.push(1);
+        }
+    }
+    v.truncate(end);
 }
 
 /// Record-local slab chunk: one parallel worker fills one of these per
-/// record; the serial stitch concatenates them in record order.
+/// chunk of records; the serial stitch concatenates them in record order.
 #[derive(Default)]
 struct Slabs {
     u32s: Vec<u32>,
@@ -517,309 +837,235 @@ struct Slabs {
     text: String,
 }
 
-/// Analyze one value, appending its material to `out` and returning a
-/// header with *chunk-local* offsets (rebased during the stitch).
-#[allow(clippy::too_many_arguments)]
-fn analyze_value(
-    s: &str,
-    model: Option<&TfIdfModel>,
-    word_pool: &[String],
-    gram_pool: &[String],
-    char_pool: &[char],
-    value_pool: &[String],
-    narrow: bool,
-    out: &mut Slabs,
-) -> AttrHeader {
-    let value_id = value_pool
-        .binary_search_by(|v| v.as_str().cmp(s))
-        .map(|i| i as u32)
-        .unwrap_or_else(|_| panic!("value {s:?} missing from intern pool"));
-    let norm = normalize(s);
-    let collapsed = norm.split_whitespace().collect::<Vec<_>>().join(" ");
+/// Stage 4 for one chunk: fill record-local slabs from the ranked ids,
+/// returning one header per `(record, attr)` slot with chunk-local
+/// offsets (rebased during the stitch).
+fn fill_chunk(
+    n_records: usize,
+    c: usize,
+    n: &Normalized,
+    t: &Tokenized<'_>,
+    ranked: &Ranked,
+) -> (Vec<AttrHeader>, Slabs) {
+    let n_attrs = ranked.idf.len();
+    let (word, gram) = (&ranked.word_rank[c], &ranked.gram_rank[c]);
+    let (chr, value) = (&ranked.char_rank[c], &ranked.value_rank[c]);
+    let mut headers = vec![MISSING_HEADER; n_records * n_attrs];
+    let mut out = Slabs::default();
+    // Per-value scratch, reused across the chunk's cells.
+    let (mut counts, mut dedup_ids, mut dedup_first) = (Vec::new(), Vec::new(), Vec::new());
+    for (k, cell) in t.cells.iter().enumerate() {
+        let attr = cell.slot % n_attrs;
+        let u = &mut out.u32s;
+        let mut segs = [0u32; N_SEGS + 1];
+        let wids = &t.wids[cell.words[0] as usize..cell.words[1] as usize];
 
-    let intern_char = |c: char| -> u32 {
-        char_pool
-            .binary_search(&c)
-            .map(|i| i as u32)
-            .unwrap_or_else(|_| panic!("char {c:?} missing from intern pool"))
-    };
-    let raw_char_ids: Vec<u32> = s.chars().map(intern_char).collect();
-    let lower_char_ids: Vec<u32> = s.to_lowercase().chars().map(intern_char).collect();
+        segs[SEG_WORDS] = off32(u.len());
+        let words_start = u.len();
+        u.extend(wids.iter().map(|&w| word[w as usize]));
+        sort_dedup_from(u, words_start, &mut counts);
+        let words_end = u.len();
 
-    let toks = words(s);
-    // Token char material in occurrence order, duplicates kept: the order
-    // and multiplicity Monge-Elkan's reference tokenization produces.
-    let mut word_char_ids = Vec::new();
-    let mut word_ends = Vec::with_capacity(toks.len());
-    for w in &toks {
-        word_char_ids.extend(w.chars().map(intern_char));
-        word_ends.push(word_char_ids.len() as u32);
-    }
-    let word_token_ids: Vec<u32> = toks
-        .iter()
-        .map(|w| {
-            word_pool
-                .binary_search(w)
-                .map(|i| i as u32)
-                .unwrap_or_else(|_| panic!("token {w:?} missing from intern pool"))
-        })
-        .collect();
+        // TF/IDF: run-length term counts over the sorted word ranks times
+        // the attribute's idf — the same bits as `TfIdfModel::weights`,
+        // which adds 1.0 per occurrence and multiplies once.
+        let f64_off = off32(out.f64s.len());
+        let idf = ranked.idf[attr].as_ref();
+        let tfidf_norm = match idf {
+            Some(idf) => {
+                out.f64s.extend(
+                    u[words_start..words_end]
+                        .iter()
+                        .zip(&counts)
+                        .map(|(&r, &n)| f64::from(n) * idf[r as usize]),
+                );
+                out.f64s[f64_off as usize..].iter().map(|x| x * x).sum::<f64>().sqrt()
+            }
+            None => 0.0,
+        };
 
-    // First-occurrence dedup of the token ids, hoisted out of the
-    // Monge-Elkan inner loop (values typically hold well under a few
-    // dozen tokens, so the quadratic scan here is negligible one-time
-    // work against the per-pair rebuild it replaces).
-    let mut word_dedup_ids: Vec<u32> = Vec::new();
-    let mut word_dedup_first: Vec<u32> = Vec::new();
-    let mut word_dedup_rank: Vec<u32> = Vec::with_capacity(word_token_ids.len());
-    for (k, &id) in word_token_ids.iter().enumerate() {
-        match word_dedup_ids.iter().position(|&x| x == id) {
-            Some(r) => word_dedup_rank.push(r as u32),
-            None => {
-                word_dedup_rank.push(word_dedup_ids.len() as u32);
-                word_dedup_ids.push(id);
-                word_dedup_first.push(k as u32);
+        segs[SEG_GRAMS] = off32(u.len());
+        let start = u.len();
+        let gids = &t.gids[cell.grams[0] as usize..cell.grams[1] as usize];
+        u.extend(gids.iter().map(|&g| gram[g as usize]));
+        sort_dedup_from(u, start, &mut counts);
+
+        segs[SEG_SOUNDEX] = off32(u.len());
+        let start = u.len();
+        for i in words_start..words_end {
+            if let Some(code) = ranked.soundex[u[i] as usize] {
+                u.push(code);
             }
         }
-    }
+        sort_dedup_from(u, start, &mut counts);
 
-    let mut soundex_codes: Vec<u32> = toks
-        .iter()
-        .filter_map(|w| crate::phonetic::soundex(w))
-        .map(|c| pack_soundex(&c))
-        .collect();
-    soundex_codes.sort_unstable();
-    soundex_codes.dedup();
-
-    let mut word_toks = toks;
-    let word_ids = intern_sorted(&mut word_toks, word_pool);
-    let mut gram_toks = qgrams(s, 3);
-    let gram_ids = intern_sorted(&mut gram_toks, gram_pool);
-
-    let (tfidf_ids, tfidf_weights, tfidf_norm) = match model {
-        Some(m) => {
-            // The reference weight vector, token-for-token; ids preserve
-            // its lexicographic order because ids are sorted ranks.
-            let w = m.weights(s);
-            let norm = w.iter().map(|(_, x)| x * x).sum::<f64>().sqrt();
-            let mut ids = Vec::with_capacity(w.len());
-            let mut weights = Vec::with_capacity(w.len());
-            for (t, x) in w {
-                let id = word_pool
-                    .binary_search(&t)
-                    .unwrap_or_else(|_| panic!("token {t:?} missing from intern pool"));
-                ids.push(id as u32);
-                weights.push(x);
-            }
-            debug_assert!(ids.windows(2).all(|p| p[0] < p[1]));
-            (ids, weights, norm)
+        segs[SEG_TFIDF_IDS] = off32(u.len());
+        if idf.is_some() {
+            u.extend_from_within(words_start..words_end);
         }
-        None => (Vec::new(), Vec::new(), 0.0),
-    };
 
-    // Append every segment of this value back-to-back in the u32 slab,
-    // recording the boundaries. Fixed order = deterministic offsets.
-    let mut segs = [0u32; N_SEGS + 1];
-    let seg_runs: [&[u32]; N_SEGS] = [
-        &word_ids,
-        &gram_ids,
-        &soundex_codes,
-        &tfidf_ids,
-        &raw_char_ids,
-        &lower_char_ids,
-        &word_char_ids,
-        &word_ends,
-        &word_token_ids,
-        &word_dedup_rank,
-        &word_dedup_ids,
-        &word_dedup_first,
-    ];
-    for (k, run) in seg_runs.iter().enumerate() {
-        segs[k] = off32(out.u32s.len());
-        out.u32s.extend_from_slice(run);
+        let char_runs = [SEG_RAW_CHARS, SEG_LOWER_CHARS, SEG_WORD_CHARS];
+        for (run, seg) in char_runs.into_iter().enumerate() {
+            segs[seg] = off32(u.len());
+            let ids = &t.cids[cell.chars[run] as usize..cell.chars[run + 1] as usize];
+            u.extend(ids.iter().map(|&ch| chr[ch as usize]));
+        }
+
+        segs[SEG_WORD_ENDS] = off32(u.len());
+        u.extend_from_slice(&t.ends[cell.words[0] as usize..cell.words[1] as usize]);
+
+        segs[SEG_WORD_TOKEN_IDS] = off32(u.len());
+        let tokens_start = u.len();
+        u.extend(wids.iter().map(|&w| word[w as usize]));
+
+        // First-occurrence dedup of the token ids, hoisted out of the
+        // Monge-Elkan inner loop (values hold few enough tokens that the
+        // quadratic scan is negligible one-time work).
+        segs[SEG_DEDUP_RANK] = off32(u.len());
+        dedup_ids.clear();
+        dedup_first.clear();
+        for pos in 0..wids.len() {
+            let id = u[tokens_start + pos];
+            let rank = match dedup_ids.iter().position(|&x| x == id) {
+                Some(r) => r,
+                None => {
+                    dedup_ids.push(id);
+                    dedup_first.push(pos as u32);
+                    dedup_ids.len() - 1
+                }
+            };
+            u.push(rank as u32);
+        }
+        segs[SEG_DEDUP_IDS] = off32(u.len());
+        u.extend_from_slice(&dedup_ids);
+        segs[SEG_DEDUP_FIRST] = off32(u.len());
+        u.extend_from_slice(&dedup_first);
+        segs[N_SEGS] = off32(u.len());
+
+        let i16_off = off32(out.i16s.len());
+        if ranked.narrow {
+            let lower = &u[segs[SEG_LOWER_CHARS] as usize..segs[SEG_LOWER_CHARS + 1] as usize];
+            out.i16s.extend(lower.iter().map(|&ch| ch as i16));
+        }
+        let char_off = off32(out.chars.len());
+        let prefix = &n.prefix[n.prefix_bounds[k] as usize..n.prefix_bounds[k + 1] as usize];
+        out.chars.extend_from_slice(prefix);
+        let str_off = off32(out.text.len());
+        let collapsed = &n.padded[n.bounds[k] as usize + 2..n.bounds[k + 1] as usize - 2];
+        out.text.push_str(collapsed);
+
+        headers[cell.slot] = AttrHeader {
+            segs,
+            f64_off,
+            i16_off,
+            char_off,
+            char_len: off32(out.chars.len()) - char_off,
+            str_off,
+            str_len: off32(out.text.len()) - str_off,
+            value_id: value[cell.value as usize],
+            tfidf_norm,
+        };
     }
-    segs[N_SEGS] = off32(out.u32s.len());
+    (headers, out)
+}
 
-    let f64_off = off32(out.f64s.len());
-    out.f64s.extend_from_slice(&tfidf_weights);
-    let i16_off = off32(out.i16s.len());
-    if narrow {
-        out.i16s.extend(lower_char_ids.iter().map(|&c| c as i16));
-    }
-    let char_off = off32(out.chars.len());
-    out.chars.extend(norm.trim().chars());
-    let char_len = off32(out.chars.len()) - char_off;
-    let str_off = off32(out.text.len());
-    out.text.push_str(&collapsed);
-    let str_len = off32(out.text.len()) - str_off;
-
-    AttrHeader {
-        segs,
-        f64_off,
-        i16_off,
-        char_off,
-        char_len,
-        str_off,
-        str_len,
-        value_id,
-        tfidf_norm,
+/// Append `src` to `dst`, moving instead of copying when `dst` is empty
+/// (the whole table is one chunk at one thread).
+fn append<T: Copy>(dst: &mut Vec<T>, src: Vec<T>) {
+    if dst.is_empty() {
+        *dst = src;
+    } else {
+        dst.extend_from_slice(&src);
     }
 }
 
-/// Build the analysis layer for a task's two tables in parallel.
+/// Build the analysis layer for a task's two tables.
 ///
 /// `tfidf` is the vectorizer's per-attribute model list (`None` entries
-/// for attributes without a corpus model). The intern pool is shared
-/// across both tables and all text attributes, and ids are assigned in
-/// lexicographic order — see the module docs for why that matters.
+/// for attributes without a corpus model). Exactly the text-typed
+/// attributes are analyzed; every other cell is missing. The pools are
+/// shared across both tables and all text attributes, and ids are
+/// lexicographic ranks — see the module docs for the stages and why the
+/// ranks matter.
 pub fn analyze_task(
     a: &Table,
     b: &Table,
     tfidf: &[Option<TfIdfModel>],
     threads: exec::Threads,
 ) -> TaskAnalysis {
-    let text_attrs: Vec<usize> = a
-        .schema
-        .attrs
+    let is_text: Vec<bool> = a.schema.attrs.iter().map(|at| at.ty == AttrType::Text).collect();
+    let n_attrs = is_text.len();
+    // One run of records per thread and table. Chunking never shows in
+    // the output: ids are global ranks, and the stitch appends chunks in
+    // record order.
+    let chunks: Vec<(usize, &[Record])> = [a, b]
         .iter()
         .enumerate()
-        .filter(|(_, at)| at.ty == AttrType::Text)
-        .map(|(i, _)| i)
-        .collect();
-
-    // Pass 1: collect every word token, 3-gram, and char of both tables,
-    // in parallel per record, then sort + dedup into the shared pools.
-    // The char pool covers the raw scalars, the `str::to_lowercase`
-    // scalars, and the token scalars — token chars are *not* a subset of
-    // the lowercased string's (str-level lowercasing applies context
-    // rules like final sigma that the char-wise token path does not).
-    type Collected = (Vec<String>, Vec<String>, Vec<char>, Vec<String>);
-    let collect = |t: &Table| -> Vec<Collected> {
-        exec::par_map(threads, &t.records, |r: &Record| {
-            let mut ws = Vec::new();
-            let mut gs = Vec::new();
-            let mut cs = Vec::new();
-            let mut vs = Vec::new();
-            for &ai in &text_attrs {
-                if let Some(s) = r.value(ai).as_text() {
-                    ws.extend(words(s));
-                    gs.extend(qgrams(s, 3));
-                    cs.extend(s.chars());
-                    cs.extend(s.to_lowercase().chars());
-                    vs.push(s.to_string());
-                }
-            }
-            for w in &ws {
-                cs.extend(w.chars());
-            }
-            cs.sort_unstable();
-            cs.dedup();
-            (ws, gs, cs, vs)
+        .flat_map(|(ti, t)| {
+            let per = t.len().div_ceil(threads.get()).max(1);
+            t.records.chunks(per).map(move |rs| (ti, rs))
         })
-    };
-    let mut word_pool: Vec<String> = Vec::new();
-    let mut gram_pool: Vec<String> = Vec::new();
-    let mut char_pool: Vec<char> = Vec::new();
-    let mut value_pool: Vec<String> = Vec::new();
-    for t in [a, b] {
-        for (ws, gs, cs, vs) in collect(t) {
-            word_pool.extend(ws);
-            gram_pool.extend(gs);
-            char_pool.extend(cs);
-            value_pool.extend(vs);
-        }
-    }
-    word_pool.sort_unstable();
-    word_pool.dedup();
-    gram_pool.sort_unstable();
-    gram_pool.dedup();
-    char_pool.sort_unstable();
-    char_pool.dedup();
-    value_pool.sort_unstable();
-    value_pool.dedup();
-    let narrow = char_pool.len() <= i16::MAX as usize;
+        .collect();
+    let normalized: Vec<Normalized> =
+        exec::par_map(threads, &chunks, |&(_, rs)| normalize_chunk(rs, &is_text));
+    let tokenized: Vec<Tokenized<'_>> = exec::indexed_par_map(threads, chunks.len(), |c| {
+        tokenize_chunk(chunks[c].1, &is_text, &normalized[c])
+    });
+    let ranked = Ranked::new(&tokenized, tfidf, &is_text, threads);
+    let filled = exec::indexed_par_map(threads, chunks.len(), |c| {
+        fill_chunk(chunks[c].1.len(), c, &normalized[c], &tokenized[c], &ranked)
+    });
+    drop(tokenized);
+    drop(normalized);
 
-    // Pass 2: per-record analyses against the frozen pools, each worker
-    // filling a record-local slab chunk; then a serial stitch appends
-    // the chunks in record order and rebases the headers. Chunk contents
-    // depend only on the record and the pools, and the stitch order only
-    // on record order — so slab offsets are identical at any thread
-    // count (asserted by the equivalence suite).
-    let analyze_table = |t: &Table| -> TableAnalysis {
-        let n_attrs = t.schema.attrs.len();
-        let chunks: Vec<(Vec<AttrHeader>, Slabs)> =
-            exec::par_map(threads, &t.records, |r: &Record| {
-                let mut slabs = Slabs::default();
-                let headers: Vec<AttrHeader> = r
-                    .values
-                    .iter()
-                    .enumerate()
-                    .map(|(ai, v)| match v.as_text() {
-                        Some(s) => analyze_value(
-                            s,
-                            tfidf[ai].as_ref(),
-                            &word_pool,
-                            &gram_pool,
-                            &char_pool,
-                            &value_pool,
-                            narrow,
-                            &mut slabs,
-                        ),
-                        None => MISSING_HEADER,
-                    })
-                    .collect();
-                (headers, slabs)
-            });
-        let mut table = TableAnalysis {
-            n_records: t.len(),
-            n_attrs,
-            narrow,
-            headers: Vec::with_capacity(t.len() * n_attrs),
-            u32s: Vec::new(),
-            f64s: Vec::new(),
-            i16s: Vec::new(),
-            chars: Vec::new(),
-            text: String::new(),
-        };
-        for (headers, slabs) in chunks {
-            let (bu, bf, bi, bc, bs) = (
-                off32(table.u32s.len()),
-                off32(table.f64s.len()),
-                off32(table.i16s.len()),
-                off32(table.chars.len()),
-                off32(table.text.len()),
-            );
-            for mut h in headers {
-                if h.value_id != MISSING {
-                    for s in &mut h.segs {
-                        *s += bu;
-                    }
-                    h.f64_off += bf;
-                    h.i16_off += bi;
-                    h.char_off += bc;
-                    h.str_off += bs;
+    let mut tables: [TableAnalysis; 2] = [a, b].map(|t| TableAnalysis {
+        n_records: t.len(),
+        n_attrs,
+        narrow: ranked.narrow,
+        headers: Vec::with_capacity(t.len() * n_attrs),
+        u32s: Vec::new(),
+        f64s: Vec::new(),
+        i16s: Vec::new(),
+        chars: Vec::new(),
+        text: String::new(),
+    });
+    // Serial stitch: chunk offsets are rebased by the running slab
+    // lengths, so every offset depends only on the records and their
+    // order — the slabs are byte-identical at any thread count.
+    for ((ti, _), (headers, slabs)) in chunks.iter().zip(filled) {
+        let table = &mut tables[*ti];
+        let (bu, bf, bi, bc, bs) = (
+            off32(table.u32s.len()),
+            off32(table.f64s.len()),
+            off32(table.i16s.len()),
+            off32(table.chars.len()),
+            off32(table.text.len()),
+        );
+        for mut h in headers {
+            if h.value_id != MISSING {
+                for s in &mut h.segs {
+                    *s += bu;
                 }
-                table.headers.push(h);
+                h.f64_off += bf;
+                h.i16_off += bi;
+                h.char_off += bc;
+                h.str_off += bs;
             }
-            table.u32s.extend_from_slice(&slabs.u32s);
-            table.f64s.extend_from_slice(&slabs.f64s);
-            table.i16s.extend_from_slice(&slabs.i16s);
-            table.chars.extend_from_slice(&slabs.chars);
+            table.headers.push(h);
+        }
+        append(&mut table.u32s, slabs.u32s);
+        append(&mut table.f64s, slabs.f64s);
+        append(&mut table.i16s, slabs.i16s);
+        append(&mut table.chars, slabs.chars);
+        if table.text.is_empty() {
+            table.text = slabs.text;
+        } else {
             table.text.push_str(&slabs.text);
         }
-        table
-    };
-    let ta = analyze_table(a);
-    let tb = analyze_table(b);
+    }
+    let [ta, tb] = tables;
 
-    let mut stats = AnalysisStats {
-        records: a.len() + b.len(),
-        distinct_words: word_pool.len(),
-        distinct_grams: gram_pool.len(),
-        distinct_chars: char_pool.len(),
-        distinct_values: value_pool.len(),
-        ..Default::default()
-    };
+    let mut stats = AnalysisStats { records: a.len() + b.len(), ..ranked.stats };
     for t in [&ta, &tb] {
         t.tally(&mut stats);
     }
@@ -969,6 +1215,7 @@ pub fn prefix_pre(a: AttrView<'_>, b: AttrView<'_>) -> f64 {
 mod tests {
     use super::*;
     use crate::record::{Attribute, Schema, Value};
+    use crate::tokenize::{qgrams, words};
     use crate::{exact, jaccard, phonetic};
     use std::sync::Arc;
 
@@ -1017,8 +1264,24 @@ mod tests {
 
     #[test]
     fn cosine_matches_reference_bitwise() {
-        let vals = ["kingston hyperx memory kit", "kingston valueram memory", "", "memory memory kit"];
+        // The last two values share 18 tokens, several with tf > 1,
+        // written in reverse lexicographic order: their dot product sums
+        // 18 terms of distinct idf weights, so any merge order but the
+        // reference's sorted token order would show in the low bits.
+        let shared: Vec<String> = (0..18).rev().map(|i| format!("tok{i:02}")).collect();
+        let long_x = format!("{} tok05 tok05 tok11 zeta", shared.join(" "));
+        let long_y = format!("omega {} tok03 tok11 tok11 tok11", shared.join(" "));
+        let vals = [
+            "kingston hyperx memory kit",
+            "kingston valueram memory",
+            "",
+            "memory memory kit",
+            "tok07 tok07 tok03 tok05",
+            &long_x,
+            &long_y,
+        ];
         let (an, a, b) = analyzed(&vals);
+        assert!(an.attr_a(5, 0).unwrap().tfidf_ids().len() >= 18);
         let docs: Vec<&str> = vals.iter().copied().chain(vals.iter().copied()).collect();
         let model = TfIdfModel::fit(docs);
         for i in 0..vals.len() as u32 {
@@ -1032,6 +1295,44 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "cosine mismatch on ({x:?}, {y:?})");
             }
         }
+    }
+
+    #[test]
+    fn ids_are_ranks_whatever_the_first_seen_order() {
+        // Words and values are first seen in reverse lexicographic order,
+        // so first-seen ids would run opposite to the ranks.
+        let vals = ["zulu yankee zulu", "yankee xray", "xray whiskey victor", "victor"];
+        let (an, _, _) = analyzed(&vals);
+        let pool = |f: fn(&str) -> Vec<String>| {
+            let mut p: Vec<String> = vals.iter().flat_map(|v| f(v)).collect();
+            p.sort();
+            p.dedup();
+            p
+        };
+        let (word_pool, gram_pool) = (pool(words), pool(|v| qgrams(v, 3)));
+        let ranks = |pool: &[String], toks: Vec<String>| -> Vec<u32> {
+            toks.iter().map(|t| pool.binary_search(t).unwrap() as u32).collect()
+        };
+        let sorted = |mut ids: Vec<u32>| {
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        for (i, v) in vals.iter().enumerate() {
+            for view in [an.attr_a(i as u32, 0).unwrap(), an.attr_b(i as u32, 0).unwrap()] {
+                let occurrences = ranks(&word_pool, words(v));
+                assert_eq!(view.word_token_ids(), occurrences, "{v:?}: occurrence order");
+                assert_eq!(view.word_ids(), sorted(occurrences), "{v:?}: sorted word ranks");
+                assert_eq!(view.gram_ids(), sorted(ranks(&gram_pool, qgrams(v, 3))), "{v:?}");
+            }
+            for (j, w) in vals.iter().enumerate() {
+                let (x, y) = (an.attr_a(i as u32, 0).unwrap(), an.attr_b(j as u32, 0).unwrap());
+                assert_eq!(x.value_id().cmp(&y.value_id()), v.cmp(w), "value ids in string order");
+            }
+        }
+        assert_eq!(an.stats.distinct_words, word_pool.len());
+        assert_eq!(an.stats.distinct_grams, gram_pool.len());
+        assert_eq!(an.stats.distinct_values, vals.len());
     }
 
     #[test]

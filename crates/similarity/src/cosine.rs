@@ -51,9 +51,11 @@ impl TfIdfModel {
     /// Sparse TF/IDF vector of a string, sorted by token. Sorted order
     /// (not hash-map order) matters: float sums below must accumulate in
     /// a fixed order or the low bits of the similarity vary per process.
-    /// Crate-visible so [`crate::analysis`] can precompute the exact same
-    /// vectors once per record.
-    pub(crate) fn weights(&self, s: &str) -> Vec<(String, f64)> {
+    /// [`crate::analysis`] does not call this: it builds the same bits
+    /// from interned word ranks (`count as f64 * idf`, one [`Self::idf`]
+    /// call per attribute and distinct word), so a change here must be
+    /// mirrored there.
+    fn weights(&self, s: &str) -> Vec<(String, f64)> {
         let mut toks = words(s);
         toks.sort_unstable();
         let mut tf: Vec<(String, f64)> = Vec::new();

@@ -233,3 +233,41 @@ fn multi_thread_analysis_is_bit_identical_to_single() {
         }
     }
 }
+
+/// More than `i16::MAX` distinct chars: the tables cannot narrow, so
+/// every view's `lower_char_i16` is empty and Smith-Waterman takes its
+/// 32-bit path. The short values are built from the chars ranked
+/// highest, whose ids do not fit in an `i16`; every feature, the five
+/// char kernels included, must still match the string path bit for bit.
+#[test]
+fn wide_char_pool_takes_the_unnarrowed_path() {
+    let wide = |lo: u32, hi: u32| -> String {
+        (lo..hi).filter_map(|i| char::from_u32(0x4E00 + i)).collect()
+    };
+    let short = |lo: u32| Value::Text(format!("{} Ab{}", wide(lo, lo + 4), wide(lo + 2, lo + 7)));
+    let rows_a = vec![
+        (Value::Text(wide(0, 33_000)), Value::Null),
+        (short(32_900), Value::Number(1.0)),
+        (short(32_950), Value::Null),
+    ];
+    let rows_b = vec![
+        (short(32_902), Value::Number(2.0)),
+        (short(32_990), Value::Null),
+        (Value::Text("ab".into()), Value::Null),
+    ];
+    let (a, b) = tables(rows_a, rows_b);
+    let vz = FeatureVectorizer::fit(&a, &b);
+    let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    assert!(an.stats.distinct_chars > i16::MAX as usize, "{}", an.stats.distinct_chars);
+    for (t, n) in [(&an.a, a.len()), (&an.b, b.len())] {
+        for r in 0..n as u32 {
+            let v = t.attr(r, 0).expect("text cell");
+            assert!(v.lower_char_i16().is_empty());
+            assert!(!v.lower_char_ids().is_empty());
+        }
+    }
+    assert!(an.attr_a(1, 0).unwrap().raw_char_ids().iter().any(|&c| c > i16::MAX as u32));
+    for threads in [1, 8] {
+        assert_all_pairs_bitwise_at(&a, &b, threads).expect("wide pool must stay bit-identical");
+    }
+}

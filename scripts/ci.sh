@@ -47,30 +47,30 @@ echo "==> smoke run (restaurants, scale 0.05, 1 run)"
 cargo run --release -q -p bench --bin smoke -- \
     --datasets restaurants --scale 0.05 --runs 1
 
-echo "==> blocking hot-path perf smoke (quick: restaurants, scale 0.05)"
+echo "==> blocking hot-path perf smoke (quick: all three datasets, scale 0.05)"
 # Sanity-checks the precomputed-analysis kernels against the string
 # reference (the bin asserts bit-identity internally) and keeps the
 # blocking_perf harness itself from rotting. Quick numbers go to a temp
 # file so the committed BENCH_blocking.json (full-scale run) is untouched.
-# The bin also asserts the indexed join's candidate list is byte-identical
-# to the Cartesian scan's and prints an index_equivalence=ok marker; the
-# grep below turns a silently-missing assertion into a CI failure.
+# Per dataset the bin prints three markers once each, after asserting:
+# index_equivalence=ok (the indexed join's candidate list is
+# byte-identical to the Cartesian scan's), char_equivalence=ok (per-pair
+# bit identity of the bit-parallel/scratch char kernels against the
+# string reference) and arena_equivalence=ok (every pair's full feature
+# vector off the arena views equals the string path's with to_bits
+# equality). The loop turns a silently-missing assertion, or a dataset
+# the quick run skipped, into a CI failure.
 perf_tmp=$(mktemp)
 perf_log=$(mktemp)
 cargo run --release -q -p bench --bin blocking_perf -- --quick --kinds --out "$perf_tmp" \
     | tee "$perf_log"
-grep -q "index_equivalence=ok" "$perf_log" \
-    || { echo "FAIL: blocking_perf did not report index_equivalence=ok"; exit 1; }
-# Same deal for the char-level kernels: the bin asserts per-pair bit
-# identity between the bit-parallel/scratch kernels and the string
-# reference, then prints this marker.
-grep -q "char_equivalence=ok" "$perf_log" \
-    || { echo "FAIL: blocking_perf did not report char_equivalence=ok"; exit 1; }
-# And for the arena-packed analysis layer: the bin compares every pair's
-# full feature vector (arena views vs string reference) with to_bits
-# equality before printing this marker.
-grep -q "arena_equivalence=ok" "$perf_log" \
-    || { echo "FAIL: blocking_perf did not report arena_equivalence=ok"; exit 1; }
+for marker in index_equivalence char_equivalence arena_equivalence; do
+    for ds in restaurants citations products; do
+        n=$(grep -c "^$marker=ok dataset=$ds " "$perf_log" || true)
+        [ "$n" -eq 1 ] \
+            || { echo "FAIL: blocking_perf printed $marker=ok for $ds $n times, expected once"; exit 1; }
+    done
+done
 rm -f "$perf_tmp" "$perf_log"
 
 echo "==> fault-injection smoke (30% HIT expiry, 20% abandonment)"

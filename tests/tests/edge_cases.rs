@@ -4,8 +4,8 @@
 //! return a report.
 
 use corleone::task::task_from_parts;
-use corleone::{CorleoneConfig, Engine, MatchTask};
-use crowd::{CrowdConfig, CrowdPlatform, GoldOracle, WorkerPool};
+use corleone::{CorleoneConfig, Engine, MatchTask, Threads};
+use crowd::{CrowdConfig, CrowdPlatform, GoldOracle, PairKey, WorkerPool};
 use similarity::{Attribute, Schema, Table, Value};
 use std::sync::Arc;
 
@@ -165,6 +165,35 @@ fn all_null_attribute_does_not_panic() {
         .run();
     // The price features are all NaN; learning must still work off names.
     assert!(report.final_true.unwrap().f1 > 0.8);
+}
+
+#[test]
+fn text_in_a_number_column_is_left_unanalyzed() {
+    // `Table::new` checks only row arity, so a number-typed column can
+    // hold text. The analysis covers exactly the text-typed attributes:
+    // the cell is missing, vectorizing the pair returns, and its numeric
+    // features are NaN on the analysis path and the string path alike.
+    let schema = Arc::new(Schema::new(vec![
+        Attribute::text("name"),
+        Attribute::number("price"),
+    ]));
+    let row = || vec![vec![Value::Text("gizmo".into()), Value::Text("12 units".into())]];
+    let a = Table::new("a", schema.clone(), row());
+    let b = Table::new("b", schema, row());
+    let task = task_from_parts(a, b, "same gizmo", [(0, 0), (0, 0)], [(0, 0), (0, 0)]);
+    let got = task.vectorize(PairKey::new(0, 0));
+    let (ra, rb) = (task.table_a.record(0), task.table_b.record(0));
+    let an = task.ensure_analysis(Threads::new(1));
+    assert!(an.attr_a(0, 1).is_none() && an.attr_b(0, 1).is_none());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = task.vectorizer.vectorize(ra, rb);
+    assert_eq!(bits(&task.vectorizer.vectorize_pre(ra, rb, an)), bits(&want));
+    assert_eq!(bits(&got), bits(&want));
+    for (def, x) in task.vectorizer.library().defs.iter().zip(&got) {
+        if def.attr == 1 {
+            assert!(x.is_nan(), "{} = {x}, expected NaN", def.name());
+        }
+    }
 }
 
 #[test]
