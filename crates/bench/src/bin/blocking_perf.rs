@@ -4,7 +4,7 @@
 //! ("string"), the precomputed-analysis Cartesian scan ("pre"), and the
 //! output-sensitive indexed join ("index_probe").
 //!
-//! Writes `BENCH_blocking.json` (v4: `{schema_version, records}` where
+//! Writes `BENCH_blocking.json` (v5: `{schema_version, records}` where
 //! each record is `{dataset, scale, phase, wall_ms, pairs_per_sec,
 //! analysis_bytes}` — `records_per_sec` in place of `pairs_per_sec` on
 //! `analysis_build` records, and `analysis_bytes` the resident bytes of
@@ -20,7 +20,12 @@
 //!   the rate is *effective* pairs/s (Cartesian size / wall), so the
 //!   speedup over `rule_apply_pre` is read directly off the two rates
 //! * `vectorize_string` / `vectorize_pre` — full feature vectors on a
-//!   deterministic sample of pairs
+//!   deterministic sample of pairs, one pair at a time
+//! * `vectorize_run` — full feature vectors of the Blocker's sample `S`
+//!   for `t_B` = the pair-sample size (`corleone::blocker::sample_pairs`:
+//!   all of A × a seeded subset of B, row-major), materialized by
+//!   `CandidateSet::build_with`: one vectorizer call per run of pairs
+//!   sharing the left record
 //! * `char_kernels_string` / `char_kernels_pre` — only the five
 //!   character-level measures (Levenshtein, Jaro, Jaro-Winkler,
 //!   Monge-Elkan, Smith-Waterman) on the same pair sample, isolating the
@@ -32,19 +37,26 @@
 //! paths on every sampled pair (`char_equivalence=ok` marker), and
 //! (c) the *full* feature vector off the arena-packed analysis is
 //! bit-identical to the string path on every sampled pair
-//! (`arena_equivalence=ok` marker); all three markers are grepped by
+//! (`arena_equivalence=ok` marker), and (d) every row of the run-shaped
+//! matrix is bit-identical to the string path's vector of its pair
+//! (`run_equivalence=ok` marker); all four markers are grepped by
 //! `scripts/ci.sh`.
 //!
 //! Flags: `--quick` (CI-sized run: every dataset at scale 0.05),
-//! `--out PATH`, `--scales a,b`, `--datasets a,b`, `--threads N`,
-//! `--kinds` (per-kernel ns/pair table, used to calibrate
-//! `FeatureKind::unit_cost`).
+//! `--out PATH`, `--scales a,b` (default `0.3,1`: at scale 3 the
+//! citations analysis alone holds about 585 MB), `--datasets a,b`,
+//! `--threads N`, `--kinds` (per-kernel ns/pair table, used to
+//! calibrate `FeatureKind::unit_cost`).
 
 use bench::{dataset, make_task, render_table, ExpOptions};
+use corleone::blocker;
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin};
 use corleone::task::MatchTask;
+use corleone::CandidateSet;
 use exec::Threads;
 use forest::{Op, Predicate, Rule};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Serialize;
 use similarity::{FeatureKind, TaskAnalysis};
 use std::time::Instant;
@@ -52,8 +64,9 @@ use std::time::Instant;
 /// Bump when the JSON layout changes. v2 added the envelope object and
 /// the `index_probe` phase; v3 added the `char_kernels_string` /
 /// `char_kernels_pre` phases and the per-record `analysis_bytes` field;
-/// v4 names the `analysis_build` rate `records_per_sec`.
-const BENCH_SCHEMA_VERSION: u32 = 4;
+/// v4 names the `analysis_build` rate `records_per_sec`; v5 adds the
+/// `vectorize_run` phase.
+const BENCH_SCHEMA_VERSION: u32 = 5;
 
 #[derive(Debug, Clone)]
 struct BenchRecord {
@@ -105,7 +118,7 @@ fn parse() -> Args {
         kinds: false,
         defs: false,
         out: "BENCH_blocking.json".to_string(),
-        scales: vec![0.3, 1.0, 3.0],
+        scales: vec![0.3, 1.0],
         datasets: vec!["restaurants".into(), "citations".into(), "products".into()],
         threads: Threads::auto(),
     };
@@ -432,7 +445,7 @@ fn main() {
                             VBUF.with(|v| {
                                 let mut v = v.borrow_mut();
                                 v.resize(task.n_features(), 0.0);
-                                task.vectorizer.vectorize_pre_into(ra, rb, an, &mut v);
+                                task.vectorizer.vectorize_pre_into(ra, &[rb], an, &mut v);
                                 v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
                             })
                         } else {
@@ -460,6 +473,34 @@ fn main() {
                 task.n_features(),
                 pairs.len(),
                 vrate_p / vrate_s.max(1.0)
+            );
+
+            // Run-shaped vectorization: the candidate-set build the
+            // Blocker runs on `S`, then every row checked bitwise against
+            // the string path's vector of its pair.
+            let mut rng = StdRng::seed_from_u64(42);
+            let run_pairs = blocker::sample_pairs(&task, vec_sample as u64, &mut rng);
+            let n_runs = run_pairs.windows(2).filter(|w| w[0].a != w[1].a).count() + 1;
+            let mut built = CandidateSet::build(&task, Vec::new());
+            let wall_r = time_ms(|| {
+                built = CandidateSet::build_with(&task, run_pairs.clone(), threads, None);
+            });
+            let (_, vrate_r) = push("vectorize_run", wall_r, run_pairs.len() as f64);
+            let diverged: Vec<bool> = exec::indexed_par_map(threads, run_pairs.len(), |i| {
+                let p = run_pairs[i];
+                let (ra, rb) = (task.table_a.record(p.a), task.table_b.record(p.b));
+                let want = task.vectorizer.vectorize(ra, rb);
+                want.iter().zip(built.row(i)).any(|(w, g)| w.to_bits() != g.to_bits())
+            });
+            if let Some(i) = diverged.iter().position(|&d| d) {
+                panic!("run vectorization diverged on {name} @ {scale}, pair {:?}", run_pairs[i]);
+            }
+            println!(
+                "run_equivalence=ok dataset={name} scale={scale} features={} pairs={} \
+                 runs={n_runs} speedup={:.1}x",
+                task.n_features(),
+                run_pairs.len(),
+                vrate_r / vrate_s.max(1.0)
             );
 
             // Char-kernel phase: the five character-level measures alone,
@@ -532,6 +573,7 @@ fn main() {
                 format!("{:.1}x", rate_idx / rate_pre.max(1.0)),
                 format!("{:.0}k", vrate_s / 1e3),
                 format!("{:.0}k", vrate_p / 1e3),
+                format!("{:.0}k", vrate_r / 1e3),
                 format!("{:.0}k", crate_s / 1e3),
                 format!("{:.0}k", crate_p / 1e3),
             ]);
@@ -559,6 +601,7 @@ fn main() {
                 "idx speedup",
                 "vec str p/s",
                 "vec pre p/s",
+                "vec run p/s",
                 "char str p/s",
                 "char pre p/s",
             ],

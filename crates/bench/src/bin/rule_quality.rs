@@ -10,13 +10,13 @@
 use bench::{
     dataset, make_platform, make_task, mean, parse_args, render_table, sampled_candidates,
 };
-use corleone::ruleeval::{evaluate_rules_jointly, select_top_rules, RuleEvalConfig};
+use corleone::ruleeval::{evaluate_rules_jointly, labeled_as, select_top_rules, RuleEvalConfig};
 use corleone::{run_active_learning, CandidateSet, CorleoneConfig, Threads};
 use crowd::TruthOracle;
 use forest::{negative_rules, positive_rules, Rule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// True precision of a rule over the candidate subset it covers.
 fn true_precision(
@@ -64,12 +64,10 @@ fn main() {
                 Threads::auto(),
             );
         let known: HashMap<usize, bool> = learn.crowd_labels().collect();
-        let known_pos: HashSet<usize> =
-            known.iter().filter_map(|(&i, &l)| l.then_some(i)).collect();
-        let known_neg: HashSet<usize> =
-            known.iter().filter_map(|(&i, &l)| (!l).then_some(i)).collect();
+        let known_pos = labeled_as(&known, true);
+        let known_neg = labeled_as(&known, false);
 
-        let mut audit = |rules: Vec<Rule>, opposite: &HashSet<usize>| -> (usize, Vec<f64>) {
+        let mut audit = |rules: Vec<Rule>, opposite: &[usize]| -> (usize, Vec<f64>) {
             let scored = select_top_rules(
                 rules,
                 &cand,

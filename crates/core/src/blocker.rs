@@ -14,7 +14,8 @@ use crate::config::{BlockerConfig, MatcherConfig};
 use crate::env::RunEnv;
 use crate::learner::{run_active_learning, LearnOutcome};
 use crate::ruleeval::{
-    coverage_of, evaluate_rules_jointly, select_top_rules, EvaluatedRule, RuleEvalConfig,
+    coverage_of, evaluate_rules_jointly, labeled_as, select_top_rules, EvaluatedRule,
+    RuleEvalConfig,
 };
 use crate::source::{plan_blocking_source, CandidateSource, CartesianScan};
 use crate::task::MatchTask;
@@ -23,7 +24,7 @@ use forest::{negative_rules, Rule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// What the Blocker did, for reporting (paper Table 3).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -108,27 +109,9 @@ pub fn run_blocker(
         };
     }
 
-    // 2. Sample S: t_B/|A| random B-tuples × all of A, plus seeds (§4.1
-    //    step 2). A is the smaller table by convention.
-    let n_a = task.table_a.len();
-    let n_b_sample = usize::try_from(cfg.t_b.div_ceil(n_a as u64))
-        .unwrap_or(usize::MAX)
-        .min(task.table_b.len());
-    let mut b_ids: Vec<u32> = (0..task.table_b.len() as u32).collect();
-    b_ids.shuffle(rng);
-    b_ids.truncate(n_b_sample);
-    let mut sample_pairs: Vec<PairKey> = Vec::with_capacity(n_a * n_b_sample + 4);
-    for a in 0..n_a as u32 {
-        for &b in &b_ids {
-            sample_pairs.push(PairKey::new(a, b));
-        }
-    }
-    for &(seed, _) in &task.seeds {
-        if !sample_pairs.contains(&seed) {
-            sample_pairs.push(seed);
-        }
-    }
-    let sample = CandidateSet::build_with(task, sample_pairs, env.threads, env.cache);
+    // 2. Sample S (§4.1 step 2).
+    let sample =
+        CandidateSet::build_with(task, sample_pairs(task, cfg.t_b, rng), env.threads, env.cache);
 
     // 3. Crowdsourced active learning on S (§4.1 step 3).
     let seed_vectors = task.seed_vectors();
@@ -147,7 +130,8 @@ pub fn run_blocker(
     //    crowd labeled positive during active learning.
     let candidates_rules = negative_rules(&learn.forest);
     let rules_extracted = candidates_rules.len();
-    let known_pos: HashSet<usize> = learn.crowd_positives.iter().copied().collect();
+    let mut known_pos = learn.crowd_positives.clone();
+    known_pos.sort_unstable();
     let scored = select_top_rules(
         candidates_rules,
         &sample,
@@ -202,10 +186,7 @@ pub fn run_blocker(
     //    the crowd already labeled positive. A rule covering a witnessed
     //    positive provably blocks a real match, so such rules are only
     //    applied when no clean rule remains.
-    let known_pos_set: HashSet<usize> = label_pool
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| l.then_some(i))
-        .collect();
+    let known_pos = labeled_as(&label_pool, true);
     let costs = task.feature_costs();
     let target = sample.len() as f64 * (cfg.t_b as f64 / cartesian as f64);
     let mut current: Vec<usize> = (0..sample.len()).collect();
@@ -245,14 +226,13 @@ pub fn run_blocker(
         };
         let clean: Vec<&(usize, f64, Vec<usize>)> = scored
             .iter()
-            .filter(|(_, _, cov)| !cov.iter().any(|i| known_pos_set.contains(i)))
+            .filter(|(_, _, cov)| !intersects(cov, &known_pos))
             .collect();
         let all: Vec<&(usize, f64, Vec<usize>)> = scored.iter().collect();
         let (i, _, cov) = pick_best(&clean)
             .or_else(|| pick_best(&all))
             .expect("non-empty");
-        let covered: HashSet<usize> = cov.into_iter().collect();
-        current.retain(|idx| !covered.contains(idx));
+        remove_sorted(&mut current, &cov);
         applied.push(remaining.swap_remove(i));
     }
 
@@ -300,6 +280,57 @@ pub fn run_blocker(
     }
 }
 
+/// The Blocker's sample `S` (§4.1 step 2): `⌈t_B/|A|⌉` random B-tuples ×
+/// all of A (A is the smaller table by convention), row-major, so the
+/// candidate build meets one run per A record, then each seed pair the
+/// sample lacks.
+pub fn sample_pairs(task: &MatchTask, t_b: u64, rng: &mut StdRng) -> Vec<PairKey> {
+    let n_a = task.table_a.len();
+    let n_b_sample = usize::try_from(t_b.div_ceil(n_a.max(1) as u64))
+        .unwrap_or(usize::MAX)
+        .min(task.table_b.len());
+    let mut b_ids: Vec<u32> = (0..task.table_b.len() as u32).collect();
+    b_ids.shuffle(rng);
+    b_ids.truncate(n_b_sample);
+    let mut pairs: Vec<PairKey> = Vec::with_capacity(n_a * n_b_sample + 4);
+    for a in 0..n_a as u32 {
+        for &b in &b_ids {
+            pairs.push(PairKey::new(a, b));
+        }
+    }
+    for &(seed, _) in &task.seeds {
+        if !pairs.contains(&seed) {
+            pairs.push(seed);
+        }
+    }
+    pairs
+}
+
+/// True when the ascending lists `a` and `b` share an element.
+fn intersects(a: &[usize], b: &[usize]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// Drop the entries of the ascending list `covered` from the ascending
+/// list `current`, keeping its order: one merge pass.
+fn remove_sorted(current: &mut Vec<usize>, covered: &[usize]) {
+    let mut j = 0;
+    current.retain(|&i| {
+        while j < covered.len() && covered[j] < i {
+            j += 1;
+        }
+        covered.get(j) != Some(&i)
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +341,7 @@ mod tests {
     use forest::{Op, Predicate};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn toy_task(n: usize) -> (MatchTask, GoldOracle) {

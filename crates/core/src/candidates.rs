@@ -5,9 +5,10 @@
 //! vectors of all these pairs in memory" (§4.1) — this type is that
 //! in-memory materialization: a dense row-major matrix parallel to the
 //! pair list. Vectorization runs through the shared [`exec`] core since it
-//! is the dominant cost when `C` is large. A caller may pass a
-//! [`FeatureCache`] to read through; engine runs started by a session pass
-//! none.
+//! is the dominant cost when `C` is large, one run of pairs sharing the
+//! left record at a time: every candidate stream (`S`, `C`, the
+//! Cartesian scan) is row-major. A caller may pass a [`FeatureCache`] to
+//! read through pair by pair; engine runs started by a session pass none.
 
 use crate::cache::FeatureCache;
 use crate::source::{CandidateSource, CartesianScan};
@@ -34,7 +35,9 @@ impl CandidateSet {
     /// Materialize feature vectors for `pairs` with an explicit thread
     /// budget, consulting `cache` (read-through) when given. Builds the
     /// task's record analysis on that budget first if it is missing.
-    /// The matrix is allocated once and each row is written in place.
+    /// The matrix is allocated once and each row is written in place;
+    /// without a cache, each maximal run of pairs sharing the left record
+    /// inside a chunk is vectorized in one call.
     pub fn build_with(
         task: &MatchTask,
         pairs: Vec<PairKey>,
@@ -49,14 +52,22 @@ impl CandidateSet {
         let mut matrix = vec![0.0; pairs.len() * n_features];
         let chunk_len = ROWS_PER_CHUNK * n_features;
         exec::par_chunks_mut(threads, &mut matrix, chunk_len, |c, rows| {
-            let keys = &pairs[c * ROWS_PER_CHUNK..];
-            for (&key, row) in keys.iter().zip(rows.chunks_exact_mut(n_features)) {
-                match cache {
-                    Some(cache) => {
-                        row.copy_from_slice(&cache.get_or_compute(key, || task.vectorize(key)))
-                    }
-                    None => task.vectorize_into(key, row),
+            let keys = &pairs[c * ROWS_PER_CHUNK..][..rows.len() / n_features];
+            if let Some(cache) = cache {
+                for (&key, row) in keys.iter().zip(rows.chunks_exact_mut(n_features)) {
+                    row.copy_from_slice(&cache.get_or_compute(key, || task.vectorize(key)));
                 }
+                return;
+            }
+            let mut start = 0;
+            while start < keys.len() {
+                let a = keys[start].a;
+                let end = start + keys[start..].iter().take_while(|k| k.a == a).count();
+                task.vectorize_run_into(
+                    &keys[start..end],
+                    &mut rows[start * n_features..end * n_features],
+                );
+                start = end;
             }
         });
         CandidateSet { pairs, n_features, matrix }

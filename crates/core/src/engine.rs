@@ -22,7 +22,7 @@ use crate::estimator::{estimate_accuracy, AccuracyEstimate};
 use crate::learner::{run_active_learning, StopReason};
 use crate::locator::{locate_difficult_pairs, LocatorReport};
 use crate::metrics::{blocking_recall, evaluate, Prf};
-use crate::ruleeval::RuleEvalConfig;
+use crate::ruleeval::{sorted_labels, RuleEvalConfig};
 use crate::snapshot::RunSnapshot;
 use crate::task::{KernelCounters, MatchTask};
 use crowd::{CrowdPlatform, FaultStats, Ledger, PairKey, TruthOracle};
@@ -973,14 +973,6 @@ pub struct StepOutcome {
     pub checkpointed: bool,
     /// The run reached a terminal condition during this step.
     pub finished: bool,
-}
-
-/// Crowd-labeled candidate indices in ascending order, for snapshot
-/// payloads whose bytes must not depend on hash-map iteration order.
-fn sorted_labels(labels: &HashMap<usize, bool>) -> Vec<(usize, bool)> {
-    let mut v: Vec<(usize, bool)> = labels.iter().map(|(&i, &l)| (i, l)).collect(); // lint:allow(D2): this IS the sanctioned collect+sort helper; sorted on the next line
-    v.sort_unstable_by_key(|&(i, _)| i);
-    v
 }
 
 fn predicted_pairs(cand: &CandidateSet, predictions: &[bool]) -> HashSet<PairKey> {

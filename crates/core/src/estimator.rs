@@ -26,7 +26,9 @@ use crate::candidates::CandidateSet;
 use crate::config::EstimatorConfig;
 use crate::env::RunEnv;
 use crate::metrics::Prf;
-use crate::ruleeval::{evaluate_rules_jointly, select_top_rules, RuleEvalConfig, ScoredRule};
+use crate::ruleeval::{
+    evaluate_rules_jointly, labeled_as, select_top_rules, RuleEvalConfig, ScoredRule,
+};
 use crowd::stats::{fpc_margin, required_sample_size, z_for_confidence};
 use crowd::{CrowdPlatform, PairKey, TruthOracle};
 use forest::{negative_rules, RandomForest};
@@ -139,10 +141,7 @@ pub fn estimate_accuracy(
 
     // Candidate reduction rules: top-k negative rules of the matcher's
     // forest by precision upper bound (§6.2 step 1) — *not* yet evaluated.
-    let known_pos: HashSet<usize> = known_labels
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| l.then_some(i))
-        .collect();
+    let known_pos = labeled_as(known_labels, true);
     let mut remaining: Vec<ScoredRule> = select_top_rules(
         negative_rules(matcher_forest),
         cand,

@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Why the learning loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,17 +64,20 @@ impl LearnOutcome {
 }
 
 /// Compute vote entropies of the given candidate indices, in parallel for
-/// large sets.
+/// large sets. Each row costs one forest vote and a lookup in the
+/// forest's [`RandomForest::entropy_table`].
 pub fn entropies(
     forest: &RandomForest,
     cand: &CandidateSet,
     indices: &[usize],
     threads: Threads,
 ) -> Vec<f64> {
+    let table = forest.entropy_table();
+    let entropy = |&i: &usize| table[forest.positive_votes(cand.row(i))];
     if indices.len() < 8192 || threads.get() <= 1 {
-        return indices.iter().map(|&i| forest.entropy(cand.row(i))).collect();
+        return indices.iter().map(entropy).collect();
     }
-    exec::par_map(threads, indices, |&i| forest.entropy(cand.row(i)))
+    exec::par_map(threads, indices, entropy)
 }
 
 /// Rank an `(index, entropy)` pool for batch selection: highest entropy
@@ -104,20 +106,21 @@ pub fn run_active_learning(
 ) -> LearnOutcome {
     assert!(!seed_examples.is_empty(), "need initial labeled examples");
     let n_features = cand.n_features();
-    let key_to_idx: HashMap<PairKey, usize> = cand
-        .pairs()
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
 
     // Monitoring set V: a random monitor_fraction of C, set aside (§5.3).
+    // At least one pair, at most half of C: a one-pair C has no monitor.
     let mut all: Vec<usize> = (0..cand.len()).collect();
     all.shuffle(rng);
     let n_monitor = ((cand.len() as f64 * cfg.monitor_fraction).round() as usize)
-        .clamp(1.min(cand.len()), cand.len() / 2);
+        .max(1.min(cand.len()))
+        .min(cand.len() / 2);
     let monitor: Vec<usize> = all[..n_monitor].to_vec();
-    let monitor_set: HashSet<usize> = monitor.iter().copied().collect();
+    // Candidates out of the selection pool: the monitor set and every
+    // pair labeled so far.
+    let mut taken = vec![false; cand.len()];
+    for &i in &monitor {
+        taken[i] = true;
+    }
 
     let mut train = Dataset::new(n_features);
     for (x, l) in seed_examples {
@@ -128,7 +131,6 @@ pub fn run_active_learning(
         RandomForest::train_par(t, &idx, &cfg.forest, rng, threads)
     };
 
-    let mut selected: HashSet<usize> = HashSet::new();
     let mut crowd_positives = Vec::new();
     let mut crowd_negatives = Vec::new();
     let mut pairs_labeled = 0usize;
@@ -164,9 +166,7 @@ pub fn run_active_learning(
 
         // Select the next batch: top-p entropy, then entropy-weighted
         // sampling of q for diversity (§5.2).
-        let selectable: Vec<usize> = (0..cand.len())
-            .filter(|i| !selected.contains(i) && !monitor_set.contains(i))
-            .collect();
+        let selectable: Vec<usize> = (0..cand.len()).filter(|&i| !taken[i]).collect();
         if selectable.is_empty() {
             stop = StopReason::Exhausted;
             break;
@@ -185,10 +185,13 @@ pub fn run_active_learning(
             break;
         }
         for (key, label) in labeled {
-            let idx = key_to_idx[&key];
-            if !selected.insert(idx) {
+            // The crowd answers only the pairs it was asked about.
+            let pos = keys.iter().position(|&k| k == key).expect("labeled pair was requested");
+            let idx = batch[pos];
+            if taken[idx] {
                 continue;
             }
+            taken[idx] = true;
             train.push(cand.row(idx), label);
             pairs_labeled += 1;
             if label {
@@ -258,6 +261,7 @@ mod tests {
     use crowd::{CrowdConfig, GoldOracle, WorkerPool};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     /// A task where identical names match: 30 A records, 40 B records,

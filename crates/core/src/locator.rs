@@ -11,7 +11,7 @@
 use crate::candidates::CandidateSet;
 use crate::config::LocatorConfig;
 use crate::env::RunEnv;
-use crate::ruleeval::{evaluate_rules_jointly, select_top_rules, RuleEvalConfig};
+use crate::ruleeval::{evaluate_rules_jointly, labeled_as, select_top_rules, RuleEvalConfig};
 use crowd::{CrowdPlatform, TruthOracle};
 use forest::{negative_rules, positive_rules, RandomForest};
 use rand::rngs::StdRng;
@@ -66,14 +66,8 @@ pub fn locate_difficult_pairs(
     env: &RunEnv<'_>,
 ) -> LocatorOutcome {
     let ledger_start = *platform.ledger();
-    let known_pos: HashSet<usize> = known_labels
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| l.then_some(i))
-        .collect();
-    let known_neg: HashSet<usize> = known_labels
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| (!l).then_some(i))
-        .collect();
+    let known_pos = labeled_as(known_labels, true);
+    let known_neg = labeled_as(known_labels, false);
 
     // 1. Top-k precise negative and positive rules (§7 step 1), each
     //    validated by the crowd like blocking rules.

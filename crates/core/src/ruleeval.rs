@@ -20,7 +20,7 @@ use forest::Rule;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A candidate rule with its coverage and precision upper bound.
 #[derive(Debug, Clone)]
@@ -51,17 +51,20 @@ pub fn coverage_of(rule: &Rule, cand: &CandidateSet, within: Option<&[usize]>) -
 /// Score rules and keep the top `k` by precision upper bound, breaking
 /// ties by coverage size (§4.2 step 1). `known_opposite` holds candidate
 /// indices already crowd-labeled with the class *opposite* to the rules'
-/// prediction (for negative rules: the known positives `T`). Rules with
+/// prediction (for negative rules: the known positives `T`), ascending
+/// and distinct; `within`, when given, is ascending too. Rules with
 /// empty coverage and duplicate rules (same predicates and label, from
 /// different trees) are discarded.
 pub fn select_top_rules(
     rules: Vec<Rule>,
     cand: &CandidateSet,
     within: Option<&[usize]>,
-    known_opposite: &HashSet<usize>,
+    known_opposite: &[usize],
     k: usize,
     threads: Threads,
 ) -> Vec<ScoredRule> {
+    debug_assert!(known_opposite.windows(2).all(|w| w[0] < w[1]), "known_opposite ascending");
+    debug_assert!(within.unwrap_or(&[]).windows(2).all(|w| w[0] < w[1]), "within ascending");
     let mut seen: Vec<(Vec<forest::Predicate>, bool)> = Vec::new();
     let mut unique: Vec<Rule> = Vec::new();
     for rule in rules {
@@ -78,9 +81,10 @@ pub fn select_top_rules(
         if coverage.is_empty() {
             return None;
         }
-        let violations = coverage
+        // Coverage is ascending: look the few known labels up in it.
+        let violations = known_opposite
             .iter()
-            .filter(|i| known_opposite.contains(i))
+            .filter(|i| coverage.binary_search(i).is_ok())
             .count();
         let ub_precision = (coverage.len() - violations) as f64 / coverage.len() as f64;
         Some(ScoredRule { rule: rule.clone(), coverage, ub_precision })
@@ -147,6 +151,20 @@ pub struct EvaluatedRule {
     pub kept: bool,
 }
 
+/// Crowd labels keyed by candidate index, in ascending index order: the
+/// order-free way to walk a label pool (hash order must not reach
+/// snapshots, sampling, or anything else a run's bytes depend on).
+pub fn sorted_labels(labels: &HashMap<usize, bool>) -> Vec<(usize, bool)> {
+    let mut v: Vec<(usize, bool)> = labels.iter().map(|(&i, &l)| (i, l)).collect(); // lint:allow(D2): this IS the sanctioned collect+sort helper; sorted on the next line
+    v.sort_unstable_by_key(|&(i, _)| i);
+    v
+}
+
+/// The indices `labels` holds with label `label`, ascending.
+pub fn labeled_as(labels: &HashMap<usize, bool>, label: bool) -> Vec<usize> {
+    sorted_labels(labels).into_iter().filter(|&(_, l)| l == label).map(|(i, _)| i).collect()
+}
+
 /// Jointly evaluate rules with the crowd (§4.2 step 2, joint variant).
 /// Also returns the pool of labels gathered, keyed by candidate index, so
 /// callers can reuse them.
@@ -160,12 +178,15 @@ pub fn evaluate_rules_jointly(
     prior_labels: &mut HashMap<usize, bool>,
 ) -> Vec<EvaluatedRule> {
     let z = z_for_confidence(cfg.confidence);
-    let key_to_idx: HashMap<PairKey, usize> = cand
-        .pairs()
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
+    // The pool as a dense per-candidate view (`None` = unlabeled), kept
+    // in step with `prior_labels`: the per-round stats and the sampling
+    // union read it once per covered index.
+    let mut dense: Vec<Option<bool>> = vec![None; cand.len()];
+    for (i, l) in sorted_labels(prior_labels) {
+        if let Some(d) = dense.get_mut(i) {
+            *d = Some(l);
+        }
+    }
 
     struct State {
         scored: ScoredRule,
@@ -176,11 +197,11 @@ pub fn evaluate_rules_jointly(
         .map(|s| State { scored: s, decided: None })
         .collect();
 
-    let stats = |s: &ScoredRule, labels: &HashMap<usize, bool>| -> (usize, usize) {
+    let stats = |s: &ScoredRule, labels: &[Option<bool>]| -> (usize, usize) {
         let mut n = 0;
         let mut ok = 0;
-        for i in &s.coverage {
-            if let Some(&l) = labels.get(i) {
+        for &i in &s.coverage {
+            if let Some(l) = labels[i] {
                 n += 1;
                 if l == s.scored_label() {
                     ok += 1;
@@ -195,7 +216,7 @@ pub fn evaluate_rules_jointly(
         rounds += 1;
         // Decide what we can with current labels.
         for st in states.iter_mut().filter(|s| s.decided.is_none()) {
-            let (n, ok) = stats(&st.scored, prior_labels);
+            let (n, ok) = stats(&st.scored, &dense);
             let m = st.scored.coverage.len();
             if n == 0 {
                 continue;
@@ -223,7 +244,7 @@ pub fn evaluate_rules_jointly(
         // Finalize whatever is still undecided from the labels in hand —
         // used when sampling must stop (coverage exhausted, budget cap,
         // round cap, or a crowd that stopped returning labels).
-        let finalize = |states: &mut Vec<State>, labels: &HashMap<usize, bool>| {
+        let finalize = |states: &mut Vec<State>, labels: &[Option<bool>]| {
             for st in states.iter_mut().filter(|s| s.decided.is_none()) {
                 let (n, ok) = stats(&st.scored, labels);
                 let p = if n > 0 { ok as f64 / n as f64 } else { 0.0 };
@@ -241,12 +262,12 @@ pub fn evaluate_rules_jointly(
             break;
         }
         if rounds > 500 {
-            finalize(&mut states, prior_labels);
+            finalize(&mut states, &dense);
             break;
         }
         if let Some(cap) = cfg.budget_cents_cap {
             if platform.ledger().total_cents >= cap {
-                finalize(&mut states, prior_labels);
+                finalize(&mut states, &dense);
                 break;
             }
         }
@@ -255,13 +276,13 @@ pub fn evaluate_rules_jointly(
             .iter()
             .filter(|s| s.decided.is_none())
             .flat_map(|s| s.scored.coverage.iter().copied())
-            .filter(|i| !prior_labels.contains_key(i))
+            .filter(|&i| dense[i].is_none())
             .collect();
         union.sort_unstable();
         union.dedup();
         if union.is_empty() {
             // Exhausted: finalize the stragglers from exact coverage stats.
-            finalize(&mut states, prior_labels);
+            finalize(&mut states, &dense);
             break;
         }
         union.shuffle(rng);
@@ -269,7 +290,10 @@ pub fn evaluate_rules_jointly(
         let keys: Vec<PairKey> = union.iter().map(|&i| cand.pair(i)).collect();
         let labeled = platform.label_batch(oracle, &keys, cfg.scheme);
         for (key, label) in labeled {
-            prior_labels.insert(key_to_idx[&key], label);
+            // The crowd answers only the pairs it was asked about.
+            let pos = keys.iter().position(|&k| k == key).expect("labeled pair was requested");
+            prior_labels.insert(union[pos], label);
+            dense[union[pos]] = Some(label);
         }
     }
 
@@ -354,12 +378,11 @@ mod tests {
             n_neg: 0,
         }; // covers everything incl. positives
         // Crowd has labeled two diagonal pairs positive.
-        let known_pos: HashSet<usize> = [
+        let mut known_pos = vec![
             cand.index_of(PairKey::new(0, 0)).unwrap(),
             cand.index_of(PairKey::new(1, 1)).unwrap(),
-        ]
-        .into_iter()
-        .collect();
+        ];
+        known_pos.sort_unstable();
         let top =
             select_top_rules(vec![bad, good.clone()], &cand, None, &known_pos, 2, Threads::new(2));
         assert_eq!(top.len(), 2);
@@ -376,7 +399,7 @@ mod tests {
             vec![r.clone(), r.clone(), r],
             &cand,
             None,
-            &HashSet::new(),
+            &[],
             10,
             Threads::new(1),
         );
@@ -409,7 +432,7 @@ mod tests {
             vec![good.clone(), inverted],
             &cand,
             None,
-            &HashSet::new(),
+            &[],
             2,
             Threads::new(2),
         );
@@ -437,7 +460,7 @@ mod tests {
     fn positive_rules_judged_against_positive_labels() {
         let (task, gold, cand) = toy();
         let pos = exact_rule(&task, true); // exact > 0.5 → MATCH, covers diagonal
-        let scored = select_top_rules(vec![pos], &cand, None, &HashSet::new(), 1, Threads::new(1));
+        let scored = select_top_rules(vec![pos], &cand, None, &[], 1, Threads::new(1));
         assert_eq!(scored[0].coverage.len(), 12);
         let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
         let mut rng = StdRng::seed_from_u64(4);
@@ -459,7 +482,7 @@ mod tests {
     fn evaluation_is_frugal_with_labels() {
         let (task, gold, cand) = toy();
         let good = exact_rule(&task, false);
-        let scored = select_top_rules(vec![good], &cand, None, &HashSet::new(), 1, Threads::new(1));
+        let scored = select_top_rules(vec![good], &cand, None, &[], 1, Threads::new(1));
         let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
         let mut rng = StdRng::seed_from_u64(5);
         let mut labels = HashMap::new();

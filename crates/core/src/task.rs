@@ -4,7 +4,7 @@
 use crowd::PairKey;
 use exec::Threads;
 use serde::{Deserialize, Serialize};
-use similarity::{FeatureVectorizer, Table, TaskAnalysis};
+use similarity::{FeatureVectorizer, Record, Table, TaskAnalysis};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -234,23 +234,30 @@ impl MatchTask {
     }
 
     /// Compute the full feature vector of a pair through the precomputed
-    /// analysis (built on first use).
+    /// analysis (built on first use): a run of one pair.
     pub fn vectorize(&self, pair: PairKey) -> Vec<f64> {
         let mut row = vec![0.0; self.n_features()];
-        self.vectorize_into(pair, &mut row);
+        self.vectorize_run_into(&[pair], &mut row);
         row
     }
 
-    /// [`Self::vectorize`] into `row`, which holds [`Self::n_features`]
-    /// values: the allocation-free form a candidate matrix is filled
-    /// through.
-    pub(crate) fn vectorize_into(&self, pair: PairKey, row: &mut [f64]) {
+    /// Feature vectors of a run of pairs that share the left record, into
+    /// `out` (one row of [`Self::n_features`] values per pair): the
+    /// allocation-free form a candidate matrix is filled through. See
+    /// [`similarity::FeatureVectorizer::vectorize_pre_into`] for what a
+    /// run shares.
+    pub(crate) fn vectorize_run_into(&self, run: &[PairKey], out: &mut [f64]) {
+        let Some(first) = run.first() else {
+            return;
+        };
+        debug_assert!(run.iter().all(|p| p.a == first.a), "a run shares its left record");
         let an = self.ensure_analysis(Threads::new(1));
-        let a = self.table_a.record(pair.a);
-        let b = self.table_b.record(pair.b);
-        self.analysis.pairs_vectorized.fetch_add(1, Ordering::Relaxed);
-        self.analysis.features_pre.fetch_add(self.n_features() as u64, Ordering::Relaxed);
-        self.vectorizer.vectorize_pre_into(a, b, an, row);
+        let a = self.table_a.record(first.a);
+        let bs: Vec<&Record> = run.iter().map(|p| self.table_b.record(p.b)).collect();
+        let n = run.len() as u64;
+        self.analysis.pairs_vectorized.fetch_add(n, Ordering::Relaxed);
+        self.analysis.features_pre.fetch_add(n * self.n_features() as u64, Ordering::Relaxed);
+        self.vectorizer.vectorize_pre_into(a, &bs, an, out);
     }
 
     /// Compute one feature of a pair (lazy path for blocking-rule

@@ -34,6 +34,18 @@ impl Default for ForestConfig {
     }
 }
 
+/// Eq. 1's vote entropy at a positive-vote fraction `p`.
+fn vote_entropy(p: f64) -> f64 {
+    let mut h = 0.0;
+    if p > 0.0 {
+        h -= p * p.ln();
+    }
+    if p < 1.0 {
+        h -= (1.0 - p) * (1.0 - p).ln();
+    }
+    h
+}
+
 /// A trained random forest.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomForest {
@@ -113,10 +125,14 @@ impl RandomForest {
         RandomForest { trees }
     }
 
+    /// Number of trees voting "matched" for `x`.
+    pub fn positive_votes(&self, x: &[f64]) -> usize {
+        self.trees.iter().filter(|t| t.predict(x)).count()
+    }
+
     /// Fraction of trees voting "matched" for `x` — `P₊(e)` in Eq. 1.
     pub fn positive_fraction(&self, x: &[f64]) -> f64 {
-        let pos = self.trees.iter().filter(|t| t.predict(x)).count();
-        pos as f64 / self.trees.len() as f64
+        self.positive_votes(x) as f64 / self.trees.len() as f64
     }
 
     /// Majority-vote prediction (ties are "matched").
@@ -129,15 +145,16 @@ impl RandomForest {
     /// Ranges over `[0, ln 2]`; higher means stronger tree disagreement,
     /// i.e. a more informative example for active learning.
     pub fn entropy(&self, x: &[f64]) -> f64 {
-        let p = self.positive_fraction(x);
-        let mut h = 0.0;
-        if p > 0.0 {
-            h -= p * p.ln();
-        }
-        if p < 1.0 {
-            h -= (1.0 - p) * (1.0 - p).ln();
-        }
-        h
+        vote_entropy(self.positive_fraction(x))
+    }
+
+    /// [`Self::entropy`] of every possible vote count: entry `v` is the
+    /// entropy of a row that `v` trees vote "matched" for, the same bits
+    /// `entropy` computes. Batch scorers index it by
+    /// [`Self::positive_votes`] instead of taking two logarithms per row.
+    pub fn entropy_table(&self) -> Vec<f64> {
+        let n = self.trees.len();
+        (0..=n).map(|v| vote_entropy(v as f64 / n as f64)).collect()
     }
 
     /// Confidence `conf(e) = 1 − entropy(e)` (paper §5.3).
@@ -163,8 +180,9 @@ impl RandomForest {
         indices: &[usize],
         threads: Threads,
     ) -> Vec<f64> {
+        let table = self.entropy_table();
         exec::par_map(threads, indices, |&i| {
-            self.confidence(&matrix[i * n_features..(i + 1) * n_features])
+            1.0 - table[self.positive_votes(&matrix[i * n_features..(i + 1) * n_features])]
         })
     }
 
@@ -177,8 +195,9 @@ impl RandomForest {
         indices: &[usize],
         threads: Threads,
     ) -> Vec<f64> {
+        let table = self.entropy_table();
         exec::par_map(threads, indices, |&i| {
-            self.entropy(&matrix[i * n_features..(i + 1) * n_features])
+            table[self.positive_votes(&matrix[i * n_features..(i + 1) * n_features])]
         })
     }
 

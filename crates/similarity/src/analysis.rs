@@ -487,6 +487,8 @@ pub struct TaskAnalysis {
     /// serve an id interned by a different task. The counter only
     /// disambiguates cache entries — no output depends on its value.
     pub generation: u64,
+    /// Per attribute: its values recur (see [`Self::recurring`]).
+    recurring: Vec<bool>,
 }
 
 impl TaskAnalysis {
@@ -501,6 +503,37 @@ impl TaskAnalysis {
     pub fn attr_b(&self, rec: RecordId, attr: usize) -> Option<AttrView<'_>> {
         self.b.attr(rec, attr)
     }
+
+    /// True when attribute `attr` has at most one distinct value per two
+    /// non-null text cells, counted across both tables (cities, cuisines,
+    /// brands, venues). Only there do pairs repeat whole-value kernel
+    /// inputs often enough for the char kernels' result cache to pay for
+    /// its probes (see [`crate::charkernels`]). Not part of
+    /// [`AnalysisStats`]: it is a policy read off the build, not a size.
+    #[inline]
+    pub fn recurring(&self, attr: usize) -> bool {
+        self.recurring[attr]
+    }
+}
+
+/// [`TaskAnalysis::recurring`] for each of `n_attrs` attributes.
+fn recurring_attrs(tables: [&TableAnalysis; 2], n_attrs: usize) -> Vec<bool> {
+    let mut ids: Vec<Vec<u32>> = vec![Vec::new(); n_attrs];
+    for t in tables {
+        for (slot, h) in t.headers.iter().enumerate() {
+            if h.value_id != MISSING {
+                ids[slot % n_attrs].push(h.value_id);
+            }
+        }
+    }
+    ids.into_iter()
+        .map(|mut v| {
+            let cells = v.len();
+            v.sort_unstable();
+            v.dedup();
+            cells > 0 && 2 * v.len() <= cells
+        })
+        .collect()
 }
 
 /// Pack a 4-character ASCII Soundex code into a `u32` whose numeric order
@@ -1076,9 +1109,10 @@ pub fn analyze_task(
         + stats.text_bytes
         + stats.header_bytes;
 
+    let recurring = recurring_attrs([&ta, &tb], n_attrs);
     static TASK_GENERATION: AtomicU64 = AtomicU64::new(1);
     let generation = TASK_GENERATION.fetch_add(1, AtomicOrdering::Relaxed);
-    TaskAnalysis { a: ta, b: tb, stats, generation }
+    TaskAnalysis { a: ta, b: tb, stats, generation, recurring }
 }
 
 // ---- allocation-free kernels over precomputed analyses -------------------
@@ -1103,8 +1137,14 @@ pub fn intersect_count(a: &[u32], b: &[u32]) -> usize {
 /// (two empty sets → 1.0).
 #[inline]
 pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
-    let inter = intersect_count(a, b);
-    let union = a.len() + b.len() - inter;
+    jaccard_of(intersect_count(a, b), a.len(), b.len())
+}
+
+/// [`jaccard_ids`] from the intersection size `inter` of two sets of
+/// sizes `la` and `lb`.
+#[inline]
+pub fn jaccard_of(inter: usize, la: usize, lb: usize) -> f64 {
+    let union = la + lb - inter;
     if union == 0 {
         return 1.0;
     }
@@ -1114,22 +1154,35 @@ pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
 /// Dice over sorted id sets; mirrors `jaccard::dice_sets` exactly.
 #[inline]
 pub fn dice_ids(a: &[u32], b: &[u32]) -> f64 {
-    if a.len() + b.len() == 0 {
+    dice_of(intersect_count(a, b), a.len(), b.len())
+}
+
+/// [`dice_ids`] from the intersection size `inter` of two sets of sizes
+/// `la` and `lb`.
+#[inline]
+pub fn dice_of(inter: usize, la: usize, lb: usize) -> f64 {
+    if la + lb == 0 {
         return 1.0;
     }
-    let inter = intersect_count(a, b);
-    2.0 * inter as f64 / (a.len() + b.len()) as f64
+    2.0 * inter as f64 / (la + lb) as f64
 }
 
 /// Overlap coefficient over sorted id sets; mirrors
 /// `jaccard::overlap_sets` exactly (one empty set → 0.0 unless both are).
 #[inline]
 pub fn overlap_ids(a: &[u32], b: &[u32]) -> f64 {
-    let min = a.len().min(b.len());
+    overlap_of(intersect_count(a, b), a.len(), b.len())
+}
+
+/// [`overlap_ids`] from the intersection size `inter` of two sets of
+/// sizes `la` and `lb`.
+#[inline]
+pub fn overlap_of(inter: usize, la: usize, lb: usize) -> f64 {
+    let min = la.min(lb);
     if min == 0 {
-        return if a.len() == b.len() { 1.0 } else { 0.0 };
+        return if la == lb { 1.0 } else { 0.0 };
     }
-    intersect_count(a, b) as f64 / min as f64
+    inter as f64 / min as f64
 }
 
 /// Soundex-code-set similarity; mirrors `phonetic::soundex_similarity`
@@ -1354,6 +1407,45 @@ mod tests {
         assert!(an.attr_b(0, 0).is_some());
         assert_eq!(an.stats.records, 3);
         assert_eq!(an.stats.values, 2);
+    }
+
+    #[test]
+    fn recurring_flags_attributes_with_few_distinct_values() {
+        // Across both tables: `name` has six distinct values in six cells,
+        // `city` two in six, `zip` exactly three in six (the boundary),
+        // `code` four in five (one cell is null), and `n` is numeric.
+        let schema = Arc::new(Schema::new(vec![
+            Attribute::text("name"),
+            Attribute::text("city"),
+            Attribute::text("zip"),
+            Attribute::text("code"),
+            Attribute::number("n"),
+        ]));
+        let row = |name: &str, city: &str, zip: &str, code: Option<&str>| {
+            let code = code.map_or(Value::Null, |c| Value::Text(c.into()));
+            vec![name.into(), city.into(), zip.into(), code, Value::Number(1.0)]
+        };
+        let a = Table::new(
+            "a",
+            schema.clone(),
+            vec![
+                row("ann's diner", "boston", "02110", Some("x1")),
+                row("bob's grill", "austin", "02110", Some("x2")),
+                row("cal's cafe", "boston", "73301", None),
+            ],
+        );
+        let b = Table::new(
+            "b",
+            schema,
+            vec![
+                row("dee's deli", "austin", "73301", Some("x1")),
+                row("eve's eatery", "boston", "10001", Some("x3")),
+                row("fay's fries", "austin", "10001", Some("x4")),
+            ],
+        );
+        let an = analyze_task(&a, &b, &[None, None, None, None, None], exec::Threads::new(2));
+        let flags: Vec<bool> = (0..5).map(|attr| an.recurring(attr)).collect();
+        assert_eq!(flags, [false, true, true, false, false]);
     }
 
     #[test]

@@ -22,9 +22,25 @@
 //!   the bitset Jaro-Winkler as its inner measure, deduping repeated
 //!   tokens on both sides (a max-fold is idempotent and order-free over
 //!   finite scores, and identical tokens score an exact 1.0).
-//! * **Smith-Waterman** rolls two reusable `i32` DP rows with
-//!   carried-diagonal, bounds-check-free inner cells over the
-//!   precomputed lowercased sequences.
+//! * **Smith-Waterman** scores one left value against up to 16 right
+//!   values at once when a vectorizer run shares the left record
+//!   ([`smith_waterman_run`]): the right sequences are transposed into
+//!   `[i16; 16]` lane arrays and one DP sweep advances all sixteen
+//!   alignments. Single pairs, and pairs that cannot ride a lane, roll
+//!   two reusable DP rows (or anti-diagonals for long inputs) with
+//!   bounds-check-free inner cells over the precomputed lowercased
+//!   sequences.
+//!
+//! # Whole-value result cache
+//!
+//! A per-thread direct-mapped table memoizes whole-value results by
+//! `(kernel, value id, value id)`. It pays only where values recur, so a
+//! kernel consults it only for attributes that
+//! [`crate::analysis::TaskAnalysis::recurring`] flags (distinct values
+//! at most half of the non-null cells). On near-unique attributes (names,
+//! addresses, titles) a probe almost never hits and both the probe and
+//! the fill are skipped. Monge-Elkan's inner token pairs recur on every
+//! attribute and always use the table.
 //!
 //! # Bit-identity contract
 //!
@@ -38,13 +54,18 @@
 //! * Myers computes the same exact integer distance as the reference DP
 //!   (affix trimming cannot change unit-cost edit distance), so
 //!   `1 - d/max` is the identical f64 expression on identical integers.
-//!   Likewise Smith-Waterman's integer score and `(s/max).clamp(..)`.
+//!   Likewise Smith-Waterman's integer score and `(s/max).clamp(..)`;
+//!   the lane form's padding argument is at [`sw_lanes`].
 //! * Jaro's bitset matching selects the same `b` position for each `a`
 //!   char as the reference's greedy window scan (the lowest untaken
 //!   match), so its match/transposition counts are identical integers.
+//!   Jaro-Winkler applies the reference's prefix boost to that score.
 //!   Monge-Elkan's token dedup leaves every per-token fold equal to its
 //!   true maximum (see `monge_elkan_dir` for the argument) and sums
 //!   per-occurrence terms in the reference's order.
+//! * A hit in the result cache or in the scratch's last-pair slots
+//!   returns the bits the kernel computed for the same inputs, so
+//!   whether a kernel consults them cannot change a result.
 //!
 //! The property suite (`tests/analysis_equivalence.rs`) enforces this
 //! with `f64::to_bits` equality over arbitrary inputs, including
@@ -56,7 +77,7 @@
 //! depend on scratch history (every call fully overwrites the regions it
 //! reads), so the determinism contract is untouched.
 
-use crate::analysis::AttrView;
+use crate::analysis::{AttrView, TaskAnalysis};
 use std::cell::RefCell;
 
 /// Reusable per-thread scratch for the char kernels. All buffers grow to
@@ -113,19 +134,56 @@ pub struct CharScratch {
     sw_cur16: Vec<i16>,
     sw_diag16: Vec<i16>,
     sw_brev16: Vec<i16>,
+    /// Lane form: the right sequences transposed, `sw_bt[j][lane]`
+    /// (`-1` past a sequence's end), and the DP column over the left
+    /// sequence.
+    sw_bt: Vec<[i16; SW_LANES]>,
+    sw_col: Vec<[i16; SW_LANES]>,
+    /// The last value pair's Jaro score and word-set intersection size.
+    /// Keyed like the result cache, so a hit is the same two strings, but
+    /// on every attribute: a pair's Jaro-Winkler reuses its Jaro
+    /// matching, and its Jaccard, overlap and Dice share one merge, on
+    /// the run path and in single-feature calls alike.
+    last_jaro: Option<(PairId, f64)>,
+    last_words: Option<(PairId, usize)>,
 }
+
+/// A value pair within one analysis build: `(TaskAnalysis::generation,
+/// value id, value id)`. Equal ids are equal raw strings
+/// ([`AttrView::value_id`]).
+type PairId = (u64, u32, u32);
 
 thread_local! {
     static SCRATCH: RefCell<CharScratch> = RefCell::new(CharScratch::default());
 }
 
-/// Run `f` with the calling thread's scratch. The `*_pre` kernels call
-/// it internally; `FeatureVectorizer::vectorize_pre` calls it once per
-/// pair and feeds the `*_pre_s` variants to amortize the `thread_local`
-/// access across a whole feature vector.
+/// Run `f` with the calling thread's scratch. `FeatureVectorizer` calls
+/// it once per feature or once per run of pairs and hands the scratch to
+/// every kernel it calls.
 #[inline]
 pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut CharScratch) -> T) -> T {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// What the kernels need to know about the analysis their views come
+/// from and the attribute they score.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ctx {
+    /// Char intern-pool size (`AnalysisStats::distinct_chars`): every
+    /// char id is below it.
+    pub pool: usize,
+    /// `TaskAnalysis::generation`, which scopes the result cache.
+    pub gen: u64,
+    /// Consult the whole-value result cache: the attribute's values
+    /// recur (`TaskAnalysis::recurring`).
+    pub memo: bool,
+}
+
+impl Ctx {
+    /// The context for attribute `attr` of `an`'s tables.
+    pub fn new(an: &TaskAnalysis, attr: usize) -> Ctx {
+        Ctx { pool: an.stats.distinct_chars, gen: an.generation, memo: an.recurring(attr) }
+    }
 }
 
 // ---- per-thread result cache ---------------------------------------------
@@ -185,6 +243,24 @@ fn cached(
     s.cache_keys[slot] = key;
     s.cache_vals[slot] = v;
     v
+}
+
+/// [`cached`] keyed by the two whole values, for attributes whose values
+/// recur (`cx.memo`); elsewhere `f` runs directly.
+#[inline]
+fn memoized(
+    s: &mut CharScratch,
+    cx: Ctx,
+    tag: u64,
+    a: AttrView<'_>,
+    b: AttrView<'_>,
+    f: impl FnOnce(&mut CharScratch) -> f64,
+) -> f64 {
+    if cx.memo {
+        cached(s, cx.gen, tag, a.value_id(), b.value_id(), f)
+    } else {
+        f(s)
+    }
 }
 
 // ---- Myers bit-parallel edit distance ------------------------------------
@@ -420,27 +496,19 @@ fn myers_blocked(
 }
 
 /// Normalized Levenshtein over precomputed raw char ids; bit-identical to
-/// `edit::levenshtein_similarity` on the raw strings. `pool` is
-/// `AnalysisStats::distinct_chars`.
-#[inline]
-pub fn levenshtein_pre(a: AttrView<'_>, b: AttrView<'_>, pool: usize, gen: u64) -> f64 {
-    with_scratch(|s| levenshtein_pre_s(a, b, pool, gen, s))
-}
-
-/// [`levenshtein_pre`] over a caller-held scratch.
-pub(crate) fn levenshtein_pre_s(
+/// `edit::levenshtein_similarity` on the raw strings.
+pub(crate) fn levenshtein_pre(
     a: AttrView<'_>,
     b: AttrView<'_>,
-    pool: usize,
-    gen: u64,
+    cx: Ctx,
     s: &mut CharScratch,
 ) -> f64 {
-    cached(s, gen, TAG_LEV, a.value_id(), b.value_id(), |s| {
+    memoized(s, cx, TAG_LEV, a, b, |s| {
         let max = a.raw_char_ids().len().max(b.raw_char_ids().len());
         if max == 0 {
             return 1.0;
         }
-        let d = myers_distance_pat(a, b, pool, gen, s);
+        let d = myers_distance_pat(a, b, cx.pool, cx.gen, s);
         1.0 - d as f64 / max as f64
     })
 }
@@ -617,64 +685,68 @@ fn jaro_finish(a: &[u32], b: &[u32], taken: &[u64], a_matches: &[u32]) -> f64 {
 /// `jaro::jaro_winkler` exactly.
 #[inline]
 fn jaro_winkler_ids(a: &[u32], b: &[u32], pool: usize, s: &mut CharScratch) -> f64 {
-    let j = jaro_ids(a, b, pool, s);
-    let prefix = a
-        .iter()
-        .zip(b.iter())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
+    winkler(jaro_ids(a, b, pool, s), a, b)
+}
+
+/// Jaro-Winkler from the Jaro score `j` of the same two sequences: the
+/// reference's boost by the shared prefix (up to 4 chars), as the same
+/// f64 expression.
+#[inline]
+fn winkler(j: f64, a: &[u32], b: &[u32]) -> f64 {
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
     j + prefix as f64 * 0.1 * (1.0 - j)
 }
 
 /// Jaro over precomputed raw char ids; mirrors `jaro::jaro`.
-#[inline]
-pub fn jaro_pre(a: AttrView<'_>, b: AttrView<'_>, pool: usize, gen: u64) -> f64 {
-    with_scratch(|s| jaro_pre_s(a, b, pool, gen, s))
-}
-
-/// [`jaro_pre`] over a caller-held scratch.
-pub(crate) fn jaro_pre_s(
-    a: AttrView<'_>,
-    b: AttrView<'_>,
-    pool: usize,
-    gen: u64,
-    s: &mut CharScratch,
-) -> f64 {
-    cached(s, gen, TAG_JARO, a.value_id(), b.value_id(), |s| {
-        jaro_ids(a.raw_char_ids(), b.raw_char_ids(), pool, s)
-    })
+pub(crate) fn jaro_pre(a: AttrView<'_>, b: AttrView<'_>, cx: Ctx, s: &mut CharScratch) -> f64 {
+    let id = (cx.gen, a.value_id(), b.value_id());
+    match s.last_jaro {
+        Some((last, j)) if last == id => j,
+        _ => {
+            let j = memoized(s, cx, TAG_JARO, a, b, |s| {
+                jaro_ids(a.raw_char_ids(), b.raw_char_ids(), cx.pool, s)
+            });
+            s.last_jaro = Some((id, j));
+            j
+        }
+    }
 }
 
 /// Jaro-Winkler over precomputed raw char ids; mirrors
-/// `jaro::jaro_winkler`.
-#[inline]
-pub fn jaro_winkler_pre(a: AttrView<'_>, b: AttrView<'_>, pool: usize, gen: u64) -> f64 {
-    with_scratch(|s| jaro_winkler_pre_s(a, b, pool, gen, s))
-}
-
-/// [`jaro_winkler_pre`] over a caller-held scratch.
-pub(crate) fn jaro_winkler_pre_s(
+/// `jaro::jaro_winkler`. Right after [`jaro_pre`] on the same pair the
+/// matching is not redone. Where values recur the result is cached as
+/// well: a hit reads no char ids at all.
+pub(crate) fn jaro_winkler_pre(
     a: AttrView<'_>,
     b: AttrView<'_>,
-    pool: usize,
-    gen: u64,
+    cx: Ctx,
     s: &mut CharScratch,
 ) -> f64 {
-    cached(s, gen, TAG_JW, a.value_id(), b.value_id(), |s| {
-        // Route the O(n²) matching through the Jaro cache slot: a
-        // pair vectorized with both kinds (the common case) does the
-        // match work once, and the boost is O(1) on top.
-        let j = jaro_pre_s(a, b, pool, gen, s);
-        let prefix = a
-            .raw_char_ids()
-            .iter()
-            .zip(b.raw_char_ids())
-            .take(4)
-            .take_while(|(x, y)| x == y)
-            .count();
-        j + prefix as f64 * 0.1 * (1.0 - j)
+    memoized(s, cx, TAG_JW, a, b, |s| {
+        winkler(jaro_pre(a, b, cx, s), a.raw_char_ids(), b.raw_char_ids())
     })
+}
+
+/// `|a ∩ b|` over the two values' word-id sets (the numerator of
+/// `analysis::{jaccard_of, overlap_of, dice_of}`). The last pair's count
+/// is kept, so a pair's three word-set features share one merge.
+/// Inlined: a lone Jaccard in a rule sweep pays only the key check.
+#[inline]
+pub(crate) fn word_intersection(
+    a: AttrView<'_>,
+    b: AttrView<'_>,
+    gen: u64,
+    s: &mut CharScratch,
+) -> usize {
+    let id = (gen, a.value_id(), b.value_id());
+    match s.last_words {
+        Some((last, n)) if last == id => n,
+        _ => {
+            let n = crate::analysis::intersect_count(a.word_ids(), b.word_ids());
+            s.last_words = Some((id, n));
+            n
+        }
+    }
 }
 
 // ---- Monge-Elkan ---------------------------------------------------------
@@ -751,21 +823,15 @@ fn monge_elkan_dir(
 
 /// Symmetric Monge-Elkan over precomputed token material; mirrors
 /// `monge_elkan::monge_elkan_sym` (forward direction first).
-#[inline]
-pub fn monge_elkan_pre(a: AttrView<'_>, b: AttrView<'_>, pool: usize, gen: u64) -> f64 {
-    with_scratch(|s| monge_elkan_pre_s(a, b, pool, gen, s))
-}
-
-/// [`monge_elkan_pre`] over a caller-held scratch.
-pub(crate) fn monge_elkan_pre_s(
+pub(crate) fn monge_elkan_pre(
     a: AttrView<'_>,
     b: AttrView<'_>,
-    pool: usize,
-    gen: u64,
+    cx: Ctx,
     s: &mut CharScratch,
 ) -> f64 {
-    cached(s, gen, TAG_ME, a.value_id(), b.value_id(), |s| {
-        (monge_elkan_dir(a, b, pool, gen, s) + monge_elkan_dir(b, a, pool, gen, s)) / 2.0
+    memoized(s, cx, TAG_ME, a, b, |s| {
+        let forward = monge_elkan_dir(a, b, cx.pool, cx.gen, s);
+        (forward + monge_elkan_dir(b, a, cx.pool, cx.gen, s)) / 2.0
     })
 }
 
@@ -777,6 +843,11 @@ pub(crate) fn monge_elkan_pre_s(
 /// lengths capped at 8192 every intermediate stays well inside `i16`
 /// and the 16-bit arithmetic is integer-identical to the 32-bit form.
 const SW_I16_MAX_LEN: usize = 8192;
+
+/// Right sequences one lane-form DP sweep aligns at once: 16 `i16`
+/// cells fill one 256-bit vector, or two SSE2 registers at the default
+/// target.
+const SW_LANES: usize = 16;
 
 /// Generates one cell-width instantiation of the two Smith-Waterman
 /// forms. The bodies are textually shared so the 16-bit variants cannot
@@ -945,19 +1016,13 @@ sw_forms!(
 /// Normalized Smith-Waterman over the precomputed lowercased char ids;
 /// mirrors `align::smith_waterman_similarity` (which scores and
 /// normalizes over the lower-cased sequences).
-#[inline]
-pub fn smith_waterman_pre(a: AttrView<'_>, b: AttrView<'_>, gen: u64) -> f64 {
-    with_scratch(|s| smith_waterman_pre_s(a, b, gen, s))
-}
-
-/// [`smith_waterman_pre`] over a caller-held scratch.
-pub(crate) fn smith_waterman_pre_s(
+pub(crate) fn smith_waterman_pre(
     a: AttrView<'_>,
     b: AttrView<'_>,
-    gen: u64,
+    cx: Ctx,
     s: &mut CharScratch,
 ) -> f64 {
-    cached(s, gen, TAG_SW, a.value_id(), b.value_id(), |s| {
+    memoized(s, cx, TAG_SW, a, b, |s| {
         let (ca, cb) = (a.lower_char_ids(), b.lower_char_ids());
         if ca.is_empty() && cb.is_empty() {
             return 1.0;
@@ -965,7 +1030,6 @@ pub(crate) fn smith_waterman_pre_s(
         if ca.is_empty() || cb.is_empty() {
             return 0.0;
         }
-        let max_score = 2 * ca.len().min(cb.len()) as i64;
         // 16-bit path when both sides carry narrowed ids (empty means
         // the char pool overflowed i16 — `ca`/`cb` are non-empty here)
         // and the lengths keep every DP intermediate inside i16.
@@ -978,8 +1042,125 @@ pub(crate) fn smith_waterman_pre_s(
         } else {
             smith_waterman_score_ids(ca, cb, s)
         };
-        (score as f64 / max_score as f64).clamp(0.0, 1.0)
+        sw_similarity(score, ca.len(), cb.len())
     })
+}
+
+/// The reference's normalization of a local-alignment score of two
+/// non-empty sequences of lengths `la` and `lb`.
+#[inline]
+fn sw_similarity(score: i64, la: usize, lb: usize) -> f64 {
+    let max_score = 2 * la.min(lb) as i64;
+    (score as f64 / max_score as f64).clamp(0.0, 1.0)
+}
+
+/// The narrowed lowercase sequence of `v` if it can ride in a lane: the
+/// pool narrows, and the sequence is non-empty and at most
+/// [`SW_I16_MAX_LEN`] long.
+fn lane_seq(v: AttrView<'_>) -> Option<&[i16]> {
+    let n = v.lower_char_ids().len();
+    let ids = v.lower_char_i16();
+    (n > 0 && n <= SW_I16_MAX_LEN && ids.len() == n).then_some(ids)
+}
+
+/// Normalized Smith-Waterman of one left value `a` against a run of
+/// right values `bs` (each with the output row it belongs to), bit-equal
+/// to [`smith_waterman_pre`] on every pair; `put(row, score)` receives
+/// each result.
+///
+/// Pairs whose sequences can both ride a lane ([`lane_seq`]) are
+/// grouped by right-sequence length, sixteen to a group, and scored by
+/// [`sw_lanes`]. The rest — and a run with fewer than two lane pairs —
+/// take the per-pair forms.
+pub(crate) fn smith_waterman_run(
+    a: AttrView<'_>,
+    bs: &[(usize, AttrView<'_>)],
+    cx: Ctx,
+    s: &mut CharScratch,
+    mut put: impl FnMut(usize, f64),
+) {
+    let qa = lane_seq(a);
+    let n_lane = match qa {
+        Some(_) => bs.iter().filter(|&&(_, b)| lane_seq(b).is_some()).count(),
+        None => 0,
+    };
+    let mut laned: Vec<(usize, &[i16])> = Vec::with_capacity(n_lane);
+    for &(row, b) in bs {
+        match lane_seq(b) {
+            Some(qb) if n_lane >= 2 => laned.push((row, qb)),
+            _ => put(row, smith_waterman_pre(a, b, cx, s)),
+        }
+    }
+    let Some(qa) = qa else { return };
+    // A group sweeps to its longest sequence; similar lengths together
+    // leave the least padding.
+    laned.sort_unstable_by_key(|&(_, qb)| qb.len());
+    let mut group: [&[i16]; SW_LANES] = [&[]; SW_LANES];
+    for chunk in laned.chunks(SW_LANES) {
+        for (g, &(_, qb)) in group.iter_mut().zip(chunk) {
+            *g = qb;
+        }
+        let scores = sw_lanes(qa, &group[..chunk.len()], s);
+        for (&score, &(row, qb)) in scores.iter().zip(chunk) {
+            put(row, sw_similarity(i64::from(score), qa.len(), qb.len()));
+        }
+    }
+}
+
+/// Smith-Waterman scores of `a` against each of up to [`SW_LANES`]
+/// sequences `bs` in one DP sweep, lane `l` holding `bs[l]`'s alignment.
+/// The sequences are transposed into `sw_bt[j][l]`, padded with `-1`
+/// past each sequence's end, and the sweep runs column by column (one
+/// column per position `j` of the right sequences) with the reference
+/// recurrence `max(diag ± score, up − 1, left − 1, 0)` on every lane.
+///
+/// Each lane's maximum is its sequence's exact score:
+///
+/// * A real cell (`j` < its sequence's length) reads only cells of
+///   earlier columns and rows, all real, so it holds the reference's
+///   value.
+/// * `-1` equals no narrowed char id (they are ranks, never negative),
+///   so a padded cell scores a mismatch at best. Padding starts after
+///   the last real column, so by induction over columns a padded cell
+///   never exceeds `max(0, M − 1)`, where `M` is the largest real cell
+///   of its lane: each of its terms is a real or padded neighbor minus
+///   one, or 0.
+///
+/// So padding never raises a lane's maximum above `M`. Every value stays
+/// within `0..=2·|a|` (plus the `−1`/`+2` steps), inside `i16` for `a`
+/// no longer than [`SW_I16_MAX_LEN`].
+fn sw_lanes(a: &[i16], bs: &[&[i16]], s: &mut CharScratch) -> [i16; SW_LANES] {
+    debug_assert!(bs.len() <= SW_LANES && a.len() <= SW_I16_MAX_LEN);
+    let n = bs.iter().map(|b| b.len()).max().unwrap_or(0);
+    s.sw_bt.clear();
+    s.sw_bt.resize(n, [-1; SW_LANES]);
+    for (l, b) in bs.iter().enumerate() {
+        for (col, &c) in s.sw_bt.iter_mut().zip(*b) {
+            col[l] = c;
+        }
+    }
+    s.sw_col.clear();
+    s.sw_col.resize(a.len(), [0; SW_LANES]);
+    let mut best = [0i16; SW_LANES];
+    for bj in &s.sw_bt {
+        // Row 0 of every column is the zero boundary.
+        let mut diag = [0i16; SW_LANES];
+        let mut up = [0i16; SW_LANES];
+        for (cell, &ca) in s.sw_col.iter_mut().zip(a) {
+            // `cell` holds the previous column's value of this row.
+            let left = *cell;
+            let mut h = [0i16; SW_LANES];
+            for l in 0..SW_LANES {
+                let score = if bj[l] == ca { 2 } else { -1 };
+                h[l] = (diag[l] + score).max(left[l].max(up[l]) - 1).max(0);
+                best[l] = best[l].max(h[l]);
+            }
+            diag = left;
+            up = h;
+            *cell = h;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -1210,6 +1391,101 @@ mod tests {
                         smith_waterman_score_diag16(&ia16, &ib16, &mut s),
                         want,
                         "diag16 ({la}, {lb})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random lowercase strings over a small
+    /// alphabet (frequent matches), so the reference lowercasing is the
+    /// identity.
+    fn lane_text(seed: u64, len: usize) -> String {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                char::from(b'a' + ((x >> 33) % 5) as u8)
+            })
+            .collect()
+    }
+
+    fn lane_ids(s: &str) -> Vec<i16> {
+        s.bytes().map(|c| i16::from(c - b'a')).collect()
+    }
+
+    #[test]
+    fn sw_lanes_match_reference_scores() {
+        use crate::align;
+        let mut s = CharScratch::default();
+        for la in [1usize, 7, 39, 40, 41, 70] {
+            let q = lane_text(la as u64 * 7 + 1, la);
+            // Lengths around the row/diagonal crossover, each lane a
+            // different length (so every lane but the longest is padded),
+            // plus the query itself (identity alignment).
+            let subjects: Vec<String> = (0..SW_LANES)
+                .map(|l| match l {
+                    0 => q.clone(),
+                    _ => lane_text(l as u64 * 131 + la as u64, 1 + (l * 37 + la * 3) % 85),
+                })
+                .collect();
+            let ids: Vec<Vec<i16>> = subjects.iter().map(|t| lane_ids(t)).collect();
+            for count in 1..=SW_LANES {
+                let bs: Vec<&[i16]> = ids[..count].iter().map(Vec::as_slice).collect();
+                let got = sw_lanes(&lane_ids(&q), &bs, &mut s);
+                for (l, t) in subjects[..count].iter().enumerate() {
+                    assert_eq!(
+                        i64::from(got[l]),
+                        align::smith_waterman_score(&q, t),
+                        "query len {la}, {count} lanes, lane {l} (len {})",
+                        t.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sw_run_matches_reference_across_lane_counts_and_the_length_cap() {
+        use crate::align;
+        use crate::analysis::analyze_task;
+        use crate::record::{Attribute, Schema, Table, Value};
+        use std::sync::Arc;
+
+        // B holds a lane-eligible sequence mix, one sequence past the i16
+        // cap and one empty value: both must leave the lanes and still
+        // agree with the reference.
+        let query = lane_text(3, 40);
+        let mut texts: Vec<String> = (0..17)
+            .map(|k| lane_text(k as u64 * 17 + 5, 30 + (k * 13) % 25))
+            .collect();
+        texts[4] = query.clone();
+        texts[9] = lane_text(99, SW_I16_MAX_LEN + 5);
+        texts[12] = String::new();
+        let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+        let rows = |ts: &[String]| ts.iter().map(|t| vec![Value::Text(t.clone())]).collect();
+        let a = Table::new("a", schema.clone(), rows(&[query.clone(), lane_text(7, 9000)]));
+        let b = Table::new("b", schema, rows(&texts));
+        let an = analyze_task(&a, &b, &[None], exec::Threads::new(1));
+        let cx = Ctx { pool: an.stats.distinct_chars, gen: an.generation, memo: false };
+        let mut s = CharScratch::default();
+        for ra in 0..a.len() as u32 {
+            let av = an.attr_a(ra, 0).expect("text");
+            let x = a.record(ra).value(0).as_text().expect("text");
+            // Every lane count for the short query; the long one (too
+            // long for any lane) once.
+            let first = if ra == 0 { 1 } else { texts.len() };
+            for count in first..=texts.len() {
+                let bs: Vec<(usize, AttrView<'_>)> =
+                    (0..count).map(|k| (k, an.attr_b(k as u32, 0).expect("text"))).collect();
+                let mut got = vec![f64::NAN; count];
+                smith_waterman_run(av, &bs, cx, &mut s, |k, v| got[k] = v);
+                for (k, g) in got.iter().enumerate() {
+                    let want = align::smith_waterman_similarity(x, &texts[k]);
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "a{ra}, run of {count}, pair {k}: {g} vs {want}"
                     );
                 }
             }

@@ -82,13 +82,16 @@ impl FeatureKind {
     /// production (analysis/precomputed) kernels, measured by `bench
     /// --bin blocking_perf --kinds` as the per-dataset ratio to
     /// `ExactMatch`, median over the three synthetic datasets at scale
-    /// 1.0. The sweep runs kinds in library order over one shared cache
+    /// 1.0. The sweep ran kinds in library order over one shared cache
     /// generation, so these are *marginal* costs within a full pass —
-    /// e.g. Jaro-Winkler reads Jaro's cached score and prices near the
-    /// probe. The PR 9 arena repack compressed the spread hard: with
-    /// every segment of a value's analysis on adjacent cache lines, the
-    /// set-merge kernels now cluster just above the header-compare
-    /// kernels, and only the per-pair-quadratic char measures
+    /// e.g. Jaro-Winkler read Jaro's cached score and priced near the
+    /// probe (a full vector still computes Jaro once per pair for both).
+    /// The values are part of the rule ranking, so a recalibration moves
+    /// run outputs and is its own change. The arena repack (DESIGN.md
+    /// §4j) compressed the spread hard: with every segment of a value's
+    /// analysis on adjacent cache lines, the set-merge kernels now
+    /// cluster just above the header-compare kernels, and only the
+    /// per-pair-quadratic char measures
     /// (Smith-Waterman, Monge-Elkan) and the wide 3-gram merges still
     /// stand apart — the old 23× top-to-bottom ratio is now ~15×.
     /// `tests::costs_track_measured_kernel_timings` keeps this table

@@ -104,8 +104,8 @@ impl FeatureVectorizer {
 
     /// Build the precomputed analysis layer for a task's two tables (see
     /// [`crate::analysis`]). The result feeds [`Self::feature_pre`] /
-    /// [`Self::vectorize_pre`], whose outputs are bit-identical to the
-    /// string-based [`Self::feature`] / [`Self::vectorize`].
+    /// [`Self::vectorize_pre_into`], whose outputs are bit-identical to
+    /// the string-based [`Self::feature`] / [`Self::vectorize`].
     pub fn analyze(&self, a: &Table, b: &Table, threads: exec::Threads) -> TaskAnalysis {
         analysis::analyze_task(a, b, &self.tfidf, threads)
     }
@@ -127,9 +127,11 @@ impl FeatureVectorizer {
         charkernels::with_scratch(|s| self.feature_pre_with(idx, a, b, an, ra, rb, s))
     }
 
-    /// [`Self::feature_pre`] with the per-attribute analyses and the
-    /// char-kernel scratch already in hand — the shared body that lets
-    /// [`Self::vectorize_pre`] hoist both out of the per-feature loop.
+    /// One feature of one pair with its attribute views and the
+    /// char-kernel scratch in hand — the body both [`Self::feature_pre`]
+    /// and [`Self::vectorize_pre_into`] compute through. Whole-value
+    /// results are cached only on attributes whose values recur
+    /// ([`TaskAnalysis::recurring`]).
     #[allow(clippy::too_many_arguments)] // hoisted per-pair state, private
     fn feature_pre_with(
         &self,
@@ -142,6 +144,9 @@ impl FeatureVectorizer {
         s: &mut charkernels::CharScratch,
     ) -> f64 {
         let def = &self.lib.defs[idx];
+        // Built only by the char kernels: the set kernels on the rule
+        // application path never read it.
+        let cx = || charkernels::Ctx::new(an, def.attr);
         match def.kind {
             FeatureKind::JaccardWords
             | FeatureKind::Jaccard3Grams
@@ -163,17 +168,26 @@ impl FeatureVectorizer {
                 let (Some(ra), Some(rb)) = (ra, rb) else {
                     return f64::NAN;
                 };
+                let words = |s| {
+                    let inter = charkernels::word_intersection(ra, rb, an.generation, s);
+                    (inter, ra.word_ids().len(), rb.word_ids().len())
+                };
                 match def.kind {
                     FeatureKind::JaccardWords => {
-                        analysis::jaccard_ids(ra.word_ids(), rb.word_ids())
+                        let (inter, la, lb) = words(s);
+                        analysis::jaccard_of(inter, la, lb)
                     }
                     FeatureKind::Jaccard3Grams => {
                         analysis::jaccard_ids(ra.gram_ids(), rb.gram_ids())
                     }
                     FeatureKind::OverlapWords => {
-                        analysis::overlap_ids(ra.word_ids(), rb.word_ids())
+                        let (inter, la, lb) = words(s);
+                        analysis::overlap_of(inter, la, lb)
                     }
-                    FeatureKind::DiceWords => analysis::dice_ids(ra.word_ids(), rb.word_ids()),
+                    FeatureKind::DiceWords => {
+                        let (inter, la, lb) = words(s);
+                        analysis::dice_of(inter, la, lb)
+                    }
                     FeatureKind::CosineTfIdf => {
                         if self.tfidf[def.attr].is_some() {
                             analysis::cosine_pre(ra, rb)
@@ -185,33 +199,11 @@ impl FeatureVectorizer {
                     FeatureKind::Containment => analysis::containment_pre(ra, rb),
                     FeatureKind::PrefixSim => analysis::prefix_pre(ra, rb),
                     FeatureKind::Soundex => analysis::soundex_pre(ra, rb),
-                    FeatureKind::Levenshtein => charkernels::levenshtein_pre_s(
-                        ra,
-                        rb,
-                        an.stats.distinct_chars,
-                        an.generation,
-                        s,
-                    ),
-                    FeatureKind::Jaro => {
-                        charkernels::jaro_pre_s(ra, rb, an.stats.distinct_chars, an.generation, s)
-                    }
-                    FeatureKind::JaroWinkler => charkernels::jaro_winkler_pre_s(
-                        ra,
-                        rb,
-                        an.stats.distinct_chars,
-                        an.generation,
-                        s,
-                    ),
-                    FeatureKind::MongeElkan => charkernels::monge_elkan_pre_s(
-                        ra,
-                        rb,
-                        an.stats.distinct_chars,
-                        an.generation,
-                        s,
-                    ),
-                    FeatureKind::SmithWaterman => {
-                        charkernels::smith_waterman_pre_s(ra, rb, an.generation, s)
-                    }
+                    FeatureKind::Levenshtein => charkernels::levenshtein_pre(ra, rb, cx(), s),
+                    FeatureKind::Jaro => charkernels::jaro_pre(ra, rb, cx(), s),
+                    FeatureKind::JaroWinkler => charkernels::jaro_winkler_pre(ra, rb, cx(), s),
+                    FeatureKind::MongeElkan => charkernels::monge_elkan_pre(ra, rb, cx(), s),
+                    FeatureKind::SmithWaterman => charkernels::smith_waterman_pre(ra, rb, cx(), s),
                     _ => unreachable!(),
                 }
             }
@@ -219,44 +211,77 @@ impl FeatureVectorizer {
         }
     }
 
-    /// [`Self::vectorize`] through the precomputed analysis. The
-    /// per-attribute analysis lookups and the char-kernel scratch access
-    /// are hoisted out of the per-feature loop — with tens of features
-    /// per schema they are a measurable share of the per-pair cost.
+    /// [`Self::vectorize`] through the precomputed analysis, for a single
+    /// pair (a run of one, see [`Self::vectorize_pre_into`]).
     pub fn vectorize_pre(&self, a: &Record, b: &Record, an: &TaskAnalysis) -> Vec<f64> {
         let mut out = vec![0.0; self.lib.len()];
-        self.vectorize_pre_into(a, b, an, &mut out);
+        self.vectorize_pre_into(a, &[b], an, &mut out);
         out
     }
 
-    /// [`Self::vectorize_pre`] into a caller-owned row of
-    /// [`Self::n_features`] values — the allocation-free form for per-pair
-    /// hot loops and in-place matrix fills. Schemas wider than the
-    /// stack-resident attr-lookup cap (far beyond any real schema) take
-    /// two transient side tables.
-    pub fn vectorize_pre_into(&self, a: &Record, b: &Record, an: &TaskAnalysis, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.lib.len(), "row length must equal n_features");
-        const MAX_ATTRS: usize = 32;
+    /// Feature vectors of the run of pairs `(a, bs[k])` through the
+    /// precomputed analysis, into `out`: row `k` (of
+    /// [`Self::n_features`] values) is pair `k`'s [`Self::vectorize`],
+    /// bit for bit. Candidate streams arrive grouped by the left record,
+    /// so one call covers a whole run of them:
+    ///
+    /// * `a`'s attribute views are looked up once per run, and the
+    ///   char-kernel scratch is taken once;
+    /// * a pair's Jaro score feeds both Jaro and Jaro-Winkler, and its
+    ///   word-set intersection feeds Jaccard, overlap and Dice (through
+    ///   the scratch, as in [`Self::feature_pre`]);
+    /// * Smith-Waterman on attributes whose values do not recur scores
+    ///   `a` against sixteen `b`s per DP sweep
+    ///   ([`charkernels::smith_waterman_run`]).
+    ///
+    /// # Panics
+    /// Panics if `out` does not hold `bs.len()` rows.
+    pub fn vectorize_pre_into(
+        &self,
+        a: &Record,
+        bs: &[&Record],
+        an: &TaskAnalysis,
+        out: &mut [f64],
+    ) {
+        let nf = self.lib.len();
+        assert_eq!(out.len(), bs.len() * nf, "one row of n_features per b");
+        if nf == 0 {
+            return;
+        }
         let n_attrs = self.tfidf.len();
-        let mut abuf = [None; MAX_ATTRS];
-        let mut bbuf = [None; MAX_ATTRS];
-        let (mut va, mut vb) = (Vec::new(), Vec::new());
-        let (ra, rb): (&[Option<AttrView<'_>>], &[Option<AttrView<'_>>]) =
-            if n_attrs <= MAX_ATTRS {
-                for ai in 0..n_attrs {
-                    abuf[ai] = an.attr_a(a.id, ai);
-                    bbuf[ai] = an.attr_b(b.id, ai);
-                }
-                (&abuf[..n_attrs], &bbuf[..n_attrs])
-            } else {
-                va.extend((0..n_attrs).map(|ai| an.attr_a(a.id, ai)));
-                vb.extend((0..n_attrs).map(|ai| an.attr_b(b.id, ai)));
-                (va.as_slice(), vb.as_slice())
-            };
+        let ra: Vec<Option<AttrView<'_>>> = (0..n_attrs).map(|ai| an.attr_a(a.id, ai)).collect();
+        let rb: Vec<Option<AttrView<'_>>> = bs
+            .iter()
+            .flat_map(|b| (0..n_attrs).map(move |ai| an.attr_b(b.id, ai)))
+            .collect();
+        let laned = |def: &FeatureDef| {
+            def.kind == FeatureKind::SmithWaterman && !an.recurring(def.attr)
+        };
         charkernels::with_scratch(|s| {
-            for (fi, v) in out.iter_mut().enumerate() {
-                let attr = self.lib.defs[fi].attr;
-                *v = self.feature_pre_with(fi, a, b, an, ra[attr], rb[attr], s);
+            for (k, (b, row)) in bs.iter().zip(out.chunks_exact_mut(nf)).enumerate() {
+                let rbk = &rb[k * n_attrs..(k + 1) * n_attrs];
+                for (fi, (v, def)) in row.iter_mut().zip(&self.lib.defs).enumerate() {
+                    if !laned(def) {
+                        let (va, vb) = (ra[def.attr], rbk[def.attr]);
+                        *v = self.feature_pre_with(fi, a, b, an, va, vb, s);
+                    }
+                }
+            }
+            for (fi, def) in self.lib.defs.iter().enumerate().filter(|(_, d)| laned(d)) {
+                // Pairs with a missing value score NaN, as on every path.
+                let mut present: Vec<(usize, AttrView<'_>)> = Vec::with_capacity(bs.len());
+                for k in 0..bs.len() {
+                    match (ra[def.attr], rb[k * n_attrs + def.attr]) {
+                        (Some(_), Some(vb)) => present.push((k, vb)),
+                        _ => out[k * nf + fi] = f64::NAN,
+                    }
+                }
+                if let Some(va) = ra[def.attr] {
+                    let cx = charkernels::Ctx::new(an, def.attr);
+                    charkernels::smith_waterman_run(va, &present, cx, s, |k, x| {
+                        out[k * nf + fi] = x;
+                    });
+                }
             }
         })
     }

@@ -3,11 +3,13 @@
 //! string-based reference **exactly** — `f64::to_bits` equality, NaN
 //! included — covering empty strings, missing values, and mixed schemas.
 //! This is the executable form of the bit-identity contract documented in
-//! `similarity::analysis`.
+//! `similarity::analysis`. Every table pair is checked three ways: per
+//! feature, per pair, and as runs (each A record against all of B in one
+//! `vectorize_pre_into` call, the shape candidate builds use).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use similarity::{Attribute, FeatureVectorizer, Schema, Table, Value};
+use similarity::{Attribute, FeatureVectorizer, Record, Schema, Table, Value};
 use std::sync::Arc;
 
 fn any_text() -> impl Strategy<Value = String> {
@@ -61,10 +63,22 @@ fn assert_all_pairs_bitwise_at(
 ) -> Result<(), TestCaseError> {
     let vz = FeatureVectorizer::fit(a, b);
     let an = vz.analyze(a, b, exec::Threads::new(threads));
+    let nf = vz.n_features();
+    let all_b: Vec<&Record> = b.records.iter().collect();
+    let mut run = vec![0.0; all_b.len() * nf];
     for ra in &a.records {
-        for rb in &b.records {
+        vz.vectorize_pre_into(ra, &all_b, &an, &mut run);
+        for (rb, run_row) in b.records.iter().zip(run.chunks_exact(nf)) {
             let want = vz.vectorize(ra, rb);
             let got = vz.vectorize_pre(ra, rb, &an);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(run_row),
+                bits(&got),
+                "run row diverged from the per-pair path on ({:?}, {:?})",
+                ra.value(0),
+                rb.value(0)
+            );
             prop_assert_eq!(got.len(), want.len());
             for (fi, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(
@@ -208,6 +222,65 @@ fn edge_cases_are_bit_identical() {
         .collect();
     let (a, b) = tables(rows.clone(), rows);
     assert_all_pairs_bitwise(&a, &b).expect("edge cases must be bit-identical");
+}
+
+/// Three text attributes per record, each pair seeing different values
+/// in each: the work a pair's features share (the word-set intersection,
+/// the Jaro score) belongs to one pair of values, and neither a pair nor
+/// a run may carry it into the next attribute or the next pair.
+#[test]
+fn multi_attribute_runs_are_bit_identical() {
+    let long = "xy".repeat(40);
+    let texts = [
+        "kingston hyperx 4gb kit",
+        "Kingston HyperX",
+        "",
+        "a a b",
+        "corsair vengeance 8gb ddr3",
+        "martha",
+        "marhta",
+        "kit 4gb kingston",
+        &long,
+    ];
+    let n = texts.len();
+    let schema = Arc::new(Schema::new(vec![
+        Attribute::text("t1"),
+        Attribute::text("t2"),
+        Attribute::number("n"),
+        Attribute::text("t3"),
+    ]));
+    let rows = |shift: usize| -> Vec<Vec<Value>> {
+        (0..n)
+            .map(|i| {
+                let t = |k: usize| Value::Text(texts[(i * k + shift) % n].to_string());
+                vec![t(1), t(2), Value::Number(i as f64), t(4)]
+            })
+            .collect()
+    };
+    let a = Table::new("a", schema.clone(), rows(0));
+    let b = Table::new("b", schema, rows(3));
+    assert_all_pairs_bitwise(&a, &b).expect("every attribute's features are its own");
+}
+
+/// Analyses built one after another on one thread whose values get the
+/// same ids but differ in content: nothing computed for one (the char
+/// kernels' result cache, the scratch's last-pair slots) may answer for
+/// the other.
+#[test]
+fn consecutive_analyses_share_no_results() {
+    let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+    let table = |name: &str, t: &str| {
+        Table::new(name, schema.clone(), vec![vec![Value::Text(t.to_string())]])
+    };
+    // Each task's two distinct values sort to ids 0 (A) and 1 (B).
+    for (x, y) in [
+        ("alpha beta", "alpha gamma"),
+        ("beta", "gamma"),
+        ("alpha beta", "alpha gamma"),
+    ] {
+        assert_all_pairs_bitwise_at(&table("a", x), &table("b", y), 1)
+            .expect("each analysis computes its own results");
+    }
 }
 
 #[test]

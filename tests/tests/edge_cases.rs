@@ -3,6 +3,7 @@
 //! degrade gracefully — never panic, never spend unboundedly, always
 //! return a report.
 
+use corleone::engine::Termination;
 use corleone::task::task_from_parts;
 use corleone::{CorleoneConfig, Engine, MatchTask, Threads};
 use crowd::{CrowdConfig, CrowdPlatform, GoldOracle, PairKey, WorkerPool};
@@ -54,6 +55,39 @@ fn survives_a_nearly_adversarial_crowd() {
     assert!(report.total_cost_cents > 0.0);
     assert!(report.total_cost_cents < 100_000.0);
     assert!(report.final_estimate.is_some());
+}
+
+#[test]
+fn one_pair_candidate_set_ends_in_a_label_not_a_panic() {
+    // A 1 × 1 task: the candidate set is a single pair, too small for the
+    // learner's monitor set (it takes at most half of the candidates).
+    // Sizing that set used to panic; the run must end in a labelled
+    // termination or a typed error.
+    let (a, b) = shared_schema_tables(1, 1);
+    let task = task_from_parts(a, b, "same item", [(0, 0), (0, 0)], [(0, 0), (0, 0)]);
+    let gold = GoldOracle::from_pairs([(0, 0)]);
+    let mut platform = CrowdPlatform::new(WorkerPool::perfect(3), CrowdConfig::default());
+    let result = Engine::new(CorleoneConfig::small())
+        .with_seed(10)
+        .session(&task)
+        .platform(&mut platform)
+        .oracle(&gold)
+        .gold(gold.matches())
+        .try_run();
+    match result {
+        Ok(report) => assert!(
+            matches!(
+                report.termination,
+                Termination::Converged
+                    | Termination::MaxIterations
+                    | Termination::BudgetExhausted
+                    | Termination::Degraded
+            ),
+            "{:?}",
+            report.termination
+        ),
+        Err(e) => assert!(!e.to_string().is_empty()),
+    }
 }
 
 #[test]
