@@ -103,63 +103,73 @@ impl ExpOptions {
     }
 }
 
-/// Parse the common flags from `std::env::args`. Unknown flags abort with
-/// a usage message.
+/// Parse the common flags from `std::env::args`. `--help` prints the
+/// flags and exits 0; a bad line (unknown flag or dataset, missing or
+/// malformed value) prints why and exits 2.
 pub fn parse_args() -> ExpOptions {
-    let mut opts = ExpOptions::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need_value = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--scale" => opts.scale = need_value(i).parse().expect("bad --scale"),
-            "--runs" => opts.runs = need_value(i).parse().expect("bad --runs"),
-            "--error" => opts.error_rate = need_value(i).parse().expect("bad --error"),
-            "--seed" => opts.seed = need_value(i).parse().expect("bad --seed"),
-            "--datasets" => {
-                opts.datasets = need_value(i).split(',').map(|s| s.to_string()).collect()
-            }
-            "--fault-expiry" => {
-                opts.fault_expiry = need_value(i).parse().expect("bad --fault-expiry")
-            }
-            "--fault-abandon" => {
-                opts.fault_abandon = need_value(i).parse().expect("bad --fault-abandon")
-            }
-            "--fault-outage" => {
-                opts.fault_outage = need_value(i).parse().expect("bad --fault-outage")
-            }
-            "--checkpoint-dir" => opts.checkpoint_dir = Some(need_value(i).to_string()),
-            "--checkpoint-every" => {
-                opts.checkpoint_every =
-                    need_value(i).parse().expect("bad --checkpoint-every")
-            }
-            "--checkpoint-keep" => {
-                opts.checkpoint_keep = need_value(i).parse().expect("bad --checkpoint-keep")
-            }
-            "--resume-from" => opts.resume_from = Some(need_value(i).to_string()),
-            "--emit-json" => opts.emit_json = Some(need_value(i).to_string()),
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --scale <f> --runs <n> --error <f> --seed <n> --datasets a,b,c \
-                     --fault-expiry <f> --fault-abandon <f> --fault-outage <f> \
-                     --checkpoint-dir <d> --checkpoint-every <n> --checkpoint-keep <n> \
-                     --resume-from <path> --emit-json <d>"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; see --help");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!(
+            "flags: --scale <f> --runs <n> --error <f> --seed <n> --datasets a,b,c \
+             --fault-expiry <f> --fault-abandon <f> --fault-outage <f> \
+             --checkpoint-dir <d> --checkpoint-every <n> --checkpoint-keep <n> \
+             --resume-from <path> --emit-json <d>"
+        );
+        std::process::exit(0);
     }
-    opts
+    parse_arg_list(&args).unwrap_or_else(|e| {
+        eprintln!("{e}; see --help");
+        std::process::exit(2);
+    })
+}
+
+/// The common flags of `args` (the command line without the program
+/// name), or why the line is bad: an unknown flag, a flag without a
+/// value, a value that does not parse, or a dataset outside
+/// [`datagen::DATASET_NAMES`].
+pub fn parse_arg_list(args: &[String]) -> Result<ExpOptions, String> {
+    fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.parse().map_err(|e| format!("bad {flag} {v:?}: {e}"))
+    }
+    let mut opts = ExpOptions::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        if !flag.starts_with("--") {
+            return Err(format!("unknown flag {flag}"));
+        }
+        let v = it.next().ok_or_else(|| format!("missing value for {flag}"))?;
+        match flag {
+            "--scale" => opts.scale = num(flag, v)?,
+            "--runs" => opts.runs = num(flag, v)?,
+            "--error" => opts.error_rate = num(flag, v)?,
+            "--seed" => opts.seed = num(flag, v)?,
+            "--datasets" => {
+                opts.datasets = v.split(',').map(|s| s.to_string()).collect();
+                if let Some(bad) =
+                    opts.datasets.iter().find(|d| !datagen::DATASET_NAMES.contains(&d.as_str()))
+                {
+                    return Err(format!(
+                        "unknown dataset {bad} (have: {})",
+                        datagen::DATASET_NAMES.join(", ")
+                    ));
+                }
+            }
+            "--fault-expiry" => opts.fault_expiry = num(flag, v)?,
+            "--fault-abandon" => opts.fault_abandon = num(flag, v)?,
+            "--fault-outage" => opts.fault_outage = num(flag, v)?,
+            "--checkpoint-dir" => opts.checkpoint_dir = Some(v.clone()),
+            "--checkpoint-every" => opts.checkpoint_every = num(flag, v)?,
+            "--checkpoint-keep" => opts.checkpoint_keep = num(flag, v)?,
+            "--resume-from" => opts.resume_from = Some(v.clone()),
+            "--emit-json" => opts.emit_json = Some(v.clone()),
+            _ => return Err(format!("unknown flag {flag}")),
+        }
+    }
+    Ok(opts)
 }
 
 /// Generate a dataset by name at the options' scale and seed.
@@ -364,6 +374,27 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(pct(0.965), "96.5");
         assert_eq!(dollars(920.0), "$9.2");
+    }
+
+    #[test]
+    fn arg_list_errors_are_values_not_panics() {
+        let line = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        let err = parse_arg_list(&line("--datasets restaurants,nosuch")).unwrap_err();
+        assert!(err.contains("unknown dataset nosuch"), "{err}");
+        let err = parse_arg_list(&line("--scale abc")).unwrap_err();
+        assert!(err.starts_with("bad --scale \"abc\""), "{err}");
+        assert!(parse_arg_list(&line("--runs")).unwrap_err().contains("missing value"));
+        assert!(parse_arg_list(&line("--nosuch 1")).unwrap_err().contains("unknown flag"));
+
+        let opts = parse_arg_list(&line(
+            "--datasets citations,products --scale 0.05 --runs 1 --seed 7 --error 0.1 \
+             --emit-json out --checkpoint-keep 0",
+        ))
+        .unwrap();
+        assert_eq!(opts.datasets, ["citations", "products"]);
+        assert_eq!((opts.scale, opts.runs, opts.seed, opts.error_rate), (0.05, 1, 7, 0.1));
+        assert_eq!((opts.emit_json.as_deref(), opts.checkpoint_keep), (Some("out"), 0));
+        assert_eq!(parse_arg_list(&[]).unwrap().datasets.len(), datagen::DATASET_NAMES.len());
     }
 
     #[test]

@@ -35,39 +35,35 @@ impl CandidateSet {
     /// Materialize feature vectors for `pairs` with an explicit thread
     /// budget, consulting `cache` (read-through) when given. Builds the
     /// task's record analysis on that budget first if it is missing.
-    /// The matrix is allocated once and each row is written in place;
-    /// without a cache, each maximal run of pairs sharing the left record
-    /// inside a chunk is vectorized in one call.
+    /// The matrix is allocated once and each row is written in place.
+    /// Parallel tasks hold whole runs of pairs sharing the left record
+    /// ([`task_ends`]); without a cache, each run inside a task is
+    /// vectorized in one call.
     pub fn build_with(
         task: &MatchTask,
         pairs: Vec<PairKey>,
         threads: Threads,
         cache: Option<&FeatureCache>,
     ) -> Self {
-        /// Pairs per parallel task: fixed, so the work split never
-        /// depends on the thread budget.
-        const ROWS_PER_CHUNK: usize = 64;
         let n_features = task.n_features();
         task.ensure_analysis(threads);
         let mut matrix = vec![0.0; pairs.len() * n_features];
-        let chunk_len = ROWS_PER_CHUNK * n_features;
-        exec::par_chunks_mut(threads, &mut matrix, chunk_len, |c, rows| {
-            let keys = &pairs[c * ROWS_PER_CHUNK..][..rows.len() / n_features];
+        let ends = task_ends(&pairs);
+        let splits: Vec<usize> = ends.iter().map(|&e| e * n_features).collect();
+        exec::par_split_at_mut(threads, &mut matrix, &splits, |t, rows| {
+            let start = if t == 0 { 0 } else { ends[t - 1] };
+            let keys = &pairs[start..ends[t]];
             if let Some(cache) = cache {
                 for (&key, row) in keys.iter().zip(rows.chunks_exact_mut(n_features)) {
                     row.copy_from_slice(&cache.get_or_compute(key, || task.vectorize(key)));
                 }
                 return;
             }
-            let mut start = 0;
-            while start < keys.len() {
-                let a = keys[start].a;
-                let end = start + keys[start..].iter().take_while(|k| k.a == a).count();
-                task.vectorize_run_into(
-                    &keys[start..end],
-                    &mut rows[start * n_features..end * n_features],
-                );
-                start = end;
+            let mut done = 0;
+            for run in keys.chunk_by(|x, y| x.a == y.a) {
+                let end = done + run.len();
+                task.vectorize_run_into(run, &mut rows[done * n_features..end * n_features]);
+                done = end;
             }
         });
         CandidateSet { pairs, n_features, matrix }
@@ -153,6 +149,40 @@ impl CandidateSet {
         }
         CandidateSet { pairs, n_features: self.n_features, matrix }
     }
+}
+
+/// Row ends of the parallel tasks [`CandidateSet::build_with`] fills:
+/// whole runs of pairs sharing the left record, grouped until a task
+/// holds at least `ROWS_PER_TASK` rows, so no run shorter than a task is
+/// vectorized in two calls. Only a run longer than `MAX_ROWS_PER_TASK`
+/// is cut, into near-equal pieces, so a long Cartesian run still spreads
+/// over the threads. The split depends on the pair list only, never on
+/// the thread budget.
+fn task_ends(pairs: &[PairKey]) -> Vec<usize> {
+    const ROWS_PER_TASK: usize = 64;
+    const MAX_ROWS_PER_TASK: usize = 1024;
+    let mut ends = Vec::new();
+    let mut open = 0;
+    let mut start = 0;
+    for run in pairs.chunk_by(|x, y| x.a == y.a) {
+        let end = start + run.len();
+        if run.len() > MAX_ROWS_PER_TASK {
+            if open < start {
+                ends.push(start);
+            }
+            let pieces = run.len().div_ceil(MAX_ROWS_PER_TASK);
+            ends.extend((1..=pieces).map(|p| start + run.len() * p / pieces));
+            open = end;
+        } else if end - open >= ROWS_PER_TASK {
+            ends.push(end);
+            open = end;
+        }
+        start = end;
+    }
+    if open < pairs.len() {
+        ends.push(pairs.len());
+    }
+    ends
 }
 
 #[cfg(test)]
@@ -265,6 +295,23 @@ mod tests {
         assert_eq!(direct.pairs(), via.pairs());
         let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(direct.matrix()), bits(via.matrix()));
+    }
+
+    #[test]
+    fn tasks_hold_whole_runs_and_cut_only_long_ones() {
+        let run = |a: u32, n: u32| (0..n).map(move |b| PairKey::new(a, b));
+        // A run of a task's size or more is a task of its own.
+        let pairs: Vec<PairKey> = (0..3).flat_map(|a| run(a, 94)).collect();
+        assert_eq!(task_ends(&pairs), vec![94, 188, 282]);
+        // Short runs group until a task holds 64 rows; the tail closes
+        // the last task.
+        let pairs: Vec<PairKey> = (0..5).flat_map(|a| run(a, 30)).collect();
+        assert_eq!(task_ends(&pairs), vec![90, 150]);
+        // A long run closes the open task and is cut into near-equal
+        // pieces.
+        let pairs: Vec<PairKey> = run(0, 10).chain(run(1, 2500)).chain(run(2, 10)).collect();
+        assert_eq!(task_ends(&pairs), vec![10, 843, 1676, 2510, 2520]);
+        assert!(task_ends(&[]).is_empty());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * [`par_map`] — chunked data-parallel map with work stealing;
 //! * [`par_for_each`] — the side-effect variant;
-//! * [`par_chunks_mut`] — in-place fill of a buffer, one disjoint
-//!   fixed-size `&mut` chunk per task;
+//! * [`par_split_at_mut`] — in-place fill of a buffer, one disjoint
+//!   `&mut` part per task, cut at caller-given split points;
 //! * [`par_map_seeded`] — deterministic randomized map: per-item RNG
 //!   seeds are drawn *serially* from the parent generator, so results are
 //!   byte-identical at any thread count.
@@ -149,44 +149,59 @@ where
     result
 }
 
-/// Fill `data` in place, in parallel: `f(c, chunk)` receives the `c`-th
-/// run of `chunk_len` consecutive elements (the last run may be shorter)
-/// as a disjoint `&mut` slice. Every element is handed to exactly one
-/// call.
+/// Fill `data` in place, in parallel, cut at the caller's split points:
+/// `ends` holds the end offset of each part, non-decreasing, the last one
+/// `data.len()` (no parts for empty `data`). `f(p, part)` receives part
+/// `p`, `data[ends[p-1]..ends[p]]` (from 0 for `p = 0`), as a disjoint
+/// `&mut` slice. Every element is handed to exactly one call.
 ///
-/// The partition depends only on `chunk_len`, never on the thread count,
-/// so a deterministic `f` fills `data` identically at every budget.
-/// Workers claim chunks from a shared counter, as in [`indexed_par_map`].
-pub fn par_chunks_mut<T, F>(threads: Threads, data: &mut [T], chunk_len: usize, f: F)
+/// The partition is the caller's, never the thread count's, so a
+/// deterministic `f` fills `data` identically at every budget. Workers
+/// claim parts from a shared counter, as in [`indexed_par_map`].
+///
+/// # Panics
+/// Panics if `ends` is decreasing anywhere or does not end at
+/// `data.len()`.
+pub fn par_split_at_mut<T, F>(threads: Threads, data: &mut [T], ends: &[usize], f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let n_threads = threads.get().min(n_chunks);
+    assert_eq!(ends.last().copied().unwrap_or(0), data.len(), "split points must cover data");
+    let mut parts = Vec::with_capacity(ends.len());
+    let mut rest = data;
+    let mut start = 0;
+    for &end in ends {
+        assert!(end >= start, "split points must be non-decreasing");
+        let (part, tail) = rest.split_at_mut(end - start);
+        parts.push(part);
+        rest = tail;
+        start = end;
+    }
+    let n_threads = threads.get().min(parts.len());
     if n_threads <= 1 {
-        for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(c, chunk);
+        for (p, part) in parts.into_iter().enumerate() {
+            f(p, part);
         }
         return;
     }
 
-    // One slot per chunk; the claim counter hands each index to exactly
-    // one thread, which takes the chunk out of its slot.
+    // One slot per part; the claim counter hands each index to exactly
+    // one thread, which takes the part out of its slot.
+    let n_parts = parts.len();
     let slots: Vec<std::sync::Mutex<Option<&mut [T]>>> =
-        data.chunks_mut(chunk_len).map(|c| std::sync::Mutex::new(Some(c))).collect();
-    let next_chunk = AtomicUsize::new(0);
+        parts.into_iter().map(|part| std::sync::Mutex::new(Some(part))).collect();
+    let next_part = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..n_threads {
             scope.spawn(|| loop {
-                let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
+                let p = next_part.fetch_add(1, Ordering::Relaxed);
+                if p >= n_parts {
                     break;
                 }
-                let chunk = slots[c].lock().unwrap_or_else(|e| e.into_inner()).take();
-                if let Some(chunk) = chunk {
-                    f(c, chunk);
+                let part = slots[p].lock().unwrap_or_else(|e| e.into_inner()).take();
+                if let Some(part) = part {
+                    f(p, part);
                 }
             });
         }
@@ -247,20 +262,31 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_writes_every_index_exactly_once() {
-        for len in [0usize, 1, 63, 64, 1000] {
+    fn par_split_at_mut_writes_every_index_exactly_once() {
+        // Uneven parts, empty parts, one part, and no parts at all.
+        let cases: [&[usize]; 5] =
+            [&[], &[1], &[3, 3, 64, 65, 1000], &[500, 1000], &[0, 1000, 1000]];
+        for ends in cases {
+            let len = ends.last().copied().unwrap_or(0);
             for threads in [1, 2, 8] {
                 let mut data = vec![0u32; len];
-                par_chunks_mut(Threads::new(threads), &mut data, 64, |c, chunk| {
-                    assert!(chunk.len() == 64 || (c + 1) * 64 >= len, "short chunk {c}");
-                    for (j, x) in chunk.iter_mut().enumerate() {
-                        *x += (c * 64 + j) as u32 + 1;
+                par_split_at_mut(Threads::new(threads), &mut data, ends, |p, part| {
+                    let start = if p == 0 { 0 } else { ends[p - 1] };
+                    assert_eq!(part.len(), ends[p] - start, "part {p} of {ends:?}");
+                    for (j, x) in part.iter_mut().enumerate() {
+                        *x += (start + j) as u32 + 1;
                     }
                 });
                 let want: Vec<u32> = (1..=len as u32).collect();
-                assert_eq!(data, want, "len {len}, {threads} threads");
+                assert_eq!(data, want, "ends {ends:?}, {threads} threads");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cover data")]
+    fn par_split_at_mut_rejects_split_points_short_of_the_data() {
+        par_split_at_mut(Threads::new(1), &mut [0u8; 4], &[2], |_, _| {});
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   scan — `O(n·⌈n/64⌉)` instead of `O(n·window)`.
 //! * **Monge-Elkan** walks the precomputed token ranges (occurrence
 //!   order, duplicates kept — exactly what `tokenize::words` yields) with
-//!   the bitset Jaro-Winkler as its inner measure, deduping repeated
-//!   tokens on both sides (a max-fold is idempotent and order-free over
-//!   finite scores, and identical tokens score an exact 1.0).
+//!   the bitset Jaro-Winkler as its inner measure, once over the grid of
+//!   distinct tokens: Jaro-Winkler is symmetric, so each inner score
+//!   serves both directions (a max-fold is idempotent and order-free
+//!   over finite scores, and identical tokens score an exact 1.0).
 //! * **Smith-Waterman** scores one left value against up to 16 right
 //!   values at once when a vectorizer run shares the left record
 //!   ([`smith_waterman_run`]): the right sequences are transposed into
@@ -60,9 +61,10 @@
 //!   char as the reference's greedy window scan (the lowest untaken
 //!   match), so its match/transposition counts are identical integers.
 //!   Jaro-Winkler applies the reference's prefix boost to that score.
-//!   Monge-Elkan's token dedup leaves every per-token fold equal to its
-//!   true maximum (see `monge_elkan_dir` for the argument) and sums
-//!   per-occurrence terms in the reference's order.
+//!   Monge-Elkan's one-pass grid leaves every per-token fold of both
+//!   directions equal to its true maximum (see [`monge_elkan_pre`] for
+//!   the symmetry argument) and sums per-occurrence terms in the
+//!   reference's order.
 //! * A hit in the result cache or in the scratch's last-pair slots
 //!   returns the bits the kernel computed for the same inputs, so
 //!   whether a kernel consults them cannot change a result.
@@ -104,9 +106,10 @@ pub struct CharScratch {
     /// Jaro: bitmask of taken `b` positions and matched `a` chars.
     taken: Vec<u64>,
     a_matches: Vec<u32>,
-    /// Monge-Elkan: best inner score per distinct `a` token, indexed by
-    /// the precomputed `word_dedup_rank` (NaN = not yet computed).
-    me_a_best: Vec<f64>,
+    /// Monge-Elkan: the running maximum of each row (distinct `a` token)
+    /// and column (distinct `b` token) of the pair's token grid.
+    me_rows: Vec<f64>,
+    me_cols: Vec<f64>,
     /// Direct-mapped result cache keyed by `(kernel tag, id, id)` — whole
     /// values through `AttrView::value_id`, Monge-Elkan inner token
     /// pairs through word-pool ids. Attribute values (cities, brands,
@@ -142,8 +145,10 @@ pub struct CharScratch {
     /// The last value pair's Jaro score and word-set intersection size.
     /// Keyed like the result cache, so a hit is the same two strings, but
     /// on every attribute: a pair's Jaro-Winkler reuses its Jaro
-    /// matching, and its Jaccard, overlap and Dice share one merge, on
-    /// the run path and in single-feature calls alike.
+    /// matching on the run path and in single-feature calls alike, and
+    /// single-feature calls share one merge among a pair's Jaccard,
+    /// overlap and Dice (the run path counts against its left-value
+    /// marks, see `FeatureVectorizer::vectorize_pre_into`).
     last_jaro: Option<(PairId, f64)>,
     last_words: Option<(PairId, usize)>,
 }
@@ -203,7 +208,8 @@ const TAG_JARO: u64 = 2;
 const TAG_JW: u64 = 3;
 const TAG_ME: u64 = 4;
 const TAG_SW: u64 = 5;
-/// Monge-Elkan inner token-pair scores (word-pool ids, not value ids).
+/// Monge-Elkan inner token-pair scores, keyed by the unordered pair of
+/// word-pool ids (not value ids): Jaro-Winkler is symmetric.
 const TAG_ME_TOKEN: u64 = 6;
 const EMPTY_KEY: u64 = u64::MAX;
 
@@ -751,78 +757,33 @@ pub(crate) fn word_intersection(
 
 // ---- Monge-Elkan ---------------------------------------------------------
 
-/// Directed Monge-Elkan over precomputed token material; equals
-/// `monge_elkan::monge_elkan`'s iterator chain bit-for-bit.
+/// Symmetric Monge-Elkan over precomputed token material; equals
+/// `monge_elkan::monge_elkan_sym` bit for bit, in one pass over the
+/// pair's distinct-token grid (`word_dedup_ids` × `word_dedup_ids`).
 ///
-/// Three reductions cut the inner-comparison count without touching the
-/// result's bits, because the reference's per-token fold
-/// (`fold(0.0, f64::max)` over finite, non-negative scores) computes the
-/// plain maximum of its value set:
+/// Each inner Jaro-Winkler value feeds both its row maximum (the forward
+/// direction's best for that `a` token) and its column maximum (the
+/// backward direction's best for that `b` token). That is exact because
+/// Jaro-Winkler is bitwise symmetric:
 ///
-/// * duplicate `b` tokens are skipped — a max is idempotent (the distinct
-///   set is precomputed per value as `word_dedup_ids`/`word_dedup_first`);
-/// * repeated `a` tokens reuse the memoized best (indexed by the
-///   precomputed `word_dedup_rank`) — recomputing the same deterministic
-///   fold would return the identical bits, and the sum still adds its
-///   terms in occurrence order;
-/// * an `a` token that also occurs in `b` scores an exact 1.0
-///   (`jaro_winkler(x, x)`'s bits), which no other score can exceed.
-fn monge_elkan_dir(
-    a: AttrView<'_>,
-    b: AttrView<'_>,
-    pool: usize,
-    gen: u64,
-    s: &mut CharScratch,
-) -> f64 {
-    let (na, nb) = (a.n_word_tokens(), b.n_word_tokens());
-    if na == 0 && nb == 0 {
-        return 1.0;
-    }
-    if na == 0 || nb == 0 {
-        return 0.0;
-    }
-    // Per-distinct-`a`-token memo; NaN marks "not yet computed" (a real
-    // best is always finite: the fold starts at 0.0 over finite scores).
-    s.me_a_best.clear();
-    s.me_a_best.resize(a.word_dedup_ids().len(), f64::NAN);
-    let mut sum = 0.0f64;
-    for i in 0..na {
-        let r = a.word_dedup_rank()[i] as usize;
-        let mut best = s.me_a_best[r];
-        if best.is_nan() {
-            let id = a.word_token_ids()[i];
-            best = 0.0;
-            if b.word_dedup_ids().contains(&id) {
-                best = 1.0;
-            } else {
-                let ta = a.word_token(i);
-                for (p, &idb) in b.word_dedup_ids().iter().enumerate() {
-                    let j = b.word_dedup_first()[p] as usize;
-                    let tb = b.word_token(j);
-                    // Tiny token pairs (numeric fragments, initials)
-                    // compute faster than a probe-plus-fill on the low
-                    // hit rates their near-unique values see; longer
-                    // vocabulary words recur across records and keep
-                    // the memo.
-                    let v = if ta.len() + tb.len() <= 8 {
-                        jaro_winkler_ids(ta, tb, pool, s)
-                    } else {
-                        cached(s, gen, TAG_ME_TOKEN, id, idb, |s| {
-                            jaro_winkler_ids(ta, tb, pool, s)
-                        })
-                    };
-                    best = best.max(v);
-                }
-            }
-            s.me_a_best[r] = best;
-        }
-        sum += best;
-    }
-    sum / na as f64
-}
-
-/// Symmetric Monge-Elkan over precomputed token material; mirrors
-/// `monge_elkan::monge_elkan_sym` (forward direction first).
+/// * Jaro's window has the same radius from either side, and matching
+///   one char never touches the positions of another, so per char both
+///   greedy passes (lowest untaken position in the window, in order)
+///   take the same position set: the same `m`, and zips of the same
+///   two matched subsequences, so the same transposition count.
+/// * `m/|a| + m/|b|` is a commutative IEEE addition, and the third term
+///   does not depend on the order.
+/// * The Winkler prefix is symmetric.
+///
+/// The reference's per-token fold (`fold(0.0, f64::max)` over finite
+/// scores in `[0, 1]`) is the plain maximum of its value set, so
+/// duplicate tokens on either side are compared once, and a token
+/// present on both sides scores an exact 1.0 (`jaro_winkler(x, x)`'s
+/// bits) that no score can exceed. A cell is skipped only when both its
+/// row and its column already hold that 1.0: it could raise neither
+/// maximum. Both sums then add per-occurrence terms in occurrence order
+/// (through `word_dedup_rank`), and the result is the reference's
+/// `(fwd/na + bwd/nb)/2`.
 pub(crate) fn monge_elkan_pre(
     a: AttrView<'_>,
     b: AttrView<'_>,
@@ -830,8 +791,55 @@ pub(crate) fn monge_elkan_pre(
     s: &mut CharScratch,
 ) -> f64 {
     memoized(s, cx, TAG_ME, a, b, |s| {
-        let forward = monge_elkan_dir(a, b, cx.pool, cx.gen, s);
-        (forward + monge_elkan_dir(b, a, cx.pool, cx.gen, s)) / 2.0
+        let (na, nb) = (a.n_word_tokens(), b.n_word_tokens());
+        if na == 0 && nb == 0 {
+            return 1.0;
+        }
+        if na == 0 || nb == 0 {
+            return 0.0;
+        }
+        let (da, db) = (a.word_dedup_ids(), b.word_dedup_ids());
+        let mut rows = std::mem::take(&mut s.me_rows);
+        let mut cols = std::mem::take(&mut s.me_cols);
+        rows.clear();
+        rows.resize(da.len(), 0.0);
+        cols.clear();
+        cols.resize(db.len(), 0.0);
+        for (r, ida) in da.iter().enumerate() {
+            if let Some(c) = db.iter().position(|idb| idb == ida) {
+                rows[r] = 1.0;
+                cols[c] = 1.0;
+            }
+        }
+        for (r, &ida) in da.iter().enumerate() {
+            let ta = a.word_token(a.word_dedup_first()[r] as usize);
+            for (c, &idb) in db.iter().enumerate() {
+                if rows[r] == 1.0 && cols[c] == 1.0 {
+                    continue;
+                }
+                let tb = b.word_token(b.word_dedup_first()[c] as usize);
+                // Tiny token pairs (numeric fragments, initials) compute
+                // faster than a probe-plus-fill on the low hit rates
+                // their near-unique values see; longer vocabulary words
+                // recur across records and keep the memo, keyed by the
+                // unordered id pair since the score is symmetric.
+                let v = if ta.len() + tb.len() <= 8 {
+                    jaro_winkler_ids(ta, tb, cx.pool, s)
+                } else {
+                    let (lo, hi) = if ida <= idb { (ida, idb) } else { (idb, ida) };
+                    cached(s, cx.gen, TAG_ME_TOKEN, lo, hi, |s| {
+                        jaro_winkler_ids(ta, tb, cx.pool, s)
+                    })
+                };
+                rows[r] = rows[r].max(v);
+                cols[c] = cols[c].max(v);
+            }
+        }
+        let fwd: f64 = a.word_dedup_rank().iter().map(|&r| rows[r as usize]).sum();
+        let bwd: f64 = b.word_dedup_rank().iter().map(|&c| cols[c as usize]).sum();
+        s.me_rows = rows;
+        s.me_cols = cols;
+        (fwd / na as f64 + bwd / nb as f64) / 2.0
     })
 }
 

@@ -94,6 +94,11 @@ impl FeatureKind {
     /// per-pair-quadratic char measures
     /// (Smith-Waterman, Monge-Elkan) and the wide 3-gram merges still
     /// stand apart — the old 23× top-to-bottom ratio is now ~15×.
+    /// Monge-Elkan's measured cost has since fallen again: one pass over
+    /// the distinct-token grid serves both directions (DESIGN.md §4h),
+    /// about half the inner Jaro-Winkler calls. Its 9.5 stays, like every
+    /// entry: the table ranks blocking rules, so recalibrating it moves
+    /// run bytes and is a change of its own.
     /// `tests::costs_track_measured_kernel_timings` keeps this table
     /// honest against kernel drift.
     pub fn unit_cost(self) -> f64 {

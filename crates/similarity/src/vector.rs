@@ -223,13 +223,18 @@ impl FeatureVectorizer {
     /// precomputed analysis, into `out`: row `k` (of
     /// [`Self::n_features`] values) is pair `k`'s [`Self::vectorize`],
     /// bit for bit. Candidate streams arrive grouped by the left record,
-    /// so one call covers a whole run of them:
+    /// so one call covers a whole run of them, attribute by attribute:
     ///
-    /// * `a`'s attribute views are looked up once per run, and the
-    ///   char-kernel scratch is taken once;
-    /// * a pair's Jaro score feeds both Jaro and Jaro-Winkler, and its
-    ///   word-set intersection feeds Jaccard, overlap and Dice (through
-    ///   the scratch, as in [`Self::feature_pre`]);
+    /// * `a`'s value of the attribute is looked up once, and the
+    ///   char-kernel scratch is taken once per run;
+    /// * `a`'s word and 3-gram ids are marked once ([`LeftMarks`]), and
+    ///   each `b` value counts its own ids against the marks: one word
+    ///   count feeds Jaccard, overlap and Dice, and one 3-gram count
+    ///   feeds 3-gram Jaccard (integers, so the `*_of` formulas return
+    ///   the bits the merge would give);
+    /// * a pair's Jaro score feeds both Jaro and Jaro-Winkler (through
+    ///   the scratch, as in [`Self::feature_pre`]), and Levenshtein keeps
+    ///   `a`'s pattern table across the run;
     /// * Smith-Waterman on attributes whose values do not recur scores
     ///   `a` against sixteen `b`s per DP sweep
     ///   ([`charkernels::smith_waterman_run`]).
@@ -248,42 +253,143 @@ impl FeatureVectorizer {
         if nf == 0 {
             return;
         }
-        let n_attrs = self.tfidf.len();
-        let ra: Vec<Option<AttrView<'_>>> = (0..n_attrs).map(|ai| an.attr_a(a.id, ai)).collect();
-        let rb: Vec<Option<AttrView<'_>>> = bs
-            .iter()
-            .flat_map(|b| (0..n_attrs).map(move |ai| an.attr_b(b.id, ai)))
-            .collect();
-        let laned = |def: &FeatureDef| {
-            def.kind == FeatureKind::SmithWaterman && !an.recurring(def.attr)
-        };
+        let mut marks = LeftMarks::new(an);
         charkernels::with_scratch(|s| {
-            for (k, (b, row)) in bs.iter().zip(out.chunks_exact_mut(nf)).enumerate() {
-                let rbk = &rb[k * n_attrs..(k + 1) * n_attrs];
-                for (fi, (v, def)) in row.iter_mut().zip(&self.lib.defs).enumerate() {
-                    if !laned(def) {
-                        let (va, vb) = (ra[def.attr], rbk[def.attr]);
-                        *v = self.feature_pre_with(fi, a, b, an, va, vb, s);
-                    }
-                }
-            }
-            for (fi, def) in self.lib.defs.iter().enumerate().filter(|(_, d)| laned(d)) {
-                // Pairs with a missing value score NaN, as on every path.
-                let mut present: Vec<(usize, AttrView<'_>)> = Vec::with_capacity(bs.len());
-                for k in 0..bs.len() {
-                    match (ra[def.attr], rb[k * n_attrs + def.attr]) {
-                        (Some(_), Some(vb)) => present.push((k, vb)),
-                        _ => out[k * nf + fi] = f64::NAN,
-                    }
-                }
-                if let Some(va) = ra[def.attr] {
-                    let cx = charkernels::Ctx::new(an, def.attr);
-                    charkernels::smith_waterman_run(va, &present, cx, s, |k, x| {
-                        out[k * nf + fi] = x;
-                    });
-                }
+            let mut first = 0;
+            for group in self.lib.defs.chunk_by(|x, y| x.attr == y.attr) {
+                let fis = first..first + group.len();
+                first = fis.end;
+                self.vectorize_attr_run(a, bs, an, fis, &mut marks, out, s);
             }
         })
+    }
+
+    /// The features `fis` (all of one attribute) of every pair of a run,
+    /// into their columns of `out`: the body of
+    /// [`Self::vectorize_pre_into`] for one attribute. `marks` is clear
+    /// on entry and on return.
+    #[allow(clippy::too_many_arguments)] // hoisted per-run state, private
+    fn vectorize_attr_run(
+        &self,
+        a: &Record,
+        bs: &[&Record],
+        an: &TaskAnalysis,
+        fis: std::ops::Range<usize>,
+        marks: &mut LeftMarks,
+        out: &mut [f64],
+        s: &mut charkernels::CharScratch,
+    ) {
+        let nf = self.lib.len();
+        let defs = &self.lib.defs[fis.clone()];
+        let attr = defs[0].attr;
+        let va = an.attr_a(a.id, attr);
+        let laned =
+            defs.iter().any(|d| d.kind == FeatureKind::SmithWaterman) && !an.recurring(attr);
+        if let Some(va) = va {
+            marks.mark(va);
+        }
+        for (k, b) in bs.iter().enumerate() {
+            let vb = an.attr_b(b.id, attr);
+            // The counts exist iff both values are text; otherwise every
+            // feature falls through to `feature_pre_with`'s NaN.
+            let sets = match (va, vb) {
+                (Some(va), Some(vb)) => Some((va, vb, marks.counts(vb))),
+                _ => None,
+            };
+            let row = &mut out[k * nf..(k + 1) * nf];
+            for (fi, def) in fis.clone().zip(defs) {
+                if laned && def.kind == FeatureKind::SmithWaterman {
+                    continue;
+                }
+                row[fi] = match (def.kind, sets) {
+                    (FeatureKind::JaccardWords, Some((va, vb, (w, _)))) => {
+                        analysis::jaccard_of(w, va.word_ids().len(), vb.word_ids().len())
+                    }
+                    (FeatureKind::OverlapWords, Some((va, vb, (w, _)))) => {
+                        analysis::overlap_of(w, va.word_ids().len(), vb.word_ids().len())
+                    }
+                    (FeatureKind::DiceWords, Some((va, vb, (w, _)))) => {
+                        analysis::dice_of(w, va.word_ids().len(), vb.word_ids().len())
+                    }
+                    (FeatureKind::Jaccard3Grams, Some((va, vb, (_, g)))) => {
+                        analysis::jaccard_of(g, va.gram_ids().len(), vb.gram_ids().len())
+                    }
+                    _ => self.feature_pre_with(fi, a, b, an, va, vb, s),
+                };
+            }
+        }
+        if let Some(va) = va {
+            marks.clear(va);
+        }
+        if !laned {
+            return;
+        }
+        for fi in fis.filter(|&fi| self.lib.defs[fi].kind == FeatureKind::SmithWaterman) {
+            // Pairs with a missing value score NaN, as on every path.
+            let mut present: Vec<(usize, AttrView<'_>)> = Vec::with_capacity(bs.len());
+            for (k, b) in bs.iter().enumerate() {
+                match (va, an.attr_b(b.id, attr)) {
+                    (Some(_), Some(vb)) => present.push((k, vb)),
+                    _ => out[k * nf + fi] = f64::NAN,
+                }
+            }
+            if let Some(va) = va {
+                let cx = charkernels::Ctx::new(an, attr);
+                charkernels::smith_waterman_run(va, &present, cx, s, |k, x| {
+                    out[k * nf + fi] = x;
+                });
+            }
+        }
+    }
+}
+
+/// A run's left value marked in the task's word and 3-gram pools, one
+/// bit per pool id (`distinct_words`/`distinct_grams` bits, pool/8 bytes
+/// each), so each right value counts both of its set intersections in
+/// one pass over its own ids. The marks are cleared by walking the left
+/// ids again, so no stamp counter is needed. They live for one
+/// `vectorize_pre_into` call, a zeroed pool/8-byte allocation each, so
+/// no mark can outlive the call that set it (bitsets kept per thread
+/// across calls measured no faster).
+struct LeftMarks {
+    words: Vec<u64>,
+    grams: Vec<u64>,
+}
+
+impl LeftMarks {
+    fn new(an: &TaskAnalysis) -> Self {
+        LeftMarks {
+            words: vec![0; an.stats.distinct_words.div_ceil(64)],
+            grams: vec![0; an.stats.distinct_grams.div_ceil(64)],
+        }
+    }
+
+    fn mark(&mut self, va: AttrView<'_>) {
+        for (bits, ids) in [(&mut self.words, va.word_ids()), (&mut self.grams, va.gram_ids())] {
+            for &id in ids {
+                bits[id as usize / 64] |= 1u64 << (id % 64);
+            }
+        }
+    }
+
+    /// `(|marked words ∩ vb's words|, |marked 3-grams ∩ vb's 3-grams|)`:
+    /// the integers `analysis::intersect_count` returns for the marked
+    /// value's sets.
+    fn counts(&self, vb: AttrView<'_>) -> (usize, usize) {
+        let count = |bits: &[u64], ids: &[u32]| {
+            ids.iter().filter(|&&id| bits[id as usize / 64] & (1u64 << (id % 64)) != 0).count()
+        };
+        (count(&self.words, vb.word_ids()), count(&self.grams, vb.gram_ids()))
+    }
+
+    /// Undo [`Self::mark`] for the same value. Only its ids have bits
+    /// set, so zeroing their whole words clears exactly those.
+    fn clear(&mut self, va: AttrView<'_>) {
+        for (bits, ids) in [(&mut self.words, va.word_ids()), (&mut self.grams, va.gram_ids())] {
+            for &id in ids {
+                bits[id as usize / 64] = 0;
+            }
+        }
     }
 }
 

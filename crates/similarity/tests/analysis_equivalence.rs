@@ -9,7 +9,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use similarity::{Attribute, FeatureVectorizer, Record, Schema, Table, Value};
+use similarity::jaro::{jaro, jaro_winkler};
+use similarity::monge_elkan::{monge_elkan, monge_elkan_sym};
+use similarity::{Attribute, FeatureKind, FeatureVectorizer, Record, Schema, Table, Value};
 use std::sync::Arc;
 
 fn any_text() -> impl Strategy<Value = String> {
@@ -183,6 +185,186 @@ proptest! {
         // both builds.
         assert_all_pairs_bitwise_at(&a, &b, 1)?;
         assert_all_pairs_bitwise_at(&a, &b, 8)?;
+    }
+}
+
+/// Strings for the Jaro symmetry premise: tiny alphabets (many equal
+/// chars competing for window slots), repeats, unicode, and lengths on
+/// both sides of the kernel's 8-char window-scan/bitset crossover and
+/// past the 64-char bitmask word.
+fn symmetry_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[ab]{0,12}",
+        "[a-d]{0,11}",
+        "[a-c]{5,11}",
+        vec(0..4usize, 1..7)
+            .prop_map(|ks| ks.iter().map(|&k| ["ab", "ba", "aab", "abb"][k]).collect()),
+        "[İIi\u{307}Σσςée\u{301}a]{0,12}",
+        "[a-c]{55,75}",
+        "[ab ]{60,140}",
+        any::<String>().prop_map(|s| s.chars().take(20).collect()),
+    ]
+}
+
+/// Token soup over a small vocabulary: duplicate tokens within a value,
+/// tokens shared across values, near-miss spellings, and token pairs on
+/// both sides of Monge-Elkan's 8-char direct/memo cutoff.
+fn token_soup() -> impl Strategy<Value = Value> {
+    const TOKENS: [&str; 10] =
+        ["a", "ab", "ba", "4gb", "kit", "kingston", "kingstom", "hyperx", "hyper", "corsair"];
+    let soup = || {
+        vec(0..TOKENS.len(), 0..7)
+            .prop_map(|ks| Value::Text(ks.iter().map(|&k| TOKENS[k]).collect::<Vec<_>>().join(" ")))
+    };
+    prop_oneof![soup(), soup(), Just(Value::Null)]
+}
+
+/// One text attribute holding `values`, as both tables.
+fn one_attr_tables(values: &[Value]) -> (Table, Table) {
+    let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+    let rows: Vec<Vec<Value>> = values.iter().map(|v| vec![v.clone()]).collect();
+    (Table::new("a", schema.clone(), rows.clone()), Table::new("b", schema, rows))
+}
+
+proptest! {
+    /// The premise of the one-pass Monge-Elkan: Jaro and Jaro-Winkler
+    /// return the same bits with their arguments swapped, in the
+    /// reference and in the analysis-path kernels.
+    #[test]
+    fn jaro_and_jaro_winkler_are_bitwise_symmetric(
+        x in symmetry_text(),
+        y in symmetry_text(),
+    ) {
+        prop_assert_eq!(jaro(&x, &y).to_bits(), jaro(&y, &x).to_bits());
+        prop_assert_eq!(jaro_winkler(&x, &y).to_bits(), jaro_winkler(&y, &x).to_bits());
+        let (a, b) = one_attr_tables(&[Value::Text(x.clone()), Value::Text(y.clone())]);
+        let vz = FeatureVectorizer::fit(&a, &b);
+        let an = vz.analyze(&a, &b, exec::Threads::new(1));
+        for kind in [FeatureKind::Jaro, FeatureKind::JaroWinkler] {
+            let fi = vz.library().defs.iter().position(|d| d.kind == kind).unwrap();
+            let xy = vz.feature_pre(fi, a.record(0), b.record(1), &an);
+            let yx = vz.feature_pre(fi, a.record(1), b.record(0), &an);
+            prop_assert_eq!(xy.to_bits(), yx.to_bits(), "{:?} on ({:?}, {:?})", kind, x, y);
+        }
+    }
+
+    /// Monge-Elkan over duplicate-heavy token soups: the one-pass grid
+    /// against the reference's two directed passes, every path.
+    #[test]
+    fn monge_elkan_token_soups_are_bit_identical(
+        values_a in vec(token_soup(), 1..5),
+        values_b in vec(token_soup(), 1..5),
+    ) {
+        let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+        let rows = |vs: Vec<Value>| vs.into_iter().map(|v| vec![v]).collect();
+        let a = Table::new("a", schema.clone(), rows(values_a));
+        let b = Table::new("b", schema, rows(values_b));
+        assert_all_pairs_bitwise(&a, &b)?;
+    }
+}
+
+/// The cases the one-pass Monge-Elkan treats specially, each checked
+/// bitwise against `monge_elkan_sym` in both orientations, per feature
+/// and as runs.
+#[test]
+fn monge_elkan_grid_cases_match_the_reference() {
+    // A pair whose two directions differ: every token of the short side
+    // is found in the long side, but not the other way round.
+    let (short, long) = ("kingston", "kingston hyperx 4gb");
+    assert_ne!(monge_elkan(short, long).to_bits(), monge_elkan(long, short).to_bits());
+    let texts = [
+        // Duplicate tokens on both sides.
+        "acme acme widget",
+        "widget widget acme gizmo gizmo",
+        // One token shared by both sides, the others near misses.
+        "kingston hyperx 4gb",
+        "kingstom hyper 4gb",
+        // Every token of this side is a hit in the next one.
+        "hyperx kingston",
+        "kit kingston 4gb hyperx corsair",
+        short,
+        long,
+        // No tokens: empty and punctuation-only.
+        "",
+        "!!! --",
+        // Short tokens (direct path) beside long ones (memo path).
+        "a b ab",
+        "ba a vengeance",
+    ];
+    let values: Vec<Value> = texts.iter().map(|t| Value::Text(t.to_string())).collect();
+    let (a, b) = one_attr_tables(&values);
+    let vz = FeatureVectorizer::fit(&a, &b);
+    let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    let me = vz.library().defs.iter().position(|d| d.kind == FeatureKind::MongeElkan).unwrap();
+    let nf = vz.n_features();
+    let all_b: Vec<&Record> = b.records.iter().collect();
+    let mut run = vec![0.0; all_b.len() * nf];
+    for (i, ra) in a.records.iter().enumerate() {
+        vz.vectorize_pre_into(ra, &all_b, &an, &mut run);
+        for (j, rb) in b.records.iter().enumerate() {
+            let want = monge_elkan_sym(texts[i], texts[j]).to_bits();
+            let single = vz.feature_pre(me, ra, rb, &an).to_bits();
+            assert_eq!(single, want, "feature_pre on ({:?}, {:?})", texts[i], texts[j]);
+            assert_eq!(run[j * nf + me].to_bits(), want, "run on ({:?}, {:?})", texts[i], texts[j]);
+        }
+    }
+    assert_all_pairs_bitwise(&a, &b).expect("every feature of the Monge-Elkan cases");
+}
+
+/// Runs built back to back on one thread leave no word or 3-gram marks
+/// behind: the left values share ids with each other and with right
+/// values only the previous run's left value matched, an attribute is
+/// missing on the left in one run and present in the next, and three
+/// text attributes mark and clear in turn. Every run row must equal the
+/// per-pair merge path (`feature_pre`) and the string path bit for bit.
+#[test]
+fn run_marks_leave_nothing_behind() {
+    let schema = Arc::new(Schema::new(vec![
+        Attribute::text("t1"),
+        Attribute::text("t2"),
+        Attribute::number("n"),
+        Attribute::text("t3"),
+    ]));
+    let text = |t: &str| Value::Text(t.to_string());
+    let row = |t1: Value, t2: Value, t3: Value| vec![t1, t2, Value::Number(1.0), t3];
+    let a = Table::new(
+        "a",
+        schema.clone(),
+        vec![
+            row(text("alpha beta gamma"), Value::Null, text("red green")),
+            row(text("beta gamma delta"), text("one two"), Value::Null),
+            row(Value::Null, text("two three"), text("green blue")),
+            row(text("alpha"), text("one two three"), text("red")),
+            row(text("zeta"), text("four"), text("blue")),
+        ],
+    );
+    let b = Table::new(
+        "b",
+        schema,
+        vec![
+            row(text("alpha zeta"), text("one"), text("red")),
+            row(text("gamma"), Value::Null, text("green blue red")),
+            row(Value::Null, text("three four"), text("")),
+            row(text("delta alpha"), text("two"), Value::Null),
+            row(text("alphabet"), text("onetwo"), text("greens")),
+        ],
+    );
+    let vz = FeatureVectorizer::fit(&a, &b);
+    let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    let nf = vz.n_features();
+    let all_b: Vec<&Record> = b.records.iter().collect();
+    let mut run = vec![0.0; all_b.len() * nf];
+    for ra in &a.records {
+        vz.vectorize_pre_into(ra, &all_b, &an, &mut run);
+        for (rb, got) in b.records.iter().zip(run.chunks_exact(nf)) {
+            let want = vz.vectorize(ra, rb);
+            for (fi, (g, w)) in got.iter().zip(&want).enumerate() {
+                let at = format!("{}, a{} b{}", vz.library().defs[fi].name(), ra.id, rb.id);
+                let single = vz.feature_pre(fi, ra, rb, &an);
+                assert_eq!(g.to_bits(), single.to_bits(), "{at}: run vs per-pair");
+                assert_eq!(g.to_bits(), w.to_bits(), "{at}: run vs string path");
+            }
+        }
     }
 }
 

@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release -q -p similarity (bit identity under release codegen)"
+# The kernels' bit-identity proptests, again under the optimized codegen
+# the benchmarks measure: the test profile keeps debug assertions, and a
+# float expression the optimizer folds differently would show only here.
+cargo test --release -q -p similarity
+
 echo "==> e2e_bench tests (builds the benchmark, runs --quick end to end)"
 # e2e_bench is its own Cargo workspace, so the root `cargo test` never
 # builds it; this stage fails when a library change breaks the API the
