@@ -23,7 +23,7 @@ pub mod baseline1;
 pub mod baseline2;
 pub mod dev_blocker;
 
-use corleone::CandidateSet;
+use corleone::{CandidateSet, Threads};
 use crowd::{GoldOracle, TruthOracle};
 use forest::{Dataset, ForestConfig, RandomForest};
 use rand::rngs::StdRng;
@@ -46,7 +46,7 @@ pub fn random_training_forest(
     idx.truncate(n_train.clamp(4, cand.len()));
     let mut train = Dataset::new(cand.n_features());
     for &i in &idx {
-        train.push(cand.row(i), gold.true_label(cand.pair(i)));
+        train.push(&cand.row(i), gold.true_label(cand.pair(i)));
     }
     // A random sample of a skewed universe may contain a single class;
     // the forest still needs to train (it will then predict that class).
@@ -55,7 +55,7 @@ pub fn random_training_forest(
 
 /// Predict every candidate with a forest.
 pub fn predict_all(cand: &CandidateSet, forest: &RandomForest) -> Vec<bool> {
-    (0..cand.len()).map(|i| forest.predict(cand.row(i))).collect()
+    cand.predictions(forest, Threads::auto())
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ fn main() {
                 train.push(x, *l);
             }
             for (idx, label) in learn.crowd_labels() {
-                train.push(cand.row(idx), label);
+                train.push(&cand.row(idx), label);
             }
             let lr = LogisticRegression::train(&train, &LogRegConfig::default());
 
@@ -66,7 +66,7 @@ fn main() {
                 let mut ap = 0;
                 for i in 0..cand.len() {
                     let a = gold.true_label(cand.pair(i));
-                    if predict(cand.row(i)) {
+                    if predict(&cand.row(i)) {
                         pp += 1;
                         if a {
                             tp += 1;

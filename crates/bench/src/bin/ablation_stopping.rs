@@ -84,7 +84,7 @@ fn main() {
             let mut ap = 0;
             for i in 0..cand.len() {
                 let a = gold.true_label(cand.pair(i));
-                let p = learn.forest.predict(cand.row(i));
+                let p = learn.forest.predict(&cand.row(i));
                 if p {
                     pp += 1;
                     if a {

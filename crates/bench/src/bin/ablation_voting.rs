@@ -60,8 +60,7 @@ fn main() {
                 &mut rng,
                 Threads::auto(),
             );
-            let predictions: Vec<bool> =
-                (0..cand.len()).map(|i| learn.forest.predict(cand.row(i))).collect();
+            let predictions = cand.predictions(&learn.forest, Threads::auto());
             let known: HashMap<usize, bool> = learn.crowd_labels().collect();
 
             let mut est_cfg = cfg.estimator;

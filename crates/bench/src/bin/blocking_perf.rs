@@ -11,6 +11,11 @@
 //! the arena analysis for that dataset × scale) so future PRs have a
 //! perf trajectory, and prints a before/after table.
 //!
+//! Every phase is timed under one repetition policy: it runs up to
+//! three times, fewer once its runs have taken two seconds, and
+//! `wall_ms` is the median run. One run per phase let the file swing
+//! with the load on a shared machine; long phases still run once.
+//!
 //! Phases per dataset × scale:
 //! * `analysis_build`   — one-time `TableAnalysis` build (rate = records/s)
 //! * `rule_apply_string` — rule sweep via the string kernels (sampled
@@ -25,7 +30,8 @@
 //!   for `t_B` = the pair-sample size (`corleone::blocker::sample_pairs`:
 //!   all of A × a seeded subset of B, row-major), materialized by
 //!   `CandidateSet::build_with`: one vectorizer call per run of pairs
-//!   sharing the left record
+//!   sharing the left record, transposed into the set's column-major
+//!   tiles
 //! * `char_kernels_string` / `char_kernels_pre` — only the five
 //!   character-level measures (Levenshtein, Jaro, Jaro-Winkler,
 //!   Monge-Elkan, Smith-Waterman) on the same pair sample, isolating the
@@ -38,7 +44,8 @@
 //! (c) the *full* feature vector off the arena-packed analysis is
 //! bit-identical to the string path on every sampled pair
 //! (`arena_equivalence=ok` marker), and (d) every row of the run-shaped
-//! matrix is bit-identical to the string path's vector of its pair
+//! matrix, read back through the owned `CandidateSet::row`, is
+//! bit-identical to the string path's vector of its pair
 //! (`run_equivalence=ok` marker); all four markers are grepped by
 //! `scripts/ci.sh`.
 //!
@@ -46,9 +53,10 @@
 //! `--out PATH`, `--scales a,b` (default `0.3,1`: at scale 3 the
 //! citations analysis alone holds about 585 MB), `--datasets a,b`,
 //! `--threads N`, `--kinds` (per-kernel ns/pair table, used to
-//! calibrate `FeatureKind::unit_cost`).
+//! calibrate `FeatureKind::unit_cost`), `--defs` (`--kinds` per feature
+//! def). A bad command line prints why and exits 2.
 
-use bench::{dataset, make_task, render_table, ExpOptions};
+use bench::{dataset, dataset_list, flag_value, make_task, render_table, ExpOptions};
 use corleone::blocker;
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin};
 use corleone::task::MatchTask;
@@ -59,6 +67,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use similarity::{FeatureKind, TaskAnalysis};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Bump when the JSON layout changes. v2 added the envelope object and
@@ -102,6 +111,7 @@ struct BenchReport {
     records: Vec<BenchRecord>,
 }
 
+#[derive(Debug)]
 struct Args {
     quick: bool,
     kinds: bool,
@@ -112,53 +122,44 @@ struct Args {
     threads: Threads,
 }
 
-fn parse() -> Args {
-    let mut args = Args {
+/// The flags of `args` (the command line without the program name), or
+/// why the line is bad: an unknown flag, a flag without a value, a value
+/// that does not parse, or a dataset outside [`datagen::DATASET_NAMES`].
+fn parse_arg_list(args: &[String]) -> Result<Args, String> {
+    let mut opts = Args {
         quick: false,
         kinds: false,
         defs: false,
         out: "BENCH_blocking.json".to_string(),
         scales: vec![0.3, 1.0],
-        datasets: vec!["restaurants".into(), "citations".into(), "products".into()],
+        datasets: datagen::DATASET_NAMES.iter().map(|s| s.to_string()).collect(),
         threads: Threads::auto(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
+        match flag {
             "--quick" => {
-                args.quick = true;
-                args.scales = vec![0.05];
+                opts.quick = true;
+                opts.scales = vec![0.05];
             }
-            "--kinds" => args.kinds = true,
+            "--kinds" => opts.kinds = true,
             "--defs" => {
-                args.kinds = true;
-                args.defs = true;
+                opts.kinds = true;
+                opts.defs = true;
             }
-            "--out" => args.out = it.next().expect("--out needs a path"),
+            "--out" => opts.out = value()?.clone(),
             "--scales" => {
-                args.scales = it
-                    .next()
-                    .expect("--scales needs a list")
-                    .split(',')
-                    .map(|s| s.parse().expect("scale"))
-                    .collect();
+                opts.scales =
+                    value()?.split(',').map(|s| flag_value(flag, s)).collect::<Result<_, _>>()?;
             }
-            "--datasets" => {
-                args.datasets = it
-                    .next()
-                    .expect("--datasets needs a list")
-                    .split(',')
-                    .map(String::from)
-                    .collect();
-            }
-            "--threads" => {
-                args.threads =
-                    Threads::new(it.next().expect("--threads needs a number").parse().expect("n"));
-            }
-            other => panic!("unknown flag {other}"),
+            "--datasets" => opts.datasets = dataset_list(value()?)?,
+            "--threads" => opts.threads = Threads::new(flag_value(flag, value()?)?),
+            _ => return Err(format!("unknown flag {flag}")),
         }
     }
-    args
+    Ok(opts)
 }
 
 /// First feature index of `kind`, if the library has one.
@@ -252,10 +253,37 @@ fn sample_pairs(task: &MatchTask, n: usize) -> Vec<(u32, u32)> {
         .collect()
 }
 
-fn time_ms(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64() * 1000.0
+/// Runs of one timed phase: at most `REPS`, and no more once the runs
+/// so far have taken `REP_BUDGET_S` seconds.
+const REPS: usize = 3;
+const REP_BUDGET_S: f64 = 2.0;
+
+/// Run a phase under the repetition policy: the median wall time in ms
+/// over its runs, and the last run's output (every run computes the
+/// same output).
+fn timed<T>(mut phase: impl FnMut() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let mut walls = Vec::with_capacity(REPS);
+    loop {
+        let t0 = Instant::now();
+        let out = phase();
+        walls.push(t0.elapsed().as_secs_f64() * 1000.0);
+        if walls.len() == REPS || start.elapsed().as_secs_f64() >= REP_BUDGET_S {
+            return (median(&mut walls), out);
+        }
+    }
+}
+
+/// The median of a non-empty list (the mean of the middle two when its
+/// length is even).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let m = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[m]
+    } else {
+        (xs[m - 1] + xs[m]) / 2.0
+    }
 }
 
 /// Per-kernel ns/pair on both paths (calibration data for
@@ -308,8 +336,15 @@ fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs:
     );
 }
 
-fn main() {
-    let args = parse();
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_arg_list(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let threads = args.threads;
     let vec_sample = if args.quick { 10_000 } else { 100_000 };
     // Cap the (slow) string-path reference sweep; the pre path always
@@ -358,18 +393,16 @@ fn main() {
                 (0..n_a).step_by(stride).take(max_rows).map(|a| a as u32).collect()
             };
             let string_pairs = a_rows.len() as u64 * n_b as u64;
-            let mut kept_string = 0usize;
-            let wall = time_ms(|| {
-                kept_string = rule_sweep_string(&task, &rules, &a_rows, threads);
-            });
+            let (wall, _) = timed(|| rule_sweep_string(&task, &rules, &a_rows, threads));
             let (_, rate_string) = push("rule_apply_string", wall, string_pairs as f64);
 
-            // One-time analysis build.
-            let wall = time_ms(|| {
-                task.ensure_analysis(threads);
+            // The analysis build, timed on throw-away builds; the task
+            // keeps one more, built untimed.
+            let (wall, _) = timed(|| {
+                task.vectorizer.analyze(&task.table_a, &task.table_b, threads);
             });
             push("analysis_build", wall, (n_a + n_b) as f64);
-            let an = task.analysis.get().expect("analysis just built");
+            let an = task.ensure_analysis(threads);
             let stats = an.stats;
             let mib = |x: usize| x as f64 / (1024.0 * 1024.0);
             eprintln!(
@@ -389,10 +422,7 @@ fn main() {
 
             // Pre-path rule application over the full Cartesian product.
             let scan = CartesianScan::new(&task, rules.clone());
-            let mut scan_pairs = Vec::new();
-            let wall = time_ms(|| {
-                scan_pairs = scan.generate(threads);
-            });
+            let (wall, scan_pairs) = timed(|| scan.generate(threads));
             let survivors = scan_pairs.len();
             let (_, rate_pre) = push("rule_apply_pre", wall, cartesian as f64);
             eprintln!(
@@ -409,10 +439,7 @@ fn main() {
             // planner must find them indexable.
             let join =
                 IndexedJoin::plan(&task, &rules).expect("bench rules must plan an indexed join");
-            let mut idx_pairs = Vec::new();
-            let wall_idx = time_ms(|| {
-                idx_pairs = join.generate(threads);
-            });
+            let (wall_idx, idx_pairs) = timed(|| join.generate(threads));
             let (_, rate_idx) = push("index_probe", wall_idx, cartesian as f64);
             assert_eq!(
                 scan_pairs, idx_pairs,
@@ -436,9 +463,8 @@ fn main() {
                     static VBUF: std::cell::RefCell<Vec<f64>> =
                         const { std::cell::RefCell::new(Vec::new()) };
                 }
-                let mut bits = Vec::new();
-                let wall = time_ms(|| {
-                    bits = exec::indexed_par_map(threads, pairs.len(), |i| {
+                timed(|| {
+                    exec::indexed_par_map(threads, pairs.len(), |i| {
                         let (a, b) = pairs[i];
                         let (ra, rb) = (task.table_a.record(a), task.table_b.record(b));
                         if pre {
@@ -452,9 +478,8 @@ fn main() {
                             let v = task.vectorizer.vectorize(ra, rb);
                             v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
                         }
-                    });
-                });
-                (wall, bits)
+                    })
+                })
             };
             let (wall_s, vbits_s) = vectorize(false);
             let (_, vrate_s) = push("vectorize_string", wall_s, pairs.len() as f64);
@@ -481,16 +506,15 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(42);
             let run_pairs = blocker::sample_pairs(&task, vec_sample as u64, &mut rng);
             let n_runs = run_pairs.windows(2).filter(|w| w[0].a != w[1].a).count() + 1;
-            let mut built = CandidateSet::build(&task, Vec::new());
-            let wall_r = time_ms(|| {
-                built = CandidateSet::build_with(&task, run_pairs.clone(), threads, None);
-            });
+            let (wall_r, built) =
+                timed(|| CandidateSet::build_with(&task, run_pairs.clone(), threads, None));
             let (_, vrate_r) = push("vectorize_run", wall_r, run_pairs.len() as f64);
             let diverged: Vec<bool> = exec::indexed_par_map(threads, run_pairs.len(), |i| {
                 let p = run_pairs[i];
                 let (ra, rb) = (task.table_a.record(p.a), task.table_b.record(p.b));
                 let want = task.vectorizer.vectorize(ra, rb);
-                want.iter().zip(built.row(i)).any(|(w, g)| w.to_bits() != g.to_bits())
+                let got = built.row(i);
+                want.iter().zip(&got).any(|(w, g)| w.to_bits() != g.to_bits())
             });
             if let Some(i) = diverged.iter().position(|&d| d) {
                 panic!("run vectorization diverged on {name} @ {scale}, pair {:?}", run_pairs[i]);
@@ -525,9 +549,8 @@ fn main() {
                 .map(|(i, _)| i)
                 .collect();
             let char_run = |pre: bool| -> (f64, Vec<Vec<u64>>) {
-                let mut bits = Vec::new();
-                let wall = time_ms(|| {
-                    bits = exec::indexed_par_map(threads, pairs.len(), |i| {
+                timed(|| {
+                    exec::indexed_par_map(threads, pairs.len(), |i| {
                         let (a, b) = pairs[i];
                         let (ra, rb) = (task.table_a.record(a), task.table_b.record(b));
                         char_defs
@@ -541,9 +564,8 @@ fn main() {
                                 x.to_bits()
                             })
                             .collect::<Vec<u64>>()
-                    });
-                });
-                (wall, bits)
+                    })
+                })
             };
             let (wall_cs, bits_s) = char_run(false);
             let (_, crate_s) = push("char_kernels_string", wall_cs, pairs.len() as f64);
@@ -613,4 +635,47 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialize bench records");
     std::fs::write(&args.out, json + "\n").expect("write bench json");
     eprintln!("wrote {}", args.out);
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arg_list_errors_are_values_not_panics() {
+        let line = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        let err = parse_arg_list(&line("--scales abc")).unwrap_err();
+        assert!(err.starts_with("bad --scales \"abc\""), "{err}");
+        let err = parse_arg_list(&line("--scales 0.3,x")).unwrap_err();
+        assert!(err.starts_with("bad --scales \"x\""), "{err}");
+        let err = parse_arg_list(&line("--threads x")).unwrap_err();
+        assert!(err.starts_with("bad --threads \"x\""), "{err}");
+        let err = parse_arg_list(&line("--datasets restaurants,nosuch")).unwrap_err();
+        assert!(err.contains("unknown dataset nosuch"), "{err}");
+        assert!(parse_arg_list(&line("--nosuch")).unwrap_err().contains("unknown flag"));
+        assert!(parse_arg_list(&line("--out")).unwrap_err().contains("missing value"));
+
+        let args =
+            parse_arg_list(&line("--quick --kinds --datasets products --threads 2 --out q.json"))
+                .unwrap();
+        assert_eq!((args.quick, args.kinds, args.defs), (true, true, false));
+        assert_eq!((args.scales, args.datasets), (vec![0.05], vec!["products".to_string()]));
+        assert_eq!((args.threads.get(), args.out.as_str()), (2, "q.json"));
+        let args = parse_arg_list(&[]).unwrap();
+        assert_eq!(args.scales, [0.3, 1.0]);
+        assert_eq!(args.datasets.len(), datagen::DATASET_NAMES.len());
+    }
+
+    #[test]
+    fn phases_report_the_median_run() {
+        assert_eq!(median(&mut [5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&mut [4.0, 2.0]), 3.0);
+        let mut runs = 0;
+        let (_, out) = timed(|| {
+            runs += 1;
+            runs
+        });
+        assert_eq!((runs, out), (REPS, REPS), "a fast phase runs REPS times");
+    }
 }

@@ -61,7 +61,7 @@ fn main() {
                 if rng.gen_bool(0.25) {
                     label = !label;
                 }
-                train.push(cand.row(i), label);
+                train.push(&cand.row(i), label);
             }
             let forest = RandomForest::train_all(&train, &ForestConfig::default(), &mut rng);
 
@@ -71,7 +71,7 @@ fn main() {
                 let mut ap = 0;
                 for i in 0..cand.len() {
                     let a = gold.true_label(cand.pair(i));
-                    if predict(cand.row(i)) {
+                    if predict(&cand.row(i)) {
                         pp += 1;
                         if a {
                             tp += 1;

@@ -107,7 +107,7 @@ fn main() {
         };
 
         // Accuracy of M1 on the difficult subset.
-        let before = prf(&cand, &difficult, &|i| m1.forest.predict(cand.row(i)), &gold);
+        let before = prf(&cand, &difficult, &|i| m1.forest.predict(&cand.row(i)), &gold);
 
         // Iteration 2: dedicated matcher on the difficult pairs.
         let sub = cand.subset(&difficult);
@@ -120,7 +120,7 @@ fn main() {
             &mut rng,
             Threads::auto(),
         );
-        let sub_pred: Vec<bool> = (0..sub.len()).map(|j| m2.forest.predict(sub.row(j))).collect();
+        let sub_pred = sub.predictions(&m2.forest, Threads::auto());
         let pos_in_sub: HashMap<usize, bool> = difficult
             .iter()
             .enumerate()

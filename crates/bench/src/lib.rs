@@ -123,17 +123,31 @@ pub fn parse_args() -> ExpOptions {
     })
 }
 
+/// The value `v` given to `flag`, parsed, or why it does not parse.
+pub fn flag_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("bad {flag} {v:?}: {e}"))
+}
+
+/// The comma-separated dataset names `v`, or the first one outside
+/// [`datagen::DATASET_NAMES`].
+pub fn dataset_list(v: &str) -> Result<Vec<String>, String> {
+    let names: Vec<String> = v.split(',').map(String::from).collect();
+    match names.iter().find(|d| !datagen::DATASET_NAMES.contains(&d.as_str())) {
+        Some(bad) => {
+            Err(format!("unknown dataset {bad} (have: {})", datagen::DATASET_NAMES.join(", ")))
+        }
+        None => Ok(names),
+    }
+}
+
 /// The common flags of `args` (the command line without the program
 /// name), or why the line is bad: an unknown flag, a flag without a
 /// value, a value that does not parse, or a dataset outside
 /// [`datagen::DATASET_NAMES`].
 pub fn parse_arg_list(args: &[String]) -> Result<ExpOptions, String> {
-    fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        v.parse().map_err(|e| format!("bad {flag} {v:?}: {e}"))
-    }
     let mut opts = ExpOptions::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -143,27 +157,17 @@ pub fn parse_arg_list(args: &[String]) -> Result<ExpOptions, String> {
         }
         let v = it.next().ok_or_else(|| format!("missing value for {flag}"))?;
         match flag {
-            "--scale" => opts.scale = num(flag, v)?,
-            "--runs" => opts.runs = num(flag, v)?,
-            "--error" => opts.error_rate = num(flag, v)?,
-            "--seed" => opts.seed = num(flag, v)?,
-            "--datasets" => {
-                opts.datasets = v.split(',').map(|s| s.to_string()).collect();
-                if let Some(bad) =
-                    opts.datasets.iter().find(|d| !datagen::DATASET_NAMES.contains(&d.as_str()))
-                {
-                    return Err(format!(
-                        "unknown dataset {bad} (have: {})",
-                        datagen::DATASET_NAMES.join(", ")
-                    ));
-                }
-            }
-            "--fault-expiry" => opts.fault_expiry = num(flag, v)?,
-            "--fault-abandon" => opts.fault_abandon = num(flag, v)?,
-            "--fault-outage" => opts.fault_outage = num(flag, v)?,
+            "--scale" => opts.scale = flag_value(flag, v)?,
+            "--runs" => opts.runs = flag_value(flag, v)?,
+            "--error" => opts.error_rate = flag_value(flag, v)?,
+            "--seed" => opts.seed = flag_value(flag, v)?,
+            "--datasets" => opts.datasets = dataset_list(v)?,
+            "--fault-expiry" => opts.fault_expiry = flag_value(flag, v)?,
+            "--fault-abandon" => opts.fault_abandon = flag_value(flag, v)?,
+            "--fault-outage" => opts.fault_outage = flag_value(flag, v)?,
             "--checkpoint-dir" => opts.checkpoint_dir = Some(v.clone()),
-            "--checkpoint-every" => opts.checkpoint_every = num(flag, v)?,
-            "--checkpoint-keep" => opts.checkpoint_keep = num(flag, v)?,
+            "--checkpoint-every" => opts.checkpoint_every = flag_value(flag, v)?,
+            "--checkpoint-keep" => opts.checkpoint_keep = flag_value(flag, v)?,
             "--resume-from" => opts.resume_from = Some(v.clone()),
             "--emit-json" => opts.emit_json = Some(v.clone()),
             _ => return Err(format!("unknown flag {flag}")),

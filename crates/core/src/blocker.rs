@@ -14,8 +14,7 @@ use crate::config::{BlockerConfig, MatcherConfig};
 use crate::env::RunEnv;
 use crate::learner::{run_active_learning, LearnOutcome};
 use crate::ruleeval::{
-    coverage_of, evaluate_rules_jointly, labeled_as, select_top_rules, EvaluatedRule,
-    RuleEvalConfig,
+    evaluate_rules_jointly, labeled_as, select_top_rules, EvaluatedRule, RuleEvalConfig,
 };
 use crate::source::{plan_blocking_source, CandidateSource, CartesianScan};
 use crate::task::MatchTask;
@@ -193,12 +192,16 @@ pub fn run_blocker(
     let mut remaining = kept;
     let mut applied: Vec<EvaluatedRule> = Vec::new();
     while current.len() as f64 > target && !remaining.is_empty() {
-        // Score every remaining rule on the current residue of S; each
-        // rule's coverage scan is independent, so fan out across rules.
-        let scored: Vec<(usize, f64, Vec<usize>)> =
-            exec::indexed_par_map(env.threads, remaining.len(), |i| {
-                let er = &remaining[i];
-                let cov = coverage_of(&er.rule, &sample, Some(&current));
+        // Score every remaining rule on the current residue of S. A rule
+        // matches a pair or not whatever else is in S, so its coverage of
+        // the residue is its selection-time coverage of all of S
+        // (`EvaluatedRule::coverage`) intersected with the residue: one
+        // merge of two ascending lists, no rescan of S.
+        let scored: Vec<(usize, f64, Vec<usize>)> = remaining
+            .iter()
+            .enumerate()
+            .filter_map(|(i, er)| {
+                let cov = intersection(&er.coverage, &current);
                 if cov.is_empty() {
                     return None;
                 }
@@ -207,8 +210,6 @@ pub fn run_blocker(
                 let score = er.est_precision * cov_frac / (1.0 + cost / 10.0);
                 Some((i, score, cov))
             })
-            .into_iter()
-            .flatten()
             .collect();
         if scored.is_empty() {
             break;
@@ -317,6 +318,25 @@ fn intersects(a: &[usize], b: &[usize]) -> bool {
         }
     }
     false
+}
+
+/// The entries the ascending lists `a` and `b` share, ascending: one
+/// merge pass.
+fn intersection(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
 }
 
 /// Drop the entries of the ascending list `covered` from the ascending
@@ -429,6 +449,38 @@ mod tests {
         );
         assert!(out.report.cost_cents > 0.0);
         assert!(out.report.pairs_labeled > 0);
+    }
+
+    #[test]
+    fn residue_coverage_is_the_stored_coverage_intersected() {
+        let (task, _) = toy_task(30);
+        let mut rng = StdRng::seed_from_u64(5);
+        let sample = CandidateSet::build(&task, sample_pairs(&task, 300, &mut rng));
+        let exact = task.feature_names().iter().position(|n| n == "name_exact").unwrap();
+        let rule = |predicates: Vec<Predicate>| Rule {
+            predicates,
+            label: false,
+            tree: 0,
+            n_pos: 0,
+            n_neg: 0,
+        };
+        let le = |feature: usize, threshold: f64| Predicate {
+            feature,
+            op: Op::Le,
+            threshold,
+            nan_satisfies: true,
+        };
+        let rules =
+            [rule(vec![le(exact, 0.5)]), rule(vec![le(exact, 0.5), le(0, 0.4)]), rule(vec![])];
+        let residues: [Vec<usize>; 3] =
+            [(0..sample.len()).collect(), (0..sample.len()).step_by(3).collect(), Vec::new()];
+        for r in &rules {
+            let full = sample.coverage(r, None);
+            for residue in &residues {
+                assert_eq!(intersection(&full, residue), sample.coverage(r, Some(residue)), "{r}");
+            }
+        }
+        assert_eq!(intersection(&[1, 4, 6, 9], &[0, 4, 5, 9, 10]), [4, 9]);
     }
 
     #[test]

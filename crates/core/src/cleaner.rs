@@ -152,9 +152,7 @@ pub fn clean_forest(
     let mut suspects: Vec<Suspect> = Vec::new();
     for (ti, rules) in cleaned.tree_rules.iter().enumerate() {
         for (ri, rule) in rules.iter().enumerate() {
-            let coverage: Vec<usize> = (0..cand.len())
-                .filter(|&i| rule.matches(cand.row(i)))
-                .collect();
+            let coverage = cand.coverage(rule, None);
             if coverage.len() < cfg.min_coverage {
                 continue;
             }
@@ -237,7 +235,7 @@ mod tests {
             if label && rng.gen_bool(flip) {
                 label = false;
             }
-            ds.push(cand.row(i), label);
+            ds.push(&cand.row(i), label);
         }
         RandomForest::train_all(&ds, &ForestConfig::default(), &mut rng)
     }
@@ -248,7 +246,7 @@ mod tests {
         let forest = noisy_forest(&cand, &gold, 0.0, 1);
         let cleaned = CleanedForest::pristine(forest.clone());
         for i in 0..cand.len() {
-            assert_eq!(cleaned.predict(cand.row(i)), forest.predict(cand.row(i)));
+            assert_eq!(cleaned.predict(&cand.row(i)), forest.predict(&cand.row(i)));
         }
         assert_eq!(cleaned.n_condemned(), 0);
     }
@@ -259,7 +257,7 @@ mod tests {
         let forest = noisy_forest(&cand, &gold, 0.5, 3);
         let accuracy = |predict: &dyn Fn(&[f64]) -> bool| {
             (0..cand.len())
-                .filter(|&i| predict(cand.row(i)) == gold.true_label(cand.pair(i)))
+                .filter(|&i| predict(&cand.row(i)) == gold.true_label(cand.pair(i)))
                 .count() as f64
                 / cand.len() as f64
         };
@@ -310,7 +308,7 @@ mod tests {
             "a noise-free model has no bad rules to condemn"
         );
         for i in (0..cand.len()).step_by(7) {
-            assert_eq!(cleaned.predict(cand.row(i)), forest.predict(cand.row(i)));
+            assert_eq!(cleaned.predict(&cand.row(i)), forest.predict(&cand.row(i)));
         }
     }
 
@@ -328,7 +326,7 @@ mod tests {
             .collect();
         cleaned.condemned.extend(all);
         let x = cand.row(0);
-        assert!(cleaned.positive_fraction(x).is_none());
-        assert_eq!(cleaned.predict(x), forest.predict(x));
+        assert!(cleaned.positive_fraction(&x).is_none());
+        assert_eq!(cleaned.predict(&x), forest.predict(&x));
     }
 }

@@ -580,10 +580,7 @@ impl Engine {
         for (sub_idx, label) in learn.crowd_labels() {
             st.known_labels.insert(st.region[sub_idx], label);
         }
-        let region_preds =
-            learn
-                .forest
-                .predict_batch(sub.matrix(), sub.n_features(), env.threads);
+        let region_preds = sub.predictions(&learn.forest, env.threads);
         for (j, &global) in st.region.iter().enumerate() {
             st.predictions[global] = region_preds[j];
         }

@@ -423,8 +423,7 @@ mod tests {
             &mut rng,
             exec::Threads::new(2),
         );
-        let predictions: Vec<bool> =
-            (0..cand.len()).map(|i| learn.forest.predict(cand.row(i))).collect();
+        let predictions = cand.predictions(&learn.forest, exec::Threads::new(2));
         let known: HashMap<usize, bool> = learn.crowd_labels().collect();
         (task, gold, cand, learn.forest, predictions, known, platform)
     }

@@ -63,9 +63,10 @@ impl LearnOutcome {
     }
 }
 
-/// Compute vote entropies of the given candidate indices, in parallel for
-/// large sets. Each row costs one forest vote and a lookup in the
-/// forest's [`RandomForest::entropy_table`].
+/// Compute vote entropies of the given candidate indices, in their order:
+/// each row's vote count ([`CandidateSet::positive_votes`], a column scan
+/// in parallel for large sets) looked up in the forest's
+/// [`RandomForest::entropy_table`].
 pub fn entropies(
     forest: &RandomForest,
     cand: &CandidateSet,
@@ -73,11 +74,7 @@ pub fn entropies(
     threads: Threads,
 ) -> Vec<f64> {
     let table = forest.entropy_table();
-    let entropy = |&i: &usize| table[forest.positive_votes(cand.row(i))];
-    if indices.len() < 8192 || threads.get() <= 1 {
-        return indices.iter().map(entropy).collect();
-    }
-    exec::par_map(threads, indices, entropy)
+    cand.positive_votes(forest, indices, threads).into_iter().map(|v| table[v]).collect()
 }
 
 /// Rank an `(index, entropy)` pool for batch selection: highest entropy
@@ -140,12 +137,14 @@ pub fn run_active_learning(
 
     for _iter in 0..cfg.max_iterations {
         let forest = train_all(&train, rng);
+        // Mean confidence over V, summed in the monitor's (random) order.
         let conf = if monitor.is_empty() {
             1.0
         } else {
-            forest
-                .confidence_batch(cand.matrix(), cand.n_features(), &monitor, threads)
-                .iter()
+            let table = forest.entropy_table();
+            cand.positive_votes(&forest, &monitor, threads)
+                .into_iter()
+                .map(|v| 1.0 - table[v])
                 .sum::<f64>()
                 / monitor.len() as f64
         };
@@ -192,7 +191,7 @@ pub fn run_active_learning(
                 continue;
             }
             taken[idx] = true;
-            train.push(cand.row(idx), label);
+            train.push(&cand.row(idx), label);
             pairs_labeled += 1;
             if label {
                 crowd_positives.push(idx);
@@ -324,7 +323,7 @@ mod tests {
         let mut tp = 0;
         let mut pp = 0;
         for i in 0..cand.len() {
-            if out.forest.predict(cand.row(i)) {
+            if out.forest.predict(&cand.row(i)) {
                 pp += 1;
                 if gold.true_label(cand.pair(i)) {
                     tp += 1;
@@ -376,7 +375,7 @@ mod tests {
         let (out, cand, gold) = run(&small_cfg(), 0.1);
         let mut correct = 0;
         for i in 0..cand.len() {
-            if out.forest.predict(cand.row(i)) == gold.true_label(cand.pair(i)) {
+            if out.forest.predict(&cand.row(i)) == gold.true_label(cand.pair(i)) {
                 correct += 1;
             }
         }

@@ -33,21 +33,6 @@ pub struct ScoredRule {
     pub ub_precision: f64,
 }
 
-/// Indices of `cand` covered by the rule, optionally restricted to a
-/// subset of indices.
-pub fn coverage_of(rule: &Rule, cand: &CandidateSet, within: Option<&[usize]>) -> Vec<usize> {
-    match within {
-        Some(idx) => idx
-            .iter()
-            .copied()
-            .filter(|&i| rule.matches(cand.row(i)))
-            .collect(),
-        None => (0..cand.len())
-            .filter(|&i| rule.matches(cand.row(i)))
-            .collect(),
-    }
-}
-
 /// Score rules and keep the top `k` by precision upper bound, breaking
 /// ties by coverage size (§4.2 step 1). `known_opposite` holds candidate
 /// indices already crowd-labeled with the class *opposite* to the rules'
@@ -77,7 +62,7 @@ pub fn select_top_rules(
     }
     // Coverage scans are the expensive part and independent per rule.
     let mut scored: Vec<ScoredRule> = exec::par_map(threads, &unique, |rule| {
-        let coverage = coverage_of(rule, cand, within);
+        let coverage = cand.coverage(rule, within);
         if coverage.is_empty() {
             return None;
         }
@@ -358,10 +343,10 @@ mod tests {
     fn coverage_of_counts_correctly() {
         let (task, _, cand) = toy();
         let neg = exact_rule(&task, false);
-        let cov = coverage_of(&neg, &cand, None);
+        let cov = cand.coverage(&neg, None);
         assert_eq!(cov.len(), 144 - 12, "all off-diagonal pairs");
         let within: Vec<usize> = (0..24).collect();
-        let cov2 = coverage_of(&neg, &cand, Some(&within));
+        let cov2 = cand.coverage(&neg, Some(&within));
         assert!(cov2.len() < cov.len());
         assert!(cov2.iter().all(|i| within.contains(i)));
     }

@@ -162,45 +162,6 @@ impl RandomForest {
         1.0 - self.entropy(x)
     }
 
-    /// Majority-vote predictions for every row of a row-major `matrix`
-    /// (`matrix.len() / n_features` rows), in parallel.
-    pub fn predict_batch(&self, matrix: &[f64], n_features: usize, threads: Threads) -> Vec<bool> {
-        let n_rows = matrix.len().checked_div(n_features).unwrap_or(0);
-        exec::indexed_par_map(threads, n_rows, |i| {
-            self.predict(&matrix[i * n_features..(i + 1) * n_features])
-        })
-    }
-
-    /// Confidences of the rows `indices` of a row-major `matrix`, in
-    /// parallel, preserving the order of `indices`.
-    pub fn confidence_batch(
-        &self,
-        matrix: &[f64],
-        n_features: usize,
-        indices: &[usize],
-        threads: Threads,
-    ) -> Vec<f64> {
-        let table = self.entropy_table();
-        exec::par_map(threads, indices, |&i| {
-            1.0 - table[self.positive_votes(&matrix[i * n_features..(i + 1) * n_features])]
-        })
-    }
-
-    /// Vote entropies of the rows `indices` of a row-major `matrix`, in
-    /// parallel, preserving the order of `indices`.
-    pub fn entropy_batch(
-        &self,
-        matrix: &[f64],
-        n_features: usize,
-        indices: &[usize],
-        threads: Threads,
-    ) -> Vec<f64> {
-        let table = self.entropy_table();
-        exec::par_map(threads, indices, |&i| {
-            table[self.positive_votes(&matrix[i * n_features..(i + 1) * n_features])]
-        })
-    }
-
     /// The component trees.
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
@@ -327,24 +288,6 @@ mod tests {
             let p = forests[0].positive_fraction(ds.row(i));
             assert_eq!(p, forests[1].positive_fraction(ds.row(i)));
             assert_eq!(p, forests[2].positive_fraction(ds.row(i)));
-        }
-    }
-
-    #[test]
-    fn batch_helpers_agree_with_scalar_calls() {
-        let ds = separable(80);
-        let mut rng = StdRng::seed_from_u64(4);
-        let f = RandomForest::train_all(&ds, &ForestConfig::default(), &mut rng);
-        let matrix: Vec<f64> = (0..ds.len()).flat_map(|i| ds.row(i).to_vec()).collect();
-        let n = ds.n_features();
-        let preds = f.predict_batch(&matrix, n, Threads::new(3));
-        let idx: Vec<usize> = (0..ds.len()).collect();
-        let confs = f.confidence_batch(&matrix, n, &idx, Threads::new(3));
-        let ents = f.entropy_batch(&matrix, n, &idx, Threads::new(3));
-        for i in 0..ds.len() {
-            assert_eq!(preds[i], f.predict(ds.row(i)));
-            assert_eq!(confs[i], f.confidence(ds.row(i)));
-            assert_eq!(ents[i], f.entropy(ds.row(i)));
         }
     }
 

@@ -39,7 +39,14 @@ impl Predicate {
     /// Evaluate the predicate on a feature vector.
     #[inline]
     pub fn holds(&self, x: &[f64]) -> bool {
-        let v = x[self.feature];
+        self.holds_value(x[self.feature])
+    }
+
+    /// Evaluate the predicate on `v`, the value of its feature: the test
+    /// [`Self::holds`] applies, for callers that scan one feature's
+    /// column.
+    #[inline]
+    pub fn holds_value(&self, v: f64) -> bool {
         if v.is_nan() {
             return self.nan_satisfies;
         }

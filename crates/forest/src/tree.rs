@@ -152,12 +152,21 @@ impl DecisionTree {
 
     /// Predict the class of a feature vector.
     pub fn predict(&self, x: &[f64]) -> bool {
+        self.predict_by(|f| x[f])
+    }
+
+    /// Predict the class of a vector whose feature `f` is `value(f)`:
+    /// the walk [`Self::predict`] takes, for callers that do not hold the
+    /// vector as one slice (a column-major matrix reads each feature from
+    /// its own column). Only the features on the walked path are read.
+    #[inline]
+    pub fn predict_by(&self, value: impl Fn(usize) -> f64) -> bool {
         let mut cur = 0usize;
         loop {
             match &self.nodes[cur] {
                 Node::Leaf { label, .. } => return *label,
                 Node::Split { feature, threshold, nan_left, left, right } => {
-                    let v = x[*feature as usize];
+                    let v = value(*feature as usize);
                     let go_left = if v.is_nan() { *nan_left } else { v <= *threshold };
                     cur = if go_left { *left as usize } else { *right as usize };
                 }

@@ -23,6 +23,7 @@ use service::{MatchService, ServiceConfig, TenantSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+#[derive(Debug)]
 struct Options {
     root: Option<PathBuf>,
     out: Option<PathBuf>,
@@ -76,54 +77,41 @@ USAGE: corleone-serve [FLAGS]
 Events stream to stdout as JSON lines; the final line is
 {\"service_perf\": ...}.";
 
-fn parse_args() -> Options {
+/// The options of `argv` (the command line without the program name),
+/// or why the line is bad: an unknown flag, a flag without a value, or a
+/// value that does not parse. `--help` is handled before this.
+fn parse_arg_list(argv: &[String]) -> Result<Options, String> {
+    fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.parse().map_err(|e| format!("bad {flag} {v:?}: {e}"))
+    }
     let mut opts = Options::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        match flag {
-            "--help" | "-h" => {
-                println!("{HELP}");
-                std::process::exit(0);
-            }
-            "--quiet" => {
-                opts.quiet = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        if flag == "--quiet" {
+            opts.quiet = true;
+            continue;
         }
-        let Some(value) = argv.get(i + 1) else {
-            eprintln!("flag {flag} needs a value; see --help");
-            std::process::exit(2);
-        };
+        let value = it.next().ok_or_else(|| format!("flag {flag} needs a value"))?;
         match flag {
             "--root" => opts.root = Some(PathBuf::from(value)),
             "--out" => opts.out = Some(PathBuf::from(value)),
             "--datasets" => {
                 opts.datasets = value.split(',').map(|s| s.trim().to_string()).collect()
             }
-            "--scale" => opts.scale = value.parse().expect("--scale takes a float"),
-            "--seed" => opts.seed = value.parse().expect("--seed takes an integer"),
-            "--error-rate" => {
-                opts.error_rate = value.parse().expect("--error-rate takes a float")
-            }
-            "--threads" => opts.threads = value.parse().expect("--threads takes an integer"),
-            "--max-active" => {
-                opts.max_active = value.parse().expect("--max-active takes an integer")
-            }
-            "--max-ticks" => {
-                opts.max_ticks = Some(value.parse().expect("--max-ticks takes an integer"))
-            }
-            other => {
-                eprintln!("unknown flag {other}; see --help");
-                std::process::exit(2);
-            }
+            "--scale" => opts.scale = num(flag, value)?,
+            "--seed" => opts.seed = num(flag, value)?,
+            "--error-rate" => opts.error_rate = num(flag, value)?,
+            "--threads" => opts.threads = num(flag, value)?,
+            "--max-active" => opts.max_active = num(flag, value)?,
+            "--max-ticks" => opts.max_ticks = Some(num(flag, value)?),
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 2;
     }
-    opts
+    Ok(opts)
 }
 
 /// The simulated crowd for one tenant (mirrors the bench harness).
@@ -143,7 +131,18 @@ fn make_platform(ds: &EmDataset, error_rate: f64, seed: u64) -> CrowdPlatform {
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
+    let opts = match parse_arg_list(&argv) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}; see --help");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut svc = match MatchService::new(ServiceConfig {
         threads: opts.threads,
@@ -232,4 +231,38 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arg_list_errors_are_values_not_panics() {
+        let line = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        for (flag, bad) in [
+            ("--threads", "x"),
+            ("--scale", "abc"),
+            ("--seed", "-1"),
+            ("--error-rate", "p"),
+            ("--max-active", "1.5"),
+            ("--max-ticks", "many"),
+        ] {
+            let err = parse_arg_list(&line(&format!("{flag} {bad}"))).unwrap_err();
+            assert!(err.starts_with(&format!("bad {flag} \"{bad}\"")), "{err}");
+        }
+        assert!(parse_arg_list(&line("--nosuch 1")).unwrap_err().contains("unknown flag"));
+        assert!(parse_arg_list(&line("--root")).unwrap_err().contains("needs a value"));
+
+        let opts = parse_arg_list(&line(
+            "--quiet --datasets restaurants,products --scale 0.08 --seed 7 --threads 2 \
+             --max-ticks 4 --root r",
+        ))
+        .unwrap();
+        assert!(opts.quiet);
+        assert_eq!(opts.datasets, ["restaurants", "products"]);
+        assert_eq!((opts.scale, opts.seed, opts.threads), (0.08, 7, 2));
+        assert_eq!((opts.max_ticks, opts.root), (Some(4), Some(PathBuf::from("r"))));
+        assert_eq!(parse_arg_list(&[]).unwrap().datasets.len(), datagen::DATASET_NAMES.len());
+    }
 }

@@ -16,6 +16,11 @@ echo "==> cargo test --release -q -p similarity (bit identity under release code
 # float expression the optimizer folds differently would show only here.
 cargo test --release -q -p similarity
 
+echo "==> cargo test --release -q -p corleone (column scans under release codegen)"
+# The candidate matrix's column scans (forest votes, rule coverage) and
+# their layout tests, again under the codegen the benchmark measures.
+cargo test --release -q -p corleone
+
 echo "==> e2e_bench tests (builds the benchmark, runs --quick end to end)"
 # e2e_bench is its own Cargo workspace, so the root `cargo test` never
 # builds it; this stage fails when a library change breaks the API the
@@ -48,6 +53,22 @@ cargo run --release -q -p lint --bin corleone-lint -- --stats --ratchet lint-bas
 grep -q "lint_ratchet=ok" "$ratchet_log" \
     || { echo "FAIL: corleone-lint did not report lint_ratchet=ok"; exit 1; }
 rm -f "$ratchet_log"
+
+echo "==> bad command lines exit 2 with a reason"
+# A malformed flag value must end in a message and exit code 2, never a
+# panic (exit code 101).
+bad_lines=(
+    "bench blocking_perf --scales abc"
+    "service corleone-serve --threads x"
+)
+for bad in "${bad_lines[@]}"; do
+    read -r pkg bin flags <<< "$bad"
+    code=0
+    # shellcheck disable=SC2086 # the flags are split on purpose
+    cargo run --release -q -p "$pkg" --bin "$bin" -- $flags 2> /dev/null || code=$?
+    [ "$code" -eq 2 ] \
+        || { echo "FAIL: $bin $flags exited $code, expected 2"; exit 1; }
+done
 
 echo "==> smoke run (restaurants, scale 0.05, 1 run)"
 cargo run --release -q -p bench --bin smoke -- \

@@ -167,9 +167,9 @@ fn forest_rules_route_like_forest_on_real_features() {
         let rules = forest::rules::extract_tree_rules(tree, ti);
         for i in (0..cand.len()).step_by(31) {
             let x = cand.row(i);
-            let hits: Vec<_> = rules.iter().filter(|r| r.matches(x)).collect();
+            let hits: Vec<_> = rules.iter().filter(|r| r.matches(&x)).collect();
             assert_eq!(hits.len(), 1, "tree {ti}, pair {i}");
-            assert_eq!(hits[0].label, tree.predict(x));
+            assert_eq!(hits[0].label, tree.predict(&x));
         }
     }
 }
