@@ -10,10 +10,10 @@
 //! whole hands-off pipeline is built on).
 
 use bench::{
-    dataset, make_platform, make_task, mean, parse_args, pct, render_table, sampled_candidates,
+    dataset, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
+    sampled_candidates,
 };
 use corleone::{run_active_learning, CorleoneConfig, Threads};
-use crowd::TruthOracle;
 use forest::{extract_rules, Dataset, LogRegConfig, LogisticRegression};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,24 +61,7 @@ fn main() {
             let lr = LogisticRegression::train(&train, &LogRegConfig::default());
 
             let f1_of = |predict: &dyn Fn(&[f64]) -> bool| {
-                let mut tp = 0;
-                let mut pp = 0;
-                let mut ap = 0;
-                for i in 0..cand.len() {
-                    let a = gold.true_label(cand.pair(i));
-                    if predict(&cand.row(i)) {
-                        pp += 1;
-                        if a {
-                            tp += 1;
-                        }
-                    }
-                    if a {
-                        ap += 1;
-                    }
-                }
-                let p = if pp > 0 { tp as f64 / pp as f64 } else { 0.0 };
-                let r = if ap > 0 { tp as f64 / ap as f64 } else { 0.0 };
-                corleone::metrics::Prf::new(p, r).f1
+                gold_prf(&cand, 0..cand.len(), &gold, |i| predict(&cand.row(i))).f1
             };
             rf_f1.push(f1_of(&|x| learn.forest.predict(x)));
             lr_f1.push(f1_of(&|x| lr.predict(x)));

@@ -7,11 +7,10 @@
 //! can *decrease* accuracy.
 
 use bench::{
-    dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table,
+    dataset, dollars, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
 use corleone::{run_active_learning, CorleoneConfig, StoppingConfig, Threads};
-use crowd::TruthOracle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -79,25 +78,8 @@ fn main() {
             costs.push(platform.ledger().total_cents - cents_before);
             iters.push(learn.iterations as f64);
 
-            let mut tp = 0;
-            let mut pp = 0;
-            let mut ap = 0;
-            for i in 0..cand.len() {
-                let a = gold.true_label(cand.pair(i));
-                let p = learn.forest.predict(&cand.row(i));
-                if p {
-                    pp += 1;
-                    if a {
-                        tp += 1;
-                    }
-                }
-                if a {
-                    ap += 1;
-                }
-            }
-            let prec = if pp > 0 { tp as f64 / pp as f64 } else { 0.0 };
-            let rec = if ap > 0 { tp as f64 / ap as f64 } else { 0.0 };
-            f1s.push(corleone::metrics::Prf::new(prec, rec).f1);
+            let prf = gold_prf(&cand, 0..cand.len(), &gold, |i| learn.forest.predict(&cand.row(i)));
+            f1s.push(prf.f1);
         }
         rows.push(vec![
             label.to_string(),

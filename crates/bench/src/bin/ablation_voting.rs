@@ -8,11 +8,10 @@
 //! accuracy at close to `2+1` cost.
 
 use bench::{
-    dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table,
+    dataset, dollars, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
 use corleone::{estimate_accuracy, run_active_learning, CorleoneConfig, RunEnv, Threads};
-use crowd::TruthOracle;
 use crowd::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,24 +77,7 @@ fn main() {
                 &RunEnv::default(),
             );
             // Ground truth over the same population.
-            let mut tp = 0;
-            let mut pp = 0;
-            let mut ap = 0;
-            for (i, &pred) in predictions.iter().enumerate() {
-                let a = gold.true_label(cand.pair(i));
-                if pred {
-                    pp += 1;
-                    if a {
-                        tp += 1;
-                    }
-                }
-                if a {
-                    ap += 1;
-                }
-            }
-            let true_p = if pp > 0 { tp as f64 / pp as f64 } else { 0.0 };
-            let true_r = if ap > 0 { tp as f64 / ap as f64 } else { 0.0 };
-            let true_f1 = corleone::metrics::Prf::new(true_p, true_r).f1;
+            let true_f1 = gold_prf(&cand, 0..predictions.len(), &gold, |i| predictions[i]).f1;
             errs.push((est.f1 - true_f1).abs());
             costs.push(platform.ledger().total_cents - cents_before);
         }

@@ -18,8 +18,8 @@
 //!
 //! Phases per dataset × scale:
 //! * `analysis_build`   — one-time `TableAnalysis` build (rate = records/s)
-//! * `rule_apply_string` — rule sweep via the string kernels (sampled
-//!   A-rows at large scales; the rate extrapolates)
+//! * `rule_apply_string` — rule sweep via the string kernels, pair by
+//!   pair (sampled A-rows at large scales; the rate extrapolates)
 //! * `rule_apply_pre`   — [`CartesianScan`] over the full `A × B`
 //! * `index_probe`      — [`IndexedJoin`] (index build + probe + verify);
 //!   the rate is *effective* pairs/s (Cartesian size / wall), so the
@@ -35,7 +35,9 @@
 //! * `char_kernels_string` / `char_kernels_pre` — only the five
 //!   character-level measures (Levenshtein, Jaro, Jaro-Winkler,
 //!   Monge-Elkan, Smith-Waterman) on the same pair sample, isolating the
-//!   bit-parallel/scratch kernels from the set/vector ones
+//!   bit-parallel/scratch kernels from the set/vector ones; the pre side
+//!   computes one feature per run of sampled pairs sharing the left
+//!   record (`FeatureVectorizer::feature_run`, what the rule sweep calls)
 //!
 //! Every dataset × scale also asserts (a) the indexed candidate list is
 //! byte-identical to the scan's (`index_equivalence=ok` marker),
@@ -43,10 +45,12 @@
 //! paths on every sampled pair (`char_equivalence=ok` marker), and
 //! (c) the *full* feature vector off the arena-packed analysis is
 //! bit-identical to the string path on every sampled pair
-//! (`arena_equivalence=ok` marker), and (d) every row of the run-shaped
+//! (`arena_equivalence=ok` marker), (d) every row of the run-shaped
 //! matrix, read back through the owned `CandidateSet::row`, is
 //! bit-identical to the string path's vector of its pair
-//! (`run_equivalence=ok` marker); all four markers are grepped by
+//! (`run_equivalence=ok` marker), and (e) the string-path rule sweep
+//! keeps exactly the scan's survivors on its sampled A-rows
+//! (`rule_equivalence=ok` marker); all five markers are grepped by
 //! `scripts/ci.sh`.
 //!
 //! Flags: `--quick` (CI-sized run: every dataset at scale 0.05),
@@ -61,12 +65,13 @@ use corleone::blocker;
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin};
 use corleone::task::MatchTask;
 use corleone::CandidateSet;
+use crowd::PairKey;
 use exec::Threads;
 use forest::{Op, Predicate, Rule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use similarity::{FeatureKind, TaskAnalysis};
+use similarity::{FeatureKind, Record, TaskAnalysis};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -203,16 +208,22 @@ fn bench_rules(task: &MatchTask) -> Vec<Rule> {
     rules
 }
 
-/// Reference rule sweep through the string kernels (what the hot path did
-/// before the analysis layer), over a subset of A-rows.
-fn rule_sweep_string(task: &MatchTask, rules: &[Rule], rows: &[u32], threads: Threads) -> usize {
+/// Reference rule sweep through the string kernels, pair by pair with a
+/// per-pair feature memo (what the hot path did before the analysis
+/// layer), over a subset of A-rows: the surviving pairs, row-major.
+fn rule_sweep_string(
+    task: &MatchTask,
+    rules: &[Rule],
+    rows: &[u32],
+    threads: Threads,
+) -> Vec<PairKey> {
     let n_b = task.table_b.len() as u32;
     let n_features = task.n_features();
-    let survivors: Vec<usize> = exec::indexed_par_map(threads, rows.len(), |ri| {
+    let survivors: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, rows.len(), |ri| {
         let rec_a = task.table_a.record(rows[ri]);
         let mut memo = vec![f64::NAN; n_features];
         let mut computed = vec![false; n_features];
-        let mut kept = 0usize;
+        let mut kept = Vec::new();
         for b in 0..n_b {
             let rec_b = task.table_b.record(b);
             computed.iter_mut().for_each(|c| *c = false);
@@ -230,12 +241,12 @@ fn rule_sweep_string(task: &MatchTask, rules: &[Rule], rows: &[u32], threads: Th
                 }
             }
             if !blocked {
-                kept += 1;
+                kept.push(PairKey::new(rows[ri], b));
             }
         }
         kept
     });
-    survivors.iter().sum()
+    survivors.into_iter().flatten().collect()
 }
 
 /// Deterministic stride sample of `n` pairs over the Cartesian product.
@@ -251,6 +262,28 @@ fn sample_pairs(task: &MatchTask, n: usize) -> Vec<(u32, u32)> {
             ((idx / n_b) as u32, (idx % n_b) as u32)
         })
         .collect()
+}
+
+/// Feature `fi` of a run of sampled pairs sharing the left record, into
+/// `col`: through `feature_run` (`pre`), or pair by pair through the
+/// string kernels.
+fn run_column(
+    task: &MatchTask,
+    an: &TaskAnalysis,
+    fi: usize,
+    run: &[(u32, u32)],
+    pre: bool,
+    col: &mut [f64],
+) {
+    let ra = task.table_a.record(run[0].0);
+    let bs: Vec<&Record> = run.iter().map(|&(_, b)| task.table_b.record(b)).collect();
+    if pre {
+        task.vectorizer.feature_run(fi, ra, &bs, an, col);
+    } else {
+        for (x, rb) in col.iter_mut().zip(bs) {
+            *x = task.vectorizer.feature(fi, ra, rb);
+        }
+    }
 }
 
 /// Runs of one timed phase: at most `REPS`, and no more once the runs
@@ -287,11 +320,13 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 /// Per-kernel ns/pair on both paths (calibration data for
-/// `FeatureKind::unit_cost`). With `all_defs`, times every feature def
-/// (per attribute) instead of the first def per kind — the per-def
-/// breakdown of a full `vectorize_pre` pass.
+/// `FeatureKind::unit_cost`), the pre path one `feature_run` per run of
+/// sampled pairs sharing the left record. With `all_defs`, times every
+/// feature def (per attribute) instead of the first def per kind — the
+/// per-def breakdown of a full `vectorize_pre` pass.
 fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs: bool) {
     let pairs = sample_pairs(task, 20_000);
+    let runs: Vec<&[(u32, u32)]> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
     let vz = &task.vectorizer;
     let mut rows = Vec::new();
     for def_idx in 0..task.n_features() {
@@ -302,19 +337,10 @@ fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs:
         }
         let run = |pre: bool| {
             let t0 = Instant::now();
-            let sums: Vec<f64> = exec::indexed_par_map(threads, pairs.len(), |i| {
-                let (a, b) = pairs[i];
-                let (ra, rb) = (task.table_a.record(a), task.table_b.record(b));
-                let x = if pre {
-                    vz.feature_pre(def_idx, ra, rb, an)
-                } else {
-                    vz.feature(def_idx, ra, rb)
-                };
-                if x.is_nan() {
-                    0.0
-                } else {
-                    x
-                }
+            let sums: Vec<f64> = exec::indexed_par_map(threads, runs.len(), |ri| {
+                let mut col = vec![0.0; runs[ri].len()];
+                run_column(task, an, def_idx, runs[ri], pre, &mut col);
+                col.iter().filter(|x| !x.is_nan()).sum::<f64>()
             });
             let ns = t0.elapsed().as_nanos() as f64 / pairs.len() as f64;
             (ns, sums.iter().sum::<f64>())
@@ -393,7 +419,8 @@ fn main() -> ExitCode {
                 (0..n_a).step_by(stride).take(max_rows).map(|a| a as u32).collect()
             };
             let string_pairs = a_rows.len() as u64 * n_b as u64;
-            let (wall, _) = timed(|| rule_sweep_string(&task, &rules, &a_rows, threads));
+            let (wall, string_survivors) =
+                timed(|| rule_sweep_string(&task, &rules, &a_rows, threads));
             let (_, rate_string) = push("rule_apply_string", wall, string_pairs as f64);
 
             // The analysis build, timed on throw-away builds; the task
@@ -408,7 +435,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "[{name} @ {scale}] analysis: {} values, {} words, {} grams, \
                  {:.1} MiB arena ({:.1} ids + {:.1} weights + {:.1} text + \
-                 {:.1} headers) vs {:.1} MiB owned layout",
+                 {:.1} headers)",
                 stats.values,
                 stats.distinct_words,
                 stats.distinct_grams,
@@ -416,8 +443,7 @@ fn main() -> ExitCode {
                 mib(stats.id_bytes),
                 mib(stats.weight_bytes),
                 mib(stats.text_bytes + stats.char_bytes + stats.narrow_bytes),
-                mib(stats.header_bytes),
-                mib(stats.owned_layout_bytes)
+                mib(stats.header_bytes)
             );
 
             // Pre-path rule application over the full Cartesian product.
@@ -431,6 +457,20 @@ fn main() -> ExitCode {
                 rate_string / 1e6,
                 rate_pre / 1e6,
                 rate_pre / rate_string.max(1.0)
+            );
+            // The sweep against the pair-by-pair string-path filter on
+            // the sampled rows (ascending, so a binary search selects
+            // them).
+            let scan_on_rows: Vec<PairKey> =
+                scan_pairs.iter().filter(|p| a_rows.binary_search(&p.a).is_ok()).copied().collect();
+            assert_eq!(
+                scan_on_rows, string_survivors,
+                "rule sweep diverged from the string path on {name} @ {scale}"
+            );
+            println!(
+                "rule_equivalence=ok dataset={name} scale={scale} rows={} survivors={}",
+                a_rows.len(),
+                string_survivors.len()
             );
 
             // Output-sensitive indexed join: index build + probes + full
@@ -548,23 +588,22 @@ fn main() -> ExitCode {
                 })
                 .map(|(i, _)| i)
                 .collect();
+            let runs: Vec<&[(u32, u32)]> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
             let char_run = |pre: bool| -> (f64, Vec<Vec<u64>>) {
                 timed(|| {
-                    exec::indexed_par_map(threads, pairs.len(), |i| {
-                        let (a, b) = pairs[i];
-                        let (ra, rb) = (task.table_a.record(a), task.table_b.record(b));
-                        char_defs
-                            .iter()
-                            .map(|&fi| {
-                                let x = if pre {
-                                    task.vectorizer.feature_pre(fi, ra, rb, an)
-                                } else {
-                                    task.vectorizer.feature(fi, ra, rb)
-                                };
-                                x.to_bits()
-                            })
-                            .collect::<Vec<u64>>()
-                    })
+                    let per_run = exec::indexed_par_map(threads, runs.len(), |ri| {
+                        let run = runs[ri];
+                        let mut bits = vec![Vec::with_capacity(char_defs.len()); run.len()];
+                        let mut col = vec![0.0; run.len()];
+                        for &fi in &char_defs {
+                            run_column(&task, an, fi, run, pre, &mut col);
+                            for (row, x) in bits.iter_mut().zip(&col) {
+                                row.push(x.to_bits());
+                            }
+                        }
+                        bits
+                    });
+                    per_run.into_iter().flatten().collect()
                 })
             };
             let (wall_cs, bits_s) = char_run(false);

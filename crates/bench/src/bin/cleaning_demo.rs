@@ -7,7 +7,7 @@
 //! systematic mistakes; the cleaner then audits the most suspicious rules
 //! with a proper crowd and condemns the bad ones.
 
-use bench::{dataset, make_platform, make_task, mean, parse_args, pct, render_table};
+use bench::{dataset, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table};
 use corleone::{clean_forest, CandidateSet, CleanerConfig};
 use crowd::TruthOracle;
 use forest::{Dataset, ForestConfig, RandomForest};
@@ -66,24 +66,7 @@ fn main() {
             let forest = RandomForest::train_all(&train, &ForestConfig::default(), &mut rng);
 
             let f1_of = |predict: &dyn Fn(&[f64]) -> bool| {
-                let mut tp = 0;
-                let mut pp = 0;
-                let mut ap = 0;
-                for i in 0..cand.len() {
-                    let a = gold.true_label(cand.pair(i));
-                    if predict(&cand.row(i)) {
-                        pp += 1;
-                        if a {
-                            tp += 1;
-                        }
-                    }
-                    if a {
-                        ap += 1;
-                    }
-                }
-                let p = if pp > 0 { tp as f64 / pp as f64 } else { 0.0 };
-                let r = if ap > 0 { tp as f64 / ap as f64 } else { 0.0 };
-                corleone::metrics::Prf::new(p, r).f1
+                gold_prf(&cand, 0..cand.len(), &gold, |i| predict(&cand.row(i))).f1
             };
             let before = f1_of(&|x| forest.predict(x));
 

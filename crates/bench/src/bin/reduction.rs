@@ -7,47 +7,15 @@
 //! matcher, locates the difficult pairs, trains the iteration-2 matcher on
 //! them, and compares accuracy on the difficult subset before and after.
 
-use bench::{dataset, make_platform, make_task, parse_args, pct, render_table, sampled_candidates};
-use corleone::ruleeval::RuleEvalConfig;
-use corleone::{
-    locate_difficult_pairs, run_active_learning, CandidateSet, CorleoneConfig, RunEnv, Threads,
+use bench::{
+    dataset, gold_prf, make_platform, make_task, parse_args, pct, render_table,
+    sampled_candidates,
 };
-use crowd::TruthOracle;
+use corleone::ruleeval::RuleEvalConfig;
+use corleone::{locate_difficult_pairs, run_active_learning, CorleoneConfig, RunEnv, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-
-fn prf(
-    cand: &CandidateSet,
-    idx: &[usize],
-    preds: &dyn Fn(usize) -> bool,
-    gold: &dyn TruthOracle,
-) -> (f64, f64, f64) {
-    let mut tp = 0;
-    let mut pp = 0;
-    let mut ap = 0;
-    for &i in idx {
-        let p = preds(i);
-        let a = gold.true_label(cand.pair(i));
-        if p {
-            pp += 1;
-        }
-        if a {
-            ap += 1;
-        }
-        if p && a {
-            tp += 1;
-        }
-    }
-    let precision = if pp > 0 { tp as f64 / pp as f64 } else { 0.0 };
-    let recall = if ap > 0 { tp as f64 / ap as f64 } else { 0.0 };
-    let f1 = if precision + recall > 0.0 {
-        2.0 * precision * recall / (precision + recall)
-    } else {
-        0.0
-    };
-    (precision, recall, f1)
-}
 
 fn main() {
     let mut opts = parse_args();
@@ -107,7 +75,8 @@ fn main() {
         };
 
         // Accuracy of M1 on the difficult subset.
-        let before = prf(&cand, &difficult, &|i| m1.forest.predict(&cand.row(i)), &gold);
+        let before =
+            gold_prf(&cand, difficult.iter().copied(), &gold, |i| m1.forest.predict(&cand.row(i)));
 
         // Iteration 2: dedicated matcher on the difficult pairs.
         let sub = cand.subset(&difficult);
@@ -126,18 +95,18 @@ fn main() {
             .enumerate()
             .map(|(j, &g)| (g, sub_pred[j]))
             .collect();
-        let after = prf(&cand, &difficult, &|i| pos_in_sub[&i], &gold);
+        let after = gold_prf(&cand, difficult.iter().copied(), &gold, |i| pos_in_sub[&i]);
 
         rows.push(vec![
             name.clone(),
             difficult.len().to_string(),
-            pct(before.0),
-            pct(before.1),
-            pct(before.2),
-            pct(after.0),
-            pct(after.1),
-            pct(after.2),
-            format!("{:+.1}", (after.2 - before.2) * 100.0),
+            pct(before.precision),
+            pct(before.recall),
+            pct(before.f1),
+            pct(after.precision),
+            pct(after.recall),
+            pct(after.f1),
+            format!("{:+.1}", (after.f1 - before.f1) * 100.0),
         ]);
     }
     println!(

@@ -26,10 +26,12 @@
 //! ```
 
 use corleone::error::CorleoneError;
+use corleone::metrics::Prf;
 use corleone::task::task_from_parts;
 use corleone::{BlockerConfig, CandidateSet, CorleoneConfig, Engine, MatchTask, RunReport};
 use crowd::{
-    CrowdConfig, CrowdPlatform, FaultConfig, GoldOracle, PairKey, RetryPolicy, WorkerPool,
+    CrowdConfig, CrowdPlatform, FaultConfig, GoldOracle, PairKey, RetryPolicy, TruthOracle,
+    WorkerPool,
 };
 use datagen::{EmDataset, GenConfig};
 use rand::rngs::StdRng;
@@ -297,6 +299,24 @@ pub fn try_run_corleone(
     }
     let result = session.try_run();
     (result, ds)
+}
+
+/// True precision, recall and F1 of `predicted` (by candidate row) on the
+/// candidate rows `rows`, against the gold labels of their pairs.
+pub fn gold_prf(
+    cand: &CandidateSet,
+    rows: impl IntoIterator<Item = usize>,
+    gold: &dyn TruthOracle,
+    predicted: impl Fn(usize) -> bool,
+) -> Prf {
+    let (mut tp, mut pp, mut ap) = (0, 0, 0);
+    for i in rows {
+        let (p, a) = (predicted(i), gold.true_label(cand.pair(i)));
+        pp += usize::from(p);
+        ap += usize::from(a);
+        tp += usize::from(p && a);
+    }
+    Prf::from_counts(tp, pp, ap)
 }
 
 /// Mean of a slice.

@@ -238,20 +238,9 @@ pub fn run_blocker(
     }
 
     // 7. Apply the selected rules to A × B in parallel (§4.3). A pair is
-    //    blocked as soon as any selected rule fires; features are computed
-    //    lazily and memoized per pair.
+    //    blocked as soon as any selected rule fires; each feature is
+    //    computed only for the pairs no earlier rule blocked.
     let rules: Vec<Rule> = applied.iter().map(|e| e.rule.clone()).collect();
-    if std::env::var("CORLEONE_DEBUG_BLOCKER").is_ok() {
-        eprintln!(
-            "[blocker] |S|={} target={:.0} |S'|={} rules_applied={} kept={}",
-            sample.len(), target, current.len(), applied.len(), rules_kept
-        );
-        let names = task.feature_names();
-        for er in &applied {
-            eprintln!("[blocker]   prec={:.3} cov_on_S={} rule={}",
-                er.est_precision, er.coverage.len(), er.rule.display_with(&names));
-        }
-    }
     let source = plan_blocking_source(task, &rules);
     let candidates = CandidateSet::from_source(task, &source, env.threads, env.cache);
     let umbrella_size = candidates.len();

@@ -135,8 +135,7 @@ pub struct KernelPerf {
 
 /// Resident-byte telemetry of the arena-packed analysis layer (see
 /// `similarity::analysis`): one field per slab segment, the dense header
-/// array, their total, and the modeled bytes of the retired per-value
-/// owned-`Vec` layout so the repack's before/after stays observable.
+/// array, and their total.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AnalysisMemory {
     /// `u32` id slabs (token/gram/soundex/char-id/offset runs).
@@ -153,8 +152,6 @@ pub struct AnalysisMemory {
     pub header_bytes: u64,
     /// Total resident bytes (sum of the six above).
     pub resident_bytes: u64,
-    /// Modeled bytes under the pre-arena owned-`Vec` layout.
-    pub owned_layout_bytes: u64,
 }
 
 impl AnalysisMemory {
@@ -168,7 +165,6 @@ impl AnalysisMemory {
             text_bytes: s.text_bytes as u64,
             header_bytes: s.header_bytes as u64,
             resident_bytes: s.resident_bytes as u64,
-            owned_layout_bytes: s.owned_layout_bytes as u64,
         }
     }
 }

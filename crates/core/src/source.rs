@@ -11,7 +11,7 @@
 //!   predicates are all similarity-join conditions, probe inverted
 //!   indexes ([`similarity::index`]) for a superset of its survivors,
 //!   then verify the full rule set on the (small) candidate list with
-//!   the same bit-identical kernels the scan uses.
+//!   the same rule sweep the scan uses.
 //!
 //! [`plan_blocking_source`] inspects the rules and picks the indexed
 //! path whenever one rule is fully indexable, else falls back to the
@@ -29,20 +29,28 @@
 //! superset of the true survivor set; the verification pass shrinks it
 //! to exactly the pairs the scan would keep.
 //!
+//! # One rule sweep
+//!
+//! Both sources evaluate the rules through one function, [`survivors`],
+//! over runs of pairs that share the left record: the scan hands it each
+//! A record with all of B, the join each run of its candidate list.
+//!
 //! # Determinism
 //!
 //! Both sources return survivors in row-major pair order (`a` asc, then
 //! `b` asc), independent of thread count: the scan enumerates in order,
 //! the join sorts + dedups its candidates before the order-preserving
 //! verification pass. The proptest suite asserts byte-identical output
-//! between the two paths at 1/2/8 threads.
+//! between the two paths, and against the string-path filter, at 1/2/8
+//! threads.
 
 use crate::task::MatchTask;
 use crowd::PairKey;
 use exec::Threads;
 use forest::{Op, Rule};
 use similarity::index::{ExactIndex, InvertedIndex, ProbeScratch, SetMeasure, TokenSpace};
-use similarity::FeatureKind;
+use similarity::{FeatureKind, Record, TaskAnalysis};
+use std::cell::RefCell;
 
 /// A strategy for generating the umbrella set (the pairs surviving the
 /// blocking rules), in deterministic row-major order.
@@ -57,10 +65,84 @@ pub trait CandidateSource {
     fn generate(&self, threads: Threads) -> Vec<PairKey>;
 }
 
-/// Evaluate the rules against every pair of `A × B` (lazy, memoized
-/// per-pair feature computation through the precomputed analysis). The
-/// original Blocker behavior and the equivalence oracle for
-/// [`IndexedJoin`].
+/// The pairs `(a, b)`, `b` in `bs`, that no rule blocks, in `bs` order:
+/// the one rule evaluation both candidate sources share, over a run of
+/// pairs with the left record `a`.
+///
+/// It goes rule by rule. Each feature the rule reads that no earlier rule
+/// read is computed once for the run, for the pairs no earlier rule
+/// blocked ([`similarity::FeatureVectorizer::feature_run`]); then the
+/// pairs the rule matches are dropped. The alive set only shrinks, so a
+/// column computed for the pairs alive at the first rule that reads its
+/// feature covers every later rule that reads it. A pair thus gets
+/// exactly the features of every rule it reaches, as a per-pair memo
+/// would give it, and `kernels.single_features` counts the same.
+fn survivors(
+    task: &MatchTask,
+    rules: &[Rule],
+    analysis: &TaskAnalysis,
+    a: u32,
+    bs: &[u32],
+) -> Vec<PairKey> {
+    SWEEP.with(|sweep| {
+        let Sweep { alive, cols, vals } = &mut *sweep.borrow_mut();
+        let rec_a = task.table_a.record(a);
+        alive.clear();
+        alive.extend(0..bs.len());
+        cols.resize_with(task.n_features(), Vec::new);
+        cols.iter_mut().for_each(Vec::clear);
+        let mut n_computed = 0u64;
+        for rule in rules {
+            if alive.is_empty() {
+                break;
+            }
+            for p in &rule.predicates {
+                if !cols[p.feature].is_empty() {
+                    continue;
+                }
+                let recs: Vec<&Record> =
+                    alive.iter().map(|&k| task.table_b.record(bs[k])).collect();
+                vals.clear();
+                vals.resize(alive.len(), 0.0);
+                task.vectorizer.feature_run(p.feature, rec_a, &recs, analysis, vals);
+                let col = &mut cols[p.feature];
+                col.resize(bs.len(), f64::NAN);
+                for (&k, &v) in alive.iter().zip(vals.iter()) {
+                    col[k] = v;
+                }
+                n_computed += alive.len() as u64;
+            }
+            alive.retain(|&k| !rule.predicates.iter().all(|p| p.holds_value(cols[p.feature][k])));
+        }
+        task.analysis.note_single_features(n_computed);
+        alive.iter().map(|&k| PairKey::new(a, bs[k])).collect()
+    })
+}
+
+/// The buffers of one thread's [`survivors`] sweeps, kept across runs.
+/// Allocated per run instead, they put `e2e_bench`'s `restaurants_scan`
+/// (seed 42) in its higher peak-RSS mode (~51 MiB rather than ~45) in 8
+/// of 18 processes; kept, in 1 of 18. Every sweep clears and overwrites
+/// what it reads, so no result depends on an earlier sweep.
+#[derive(Default)]
+struct Sweep {
+    /// Positions in `bs` of the pairs no rule has blocked yet.
+    alive: Vec<usize>,
+    /// Per feature, its values by position in `bs`: empty until a rule
+    /// reads it, and never empty after, since the sweep stops once no
+    /// pair is alive.
+    cols: Vec<Vec<f64>>,
+    /// The column `feature_run` writes for the alive pairs.
+    vals: Vec<f64>,
+}
+
+thread_local! {
+    static SWEEP: RefCell<Sweep> = RefCell::new(Sweep::default());
+}
+
+/// Evaluate the rules against every pair of `A × B`, one [`survivors`]
+/// sweep per A record over all of B. The original Blocker behavior and
+/// the equivalence oracle for [`IndexedJoin`].
 pub struct CartesianScan<'t> {
     task: &'t MatchTask,
     rules: Vec<Rule>,
@@ -97,42 +179,10 @@ impl CandidateSource for CartesianScan<'_> {
         }
         let analysis = task.ensure_analysis(threads);
         // One work item per A-row; the exec core chunks and
-        // self-schedules them. Scratch buffers live per item (n_features
-        // is small), and kernel counters flush once per row, not once
-        // per feature.
-        let n_features = task.n_features();
-        let rules = &self.rules;
+        // self-schedules them.
+        let all_b: Vec<u32> = (0..n_b).collect();
         let per_row: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, n_a as usize, |a| {
-            let a = a as u32;
-            let rec_a = task.table_a.record(a);
-            let mut memo: Vec<f64> = vec![f64::NAN; n_features];
-            let mut computed: Vec<bool> = vec![false; n_features];
-            let mut out = Vec::new();
-            let mut n_computed = 0u64;
-            for b in 0..n_b {
-                let rec_b = task.table_b.record(b);
-                computed.iter_mut().for_each(|c| *c = false);
-                let mut blocked = false;
-                'rules: for rule in rules {
-                    for p in &rule.predicates {
-                        if !computed[p.feature] {
-                            memo[p.feature] =
-                                task.vectorizer.feature_pre(p.feature, rec_a, rec_b, analysis);
-                            computed[p.feature] = true;
-                            n_computed += 1;
-                        }
-                    }
-                    if rule.matches(&memo) {
-                        blocked = true;
-                        break 'rules;
-                    }
-                }
-                if !blocked {
-                    out.push(PairKey::new(a, b));
-                }
-            }
-            task.analysis.note_single_features(n_computed);
-            out
+            survivors(task, &self.rules, analysis, a as u32, &all_b)
         });
         per_row.into_iter().flatten().collect()
     }
@@ -332,47 +382,15 @@ impl CandidateSource for IndexedJoin<'_> {
         candidates.sort_unstable();
         candidates.dedup();
 
-        // Verify: evaluate the *full* rule set on each candidate with
-        // the same memoized kernels as the scan. Order-preserving chunked
-        // filter, so survivors come out in row-major order.
-        let n_features = task.n_features();
-        let rules = &self.rules;
-        let n_cand = candidates.len();
-        let n_vchunks = n_cand.div_ceil(CHUNK);
-        let survivors: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, n_vchunks, |ci| {
-            let lo = ci * CHUNK;
-            let hi = (lo + CHUNK).min(n_cand);
-            let mut memo: Vec<f64> = vec![f64::NAN; n_features];
-            let mut computed: Vec<bool> = vec![false; n_features];
-            let mut out = Vec::new();
-            let mut n_computed = 0u64;
-            for &pair in &candidates[lo..hi] {
-                let rec_a = task.table_a.record(pair.a);
-                let rec_b = task.table_b.record(pair.b);
-                computed.iter_mut().for_each(|c| *c = false);
-                let mut blocked = false;
-                'rules: for rule in rules {
-                    for p in &rule.predicates {
-                        if !computed[p.feature] {
-                            memo[p.feature] =
-                                task.vectorizer.feature_pre(p.feature, rec_a, rec_b, analysis);
-                            computed[p.feature] = true;
-                            n_computed += 1;
-                        }
-                    }
-                    if rule.matches(&memo) {
-                        blocked = true;
-                        break 'rules;
-                    }
-                }
-                if !blocked {
-                    out.push(pair);
-                }
-            }
-            task.analysis.note_single_features(n_computed);
-            out
+        // Verify: evaluate the *full* rule set on the candidates, one
+        // [`survivors`] sweep per run of the row-major list, in order, so
+        // survivors come out in row-major order.
+        let runs: Vec<&[PairKey]> = candidates.chunk_by(|x, y| x.a == y.a).collect();
+        let per_run: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, runs.len(), |ri| {
+            let bs: Vec<u32> = runs[ri].iter().map(|p| p.b).collect();
+            survivors(task, &self.rules, analysis, runs[ri][0].a, &bs)
         });
-        survivors.into_iter().flatten().collect()
+        per_run.into_iter().flatten().collect()
     }
 }
 

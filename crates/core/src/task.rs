@@ -13,8 +13,8 @@ use std::sync::{Arc, OnceLock};
 pub struct KernelCounters {
     /// Full pair vectorizations requested through [`MatchTask::vectorize`].
     pub pairs_vectorized: u64,
-    /// Single-feature evaluations through [`MatchTask::feature`] (the
-    /// blocker's lazy rule-application path).
+    /// Single-feature evaluations of the blocker's rule sweep: one per
+    /// feature of each rule a pair reaches.
     pub single_features: u64,
     /// Individual feature values computed via the precomputed-analysis
     /// kernels.
@@ -260,17 +260,6 @@ impl MatchTask {
         self.vectorizer.vectorize_pre_into(a, &bs, an, out);
     }
 
-    /// Compute one feature of a pair (lazy path for blocking-rule
-    /// application over `A × B`) through the precomputed analysis (built
-    /// on first use).
-    pub fn feature(&self, idx: usize, pair: PairKey) -> f64 {
-        let an = self.ensure_analysis(Threads::new(1));
-        let a = self.table_a.record(pair.a);
-        let b = self.table_b.record(pair.b);
-        self.analysis.note_single_features(1);
-        self.vectorizer.feature_pre(idx, a, b, an)
-    }
-
     /// Feature vectors of the four seed examples, with their labels —
     /// the labeled set every active-learning run starts from.
     pub fn seed_vectors(&self) -> Vec<(Vec<f64>, bool)> {
@@ -336,7 +325,8 @@ mod tests {
         let k = t.kernel_counters();
         assert_eq!((k.pairs_vectorized, k.features_pre), (1, t.n_features() as u64));
         assert_eq!(v.len(), t.n_features());
-        assert_eq!(t.feature(0, PairKey::new(0, 0)), v[0]);
+        let string_path = t.vectorizer.feature(0, t.table_a.record(0), t.table_b.record(0));
+        assert_eq!(string_path.to_bits(), v[0].to_bits());
         let seeds = t.seed_vectors();
         assert_eq!(seeds.len(), 4);
         let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();

@@ -389,10 +389,6 @@ pub struct AnalysisStats {
     pub header_bytes: usize,
     /// Total resident bytes of the arena (sum of the six fields above).
     pub resident_bytes: usize,
-    /// Modeled resident bytes of the retired owned-`Vec` layout (15 heap
-    /// containers + scalars per value, same payloads) — kept so the
-    /// before/after of the arena repack stays observable in perf logs.
-    pub owned_layout_bytes: usize,
 }
 
 /// Per-record analyses of one table, arena-packed: a dense row-major
@@ -438,7 +434,7 @@ impl TableAnalysis {
         self.n_records == 0
     }
 
-    /// Resident bytes of this table's slabs + headers.
+    /// Resident bytes of this table's slabs + headers, and its values.
     fn tally(&self, stats: &mut AnalysisStats) {
         stats.id_bytes += self.u32s.len() * 4;
         stats.weight_bytes += self.f64s.len() * 8;
@@ -446,29 +442,8 @@ impl TableAnalysis {
         stats.char_bytes += self.chars.len() * std::mem::size_of::<char>();
         stats.text_bytes += self.text.len();
         stats.header_bytes += self.headers.len() * std::mem::size_of::<AttrHeader>();
-        for h in &self.headers {
-            if h.value_id == MISSING {
-                continue;
-            }
-            stats.values += 1;
-            stats.owned_layout_bytes += owned_layout_bytes(h, self.narrow);
-        }
+        stats.values += self.headers.iter().filter(|h| h.value_id != MISSING).count();
     }
-}
-
-/// Modeled bytes of one value under the retired per-value owned-`Vec`
-/// layout: a 376-byte struct (15 `Vec`/`String` headers at 24 bytes plus
-/// the scalar fields) and the same payloads, with TF/IDF stored as
-/// 16-byte `(u32, f64)` pairs rather than split parallel runs.
-fn owned_layout_bytes(h: &AttrHeader, narrow: bool) -> usize {
-    let u32_total = (h.segs[N_SEGS] - h.segs[0]) as usize;
-    let tfidf_len = (h.segs[SEG_TFIDF_IDS + 1] - h.segs[SEG_TFIDF_IDS]) as usize;
-    let lower_len = (h.segs[SEG_LOWER_CHARS + 1] - h.segs[SEG_LOWER_CHARS]) as usize;
-    376 + h.str_len as usize
-        + h.char_len as usize * std::mem::size_of::<char>()
-        + (u32_total - tfidf_len) * 4
-        + tfidf_len * 16
-        + if narrow { lower_len * 2 } else { 0 }
 }
 
 /// The analysis layer of one EM task: both tables, analyzed against a
@@ -1462,10 +1437,6 @@ mod tests {
                 + an.stats.char_bytes
                 + an.stats.text_bytes
                 + an.stats.header_bytes
-        );
-        assert!(
-            an.stats.owned_layout_bytes > an.stats.resident_bytes - an.stats.header_bytes,
-            "owned-layout model should dominate the packed payloads"
         );
     }
 

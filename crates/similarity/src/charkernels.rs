@@ -65,7 +65,7 @@
 //!   directions equal to its true maximum (see [`monge_elkan_pre`] for
 //!   the symmetry argument) and sums per-occurrence terms in the
 //!   reference's order.
-//! * A hit in the result cache or in the scratch's last-pair slots
+//! * A hit in the result cache or in the scratch's last-pair Jaro slot
 //!   returns the bits the kernel computed for the same inputs, so
 //!   whether a kernel consults them cannot change a result.
 //!
@@ -142,15 +142,10 @@ pub struct CharScratch {
     /// sequence.
     sw_bt: Vec<[i16; SW_LANES]>,
     sw_col: Vec<[i16; SW_LANES]>,
-    /// The last value pair's Jaro score and word-set intersection size.
-    /// Keyed like the result cache, so a hit is the same two strings, but
-    /// on every attribute: a pair's Jaro-Winkler reuses its Jaro
-    /// matching on the run path and in single-feature calls alike, and
-    /// single-feature calls share one merge among a pair's Jaccard,
-    /// overlap and Dice (the run path counts against its left-value
-    /// marks, see `FeatureVectorizer::vectorize_pre_into`).
+    /// The last value pair's Jaro score. Keyed like the result cache, so
+    /// a hit is the same two strings, but on every attribute: a pair's
+    /// Jaro-Winkler reuses its Jaro matching when a run computes both.
     last_jaro: Option<(PairId, f64)>,
-    last_words: Option<(PairId, usize)>,
 }
 
 /// A value pair within one analysis build: `(TaskAnalysis::generation,
@@ -163,8 +158,8 @@ thread_local! {
 }
 
 /// Run `f` with the calling thread's scratch. `FeatureVectorizer` calls
-/// it once per feature or once per run of pairs and hands the scratch to
-/// every kernel it calls.
+/// it once per run of pairs (for all features, or for one) and hands the
+/// scratch to every kernel it calls.
 #[inline]
 pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut CharScratch) -> T) -> T {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
@@ -731,28 +726,6 @@ pub(crate) fn jaro_winkler_pre(
     memoized(s, cx, TAG_JW, a, b, |s| {
         winkler(jaro_pre(a, b, cx, s), a.raw_char_ids(), b.raw_char_ids())
     })
-}
-
-/// `|a ∩ b|` over the two values' word-id sets (the numerator of
-/// `analysis::{jaccard_of, overlap_of, dice_of}`). The last pair's count
-/// is kept, so a pair's three word-set features share one merge.
-/// Inlined: a lone Jaccard in a rule sweep pays only the key check.
-#[inline]
-pub(crate) fn word_intersection(
-    a: AttrView<'_>,
-    b: AttrView<'_>,
-    gen: u64,
-    s: &mut CharScratch,
-) -> usize {
-    let id = (gen, a.value_id(), b.value_id());
-    match s.last_words {
-        Some((last, n)) if last == id => n,
-        _ => {
-            let n = crate::analysis::intersect_count(a.word_ids(), b.word_ids());
-            s.last_words = Some((id, n));
-            n
-        }
-    }
 }
 
 // ---- Monge-Elkan ---------------------------------------------------------

@@ -247,7 +247,8 @@ mod tests {
 
     /// `unit_cost` claims a relative ordering of kernel costs; this test
     /// measures the production (analysis-path) kernels on a synthetic
-    /// workload and checks the ordering for pairs the table separates
+    /// workload, one `feature_run` per A record as the blocking-rule
+    /// sweep calls them, and checks the ordering for pairs the table separates
     /// widely (≥ 5x claimed ratio). The tolerance band is deliberately
     /// generous — the measured ratio only has to exceed 2x — so the test
     /// catches real miscalibration (a "cheap" kernel that is actually
@@ -276,8 +277,10 @@ mod tests {
         let a = Table::new("a", schema.clone(), rows("alpha"));
         let b = Table::new("b", schema, rows("beta"));
         let vz = FeatureVectorizer::fit(&a, &b);
+        let all_b: Vec<&crate::record::Record> = b.records.iter().collect();
+        let mut col = vec![0.0; all_b.len()];
 
-        let median_ns = |kind: FeatureKind| -> f64 {
+        let mut median_ns = |kind: FeatureKind| -> f64 {
             let idx = vz
                 .library()
                 .defs
@@ -293,9 +296,8 @@ mod tests {
                     let t0 = Instant::now();
                     let mut sink = 0.0;
                     for ra in &a.records {
-                        for rb in &b.records {
-                            sink += vz.feature_pre(idx, ra, rb, &an);
-                        }
+                        vz.feature_run(idx, ra, &all_b, &an, &mut col);
+                        sink += col.iter().sum::<f64>();
                     }
                     std::hint::black_box(sink);
                     t0.elapsed().as_nanos() as f64 / (a.records.len() * b.records.len()) as f64

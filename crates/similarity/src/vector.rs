@@ -5,7 +5,8 @@
 //! attribute over *both* tables. It can then turn any `(a, b)` record pair
 //! into an `f64` feature vector, or — crucial for cheap blocking-rule
 //! application over the full Cartesian product (paper §4.3) — compute just
-//! a single feature of a pair.
+//! a single feature, of one pair or of a run of pairs sharing the left
+//! record.
 //!
 //! Missing values produce `NaN` features; the forest learner handles those
 //! with learned missing-value routing (see the `forest` crate).
@@ -103,112 +104,11 @@ impl FeatureVectorizer {
     }
 
     /// Build the precomputed analysis layer for a task's two tables (see
-    /// [`crate::analysis`]). The result feeds [`Self::feature_pre`] /
-    /// [`Self::vectorize_pre_into`], whose outputs are bit-identical to
-    /// the string-based [`Self::feature`] / [`Self::vectorize`].
+    /// [`crate::analysis`]). The result feeds [`Self::vectorize_pre_into`]
+    /// and [`Self::feature_run`], whose outputs are bit-identical to the
+    /// string-based [`Self::vectorize`] / [`Self::feature`].
     pub fn analyze(&self, a: &Table, b: &Table, threads: exec::Threads) -> TaskAnalysis {
         analysis::analyze_task(a, b, &self.tfidf, threads)
-    }
-
-    /// [`Self::feature`] through the precomputed analysis: set/vector
-    /// kernels run allocation-free over interned ids, and character-level
-    /// measures (edit distance, Jaro/Jaro-Winkler, Monge-Elkan,
-    /// Smith-Waterman) run over the precomputed char-id material in
-    /// [`crate::charkernels`] — Levenshtein via Myers' bit-parallel
-    /// algorithm, the rest via zero-alloc scratch rewrites. Only the
-    /// numeric comparators fall through to the reference path (they are
-    /// already allocation-free).
-    ///
-    /// `a` and `b` must be records of the tables `an` was built from.
-    pub fn feature_pre(&self, idx: usize, a: &Record, b: &Record, an: &TaskAnalysis) -> f64 {
-        let def = &self.lib.defs[idx];
-        let ra = an.attr_a(a.id, def.attr);
-        let rb = an.attr_b(b.id, def.attr);
-        charkernels::with_scratch(|s| self.feature_pre_with(idx, a, b, an, ra, rb, s))
-    }
-
-    /// One feature of one pair with its attribute views and the
-    /// char-kernel scratch in hand — the body both [`Self::feature_pre`]
-    /// and [`Self::vectorize_pre_into`] compute through. Whole-value
-    /// results are cached only on attributes whose values recur
-    /// ([`TaskAnalysis::recurring`]).
-    #[allow(clippy::too_many_arguments)] // hoisted per-pair state, private
-    fn feature_pre_with(
-        &self,
-        idx: usize,
-        a: &Record,
-        b: &Record,
-        an: &TaskAnalysis,
-        ra: Option<AttrView<'_>>,
-        rb: Option<AttrView<'_>>,
-        s: &mut charkernels::CharScratch,
-    ) -> f64 {
-        let def = &self.lib.defs[idx];
-        // Built only by the char kernels: the set kernels on the rule
-        // application path never read it.
-        let cx = || charkernels::Ctx::new(an, def.attr);
-        match def.kind {
-            FeatureKind::JaccardWords
-            | FeatureKind::Jaccard3Grams
-            | FeatureKind::OverlapWords
-            | FeatureKind::DiceWords
-            | FeatureKind::CosineTfIdf
-            | FeatureKind::ExactMatch
-            | FeatureKind::Containment
-            | FeatureKind::PrefixSim
-            | FeatureKind::Soundex
-            | FeatureKind::Levenshtein
-            | FeatureKind::Jaro
-            | FeatureKind::JaroWinkler
-            | FeatureKind::MongeElkan
-            | FeatureKind::SmithWaterman => {
-                // An analysis exists iff the value is non-null text — the
-                // same condition under which the reference path computes
-                // (it returns NaN otherwise).
-                let (Some(ra), Some(rb)) = (ra, rb) else {
-                    return f64::NAN;
-                };
-                let words = |s| {
-                    let inter = charkernels::word_intersection(ra, rb, an.generation, s);
-                    (inter, ra.word_ids().len(), rb.word_ids().len())
-                };
-                match def.kind {
-                    FeatureKind::JaccardWords => {
-                        let (inter, la, lb) = words(s);
-                        analysis::jaccard_of(inter, la, lb)
-                    }
-                    FeatureKind::Jaccard3Grams => {
-                        analysis::jaccard_ids(ra.gram_ids(), rb.gram_ids())
-                    }
-                    FeatureKind::OverlapWords => {
-                        let (inter, la, lb) = words(s);
-                        analysis::overlap_of(inter, la, lb)
-                    }
-                    FeatureKind::DiceWords => {
-                        let (inter, la, lb) = words(s);
-                        analysis::dice_of(inter, la, lb)
-                    }
-                    FeatureKind::CosineTfIdf => {
-                        if self.tfidf[def.attr].is_some() {
-                            analysis::cosine_pre(ra, rb)
-                        } else {
-                            f64::NAN
-                        }
-                    }
-                    FeatureKind::ExactMatch => analysis::exact_pre(ra, rb),
-                    FeatureKind::Containment => analysis::containment_pre(ra, rb),
-                    FeatureKind::PrefixSim => analysis::prefix_pre(ra, rb),
-                    FeatureKind::Soundex => analysis::soundex_pre(ra, rb),
-                    FeatureKind::Levenshtein => charkernels::levenshtein_pre(ra, rb, cx(), s),
-                    FeatureKind::Jaro => charkernels::jaro_pre(ra, rb, cx(), s),
-                    FeatureKind::JaroWinkler => charkernels::jaro_winkler_pre(ra, rb, cx(), s),
-                    FeatureKind::MongeElkan => charkernels::monge_elkan_pre(ra, rb, cx(), s),
-                    FeatureKind::SmithWaterman => charkernels::smith_waterman_pre(ra, rb, cx(), s),
-                    _ => unreachable!(),
-                }
-            }
-            FeatureKind::NumExact | FeatureKind::NumRelSim => self.feature(idx, a, b),
-        }
     }
 
     /// [`Self::vectorize`] through the precomputed analysis, for a single
@@ -233,8 +133,8 @@ impl FeatureVectorizer {
     ///   feeds 3-gram Jaccard (integers, so the `*_of` formulas return
     ///   the bits the merge would give);
     /// * a pair's Jaro score feeds both Jaro and Jaro-Winkler (through
-    ///   the scratch, as in [`Self::feature_pre`]), and Levenshtein keeps
-    ///   `a`'s pattern table across the run;
+    ///   the scratch's last-pair slot), and Levenshtein keeps `a`'s
+    ///   pattern table across the run;
     /// * Smith-Waterman on attributes whose values do not recur scores
     ///   `a` against sixteen `b`s per DP sweep
     ///   ([`charkernels::smith_waterman_run`]).
@@ -253,21 +153,49 @@ impl FeatureVectorizer {
         if nf == 0 {
             return;
         }
-        let mut marks = LeftMarks::new(an);
+        let mut marks = LeftMarks::new(an, &self.lib.defs);
         charkernels::with_scratch(|s| {
             let mut first = 0;
             for group in self.lib.defs.chunk_by(|x, y| x.attr == y.attr) {
                 let fis = first..first + group.len();
                 first = fis.end;
-                self.vectorize_attr_run(a, bs, an, fis, &mut marks, out, s);
+                self.vectorize_attr_run(a, bs, an, fis, 0..nf, &mut marks, out, s);
             }
         })
     }
 
+    /// Feature `fi` (by library index) of the run of pairs `(a, bs[k])`
+    /// through the precomputed analysis, into `out[k]`: the column of
+    /// [`Self::vectorize_pre_into`]'s rows that holds `fi`, bit for bit,
+    /// through the same body. Blocking-rule evaluation reads features one
+    /// at a time, for the pairs of a run no earlier rule blocked. Only the
+    /// token pool `fi` counts in is marked: a word-set feature pays for
+    /// no 3-gram marks, and a char kernel for none at all.
+    ///
+    /// # Panics
+    /// Panics if `out` does not hold one value per `b`.
+    pub fn feature_run(
+        &self,
+        fi: usize,
+        a: &Record,
+        bs: &[&Record],
+        an: &TaskAnalysis,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), bs.len(), "one value per b");
+        let fis = fi..fi + 1;
+        let mut marks = LeftMarks::new(an, &self.lib.defs[fis.clone()]);
+        charkernels::with_scratch(|s| {
+            self.vectorize_attr_run(a, bs, an, fis.clone(), fis, &mut marks, out, s)
+        })
+    }
+
     /// The features `fis` (all of one attribute) of every pair of a run,
-    /// into their columns of `out`: the body of
-    /// [`Self::vectorize_pre_into`] for one attribute. `marks` is clear
-    /// on entry and on return.
+    /// into `out`, whose rows hold the features `cols` (a superset of
+    /// `fis`): feature `fi` of pair `k` lands at
+    /// `k * cols.len() + fi - cols.start`. The body of both
+    /// [`Self::vectorize_pre_into`] and [`Self::feature_run`]. `marks` is
+    /// clear on entry and on return.
     #[allow(clippy::too_many_arguments)] // hoisted per-run state, private
     fn vectorize_attr_run(
         &self,
@@ -275,11 +203,13 @@ impl FeatureVectorizer {
         bs: &[&Record],
         an: &TaskAnalysis,
         fis: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
         marks: &mut LeftMarks,
         out: &mut [f64],
         s: &mut charkernels::CharScratch,
     ) {
-        let nf = self.lib.len();
+        let width = cols.len();
+        let at = |k: usize, fi: usize| k * width + fi - cols.start;
         let defs = &self.lib.defs[fis.clone()];
         let attr = defs[0].attr;
         let va = an.attr_a(a.id, attr);
@@ -291,17 +221,18 @@ impl FeatureVectorizer {
         for (k, b) in bs.iter().enumerate() {
             let vb = an.attr_b(b.id, attr);
             // The counts exist iff both values are text; otherwise every
-            // feature falls through to `feature_pre_with`'s NaN.
+            // text feature is NaN, as on the reference path.
             let sets = match (va, vb) {
                 (Some(va), Some(vb)) => Some((va, vb, marks.counts(vb))),
                 _ => None,
             };
-            let row = &mut out[k * nf..(k + 1) * nf];
             for (fi, def) in fis.clone().zip(defs) {
                 if laned && def.kind == FeatureKind::SmithWaterman {
                     continue;
                 }
-                row[fi] = match (def.kind, sets) {
+                out[at(k, fi)] = match (def.kind, sets) {
+                    (FeatureKind::NumExact | FeatureKind::NumRelSim, _) => self.feature(fi, a, b),
+                    (_, None) => f64::NAN,
                     (FeatureKind::JaccardWords, Some((va, vb, (w, _)))) => {
                         analysis::jaccard_of(w, va.word_ids().len(), vb.word_ids().len())
                     }
@@ -314,7 +245,7 @@ impl FeatureVectorizer {
                     (FeatureKind::Jaccard3Grams, Some((va, vb, (_, g)))) => {
                         analysis::jaccard_of(g, va.gram_ids().len(), vb.gram_ids().len())
                     }
-                    _ => self.feature_pre_with(fi, a, b, an, va, vb, s),
+                    (_, Some((va, vb, _))) => self.text_feature(def, va, vb, an, s),
                 };
             }
         }
@@ -330,42 +261,103 @@ impl FeatureVectorizer {
             for (k, b) in bs.iter().enumerate() {
                 match (va, an.attr_b(b.id, attr)) {
                     (Some(_), Some(vb)) => present.push((k, vb)),
-                    _ => out[k * nf + fi] = f64::NAN,
+                    _ => out[at(k, fi)] = f64::NAN,
                 }
             }
             if let Some(va) = va {
                 let cx = charkernels::Ctx::new(an, attr);
                 charkernels::smith_waterman_run(va, &present, cx, s, |k, x| {
-                    out[k * nf + fi] = x;
+                    out[at(k, fi)] = x;
                 });
             }
+        }
+    }
+
+    /// One text feature of one pair of values, for the kinds
+    /// [`Self::vectorize_attr_run`] does not count against its left-value
+    /// marks: set/vector kernels run allocation-free over interned ids,
+    /// and the character-level measures (edit distance, Jaro/Jaro-Winkler,
+    /// Monge-Elkan, Smith-Waterman) over the precomputed char-id material
+    /// in [`crate::charkernels`]. Whole-value results are cached only on
+    /// attributes whose values recur ([`TaskAnalysis::recurring`]).
+    fn text_feature(
+        &self,
+        def: &FeatureDef,
+        ra: AttrView<'_>,
+        rb: AttrView<'_>,
+        an: &TaskAnalysis,
+        s: &mut charkernels::CharScratch,
+    ) -> f64 {
+        let cx = || charkernels::Ctx::new(an, def.attr);
+        match def.kind {
+            FeatureKind::CosineTfIdf => {
+                if self.tfidf[def.attr].is_some() {
+                    analysis::cosine_pre(ra, rb)
+                } else {
+                    f64::NAN
+                }
+            }
+            FeatureKind::ExactMatch => analysis::exact_pre(ra, rb),
+            FeatureKind::Containment => analysis::containment_pre(ra, rb),
+            FeatureKind::PrefixSim => analysis::prefix_pre(ra, rb),
+            FeatureKind::Soundex => analysis::soundex_pre(ra, rb),
+            FeatureKind::Levenshtein => charkernels::levenshtein_pre(ra, rb, cx(), s),
+            FeatureKind::Jaro => charkernels::jaro_pre(ra, rb, cx(), s),
+            FeatureKind::JaroWinkler => charkernels::jaro_winkler_pre(ra, rb, cx(), s),
+            FeatureKind::MongeElkan => charkernels::monge_elkan_pre(ra, rb, cx(), s),
+            FeatureKind::SmithWaterman => charkernels::smith_waterman_pre(ra, rb, cx(), s),
+            FeatureKind::JaccardWords
+            | FeatureKind::Jaccard3Grams
+            | FeatureKind::OverlapWords
+            | FeatureKind::DiceWords
+            | FeatureKind::NumExact
+            | FeatureKind::NumRelSim => unreachable!("counted or numeric: {:?}", def.kind),
         }
     }
 }
 
 /// A run's left value marked in the task's word and 3-gram pools, one
 /// bit per pool id (`distinct_words`/`distinct_grams` bits, pool/8 bytes
-/// each), so each right value counts both of its set intersections in
-/// one pass over its own ids. The marks are cleared by walking the left
-/// ids again, so no stamp counter is needed. They live for one
-/// `vectorize_pre_into` call, a zeroed pool/8-byte allocation each, so
-/// no mark can outlive the call that set it (bitsets kept per thread
-/// across calls measured no faster).
+/// each), so each right value counts its set intersections in one pass
+/// over its own ids. A pool is marked only when a feature of the call
+/// counts in it; the other pool's bitset stays empty. The marks are
+/// cleared by walking the left ids again, so no stamp counter is needed.
+/// They live for one `vectorize_pre_into` or `feature_run` call, a zeroed
+/// pool/8-byte allocation each, so no mark can outlive the call that set
+/// it (bitsets kept per thread across calls measured no faster).
 struct LeftMarks {
     words: Vec<u64>,
     grams: Vec<u64>,
 }
 
 impl LeftMarks {
-    fn new(an: &TaskAnalysis) -> Self {
+    /// Bitsets for the pools the features `defs` count in.
+    fn new(an: &TaskAnalysis, defs: &[FeatureDef]) -> Self {
+        let pool = |counted: bool, distinct: usize| {
+            if counted {
+                vec![0; distinct.div_ceil(64)]
+            } else {
+                Vec::new()
+            }
+        };
+        let words = defs.iter().any(|d| {
+            matches!(
+                d.kind,
+                FeatureKind::JaccardWords | FeatureKind::OverlapWords | FeatureKind::DiceWords
+            )
+        });
+        let grams = defs.iter().any(|d| d.kind == FeatureKind::Jaccard3Grams);
         LeftMarks {
-            words: vec![0; an.stats.distinct_words.div_ceil(64)],
-            grams: vec![0; an.stats.distinct_grams.div_ceil(64)],
+            words: pool(words, an.stats.distinct_words),
+            grams: pool(grams, an.stats.distinct_grams),
         }
     }
 
     fn mark(&mut self, va: AttrView<'_>) {
         for (bits, ids) in [(&mut self.words, va.word_ids()), (&mut self.grams, va.gram_ids())] {
+            if bits.is_empty() {
+                continue;
+            }
             for &id in ids {
                 bits[id as usize / 64] |= 1u64 << (id % 64);
             }
@@ -374,9 +366,12 @@ impl LeftMarks {
 
     /// `(|marked words ∩ vb's words|, |marked 3-grams ∩ vb's 3-grams|)`:
     /// the integers `analysis::intersect_count` returns for the marked
-    /// value's sets.
+    /// value's sets (0 for a pool this call does not mark).
     fn counts(&self, vb: AttrView<'_>) -> (usize, usize) {
         let count = |bits: &[u64], ids: &[u32]| {
+            if bits.is_empty() {
+                return 0;
+            }
             ids.iter().filter(|&&id| bits[id as usize / 64] & (1u64 << (id % 64)) != 0).count()
         };
         (count(&self.words, vb.word_ids()), count(&self.grams, vb.gram_ids()))
@@ -386,6 +381,9 @@ impl LeftMarks {
     /// set, so zeroing their whole words clears exactly those.
     fn clear(&mut self, va: AttrView<'_>) {
         for (bits, ids) in [(&mut self.words, va.word_ids()), (&mut self.grams, va.gram_ids())] {
+            if bits.is_empty() {
+                continue;
+            }
             for &id in ids {
                 bits[id as usize / 64] = 0;
             }

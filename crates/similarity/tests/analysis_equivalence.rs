@@ -4,15 +4,32 @@
 //! included — covering empty strings, missing values, and mixed schemas.
 //! This is the executable form of the bit-identity contract documented in
 //! `similarity::analysis`. Every table pair is checked three ways: per
-//! feature, per pair, and as runs (each A record against all of B in one
-//! `vectorize_pre_into` call, the shape candidate builds use).
+//! pair, as runs (each A record against all of B in one
+//! `vectorize_pre_into` call, the shape candidate builds use), and per
+//! feature (`feature_run` over a run of one and over the whole run, the
+//! shape the blocking-rule sweep uses).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use similarity::jaro::{jaro, jaro_winkler};
 use similarity::monge_elkan::{monge_elkan, monge_elkan_sym};
-use similarity::{Attribute, FeatureKind, FeatureVectorizer, Record, Schema, Table, Value};
+use similarity::{
+    Attribute, FeatureKind, FeatureVectorizer, Record, Schema, Table, TaskAnalysis, Value,
+};
 use std::sync::Arc;
+
+/// Feature `fi` of the one pair `(ra, rb)`: a run of one.
+fn feature_of(
+    vz: &FeatureVectorizer,
+    fi: usize,
+    ra: &Record,
+    rb: &Record,
+    an: &TaskAnalysis,
+) -> f64 {
+    let mut x = [0.0];
+    vz.feature_run(fi, ra, &[rb], an, &mut x);
+    x[0]
+}
 
 fn any_text() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -68,9 +85,13 @@ fn assert_all_pairs_bitwise_at(
     let nf = vz.n_features();
     let all_b: Vec<&Record> = b.records.iter().collect();
     let mut run = vec![0.0; all_b.len() * nf];
+    let mut cols = vec![vec![0.0; all_b.len()]; nf];
     for ra in &a.records {
         vz.vectorize_pre_into(ra, &all_b, &an, &mut run);
-        for (rb, run_row) in b.records.iter().zip(run.chunks_exact(nf)) {
+        for (fi, col) in cols.iter_mut().enumerate() {
+            vz.feature_run(fi, ra, &all_b, &an, col);
+        }
+        for (j, (rb, run_row)) in b.records.iter().zip(run.chunks_exact(nf)).enumerate() {
             let want = vz.vectorize(ra, rb);
             let got = vz.vectorize_pre(ra, rb, &an);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -94,8 +115,9 @@ fn assert_all_pairs_bitwise_at(
                     g,
                     w
                 );
-                let single = vz.feature_pre(fi, ra, rb, &an);
+                let single = feature_of(&vz, fi, ra, rb, &an);
                 prop_assert_eq!(single.to_bits(), w.to_bits(), "single-feature path diverged");
+                prop_assert_eq!(cols[fi][j].to_bits(), w.to_bits(), "feature column diverged");
             }
         }
     }
@@ -242,8 +264,8 @@ proptest! {
         let an = vz.analyze(&a, &b, exec::Threads::new(1));
         for kind in [FeatureKind::Jaro, FeatureKind::JaroWinkler] {
             let fi = vz.library().defs.iter().position(|d| d.kind == kind).unwrap();
-            let xy = vz.feature_pre(fi, a.record(0), b.record(1), &an);
-            let yx = vz.feature_pre(fi, a.record(1), b.record(0), &an);
+            let xy = feature_of(&vz, fi, a.record(0), b.record(1), &an);
+            let yx = feature_of(&vz, fi, a.record(1), b.record(0), &an);
             prop_assert_eq!(xy.to_bits(), yx.to_bits(), "{:?} on ({:?}, {:?})", kind, x, y);
         }
     }
@@ -303,8 +325,8 @@ fn monge_elkan_grid_cases_match_the_reference() {
         vz.vectorize_pre_into(ra, &all_b, &an, &mut run);
         for (j, rb) in b.records.iter().enumerate() {
             let want = monge_elkan_sym(texts[i], texts[j]).to_bits();
-            let single = vz.feature_pre(me, ra, rb, &an).to_bits();
-            assert_eq!(single, want, "feature_pre on ({:?}, {:?})", texts[i], texts[j]);
+            let single = feature_of(&vz, me, ra, rb, &an).to_bits();
+            assert_eq!(single, want, "feature_run on ({:?}, {:?})", texts[i], texts[j]);
             assert_eq!(run[j * nf + me].to_bits(), want, "run on ({:?}, {:?})", texts[i], texts[j]);
         }
     }
@@ -316,7 +338,8 @@ fn monge_elkan_grid_cases_match_the_reference() {
 /// values only the previous run's left value matched, an attribute is
 /// missing on the left in one run and present in the next, and three
 /// text attributes mark and clear in turn. Every run row must equal the
-/// per-pair merge path (`feature_pre`) and the string path bit for bit.
+/// pair's features as runs of one (`feature_run`) and the string path bit
+/// for bit.
 #[test]
 fn run_marks_leave_nothing_behind() {
     let schema = Arc::new(Schema::new(vec![
@@ -360,9 +383,59 @@ fn run_marks_leave_nothing_behind() {
             let want = vz.vectorize(ra, rb);
             for (fi, (g, w)) in got.iter().zip(&want).enumerate() {
                 let at = format!("{}, a{} b{}", vz.library().defs[fi].name(), ra.id, rb.id);
-                let single = vz.feature_pre(fi, ra, rb, &an);
+                let single = feature_of(&vz, fi, ra, rb, &an);
                 assert_eq!(g.to_bits(), single.to_bits(), "{at}: run vs per-pair");
                 assert_eq!(g.to_bits(), w.to_bits(), "{at}: run vs string path");
+            }
+        }
+    }
+}
+
+/// `feature_run` is the column of `vectorize_pre_into`'s rows that holds
+/// its feature, bit for bit: runs of 0, 1, 17 (one past the sixteen
+/// Smith-Waterman lanes) and 24 pairs, missing values on either side, a
+/// text attribute whose values do not recur (its Smith-Waterman rides
+/// the lanes), one whose values recur (its char kernels consult the
+/// result cache), and a number attribute.
+#[test]
+fn feature_run_equals_the_run_column() {
+    let schema = Arc::new(Schema::new(vec![
+        Attribute::text("name"),
+        Attribute::text("city"),
+        Attribute::number("n"),
+    ]));
+    let cities = ["boston", "new york", "boston", "", "chicago"];
+    let row = |i: usize| -> Vec<Value> {
+        let name = match i % 7 {
+            3 => Value::Null,
+            _ => Value::Text(format!("kingston hyperx {} kit rev {i}", i * 13 % 29)),
+        };
+        let city = match i % 5 {
+            4 => Value::Null,
+            _ => Value::Text(cities[i % cities.len()].to_string()),
+        };
+        let n = if i % 4 == 1 { Value::Null } else { Value::Number(i as f64) };
+        vec![name, city, n]
+    };
+    let a = Table::new("a", schema.clone(), (0..6).map(row).collect());
+    let b = Table::new("b", schema, (2..26).map(row).collect());
+    let vz = FeatureVectorizer::fit(&a, &b);
+    let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    assert!(!an.recurring(0) && an.recurring(1), "name must not recur, city must");
+    let nf = vz.n_features();
+    let all_b: Vec<&Record> = b.records.iter().collect();
+    for ra in &a.records {
+        for n in [0, 1, 17, all_b.len()] {
+            let bs = &all_b[..n];
+            let mut rows = vec![0.0; n * nf];
+            vz.vectorize_pre_into(ra, bs, &an, &mut rows);
+            let mut col = vec![0.0; n];
+            for fi in 0..nf {
+                vz.feature_run(fi, ra, bs, &an, &mut col);
+                let want: Vec<u64> = rows.chunks_exact(nf).map(|r| r[fi].to_bits()).collect();
+                let got: Vec<u64> = col.iter().map(|x| x.to_bits()).collect();
+                let def = vz.library().defs[fi].name();
+                assert_eq!(got, want, "{def} over {n} pairs from a{}", ra.id);
             }
         }
     }

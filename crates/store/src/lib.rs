@@ -27,8 +27,9 @@
 //!   its fields;
 //! * `fingerprint` (optional) names the run configuration the snapshot
 //!   was written under (see [`read_snapshot_checked`]);
-//! * `checksum` is an FNV-1a 64 hash of the canonical payload JSON, so a
-//!   truncated or bit-flipped file fails loudly with
+//! * `checksum` is an FNV-1a 64 hash of the payload's JSON bytes as
+//!   written (`"payload":` is the envelope's last member), so a truncated,
+//!   bit-flipped or re-formatted file fails loudly with
 //!   [`StoreError::ChecksumMismatch`] instead of resuming from garbage.
 //!
 //! ## Crash safety
@@ -270,6 +271,11 @@ pub fn fingerprint64(bytes: &[u8]) -> String {
     checksum_hex(bytes)
 }
 
+/// The envelope's last member key. The writer renders only `magic`,
+/// `schema_version` and the hex `fingerprint` and `checksum` before it,
+/// none of which holds it, so its first occurrence starts the payload.
+const PAYLOAD_KEY: &str = "\"payload\":";
+
 /// Serialize `payload` into a versioned, checksummed envelope and write it
 /// to `path` atomically (temp file + rename), stamping the envelope with
 /// `fingerprint` when given (see [`read_snapshot_checked`] for the
@@ -285,9 +291,11 @@ pub fn write_snapshot_tagged<T: Serialize>(
         Some(fp) => format!("\"fingerprint\":\"{fp}\","),
         None => String::new(),
     };
+    // The payload goes last, so a reader finds the checksummed bytes
+    // between `PAYLOAD_KEY` and the closing brace.
     let envelope = format!(
         "{{\"magic\":\"{MAGIC}\",\"schema_version\":{SCHEMA_VERSION},{fp_field}\
-         \"checksum\":\"{}\",\"payload\":{payload_json}}}",
+         \"checksum\":\"{}\",{PAYLOAD_KEY}{payload_json}}}",
         checksum_hex(payload_json.as_bytes()),
     );
     let tmp = path.with_extension("json.tmp");
@@ -368,13 +376,15 @@ pub fn read_snapshot_checked<T: Deserialize>(
         path: p.clone(),
         message: "missing payload".to_string(),
     })?;
-    // The writer checksums the canonical payload rendering; re-rendering
-    // the parsed tree reproduces those exact bytes (the vendored writer is
-    // deterministic), so any post-write mutation of the payload shows up
-    // as a different hash.
-    let canonical = serde_json::to_string(payload)
-        .map_err(|e| StoreError::Corrupt { path: p.clone(), message: e.to_string() })?;
-    let actual = checksum_hex(canonical.as_bytes());
+    // The writer checksums the payload's bytes exactly as it puts them
+    // after `PAYLOAD_KEY`, up to the envelope's closing brace. Hashing that
+    // span as stored catches any change to it, whitespace included; a
+    // file not laid out that way hashes the empty span and mismatches.
+    let stored = text
+        .find(PAYLOAD_KEY)
+        .and_then(|at| text[at + PAYLOAD_KEY.len()..].trim_end().strip_suffix('}'))
+        .unwrap_or("");
+    let actual = checksum_hex(stored.as_bytes());
     if actual != expected {
         return Err(StoreError::ChecksumMismatch { path: p, expected, actual });
     }
@@ -549,6 +559,51 @@ mod tests {
             }
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn reformatted_payload_is_a_checksum_mismatch() {
+        // Whitespace inside the payload leaves its parsed value as it was,
+        // but the checksum covers the bytes as written.
+        let dir = tmp_dir("reformat");
+        let path = dir.join("snap-00000001.json");
+        write_snapshot_tagged(&path, &sample(), None).expect("write");
+        let text = fs::read_to_string(&path).unwrap();
+        let spaced = text.replacen(",\"flag\":true", ", \"flag\": true", 1);
+        assert_ne!(text, spaced, "payload layout changed; update the probe");
+        fs::write(&path, spaced).unwrap();
+        assert!(matches!(
+            read_snapshot_checked::<Payload>(&path, None),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
+    }
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct Nested {
+        payload: Payload,
+    }
+
+    #[test]
+    fn payload_holding_the_payload_key_round_trips() {
+        // A string holding the envelope's last key, and a field named like
+        // it: the checksummed span still starts at the envelope's own key.
+        let dir = tmp_dir("payload-key");
+        let path = dir.join("snap-00000001.json");
+        let mut inner = sample();
+        inner.name = "\"payload\":{\"x\":1}".to_string();
+        inner.words.push("}\"payload\": ".to_string());
+        let nested = Nested { payload: inner };
+        write_snapshot_tagged(&path, &nested, None).expect("write");
+        let back: Nested = read_snapshot_checked(&path, None).expect("read");
+        assert_eq!(back.payload.name, nested.payload.name);
+        assert_eq!(back.payload.words, nested.payload.words);
+        // A change after the nested key is still caught.
+        let text = fs::read_to_string(&path).unwrap().replace("-2.5", "-2.6");
+        fs::write(&path, text).unwrap();
+        assert!(matches!(
+            read_snapshot_checked::<Nested>(&path, None),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]

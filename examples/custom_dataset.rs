@@ -121,14 +121,4 @@ fn main() {
         report.total_cost_dollars(),
         report.total_pairs_labeled
     );
-    if std::env::var("DEBUG_PHASES").is_ok() {
-        for it in &report.iterations {
-            eprintln!(
-                "iter {}: matcher {:.0}c ({} AL iters, stop {}), estimator {:.0}c, locator {:?}",
-                it.iteration, it.matcher_cost_cents, it.matcher_al_iterations,
-                it.matcher_stop, it.estimate.cost_cents,
-                it.locator.as_ref().map(|l| l.cost_cents)
-            );
-        }
-    }
 }

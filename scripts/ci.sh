@@ -79,22 +79,25 @@ echo "==> blocking hot-path perf smoke (quick: all three datasets, scale 0.05)"
 # reference (the bin asserts bit-identity internally) and keeps the
 # blocking_perf harness itself from rotting. Quick numbers go to a temp
 # file so the committed BENCH_blocking.json (full-scale run) is untouched.
-# Per dataset the bin prints four markers once each, after asserting:
+# Per dataset the bin prints five markers once each, after asserting:
 # index_equivalence=ok (the indexed join's candidate list is
 # byte-identical to the Cartesian scan's), char_equivalence=ok (per-pair
 # bit identity of the bit-parallel/scratch char kernels against the
 # string reference) and arena_equivalence=ok (every pair's full feature
 # vector off the arena views equals the string path's with to_bits
-# equality), and run_equivalence=ok (every row of a matrix built run by
+# equality), run_equivalence=ok (every row of a matrix built run by
 # run over a blocker-sample-shaped pair list equals the string path's
-# vector of its pair with to_bits equality). The loop turns a
+# vector of its pair with to_bits equality), and rule_equivalence=ok (the
+# scan's rule sweep keeps exactly the pairs the pair-by-pair string-path
+# rule filter keeps on its sampled A rows). The loop turns a
 # silently-missing assertion, or a dataset the quick run skipped, into a
 # CI failure.
 perf_tmp=$(mktemp)
 perf_log=$(mktemp)
 cargo run --release -q -p bench --bin blocking_perf -- --quick --kinds --out "$perf_tmp" \
     | tee "$perf_log"
-for marker in index_equivalence char_equivalence arena_equivalence run_equivalence; do
+for marker in index_equivalence char_equivalence arena_equivalence run_equivalence \
+    rule_equivalence; do
     for ds in restaurants citations products; do
         n=$(grep -c "^$marker=ok dataset=$ds " "$perf_log" || true)
         [ "$n" -eq 1 ] \

@@ -11,13 +11,14 @@
 
 use similarity::{AnalysisStats, AttrView, FeatureVectorizer, TableAnalysis, TaskAnalysis};
 
-/// `(dataset, digest)` at scale 0.05, seed 7. Recorded on the earlier
-/// two-pass build (sorted `String` pools, binary-search lookups), so they
-/// also pin the hash-consed build that replaced it to the same bytes.
+/// `(dataset, digest)` at scale 0.05, seed 7. Recorded on the build
+/// before the stats dropped their model of the retired per-value layout,
+/// with only that field left out of the digest, so they pin the current
+/// build to the same bytes.
 const GOLDEN: [(&str, &str); 3] = [
-    ("restaurants", "158fb863fce0a5e1"),
-    ("citations", "97806d6bc1912d5e"),
-    ("products", "11d79ee730578051"),
+    ("restaurants", "4475cc86a7e30270"),
+    ("citations", "f2875beb7134afbc"),
+    ("products", "d87da8c1fe22a9c6"),
 ];
 
 /// Length-prefixed little-endian byte sink: a run boundary can never be
@@ -106,7 +107,6 @@ impl Sink {
             s.text_bytes,
             s.header_bytes,
             s.resident_bytes,
-            s.owned_layout_bytes,
         ] {
             self.u64(x as u64);
         }

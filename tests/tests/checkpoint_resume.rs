@@ -203,8 +203,9 @@ fn try_resume(task: &MatchTask, gold: &GoldOracle, snap: &Path) -> Result<(), Co
 fn corrupted_checksum_is_a_typed_error() {
     let (task, gold, latest, dir) = checkpointed_run("corrupt");
     let text = std::fs::read_to_string(&latest).expect("read snapshot");
-    // Change a payload *value* (whitespace would survive the canonical
-    // re-rendering the checksum verifies): seed 29 is 0x1d.
+    // Change a payload value, the corruption that would otherwise decode
+    // into a different run (the checksum covers the payload's bytes as
+    // written, so re-formatting fails it too): seed 29 is 0x1d.
     let tampered =
         text.replacen("\"seed_hex\":\"000000000000001d\"", "\"seed_hex\":\"000000000000001e\"", 1);
     assert_ne!(text, tampered, "snapshot layout changed; update the tamper probe");
