@@ -10,7 +10,7 @@
 //! — with an optional monetary budget ("run until a budget has been
 //! exhausted", §3).
 
-// lint:allow-module(D3): perf-timing module — Instant::now feeds only RunReport.perf phase timings, which deterministic_json zeroes; no timing value reaches report bytes or control flow
+// lint:allow-module(D3): perf-timing module — Instant::now feeds only RunReport.perf phase timings, which deterministic_json leaves out; no timing value reaches report bytes or control flow
 use crate::blocker::{run_blocker, BlockerReport};
 use crate::budget::BudgetPlan;
 use crate::cache::{CacheStats, FeatureCache};
@@ -80,8 +80,9 @@ pub struct PhaseTiming {
 /// counters, and per-phase wall-clock.
 ///
 /// Everything here depends on the machine and scheduling, never on the
-/// matching outcome — [`RunReport::deterministic_json`] zeroes this block
-/// so the rest of the report can be compared byte-for-byte across runs.
+/// matching outcome — [`RunReport::deterministic_json`] leaves this block
+/// out so the rest of the report can be compared byte-for-byte across
+/// runs, and a telemetry field can come or go without moving those bytes.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PerfReport {
     /// Worker threads the run was given.
@@ -127,8 +128,6 @@ pub struct KernelPerf {
     pub pairs_vectorized: u64,
     /// Single-feature evaluations (the blocker's lazy rule path).
     pub single_features: u64,
-    /// Feature values computed via the precomputed-analysis kernels.
-    pub features_pre: u64,
     /// Memory telemetry of the arena-packed analysis layer.
     pub analysis_memory: AnalysisMemory,
 }
@@ -218,7 +217,8 @@ impl RunReport {
         self.total_cost_cents / 100.0
     }
 
-    /// JSON with the machine-dependent [`PerfReport`] zeroed out.
+    /// JSON without the machine-dependent [`PerfReport`]: the report's
+    /// other members, in declaration order.
     ///
     /// Two same-seed runs produce byte-identical output from this method
     /// regardless of thread count or cache configuration; plain
@@ -233,9 +233,11 @@ impl RunReport {
 
     /// Fallible form of [`Self::deterministic_json`].
     pub fn try_deterministic_json(&self) -> Result<String, CorleoneError> {
-        let mut stripped = self.clone();
-        stripped.perf = PerfReport::default();
-        serde_json::to_string(&stripped).map_err(|e| CorleoneError::Serialization(e.to_string()))
+        let mut value = self.to_json_value();
+        if let serde::Value::Obj(members) = &mut value {
+            members.retain(|(name, _)| name != "perf");
+        }
+        serde_json::to_string(&value).map_err(|e| CorleoneError::Serialization(e.to_string()))
     }
 }
 
@@ -814,7 +816,6 @@ impl Engine {
                         analysis_build_ms,
                         pairs_vectorized: d.pairs_vectorized,
                         single_features: d.single_features,
-                        features_pre: d.features_pre,
                         analysis_memory: task
                             .analysis
                             .get()
@@ -1039,8 +1040,6 @@ mod tests {
         assert!(report.perf.threads >= 1);
         let k = &report.perf.kernels;
         assert!(k.pairs_vectorized > 0, "the run must have vectorized pairs");
-        let n = task.n_features() as u64;
-        assert_eq!(k.features_pre, k.pairs_vectorized * n + k.single_features);
         assert_eq!(report.perf.cache, CacheStats::default());
     }
 

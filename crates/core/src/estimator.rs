@@ -154,12 +154,6 @@ pub fn estimate_accuracy(
     let mut active: Vec<usize> = (0..cand.len()).collect();
     let mut active_set: HashSet<usize> = active.iter().copied().collect();
     let mut x: HashMap<usize, bool> = HashMap::new();
-    let key_to_idx: HashMap<PairKey, usize> = cand
-        .pairs()
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
 
     let mut rules_used = 0usize;
     let mut rounds = 0usize;
@@ -188,7 +182,9 @@ pub fn estimate_accuracy(
             unsampled.truncate(cfg.probe_batch);
             let keys: Vec<PairKey> = unsampled.iter().map(|&i| cand.pair(i)).collect();
             for (key, label) in platform.label_batch(oracle, &keys, cfg.scheme) {
-                x.insert(key_to_idx[&key], label);
+                // The crowd answers only the pairs it was asked about.
+                let pos = keys.iter().position(|&k| k == key).expect("labeled pair was requested");
+                x.insert(unsampled[pos], label);
             }
         }
 
@@ -278,13 +274,11 @@ pub fn estimate_accuracy(
         let mut eval_cost_acc = 0.0;
         let mut removed_union: HashSet<usize> = HashSet::new();
         for j in 1..=remaining.len() {
-            let sr = &remaining[j - 1];
             let cov = &coverages[j - 1];
             // Cost of evaluating this rule's precision to ε_max.
             eval_cost_acc +=
                 required_sample_size(cfg.p_min(), cov.len().max(1), z, cfg.eps_max) as f64;
             removed_union.extend(cov.iter().copied());
-            let _ = sr;
             let active_after = active.len().saturating_sub(removed_union.len());
             let pp_after = active
                 .iter()

@@ -9,9 +9,9 @@
 //!   fallback and as the equivalence oracle for the indexed path.
 //! * [`IndexedJoin`] — output-sensitive generation: pick one rule whose
 //!   predicates are all similarity-join conditions, probe inverted
-//!   indexes ([`similarity::index`]) for a superset of its survivors,
-//!   then verify the full rule set on the (small) candidate list with
-//!   the same rule sweep the scan uses.
+//!   indexes over B ([`similarity::index`]) per A record for a superset
+//!   of its survivors, then verify the full rule set on those (few)
+//!   candidates with the same rule sweep the scan uses.
 //!
 //! [`plan_blocking_source`] inspects the rules and picks the indexed
 //! path whenever one rule is fully indexable, else falls back to the
@@ -29,20 +29,22 @@
 //! superset of the true survivor set; the verification pass shrinks it
 //! to exactly the pairs the scan would keep.
 //!
-//! # One rule sweep
+//! # One generation loop
 //!
-//! Both sources evaluate the rules through one function, [`survivors`],
-//! over runs of pairs that share the left record: the scan hands it each
-//! A record with all of B, the join each run of its candidate list.
+//! Both sources run one loop, [`generate_rows`]: a parallel map over the
+//! A records that gathers each record's candidate B records and hands
+//! them to [`survivors`], the one rule evaluation. The scan's candidates
+//! are all of B; the join's are its probe hits for the record, sorted and
+//! deduped.
 //!
 //! # Determinism
 //!
 //! Both sources return survivors in row-major pair order (`a` asc, then
-//! `b` asc), independent of thread count: the scan enumerates in order,
-//! the join sorts + dedups its candidates before the order-preserving
-//! verification pass. The proptest suite asserts byte-identical output
-//! between the two paths, and against the string-path filter, at 1/2/8
-//! threads.
+//! `b` asc), independent of thread count: the map over A keeps record
+//! order and each record's candidates ascend, so no candidate list is
+//! ever sorted as a whole. The proptest suite asserts byte-identical
+//! output between the two paths, and against the string-path filter, at
+//! 1/2/8 threads.
 
 use crate::task::MatchTask;
 use crowd::PairKey;
@@ -65,9 +67,9 @@ pub trait CandidateSource {
     fn generate(&self, threads: Threads) -> Vec<PairKey>;
 }
 
-/// The pairs `(a, b)`, `b` in `bs`, that no rule blocks, in `bs` order:
-/// the one rule evaluation both candidate sources share, over a run of
-/// pairs with the left record `a`.
+/// The pairs `(a, b)`, `b` in `sweep.bs`, that no rule blocks, in `bs`
+/// order: the one rule evaluation both candidate sources share, over a
+/// run of pairs with the left record `a`.
 ///
 /// It goes rule by rule. Each feature the rule reads that no earlier rule
 /// read is computed once for the run, for the pairs no earlier rule
@@ -82,50 +84,52 @@ fn survivors(
     rules: &[Rule],
     analysis: &TaskAnalysis,
     a: u32,
-    bs: &[u32],
+    sweep: &mut Sweep,
 ) -> Vec<PairKey> {
-    SWEEP.with(|sweep| {
-        let Sweep { alive, cols, vals } = &mut *sweep.borrow_mut();
-        let rec_a = task.table_a.record(a);
-        alive.clear();
-        alive.extend(0..bs.len());
-        cols.resize_with(task.n_features(), Vec::new);
-        cols.iter_mut().for_each(Vec::clear);
-        let mut n_computed = 0u64;
-        for rule in rules {
-            if alive.is_empty() {
-                break;
-            }
-            for p in &rule.predicates {
-                if !cols[p.feature].is_empty() {
-                    continue;
-                }
-                let recs: Vec<&Record> =
-                    alive.iter().map(|&k| task.table_b.record(bs[k])).collect();
-                vals.clear();
-                vals.resize(alive.len(), 0.0);
-                task.vectorizer.feature_run(p.feature, rec_a, &recs, analysis, vals);
-                let col = &mut cols[p.feature];
-                col.resize(bs.len(), f64::NAN);
-                for (&k, &v) in alive.iter().zip(vals.iter()) {
-                    col[k] = v;
-                }
-                n_computed += alive.len() as u64;
-            }
-            alive.retain(|&k| !rule.predicates.iter().all(|p| p.holds_value(cols[p.feature][k])));
+    let Sweep { bs, alive, cols, vals, .. } = sweep;
+    let rec_a = task.table_a.record(a);
+    alive.clear();
+    alive.extend(0..bs.len());
+    cols.resize_with(task.n_features(), Vec::new);
+    cols.iter_mut().for_each(Vec::clear);
+    let mut n_computed = 0u64;
+    for rule in rules {
+        if alive.is_empty() {
+            break;
         }
-        task.analysis.note_single_features(n_computed);
-        alive.iter().map(|&k| PairKey::new(a, bs[k])).collect()
-    })
+        for p in &rule.predicates {
+            if !cols[p.feature].is_empty() {
+                continue;
+            }
+            let recs: Vec<&Record> = alive.iter().map(|&k| task.table_b.record(bs[k])).collect();
+            vals.clear();
+            vals.resize(alive.len(), 0.0);
+            task.vectorizer.feature_run(p.feature, rec_a, &recs, analysis, vals);
+            let col = &mut cols[p.feature];
+            col.resize(bs.len(), f64::NAN);
+            for (&k, &v) in alive.iter().zip(vals.iter()) {
+                col[k] = v;
+            }
+            n_computed += alive.len() as u64;
+        }
+        alive.retain(|&k| !rule.predicates.iter().all(|p| p.holds_value(cols[p.feature][k])));
+    }
+    task.analysis.note_single_features(n_computed);
+    alive.iter().map(|&k| PairKey::new(a, bs[k])).collect()
 }
 
-/// The buffers of one thread's [`survivors`] sweeps, kept across runs.
-/// Allocated per run instead, they put `e2e_bench`'s `restaurants_scan`
-/// (seed 42) in its higher peak-RSS mode (~51 MiB rather than ~45) in 8
-/// of 18 processes; kept, in 1 of 18. Every sweep clears and overwrites
-/// what it reads, so no result depends on an earlier sweep.
+/// The buffers of one thread's generation loop, kept across A records
+/// and across calls. Allocated per run instead, the sweep's buffers put
+/// `e2e_bench`'s `restaurants_scan` (seed 42) in its higher peak-RSS mode
+/// (~51 MiB rather than ~45) in 8 of 18 processes; kept, in 1 of 18.
+/// Every record clears and overwrites what it reads, so no result depends
+/// on an earlier record.
 #[derive(Default)]
 struct Sweep {
+    /// The current A record's candidate B records, ascending and distinct.
+    bs: Vec<u32>,
+    /// The join's probe scratch, shared by every index the thread probes.
+    probe: ProbeScratch,
     /// Positions in `bs` of the pairs no rule has blocked yet.
     alive: Vec<usize>,
     /// Per feature, its values by position in `bs`: empty until a rule
@@ -138,6 +142,29 @@ struct Sweep {
 
 thread_local! {
     static SWEEP: RefCell<Sweep> = RefCell::new(Sweep::default());
+}
+
+/// The one generation loop of both sources: for each A record, in
+/// parallel, `candidates(a, bs, probe)` fills `bs` with the record's
+/// candidate B records (ascending, distinct) and [`survivors`] keeps
+/// those no rule blocks. The map over A keeps record order, so the
+/// survivors come out row-major with no sort.
+fn generate_rows(
+    task: &MatchTask,
+    rules: &[Rule],
+    analysis: &TaskAnalysis,
+    threads: Threads,
+    candidates: impl Fn(u32, &mut Vec<u32>, &mut ProbeScratch) + Sync,
+) -> Vec<PairKey> {
+    let rows: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, task.table_a.len(), |a| {
+        SWEEP.with(|sweep| {
+            let sweep = &mut *sweep.borrow_mut();
+            sweep.bs.clear();
+            candidates(a as u32, &mut sweep.bs, &mut sweep.probe);
+            survivors(task, rules, analysis, a as u32, sweep)
+        })
+    });
+    rows.into_iter().flatten().collect()
 }
 
 /// Evaluate the rules against every pair of `A × B`, one [`survivors`]
@@ -163,13 +190,12 @@ impl CandidateSource for CartesianScan<'_> {
 
     fn generate(&self, threads: Threads) -> Vec<PairKey> {
         let task = self.task;
-        let n_a = task.table_a.len() as u32;
         let n_b = task.table_b.len() as u32;
         if self.rules.is_empty() {
             // No rules: every pair survives. Stream the keys in parallel
             // chunks (row-major order is preserved by indexed_par_map)
             // rather than a serial push loop.
-            let n = n_a as usize * n_b as usize;
+            let n = task.table_a.len() * n_b as usize;
             if n == 0 {
                 return Vec::new();
             }
@@ -178,13 +204,7 @@ impl CandidateSource for CartesianScan<'_> {
             });
         }
         let analysis = task.ensure_analysis(threads);
-        // One work item per A-row; the exec core chunks and
-        // self-schedules them.
-        let all_b: Vec<u32> = (0..n_b).collect();
-        let per_row: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, n_a as usize, |a| {
-            survivors(task, &self.rules, analysis, a as u32, &all_b)
-        });
-        per_row.into_iter().flatten().collect()
+        generate_rows(task, &self.rules, analysis, threads, |_, bs, _| bs.extend(0..n_b))
     }
 }
 
@@ -312,9 +332,8 @@ impl CandidateSource for IndexedJoin<'_> {
     fn generate(&self, threads: Threads) -> Vec<PairKey> {
         let task = self.task;
         let analysis = task.ensure_analysis(threads);
-        let n_b = task.table_b.len();
 
-        // Build one index per distinct (attr, space/exact) over table A.
+        // Build one index per distinct (attr, space/exact) over table B.
         // Indexes are threshold-independent, so predicates sharing a
         // token space share an index.
         let mut keys: Vec<(usize, Option<TokenSpace>)> = Vec::new();
@@ -329,68 +348,35 @@ impl CandidateSource for IndexedJoin<'_> {
                 keys.push(key);
                 indexes.push(match key {
                     (attr, Some(space)) => {
-                        BuiltIndex::Set(InvertedIndex::build(&analysis.a, attr, space))
+                        BuiltIndex::Set(InvertedIndex::build(&analysis.b, attr, space))
                     }
-                    (attr, None) => BuiltIndex::Exact(ExactIndex::build(&analysis.a, attr)),
+                    (attr, None) => BuiltIndex::Exact(ExactIndex::build(&analysis.b, attr)),
                 });
                 keys.len() - 1
             });
             probe_index.push(slot);
         }
 
-        // Probe per B record, in parallel chunks. Chunk size is fixed
-        // (not thread-dependent) and the result is sorted + deduped, so
-        // the candidate list is identical at any thread count.
-        const CHUNK: usize = 256;
-        let n_chunks = n_b.div_ceil(CHUNK);
-        let per_chunk: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, n_chunks, |ci| {
-            let lo = ci * CHUNK;
-            let hi = (lo + CHUNK).min(n_b);
-            let mut scratch = ProbeScratch::default();
-            let mut hits: Vec<u32> = Vec::new();
-            let mut out: Vec<PairKey> = Vec::new();
-            for b in lo..hi {
-                hits.clear();
-                for (spec, &slot) in self.probes.iter().zip(&probe_index) {
-                    match (spec, &indexes[slot]) {
-                        (
-                            ProbeSpec::Set { attr, measure, threshold, .. },
-                            BuiltIndex::Set(idx),
-                        ) => {
-                            idx.probe(
-                                analysis.attr_b(b as u32, *attr),
-                                *measure,
-                                *threshold,
-                                &mut scratch,
-                                &mut hits,
-                            );
-                        }
-                        (ProbeSpec::Exact { attr }, BuiltIndex::Exact(idx)) => {
-                            if let Some(an) = analysis.attr_b(b as u32, *attr) {
-                                idx.matches(&analysis.a, an.collapsed(), &mut hits);
-                            }
-                        }
-                        // Planner pairs specs with matching indexes.
-                        _ => {}
+        // Probe per A record; the union of its probes' hits, sorted and
+        // deduped, is the record's run for the sweep of the full rule set.
+        generate_rows(task, &self.rules, analysis, threads, |a, hits, scratch| {
+            for (spec, &slot) in self.probes.iter().zip(&probe_index) {
+                match (spec, &indexes[slot]) {
+                    (ProbeSpec::Set { attr, measure, threshold, .. }, BuiltIndex::Set(idx)) => {
+                        idx.probe(analysis.attr_a(a, *attr), *measure, *threshold, scratch, hits);
                     }
+                    (ProbeSpec::Exact { attr }, BuiltIndex::Exact(idx)) => {
+                        if let Some(an) = analysis.attr_a(a, *attr) {
+                            idx.matches(&analysis.b, an.collapsed(), hits);
+                        }
+                    }
+                    // Planner pairs specs with matching indexes.
+                    _ => {}
                 }
-                out.extend(hits.iter().map(|&a| PairKey::new(a, b as u32)));
             }
-            out
-        });
-        let mut candidates: Vec<PairKey> = per_chunk.into_iter().flatten().collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        // Verify: evaluate the *full* rule set on the candidates, one
-        // [`survivors`] sweep per run of the row-major list, in order, so
-        // survivors come out in row-major order.
-        let runs: Vec<&[PairKey]> = candidates.chunk_by(|x, y| x.a == y.a).collect();
-        let per_run: Vec<Vec<PairKey>> = exec::indexed_par_map(threads, runs.len(), |ri| {
-            let bs: Vec<u32> = runs[ri].iter().map(|p| p.b).collect();
-            survivors(task, &self.rules, analysis, runs[ri][0].a, &bs)
-        });
-        per_run.into_iter().flatten().collect()
+            hits.sort_unstable();
+            hits.dedup();
+        })
     }
 }
 

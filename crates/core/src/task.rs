@@ -16,9 +16,6 @@ pub struct KernelCounters {
     /// Single-feature evaluations of the blocker's rule sweep: one per
     /// feature of each rule a pair reaches.
     pub single_features: u64,
-    /// Individual feature values computed via the precomputed-analysis
-    /// kernels.
-    pub features_pre: u64,
 }
 
 impl KernelCounters {
@@ -28,7 +25,6 @@ impl KernelCounters {
         KernelCounters {
             pairs_vectorized: self.pairs_vectorized - start.pairs_vectorized,
             single_features: self.single_features - start.single_features,
-            features_pre: self.features_pre - start.features_pre,
         }
     }
 }
@@ -46,7 +42,6 @@ pub struct AnalysisCell {
     cell: OnceLock<Arc<TaskAnalysis>>,
     pairs_vectorized: AtomicU64,
     single_features: AtomicU64,
-    features_pre: AtomicU64,
 }
 
 impl AnalysisCell {
@@ -60,7 +55,6 @@ impl AnalysisCell {
     /// contending on the shared counters once per feature.
     pub fn note_single_features(&self, n: u64) {
         self.single_features.fetch_add(n, Ordering::Relaxed);
-        self.features_pre.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Install a prebuilt analysis handle (the shared-registry path:
@@ -81,7 +75,6 @@ impl AnalysisCell {
         KernelCounters {
             pairs_vectorized: self.pairs_vectorized.load(Ordering::Relaxed),
             single_features: self.single_features.load(Ordering::Relaxed),
-            features_pre: self.features_pre.load(Ordering::Relaxed),
         }
     }
 }
@@ -97,7 +90,6 @@ impl Clone for AnalysisCell {
             cell,
             pairs_vectorized: AtomicU64::new(c.pairs_vectorized),
             single_features: AtomicU64::new(c.single_features),
-            features_pre: AtomicU64::new(c.features_pre),
         }
     }
 }
@@ -254,9 +246,7 @@ impl MatchTask {
         let an = self.ensure_analysis(Threads::new(1));
         let a = self.table_a.record(first.a);
         let bs: Vec<&Record> = run.iter().map(|p| self.table_b.record(p.b)).collect();
-        let n = run.len() as u64;
-        self.analysis.pairs_vectorized.fetch_add(n, Ordering::Relaxed);
-        self.analysis.features_pre.fetch_add(n * self.n_features() as u64, Ordering::Relaxed);
+        self.analysis.pairs_vectorized.fetch_add(run.len() as u64, Ordering::Relaxed);
         self.vectorizer.vectorize_pre_into(a, &bs, an, out);
     }
 
@@ -323,7 +313,7 @@ mod tests {
         let v = t.vectorize(PairKey::new(0, 0));
         assert!(t.analysis.get().is_some(), "vectorize builds the analysis");
         let k = t.kernel_counters();
-        assert_eq!((k.pairs_vectorized, k.features_pre), (1, t.n_features() as u64));
+        assert_eq!(k.pairs_vectorized, 1);
         assert_eq!(v.len(), t.n_features());
         let string_path = t.vectorizer.feature(0, t.table_a.record(0), t.table_b.record(0));
         assert_eq!(string_path.to_bits(), v[0].to_bits());

@@ -123,7 +123,7 @@ fn zeroed_fault_config_is_byte_identical_to_plain_platform() {
 }
 
 /// With faults *enabled*, the report — including the fault counters,
-/// which `deterministic_json` zeroes along with the rest of `perf` — must
+/// which `deterministic_json` leaves out along with the rest of `perf` — must
 /// still be a function of the seeds alone, never of the thread count.
 #[test]
 fn faulty_run_is_thread_count_invariant() {

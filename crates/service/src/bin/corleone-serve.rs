@@ -2,7 +2,10 @@
 //! command line.
 //!
 //! Submits one tenant per requested dataset and ticks the service,
-//! streaming [`ServiceEvent`]s as JSON lines on stdout. With
+//! streaming [`ServiceEvent`]s as JSON lines on stdout. A reader that
+//! closes stdout early (`corleone-serve ... | head -1`) ends the printing,
+//! not the run: the `--out` reports are still written and the exit code
+//! stays 0. With
 //! `--max-ticks N` the process stops after N quanta even if tenants are
 //! still in flight — the CI smoke uses that to simulate a mid-run kill,
 //! then reruns the same command (same `--root`) and asserts every tenant
@@ -20,6 +23,7 @@ use datagen::{EmDataset, GenConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use service::{MatchService, ServiceConfig, TenantSpec};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -130,11 +134,46 @@ fn make_platform(ds: &EmDataset, error_rate: f64, seed: u64) -> CrowdPlatform {
     )
 }
 
+/// Stdout as the bin prints it. The first failed write ends the printing,
+/// not the run; a closed pipe (the reader went away) is no error.
+struct Lines<W: Write> {
+    out: W,
+    /// `None` while printing; then why it stopped, `Ok` for a closed pipe.
+    stopped: Option<io::Result<()>>,
+}
+
+impl<W: Write> Lines<W> {
+    fn new(out: W) -> Self {
+        Lines { out, stopped: None }
+    }
+
+    fn print(&mut self, line: &str) {
+        if self.stopped.is_none() {
+            if let Err(e) = writeln!(self.out, "{line}") {
+                self.stopped = Some(if e.kind() == io::ErrorKind::BrokenPipe { Ok(()) } else { Err(e) });
+            }
+        }
+    }
+
+    /// Exit code 0, or 2 with the reason on stderr when a write failed
+    /// for another reason than a closed pipe.
+    fn finish(self) -> ExitCode {
+        match self.stopped {
+            Some(Err(e)) => {
+                eprintln!("cannot write stdout: {e}");
+                ExitCode::from(2)
+            }
+            _ => ExitCode::SUCCESS,
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut stdout = Lines::new(io::stdout().lock());
     if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{HELP}");
-        return ExitCode::SUCCESS;
+        stdout.print(HELP);
+        return stdout.finish();
     }
     let opts = match parse_arg_list(&argv) {
         Ok(opts) => opts,
@@ -201,7 +240,7 @@ fn main() -> ExitCode {
 
     for ev in svc.poll_events() {
         if !opts.quiet {
-            println!("{}", serde_json::to_string(&ev).expect("event serializes"));
+            stdout.print(&serde_json::to_string(&ev).expect("event serializes"));
         }
     }
 
@@ -222,15 +261,13 @@ fn main() -> ExitCode {
     }
 
     let perf = serde_json::to_string(svc.service_perf()).expect("perf serializes");
-    println!("{{\"service_perf\":{perf}}}");
+    stdout.print(&format!("{{\"service_perf\":{perf}}}"));
     if interrupted {
         let done = serde_json::to_string(&finished).expect("list serializes");
-        println!(
-            "{{\"killed\":{{\"ticks\":{},\"finished\":{done}}}}}",
-            opts.max_ticks.unwrap_or(0)
-        );
+        let ticks = opts.max_ticks.unwrap_or(0);
+        stdout.print(&format!("{{\"killed\":{{\"ticks\":{ticks},\"finished\":{done}}}}}"));
     }
-    ExitCode::SUCCESS
+    stdout.finish()
 }
 
 #[cfg(test)]
@@ -264,5 +301,29 @@ mod tests {
         assert_eq!((opts.scale, opts.seed, opts.threads), (0.08, 7, 2));
         assert_eq!((opts.max_ticks, opts.root), (Some(4), Some(PathBuf::from("r"))));
         assert_eq!(parse_arg_list(&[]).unwrap().datasets.len(), datagen::DATASET_NAMES.len());
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_printing_not_the_run() {
+        struct Failing(io::ErrorKind);
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(self.0.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut open = Lines::new(Vec::new());
+        open.print("a");
+        open.print("b");
+        assert_eq!(open.out, b"a\nb\n");
+        let mut closed = Lines::new(Failing(io::ErrorKind::BrokenPipe));
+        closed.print("a");
+        closed.print("b");
+        assert!(matches!(closed.stopped, Some(Ok(()))), "a closed pipe is no error");
+        let mut broken = Lines::new(Failing(io::ErrorKind::PermissionDenied));
+        broken.print("a");
+        assert!(matches!(broken.stopped, Some(Err(_))), "other write errors are");
     }
 }

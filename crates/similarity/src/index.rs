@@ -33,8 +33,8 @@
 //! Index construction is a deterministic function of the analysis: no
 //! hash-order iteration (vocabularies are sorted id vectors, postings are
 //! CSR arrays filled in record order), no wall-clock, no randomness.
-//! Probe output order is an implementation detail — callers sort the
-//! final candidate list into row-major pair order.
+//! Probe output order is an implementation detail — callers sort each
+//! probe record's hits.
 
 use crate::analysis::{AttrView, TableAnalysis};
 use crate::record::RecordId;
@@ -152,7 +152,7 @@ fn required_overlap(measure: SetMeasure, t: f64, x: u32, y: u32) -> u32 {
 }
 
 /// Inverted index over one token space of one attribute of one table
-/// (the *indexed* side; by convention table A, probed per B record).
+/// (the *indexed* side; by convention table B, probed per A record).
 ///
 /// Layout is fully deterministic: `vocab` is the sorted distinct token
 /// ids of the indexed table, postings are one CSR array filled by a
@@ -163,7 +163,6 @@ fn required_overlap(measure: SetMeasure, t: f64, x: u32, y: u32) -> u32 {
 #[derive(Debug)]
 pub struct InvertedIndex {
     space: TokenSpace,
-    attr: usize,
     /// Distinct token ids of the indexed table, sorted ascending.
     vocab: Vec<u32>,
     /// Document frequency per vocab entry.
@@ -182,7 +181,10 @@ pub struct InvertedIndex {
 }
 
 /// Reusable per-thread scratch for [`InvertedIndex::probe`]; avoids
-/// re-allocating the stamp array (sized `|A|`) per probe record.
+/// re-allocating the stamp array (sized to the largest indexed table it
+/// has probed) per probe record. Stamps only grow and a wrap clears the
+/// array, so no stale stamp equals a fresh one and one scratch serves any
+/// index.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Probe tokens keyed for canonical ordering:
@@ -272,22 +274,7 @@ impl InvertedIndex {
             }
         }
 
-        InvertedIndex { space, attr, vocab, df, offsets, entries, sizes, empties }
-    }
-
-    /// The token space this index was built over.
-    pub fn space(&self) -> TokenSpace {
-        self.space
-    }
-
-    /// The attribute index this index was built over.
-    pub fn attr(&self) -> usize {
-        self.attr
-    }
-
-    /// Total posting entries (for perf reporting).
-    pub fn postings(&self) -> usize {
-        self.entries.len()
+        InvertedIndex { space, vocab, df, offsets, entries, sizes, empties }
     }
 
     /// Append to `out` every indexed record whose `measure` similarity
@@ -398,11 +385,6 @@ impl ExactIndex {
                 .then(p.cmp(&q))
         });
         ExactIndex { attr, sorted }
-    }
-
-    /// The attribute index this index was built over.
-    pub fn attr(&self) -> usize {
-        self.attr
     }
 
     /// Append to `out` (in ascending record order) every indexed record
@@ -569,5 +551,27 @@ mod tests {
         first.sort_unstable();
         again.sort_unstable();
         assert_eq!(first, again, "same probe must give the same candidates");
+    }
+
+    #[test]
+    fn probe_scratch_wrap_clears_stale_stamps() {
+        let an = analyzed(VALS_A, VALS_B);
+        let idx = InvertedIndex::build(&an.b, 0, TokenSpace::Words);
+        let probe = |scratch: &mut ProbeScratch, a: u32| {
+            let mut got = Vec::new();
+            idx.probe(an.attr_a(a, 0), SetMeasure::Jaccard, 0.1, scratch, &mut got);
+            got.sort_unstable();
+            got
+        };
+        // A long-lived scratch at the end of its stamp range, its array
+        // full of stamps from earlier probes: the next probe wraps to 0,
+        // and only the clear keeps the restarted stamps from matching.
+        let mut worn =
+            ProbeScratch { seen: vec![1; VALS_B.len()], stamp: u32::MAX, ..Default::default() };
+        for a in 0..VALS_A.len() as u32 {
+            let want = probe(&mut ProbeScratch::default(), a);
+            assert_eq!(probe(&mut worn, a), want, "A record {a}");
+        }
+        assert!(!probe(&mut ProbeScratch::default(), 0).is_empty(), "the first probe has hits");
     }
 }

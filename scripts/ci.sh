@@ -181,4 +181,16 @@ for ds in restaurants citations products; do
 done
 echo "all 3 tenants resumed; reports byte-identical to the uninterrupted service"
 
+echo "==> corleone-serve with a closed stdout"
+# A reader that closes the pipe early ends the event stream, not the run:
+# the bin must still write its --out report and exit 0 (pipefail passes
+# its exit code through the pipeline).
+code=0
+cargo run --release -q -p service --bin corleone-serve -- \
+    --datasets restaurants --scale 0.05 --out "$svc_dir/piped" | true || code=$?
+[ "$code" -eq 0 ] \
+    || { echo "FAIL: corleone-serve exited $code when its stdout closed"; exit 1; }
+[ -f "$svc_dir/piped/restaurants.json" ] \
+    || { echo "FAIL: corleone-serve wrote no report when its stdout closed"; exit 1; }
+
 echo "==> CI OK"
