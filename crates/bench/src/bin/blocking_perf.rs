@@ -62,6 +62,7 @@
 
 use bench::{dataset, dataset_list, flag_value, make_task, render_table, ExpOptions};
 use corleone::blocker;
+use corleone::lines::Lines;
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin};
 use corleone::task::MatchTask;
 use corleone::CandidateSet;
@@ -323,8 +324,8 @@ fn median(xs: &mut [f64]) -> f64 {
 /// `FeatureKind::unit_cost`), the pre path one `feature_run` per run of
 /// sampled pairs sharing the left record. With `all_defs`, times every
 /// feature def (per attribute) instead of the first def per kind — the
-/// per-def breakdown of a full `vectorize_pre` pass.
-fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs: bool) {
+/// per-def breakdown of a full `vectorize_pre` pass. Returns the table.
+fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs: bool) -> String {
     let pairs = sample_pairs(task, 20_000);
     let runs: Vec<&[(u32, u32)]> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
     let vz = &task.vectorizer;
@@ -356,10 +357,7 @@ fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs:
             format!("{:.1}", def.kind.unit_cost()),
         ]);
     }
-    println!(
-        "{}",
-        render_table(&["kind", "string ns/pair", "pre ns/pair", "speedup", "unit_cost"], &rows)
-    );
+    render_table(&["kind", "string ns/pair", "pre ns/pair", "speedup", "unit_cost"], &rows)
 }
 
 fn main() -> ExitCode {
@@ -371,6 +369,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let mut out = Lines::stdout();
     let threads = args.threads;
     let vec_sample = if args.quick { 10_000 } else { 100_000 };
     // Cap the (slow) string-path reference sweep; the pre path always
@@ -467,11 +466,11 @@ fn main() -> ExitCode {
                 scan_on_rows, string_survivors,
                 "rule sweep diverged from the string path on {name} @ {scale}"
             );
-            println!(
+            out.print(&format!(
                 "rule_equivalence=ok dataset={name} scale={scale} rows={} survivors={}",
                 a_rows.len(),
                 string_survivors.len()
-            );
+            ));
 
             // Output-sensitive indexed join: index build + probes + full
             // verification, timed end to end. The bench rules are all
@@ -485,11 +484,11 @@ fn main() -> ExitCode {
                 scan_pairs, idx_pairs,
                 "indexed join diverged from Cartesian scan on {name} @ {scale}"
             );
-            println!(
+            out.print(&format!(
                 "index_equivalence=ok dataset={name} scale={scale} candidates={survivors} \
                  speedup={:.1}x",
                 rate_idx / rate_pre.max(1.0)
-            );
+            ));
 
             // Full vectorization on a deterministic pair sample. Both
             // paths collect the vector's bits per pair (one small Vec per
@@ -532,13 +531,13 @@ fn main() -> ExitCode {
                     pairs[pi]
                 );
             }
-            println!(
+            out.print(&format!(
                 "arena_equivalence=ok dataset={name} scale={scale} features={} pairs={} \
                  speedup={:.1}x",
                 task.n_features(),
                 pairs.len(),
                 vrate_p / vrate_s.max(1.0)
-            );
+            ));
 
             // Run-shaped vectorization: the candidate-set build the
             // Blocker runs on `S`, then every row checked bitwise against
@@ -559,13 +558,13 @@ fn main() -> ExitCode {
             if let Some(i) = diverged.iter().position(|&d| d) {
                 panic!("run vectorization diverged on {name} @ {scale}, pair {:?}", run_pairs[i]);
             }
-            println!(
+            out.print(&format!(
                 "run_equivalence=ok dataset={name} scale={scale} features={} pairs={} \
                  runs={n_runs} speedup={:.1}x",
                 task.n_features(),
                 run_pairs.len(),
                 vrate_r / vrate_s.max(1.0)
-            );
+            ));
 
             // Char-kernel phase: the five character-level measures alone,
             // on the same pair sample, with per-pair per-feature bit
@@ -617,13 +616,13 @@ fn main() -> ExitCode {
                     pairs[pi]
                 );
             }
-            println!(
+            out.print(&format!(
                 "char_equivalence=ok dataset={name} scale={scale} features={} pairs={} \
                  speedup={:.1}x",
                 char_defs.len(),
                 pairs.len(),
                 crate_p / crate_s.max(1.0)
-            );
+            ));
 
             table_rows.push(vec![
                 name.clone(),
@@ -640,7 +639,7 @@ fn main() -> ExitCode {
             ]);
 
             if args.kinds {
-                kind_timings(&task, an, threads, args.defs);
+                out.print(&kind_timings(&task, an, threads, args.defs));
             }
 
             let analysis_bytes = stats.resident_bytes as u64;
@@ -650,31 +649,28 @@ fn main() -> ExitCode {
         }
     }
 
-    println!(
-        "{}",
-        render_table(
-            &[
-                "dataset",
-                "scale",
-                "rules str p/s",
-                "rules pre p/s",
-                "index eff p/s",
-                "idx speedup",
-                "vec str p/s",
-                "vec pre p/s",
-                "vec run p/s",
-                "char str p/s",
-                "char pre p/s",
-            ],
-            &table_rows
-        )
-    );
+    out.print(&render_table(
+        &[
+            "dataset",
+            "scale",
+            "rules str p/s",
+            "rules pre p/s",
+            "index eff p/s",
+            "idx speedup",
+            "vec str p/s",
+            "vec pre p/s",
+            "vec run p/s",
+            "char str p/s",
+            "char pre p/s",
+        ],
+        &table_rows,
+    ));
 
     let report = BenchReport { schema_version: BENCH_SCHEMA_VERSION, records };
     let json = serde_json::to_string_pretty(&report).expect("serialize bench records");
     std::fs::write(&args.out, json + "\n").expect("write bench json");
     eprintln!("wrote {}", args.out);
-    ExitCode::SUCCESS
+    out.finish()
 }
 
 #[cfg(test)]

@@ -2,11 +2,14 @@
 //! negative rules extracted from it — the mechanism the Blocker (§4),
 //! Estimator (§6), and Locator (§7) are built on.
 
+use corleone::lines::Lines;
 use forest::{extract_rules, Dataset, ForestConfig, RandomForest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut out = Lines::stdout();
     // Features mirror the figure: isbn_match, #pages_match, title_match.
     let names: Vec<String> = ["isbn_match", "pages_match", "title_match"]
         .iter()
@@ -35,16 +38,16 @@ fn main() {
     };
     let forest = RandomForest::train_all(&ds, &cfg, &mut StdRng::seed_from_u64(2014));
 
-    println!("Figure 2: a toy random forest and its extracted rules\n");
+    out.print("Figure 2: a toy random forest and its extracted rules\n");
     for (i, tree) in forest.trees().iter().enumerate() {
-        println!(
+        out.print(&format!(
             "Tree {} — {} leaves, depth {}",
             i + 1,
             tree.n_leaves(),
             tree.depth()
-        );
+        ));
     }
-    println!("\nExtracted rules (paths to leaves):");
+    out.print("\nExtracted rules (paths to leaves):");
     let mut neg = 0;
     let mut pos = 0;
     for rule in extract_rules(&forest) {
@@ -55,9 +58,10 @@ fn main() {
             neg += 1;
             "negative"
         };
-        println!("  [{kind}] {}", rule.display_with(&names));
+        out.print(&format!("  [{kind}] {}", rule.display_with(&names)));
     }
-    println!("\n{neg} negative rules (candidate blocking rules), {pos} positive rules.");
-    println!("Paper Fig. 2c shows 5 negative rules from its 2-tree toy forest;");
-    println!("e.g. \"(isbn_match = N) => NO\" is the first blocking rule.");
+    out.print(&format!("\n{neg} negative rules (candidate blocking rules), {pos} positive rules."));
+    out.print("Paper Fig. 2c shows 5 negative rules from its 2-tree toy forest;");
+    out.print("e.g. \"(isbn_match = N) => NO\" is the first blocking rule.");
+    out.finish()
 }

@@ -5,10 +5,12 @@
 //! the detected stopping pattern.
 
 use bench::{make_platform, make_task, parse_args, sampled_candidates};
+use corleone::lines::Lines;
 use corleone::stopping::smooth;
 use corleone::{run_active_learning, MatcherConfig, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 fn sparkline(values: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -23,9 +25,10 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!("Figure 3: confidence patterns driving the stopping rules\n");
+    let mut out = Lines::stdout();
+    out.print("Figure 3: confidence patterns driving the stopping rules\n");
     // Crowd noise is the main driver of which pattern fires: clean easy
     // tasks reach near-absolute confidence, moderate noise plateaus
     // (converged), heavy noise peaks then degrades.
@@ -48,7 +51,7 @@ fn main() {
         let cand = sampled_candidates(&task, 20_000, &mut rng);
         let seeds = task.seed_vectors();
         let cfg = MatcherConfig::default();
-        let out = run_active_learning(
+        let learned = run_active_learning(
             &cand,
             &seeds,
             &mut platform,
@@ -57,14 +60,15 @@ fn main() {
             &mut rng,
             Threads::auto(),
         );
-        let smoothed = smooth(&out.conf_history, cfg.stopping.window);
-        println!("{label}");
-        println!("  iterations: {}, stop: {:?}", out.iterations, out.stop);
-        println!("  conf (smoothed): {}", sparkline(&smoothed));
+        let smoothed = smooth(&learned.conf_history, cfg.stopping.window);
+        out.print(label);
+        out.print(&format!("  iterations: {}, stop: {:?}", learned.iterations, learned.stop));
+        out.print(&format!("  conf (smoothed): {}", sparkline(&smoothed)));
         let series: Vec<String> = smoothed.iter().map(|v| format!("{v:.3}")).collect();
-        println!("  series: {}\n", series.join(" "));
+        out.print(&format!("  series: {}\n", series.join(" ")));
     }
-    println!("Paper Fig. 3: (a) converged confidence plateaus within ±ε for 20");
-    println!("iterations; (b) near-absolute confidence ≥ 1−ε for 3 iterations, or a");
-    println!("peak followed by degradation detected over two 15-iteration windows.");
+    out.print("Paper Fig. 3: (a) converged confidence plateaus within ±ε for 20");
+    out.print("iterations; (b) near-absolute confidence ≥ 1−ε for 3 iterations, or a");
+    out.print("peak followed by degradation detected over two 15-iteration windows.");
+    out.finish()
 }

@@ -13,9 +13,12 @@
 //! diff a resumed run against an uninterrupted reference.
 
 use bench::{dollars, parse_args, pct, try_run_corleone};
+use corleone::lines::Lines;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
+    let mut out = Lines::stdout();
     let mut failed = false;
     for name in &opts.datasets {
         let t0 = std::time::Instant::now();
@@ -26,13 +29,13 @@ fn main() {
             Err(e) => {
                 // A typed failure is a legitimate outcome under faults;
                 // report it and move on.
-                println!(
+                out.print(&format!(
                     "{name}: |A|={} |B|={} gold={} | run failed: {e} | {:.1}s",
                     stats.n_a,
                     stats.n_b,
                     stats.n_matches,
                     t0.elapsed().as_secs_f64(),
-                );
+                ));
                 failed = true;
                 continue;
             }
@@ -65,10 +68,10 @@ fn main() {
                 .and_then(|_| std::fs::write(format!("{dir}/{name}.json"), report.deterministic_json()))
             {
                 eprintln!("cannot write {dir}/{name}.json: {e}");
-                std::process::exit(1);
+                return ExitCode::FAILURE;
             }
         }
-        println!(
+        out.print(&format!(
             "{name}: |A|={} |B|={} gold={} | blocked={} umbrella={} recall={} | \
              iters={} | true P/R/F1 = {truth} | est F1 = {est} | \
              cost {} labels {} | termination={:?}{fault_note}{ckpt_note} | {:.1}s",
@@ -86,11 +89,12 @@ fn main() {
             report.total_pairs_labeled,
             report.termination,
             t0.elapsed().as_secs_f64(),
-        );
+        ));
     }
     // A typed failure is tolerated when faults were requested — that is
     // the scenario being smoked — but a clean run must always succeed.
     if failed && !opts.fault_config().enabled() {
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    out.finish()
 }

@@ -3,13 +3,16 @@
 //! on.
 
 use bench::{dataset, parse_args, render_table};
+use corleone::lines::Lines;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Table 1: data sets (scale = {}; paper sizes at --scale 1.0)\n",
         opts.scale
-    );
+    ));
     let rows: Vec<Vec<String>> = opts
         .datasets
         .iter()
@@ -26,12 +29,10 @@ fn main() {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        render_table(
-            &["Dataset", "Table A", "Table B", "# Matches", "A x B", "Density"],
-            &rows
-        )
-    );
-    println!("Paper values (scale 1.0): Restaurants 533/331/112, Citations 2616/64263/5347, Products 2554/22074/1154.");
+    out.print(&render_table(
+        &["Dataset", "Table A", "Table B", "# Matches", "A x B", "Density"],
+        &rows
+    ));
+    out.print("Paper values (scale 1.0): Restaurants 533/331/112, Citations 2616/64263/5347, Products 2554/22074/1154.");
+    out.finish()
 }

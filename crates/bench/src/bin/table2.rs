@@ -6,15 +6,18 @@
 
 use baselines::{baseline1, baseline2};
 use bench::{dataset, dollars, make_task, mean, parse_args, pct, render_table, run_corleone};
+use corleone::lines::Lines;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Table 2: Corleone vs traditional solutions (scale {}, {} runs, {}% crowd error)\n",
         opts.scale,
         opts.runs,
         opts.error_rate * 100.0
-    );
+    ));
     let mut rows: Vec<Vec<String>> = Vec::new();
     for name in &opts.datasets {
         let mut c_p = vec![];
@@ -65,19 +68,17 @@ fn main() {
             pct(mean(&b2_f1)),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Dataset", "P", "R", "F1", "Cost", "#Pairs", "B1-P", "B1-R", "B1-F1", "B2-P",
-                "B2-R", "B2-F1",
-            ],
-            &rows
-        )
-    );
-    println!("Paper (real data, real crowd):");
-    println!("  restaurants  Corleone 97.0/96.1/96.5 $9.2 274   | B1 10.0/6.1/7.6    | B2 99.2/93.8/96.4");
-    println!("  citations    Corleone 89.9/94.3/92.1 $69.5 2082 | B1 90.4/84.3/87.1  | B2 93.0/91.1/92.0");
-    println!("  products     Corleone 91.5/87.4/89.3 $256.8 3205| B1 92.9/26.6/40.5  | B2 95.0/54.8/69.5");
-    println!("Shape to check: Corleone >> B1 everywhere; Corleone ~ B2 on easy sets; Corleone > B2 on products.");
+    out.print(&render_table(
+        &[
+            "Dataset", "P", "R", "F1", "Cost", "#Pairs", "B1-P", "B1-R", "B1-F1", "B2-P",
+            "B2-R", "B2-F1",
+        ],
+        &rows
+    ));
+    out.print("Paper (real data, real crowd):");
+    out.print("  restaurants  Corleone 97.0/96.1/96.5 $9.2 274   | B1 10.0/6.1/7.6    | B2 99.2/93.8/96.4");
+    out.print("  citations    Corleone 89.9/94.3/92.1 $69.5 2082 | B1 90.4/84.3/87.1  | B2 93.0/91.1/92.0");
+    out.print("  products     Corleone 91.5/87.4/89.3 $256.8 3205| B1 92.9/26.6/40.5  | B2 95.0/54.8/69.5");
+    out.print("Shape to check: Corleone >> B1 everywhere; Corleone ~ B2 on easy sets; Corleone > B2 on products.");
+    out.finish()
 }

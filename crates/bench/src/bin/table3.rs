@@ -4,18 +4,21 @@
 
 use baselines::dev_blocker;
 use bench::{dollars, make_task, mean, parse_args, pct, render_table, run_corleone};
+use corleone::lines::Lines;
 use corleone::metrics::blocking_recall;
 use crowd::PairKey;
 use std::collections::HashSet;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Table 3: blocking results (scale {}, {} runs, {}% crowd error)\n",
         opts.scale,
         opts.runs,
         opts.error_rate * 100.0
-    );
+    ));
     let mut rows = Vec::new();
     for name in &opts.datasets {
         let mut umbrella = vec![];
@@ -56,18 +59,16 @@ fn main() {
             format!("{:.1}K", mean(&dev_size) / 1e3),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Dataset", "Cartesian", "Umbrella", "Recall", "Cost", "#Pairs", "#Rules",
-                "Dev-Recall", "Dev-Size",
-            ],
-            &rows
-        )
-    );
-    println!("Paper: restaurants 176.4K / no blocking / 100% / $0 / 0");
-    println!("       citations  168.1M / 38.2K / 99% / $7.2 / 214  (developer: 100% recall, 202.5K pairs)");
-    println!("       products    56.4M / 173.4K / 92% / $22 / 333  (developer: 90% recall)");
-    println!("Shape: blocking triggers only on citations/products; 1-3 rules; high recall at low cost.");
+    out.print(&render_table(
+        &[
+            "Dataset", "Cartesian", "Umbrella", "Recall", "Cost", "#Pairs", "#Rules",
+            "Dev-Recall", "Dev-Size",
+        ],
+        &rows
+    ));
+    out.print("Paper: restaurants 176.4K / no blocking / 100% / $0 / 0");
+    out.print("       citations  168.1M / 38.2K / 99% / $7.2 / 214  (developer: 100% recall, 202.5K pairs)");
+    out.print("       products    56.4M / 173.4K / 92% / $22 / 333  (developer: 90% recall)");
+    out.print("Shape: blocking triggers only on citations/products; 1-3 rules; high recall at low cost.");
+    out.finish()
 }

@@ -3,17 +3,20 @@
 //! and reduction (#pairs, difficult-set size) for each iteration.
 
 use bench::{parse_args, pct, render_table, run_corleone};
+use corleone::lines::Lines;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Table 4: per-iteration performance (scale {}, run 0 shown, {}% crowd error)\n",
         opts.scale,
         opts.error_rate * 100.0
-    );
+    ));
     for name in &opts.datasets {
         let (report, _) = run_corleone(name, &opts, 0);
-        println!("== {name} ==");
+        out.print(&format!("== {name} =="));
         let mut rows = Vec::new();
         for it in &report.iterations {
             let t = it.true_prf.expect("gold supplied");
@@ -52,11 +55,9 @@ fn main() {
                 ]);
             }
         }
-        println!(
-            "{}",
-            render_table(&["Phase", "#Pairs", "P", "R", "F1", "Notes"], &rows)
-        );
+        out.print(&render_table(&["Phase", "#Pairs", "P", "R", "F1", "Notes"], &rows));
     }
-    println!("Paper: restaurants stops after 1 iteration (difficult set 157 < 200);");
-    println!("       citations/products take 2 iterations, estimated F1 within 0.5-5.4% of true F1.");
+    out.print("Paper: restaurants stops after 1 iteration (difficult set 157 < 200);");
+    out.print("       citations/products take 2 iterations, estimated F1 within 0.5-5.4% of true F1.");
+    out.finish()
 }

@@ -18,8 +18,9 @@
 //! of the tile's row `r` sits at `f·n + r`, so each feature is one
 //! contiguous slice per tile. The scans that run over a whole set again
 //! and again read only a few features of each row, and here they read
-//! them by column: forest votes ([`CandidateSet::positive_votes`]) walk
-//! one tree at a time over a tile's rows, and rule coverage
+//! them by column: forest votes ([`CandidateSet::positive_votes`]) go one
+//! tree at a time over a tile's rows, from one predicate bitmask per
+//! split node where the rows cover most of the tile, and rule coverage
 //! ([`CandidateSet::coverage`]) filters a tile's rows one predicate at a
 //! time. Nothing outside this module sees the layout: [`CandidateSet::row`]
 //! gathers an owned vector.
@@ -29,6 +30,7 @@ use crate::source::{CandidateSource, CartesianScan};
 use crate::task::MatchTask;
 use crowd::PairKey;
 use exec::Threads;
+use forest::tree::Node;
 use forest::{RandomForest, Rule};
 
 /// Below this many rows a vote scan runs on the calling thread: spawning
@@ -222,12 +224,15 @@ impl CandidateSet {
 
     /// How many of `forest`'s trees vote "matched" for each pair of
     /// `indices`, in the order given: [`RandomForest::positive_votes`] of
-    /// each row. Each tile's chosen rows are walked one tree at a time,
-    /// reading the features on each walk from the tile's columns, in
-    /// parallel over tiles for large lists. A count is an integer, so the
-    /// order rows and trees are visited in cannot change it: an unsorted
-    /// list is scanned in ascending order and its counts put back in the
-    /// given order.
+    /// each row, in parallel over tiles for large lists. Where the chosen
+    /// rows cover at least half of their tile, each tree (of at most
+    /// [`MASK_MAX_NODES`] nodes) is scored over the whole tile from one
+    /// predicate bitmask per split node ([`TileMasks`]); the rows of a
+    /// sparser stretch, and larger trees, are walked one tree at a time,
+    /// reading the features on each walk from the tile's columns. A count
+    /// is an integer, so the order rows and trees are visited in cannot
+    /// change it: an unsorted list is scanned in ascending order and its
+    /// counts put back in the given order.
     pub fn positive_votes(
         &self,
         forest: &RandomForest,
@@ -256,10 +261,25 @@ impl CandidateSet {
         let mut votes = vec![0; indices.len()];
         exec::par_split_at_mut(threads, &mut votes, &ends, |s, out| {
             let (tile, rows) = stretches[s];
+            // A stretch that covers most of its tile is scored from masks
+            // over the whole tile; the rows of a sparse one are walked.
+            let mut masks = (2 * rows.len() >= tile.len).then(|| TileMasks::new(tile));
             for tree in forest.trees() {
+                match &mut masks {
+                    Some(masks) if tree.nodes().len() <= MASK_MAX_NODES => {
+                        masks.add_votes(tree.nodes(), 0, 0)
+                    }
+                    _ => {
+                        for (v, &i) in out.iter_mut().zip(rows) {
+                            let r = i - tile.start;
+                            *v += usize::from(tree.predict_by(|f| tile.cells[f * tile.len + r]));
+                        }
+                    }
+                }
+            }
+            if let Some(masks) = masks {
                 for (v, &i) in out.iter_mut().zip(rows) {
-                    let r = i - tile.start;
-                    *v += usize::from(tree.predict_by(|f| tile.cells[f * tile.len + r]));
+                    *v += masks.votes[i - tile.start] as usize;
                 }
             }
         });
@@ -342,6 +362,110 @@ impl CandidateSet {
         }
         out
     }
+}
+
+/// The largest tree (in nodes) whose votes [`TileMasks`] counts; a larger
+/// one is walked row by row. The Blocker's trees have 1–13 nodes. A split
+/// node costs a pass over its rows' words, so a tree with many splits
+/// would cost more than the walk of its depth.
+const MASK_MAX_NODES: usize = 31;
+
+/// Forest votes over every row of one tile, counted from predicate
+/// bitmasks instead of one tree walk per row. Each split node gets the
+/// mask of the rows that reach it: the root's mask is every row, and a
+/// split's left child gets its mask ANDed with the rows that go left
+/// (`DecisionTree::predict_by`'s routing: NaN goes to `nan_left`,
+/// anything else goes left when `v <= threshold`), its right child the
+/// rest of its mask. Each row of a positive leaf's mask gets one vote. A
+/// row reaches exactly the leaf its walk would, and votes are integers,
+/// so the counts equal the walk's at any thread count.
+struct TileMasks<'a> {
+    tile: Tile<'a>,
+    /// Words per mask: one bit per row of the tile.
+    words: usize,
+    /// The masks on the current root-to-node path, `words` per level.
+    levels: Vec<u64>,
+    /// Positive votes per row of the tile.
+    votes: Vec<u32>,
+}
+
+impl<'a> TileMasks<'a> {
+    fn new(tile: Tile<'a>) -> Self {
+        let words = tile.len.div_ceil(64);
+        let mut levels = vec![!0u64; words];
+        if !tile.len.is_multiple_of(64) {
+            // No bit past the tile's last row.
+            levels[words - 1] = (1u64 << (tile.len % 64)) - 1;
+        }
+        TileMasks { tile, words, levels, votes: vec![0; tile.len] }
+    }
+
+    /// Add the votes of the subtree at `nodes[at]`, whose rows are the mask
+    /// at `level`.
+    fn add_votes(&mut self, nodes: &[Node], at: usize, level: usize) {
+        let w = self.words;
+        match nodes[at] {
+            Node::Leaf { label: false, .. } => {}
+            Node::Leaf { label: true, .. } => {
+                for (k, &mask) in self.levels[level * w..(level + 1) * w].iter().enumerate() {
+                    let mut bits = mask;
+                    while bits != 0 {
+                        self.votes[k * 64 + bits.trailing_zeros() as usize] += 1;
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            Node::Split { feature, threshold, nan_left, left, right } => {
+                if self.levels.len() < (level + 2) * w {
+                    self.levels.resize((level + 2) * w, 0);
+                }
+                let col = self.tile.col(feature as usize);
+                let (path, below) = self.levels.split_at_mut((level + 1) * w);
+                let (mask, child) = (&path[level * w..], &mut below[..w]);
+                for (k, (c, &m)) in child.iter_mut().zip(mask).enumerate() {
+                    *c = if m == 0 {
+                        0
+                    } else {
+                        let vals = &col[k * 64..col.len().min((k + 1) * 64)];
+                        m & goes_left(vals, threshold, nan_left)
+                    };
+                }
+                self.add_votes(nodes, left as usize, level + 1);
+                // The left subtree wrote only deeper levels, so the child
+                // level still holds the left mask.
+                let (path, below) = self.levels.split_at_mut((level + 1) * w);
+                for (c, &m) in below[..w].iter_mut().zip(&path[level * w..]) {
+                    *c = m & !*c;
+                }
+                self.add_votes(nodes, right as usize, level + 1);
+            }
+        }
+    }
+}
+
+/// Bit `j` set when `vals[j]` (at most 64 values) goes left at a split on
+/// `threshold`: the test `DecisionTree::predict_by` makes, NaN by
+/// `nan_left`, anything else by `v <= threshold` (not `!(v > threshold)`,
+/// which sends NaN left). Eight tests at a time fill a byte each, and one
+/// multiply gathers the eight low bits into a byte of the mask: bit 0 of
+/// byte `i` lands at bit `56 + i`, and no two partial products overlap.
+#[inline]
+fn goes_left(vals: &[f64], threshold: f64, nan_left: bool) -> u64 {
+    let test = |v: f64| u8::from(v <= threshold) | (u8::from(nan_left) & u8::from(v.is_nan()));
+    let mut bits = 0u64;
+    let mut eights = vals.chunks_exact(8);
+    for (k, eight) in (&mut eights).enumerate() {
+        let mut lanes = [0u8; 8];
+        for (lane, &v) in lanes.iter_mut().zip(eight) {
+            *lane = test(v);
+        }
+        bits |= (u64::from_le_bytes(lanes).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    let done = vals.len() - eights.remainder().len();
+    for (j, &v) in eights.remainder().iter().enumerate() {
+        bits |= u64::from(test(v)) << (done + j);
+    }
+    bits
 }
 
 /// Row ends of the parallel tasks [`CandidateSet::build_with`] fills, and
@@ -581,14 +705,96 @@ mod tests {
         RandomForest::train_all(&ds, &cfg, &mut rand::rngs::StdRng::seed_from_u64(3))
     }
 
-    /// Index lists over `n` rows: all, a sparse ascending stride that
-    /// spans tiles, the same stride reversed (unsorted, like the
-    /// monitor set), a shuffle with repeats, and none.
+    /// Index lists over `n` rows: all; all but every 20th (dense, like
+    /// the selection pool); every row four times (dense with repeats, and
+    /// long enough to split over threads); a sparse ascending stride that
+    /// spans tiles; the same stride reversed (unsorted, like the monitor
+    /// set); a shuffle with repeats; and none.
     fn index_lists(n: usize) -> Vec<Vec<usize>> {
+        let gaps: Vec<usize> = (0..n).filter(|i| i % 20 != 0).collect();
+        let repeated: Vec<usize> = (0..n).flat_map(|i| [i; 4]).collect();
         let stride: Vec<usize> = (0..n).step_by(7).collect();
         let reversed: Vec<usize> = stride.iter().rev().copied().collect();
         let shuffled: Vec<usize> = (0..n).map(|i| (i * 7919 + 13) % n.max(1)).take(n / 2).collect();
-        vec![(0..n).collect(), stride, reversed, shuffled, Vec::new()]
+        vec![(0..n).collect(), gaps, repeated, stride, reversed, shuffled, Vec::new()]
+    }
+
+    /// A tree node for [`hand_forest`]: a split `(feature, threshold,
+    /// nan_left, left, right)` or a leaf's label.
+    enum HandNode {
+        Split(usize, f64, bool, usize, usize),
+        Leaf(bool),
+    }
+
+    /// A forest of hand-written trees, each a node list with the root
+    /// first, as `DecisionTree::nodes` holds it. Built from its serialized
+    /// form, which is the only way to set a threshold a trained tree never
+    /// gets (±∞).
+    fn hand_forest(trees: Vec<Vec<HandNode>>) -> RandomForest {
+        use serde::{Deserialize, Value};
+        let obj = |fields: Vec<(&str, Value)>| {
+            Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let node = |n: &HandNode| match *n {
+            HandNode::Split(f, t, nan_left, l, r) => obj(vec![(
+                "Split",
+                obj(vec![
+                    ("feature", Value::Num(f as f64)),
+                    ("threshold", Value::Num(t)),
+                    ("nan_left", Value::Bool(nan_left)),
+                    ("left", Value::Num(l as f64)),
+                    ("right", Value::Num(r as f64)),
+                ]),
+            )]),
+            HandNode::Leaf(label) => obj(vec![(
+                "Leaf",
+                obj(vec![
+                    ("label", Value::Bool(label)),
+                    ("n_pos", Value::Num(0.0)),
+                    ("n_neg", Value::Num(0.0)),
+                ]),
+            )]),
+        };
+        let trees = trees
+            .iter()
+            .map(|t| obj(vec![("nodes", Value::Arr(t.iter().map(node).collect()))]))
+            .collect();
+        RandomForest::from_json_value(&obj(vec![("trees", Value::Arr(trees))])).expect("forest")
+    }
+
+    /// Hand-written trees over `n_features` features: one-leaf trees of
+    /// either label; a split on a feature with NaN cells routing NaN each
+    /// way; ±∞ thresholds (everything but NaN goes left of +∞, only NaN
+    /// and −∞ can go left of −∞); a spine of six splits (13 nodes), and
+    /// one of 20 (41 nodes, past the largest tree the masks count).
+    fn hand_trees(n_features: usize, nan_feature: usize) -> RandomForest {
+        use HandNode::{Leaf, Split};
+        let spine = |splits: usize| -> Vec<HandNode> {
+            let mut nodes = Vec::new();
+            for k in 0..splits {
+                let here = nodes.len();
+                let t = 0.1 + 0.8 * (k % 5) as f64 / 5.0;
+                nodes.push(Split((k * 3) % n_features, t, k % 2 == 0, here + 1, here + 2));
+                nodes.push(Leaf(k % 3 != 1));
+            }
+            nodes.push(Leaf(true));
+            nodes
+        };
+        let split = |f: usize, t: f64, nan_left: bool, l: bool, r: bool| {
+            vec![Split(f, t, nan_left, 1, 2), Leaf(l), Leaf(r)]
+        };
+        hand_forest(vec![
+            vec![Leaf(true)],
+            vec![Leaf(false)],
+            split(nan_feature, 0.5, true, true, false),
+            split(nan_feature, 0.5, false, true, false),
+            split(nan_feature, 0.5, false, false, true),
+            split(nan_feature, f64::INFINITY, false, false, true),
+            split(nan_feature, f64::NEG_INFINITY, true, true, false),
+            split(0, f64::NEG_INFINITY, false, false, true),
+            spine(6),
+            spine(20),
+        ])
     }
 
     #[test]
@@ -625,17 +831,25 @@ mod tests {
     fn votes_and_predictions_equal_per_row_forest_calls() {
         let t = layout_task();
         let mut saw_tie = false;
-        for pairs in layout_pair_lists() {
+        let mut lists = layout_pair_lists();
+        // Tiles of exactly 64 and 128 rows: masks with no partial word.
+        lists.push((0..4).flat_map(|a| (0..64).map(move |b| PairKey::new(a, b))).collect());
+        lists.push((0..2).flat_map(|a| (0..128).map(move |b| PairKey::new(a, b))).collect());
+        for pairs in lists {
             let want: Vec<Vec<f64>> = pairs.iter().map(|&p| t.vectorize(p)).collect();
             let train: Vec<Vec<f64>> = want.iter().step_by(3).cloned().collect();
             if train.is_empty() {
                 continue;
             }
             assert!(want.iter().flatten().any(|x| x.is_nan()), "the fixture has NaN cells");
+            // The price feature is NaN in a quarter of the rows.
+            let price = t.n_features() - 1;
+            assert!(want.iter().any(|x| x[price].is_nan()) && want.iter().any(|x| !x[price].is_nan()));
             let forests = [
                 layout_forest(&train, 10, 25),
                 layout_forest(&train, 2, 25),
                 layout_forest(&train, 3, 0),
+                hand_trees(t.n_features(), price),
             ];
             for n in [1, 2, 8] {
                 let c = CandidateSet::build_with(&t, pairs.clone(), Threads::new(n), None);

@@ -112,6 +112,10 @@ pub fn run_active_learning(
         .max(1.min(cand.len()))
         .min(cand.len() / 2);
     let monitor: Vec<usize> = all[..n_monitor].to_vec();
+    // The monitor's rows, gathered once in its order: a few random rows
+    // of each tile of `cand`, scored densely every iteration.
+    let monitor_rows = cand.subset(&monitor);
+    let monitor_all: Vec<usize> = (0..n_monitor).collect();
     // Candidates out of the selection pool: the monitor set and every
     // pair labeled so far.
     let mut taken = vec![false; cand.len()];
@@ -142,7 +146,8 @@ pub fn run_active_learning(
             1.0
         } else {
             let table = forest.entropy_table();
-            cand.positive_votes(&forest, &monitor, threads)
+            monitor_rows
+                .positive_votes(&forest, &monitor_all, threads)
                 .into_iter()
                 .map(|v| 1.0 - table[v])
                 .sum::<f64>()

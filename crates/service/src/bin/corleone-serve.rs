@@ -16,6 +16,7 @@
 //!     --datasets restaurants,citations,products --scale 0.2 --seed 7
 //! ```
 
+use corleone::lines::Lines;
 use corleone::{BlockerConfig, CorleoneConfig};
 use corleone::task::task_from_parts;
 use crowd::{CrowdConfig, CrowdPlatform, FaultConfig, GoldOracle, RetryPolicy, WorkerPool};
@@ -23,7 +24,6 @@ use datagen::{EmDataset, GenConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use service::{MatchService, ServiceConfig, TenantSpec};
-use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -134,43 +134,9 @@ fn make_platform(ds: &EmDataset, error_rate: f64, seed: u64) -> CrowdPlatform {
     )
 }
 
-/// Stdout as the bin prints it. The first failed write ends the printing,
-/// not the run; a closed pipe (the reader went away) is no error.
-struct Lines<W: Write> {
-    out: W,
-    /// `None` while printing; then why it stopped, `Ok` for a closed pipe.
-    stopped: Option<io::Result<()>>,
-}
-
-impl<W: Write> Lines<W> {
-    fn new(out: W) -> Self {
-        Lines { out, stopped: None }
-    }
-
-    fn print(&mut self, line: &str) {
-        if self.stopped.is_none() {
-            if let Err(e) = writeln!(self.out, "{line}") {
-                self.stopped = Some(if e.kind() == io::ErrorKind::BrokenPipe { Ok(()) } else { Err(e) });
-            }
-        }
-    }
-
-    /// Exit code 0, or 2 with the reason on stderr when a write failed
-    /// for another reason than a closed pipe.
-    fn finish(self) -> ExitCode {
-        match self.stopped {
-            Some(Err(e)) => {
-                eprintln!("cannot write stdout: {e}");
-                ExitCode::from(2)
-            }
-            _ => ExitCode::SUCCESS,
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut stdout = Lines::new(io::stdout().lock());
+    let mut stdout = Lines::stdout();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         stdout.print(HELP);
         return stdout.finish();
@@ -301,29 +267,5 @@ mod tests {
         assert_eq!((opts.scale, opts.seed, opts.threads), (0.08, 7, 2));
         assert_eq!((opts.max_ticks, opts.root), (Some(4), Some(PathBuf::from("r"))));
         assert_eq!(parse_arg_list(&[]).unwrap().datasets.len(), datagen::DATASET_NAMES.len());
-    }
-
-    #[test]
-    fn a_closed_pipe_ends_the_printing_not_the_run() {
-        struct Failing(io::ErrorKind);
-        impl Write for Failing {
-            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-                Err(self.0.into())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut open = Lines::new(Vec::new());
-        open.print("a");
-        open.print("b");
-        assert_eq!(open.out, b"a\nb\n");
-        let mut closed = Lines::new(Failing(io::ErrorKind::BrokenPipe));
-        closed.print("a");
-        closed.print("b");
-        assert!(matches!(closed.stopped, Some(Ok(()))), "a closed pipe is no error");
-        let mut broken = Lines::new(Failing(io::ErrorKind::PermissionDenied));
-        broken.print("a");
-        assert!(matches!(broken.stopped, Some(Err(_))), "other write errors are");
     }
 }

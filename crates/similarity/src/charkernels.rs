@@ -17,12 +17,14 @@
 //!   bitmasks: each `a` char finds the lowest untaken matching `b`
 //!   position in its window with a find-first-set instead of a linear
 //!   scan — `O(n·⌈n/64⌉)` instead of `O(n·window)`.
-//! * **Monge-Elkan** walks the precomputed token ranges (occurrence
-//!   order, duplicates kept — exactly what `tokenize::words` yields) with
-//!   the bitset Jaro-Winkler as its inner measure, once over the grid of
-//!   distinct tokens: Jaro-Winkler is symmetric, so each inner score
-//!   serves both directions (a max-fold is idempotent and order-free
-//!   over finite scores, and identical tokens score an exact 1.0).
+//! * **Monge-Elkan** scores one left value against a whole run of right
+//!   values ([`monge_elkan_run`]): the bitset Jaro-Winkler grid of the
+//!   left value's distinct tokens against the distinct tokens of all the
+//!   run's right values is computed once, a right token's backward best
+//!   is its column's maximum whichever pair it sits in, and each pair
+//!   folds only its own columns into its forward bests. The sums walk
+//!   the precomputed token ranges in occurrence order, duplicates kept —
+//!   exactly what `tokenize::words` yields.
 //! * **Smith-Waterman** scores one left value against up to 16 right
 //!   values at once when a vectorizer run shares the left record
 //!   ([`smith_waterman_run`]): the right sequences are transposed into
@@ -61,8 +63,8 @@
 //!   char as the reference's greedy window scan (the lowest untaken
 //!   match), so its match/transposition counts are identical integers.
 //!   Jaro-Winkler applies the reference's prefix boost to that score.
-//!   Monge-Elkan's one-pass grid leaves every per-token fold of both
-//!   directions equal to its true maximum (see [`monge_elkan_pre`] for
+//!   Monge-Elkan's run grid leaves every per-token fold of both
+//!   directions equal to its true maximum (see [`monge_elkan_run`] for
 //!   the symmetry argument) and sums per-occurrence terms in the
 //!   reference's order.
 //! * A hit in the result cache or in the scratch's last-pair Jaro slot
@@ -106,10 +108,17 @@ pub struct CharScratch {
     /// Jaro: bitmask of taken `b` positions and matched `a` chars.
     taken: Vec<u64>,
     a_matches: Vec<u32>,
-    /// Monge-Elkan: the running maximum of each row (distinct `a` token)
-    /// and column (distinct `b` token) of the pair's token grid.
-    me_rows: Vec<f64>,
+    /// Monge-Elkan run grid ([`monge_elkan_run`]): the cells, column-major
+    /// (one column per distinct right token of the chunk), each column's
+    /// maximum, one pair's row maxima, and the token → column map.
+    me_grid: Vec<f64>,
     me_cols: Vec<f64>,
+    me_rows: Vec<f64>,
+    me_columns: TokenColumns,
+    /// The buffers of a run chunk's lists (`MeChunk`).
+    me_pairs: Vec<u32>,
+    me_tokens: Vec<(u32, u32, u32)>,
+    me_pair_columns: Vec<u32>,
     /// Direct-mapped result cache keyed by `(kernel tag, id, id)` — whole
     /// values through `AttrView::value_id`, Monge-Elkan inner token
     /// pairs through word-pool ids. Attribute values (cities, brands,
@@ -224,8 +233,21 @@ fn cached(
     idb: u32,
     f: impl FnOnce(&mut CharScratch) -> f64,
 ) -> f64 {
+    if let Some(v) = cache_get(s, gen, tag, ida, idb) {
+        return v;
+    }
+    let v = f(s);
+    cache_put(s, gen, tag, ida, idb, v);
+    v
+}
+
+/// The slot and key of `(tag, ida, idb)` in the result cache, once the
+/// cache holds only entries of generation `gen`; `None` when an id is too
+/// wide to key.
+#[inline]
+fn cache_slot(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32) -> Option<(usize, u64)> {
     if (ida | idb) >> ID_BITS != 0 {
-        return f(s);
+        return None;
     }
     if s.cache_keys.is_empty() {
         s.cache_keys.resize(1 << CACHE_BITS, EMPTY_KEY);
@@ -237,13 +259,24 @@ fn cached(
     }
     let key = (tag << (2 * ID_BITS)) | (u64::from(ida) << ID_BITS) | u64::from(idb);
     let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_BITS)) as usize;
-    if s.cache_keys[slot] == key {
-        return s.cache_vals[slot];
+    Some((slot, key))
+}
+
+/// The cached result for `(tag, ida, idb)` within generation `gen`, if any.
+#[inline]
+fn cache_get(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32) -> Option<f64> {
+    let (slot, key) = cache_slot(s, gen, tag, ida, idb)?;
+    (s.cache_keys[slot] == key).then(|| s.cache_vals[slot])
+}
+
+/// Remember `v` as the result for `(tag, ida, idb)` within generation
+/// `gen`, evicting whatever shared its slot.
+#[inline]
+fn cache_put(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32, v: f64) {
+    if let Some((slot, key)) = cache_slot(s, gen, tag, ida, idb) {
+        s.cache_keys[slot] = key;
+        s.cache_vals[slot] = v;
     }
-    let v = f(s);
-    s.cache_keys[slot] = key;
-    s.cache_vals[slot] = v;
-    v
 }
 
 /// [`cached`] keyed by the two whole values, for attributes whose values
@@ -730,90 +763,299 @@ pub(crate) fn jaro_winkler_pre(
 
 // ---- Monge-Elkan ---------------------------------------------------------
 
-/// Symmetric Monge-Elkan over precomputed token material; equals
-/// `monge_elkan::monge_elkan_sym` bit for bit, in one pass over the
-/// pair's distinct-token grid (`word_dedup_ids` × `word_dedup_ids`).
+/// Grid cells one chunk of a [`monge_elkan_run`] may hold: 1 MiB of `f64`
+/// per thread. A run whose right values bring more distinct tokens is cut
+/// into chunks of whole pairs, each with a grid of its own; a pair that
+/// alone needs more is scored without storing its grid.
+const ME_GRID_CELLS: usize = 1 << 17;
+
+/// Word-pool id → grid column of the current run chunk. Stamp-marked, like
+/// `index::ProbeScratch`: a new chunk bumps the stamp instead of clearing
+/// the table, which grows to the largest id seen and is kept per thread.
+#[derive(Default)]
+struct TokenColumns {
+    /// `(stamp, column)` per word-pool id.
+    slots: Vec<(u32, u32)>,
+    /// The current chunk's stamp; never 0 once [`Self::reset`] ran, so a
+    /// slot never written reads as absent.
+    stamp: u32,
+}
+
+impl TokenColumns {
+    /// Forget every column: start a new chunk.
+    fn reset(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill((0, 0));
+            self.stamp = 1;
+        }
+    }
+
+    /// The column of token `id`, giving it column `next` if it has none
+    /// yet; true when it was new.
+    #[inline]
+    fn column(&mut self, id: u32, next: usize) -> (usize, bool) {
+        let at = id as usize;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, (0, 0));
+        }
+        match self.slots[at] {
+            (stamp, col) if stamp == self.stamp => (col as usize, false),
+            _ => {
+                self.slots[at] = (self.stamp, next as u32);
+                (next, true)
+            }
+        }
+    }
+}
+
+/// Symmetric Monge-Elkan of one left value `a` against a run of right
+/// values `bs` (each with the output row it belongs to), equal to
+/// `monge_elkan::monge_elkan_sym` bit for bit on every pair; `put(row,
+/// score)` receives each result.
 ///
-/// Each inner Jaro-Winkler value feeds both its row maximum (the forward
-/// direction's best for that `a` token) and its column maximum (the
-/// backward direction's best for that `b` token). That is exact because
-/// Jaro-Winkler is bitwise symmetric:
+/// The Jaro-Winkler grid of `a`'s distinct tokens (rows) against the
+/// distinct tokens of all the run's right values (columns) is computed
+/// once per run, a column per right token, instead of once per pair:
 ///
-/// * Jaro's window has the same radius from either side, and matching
-///   one char never touches the positions of another, so per char both
-///   greedy passes (lowest untaken position in the window, in order)
-///   take the same position set: the same `m`, and zips of the same
-///   two matched subsequences, so the same transposition count.
-/// * `m/|a| + m/|b|` is a commutative IEEE addition, and the third term
-///   does not depend on the order.
-/// * The Winkler prefix is symmetric.
+/// * The backward direction's best for a right token `y` is the maximum
+///   of `y`'s column: it depends on `a` and `y` only, not on the pair `y`
+///   sits in. The reference computes it as `jaro_winkler(y, x)` over
+///   `a`'s tokens `x`; the grid holds `jaro_winkler(x, y)`, the same bits,
+///   since Jaro-Winkler is bitwise symmetric:
+///   * Jaro's window has the same radius from either side, and matching
+///     one char never touches the positions of another, so per char both
+///     greedy passes (lowest untaken position in the window, in order)
+///     take the same position set: the same `m`, and zips of the same two
+///     matched subsequences, so the same transposition count;
+///   * `m/|a| + m/|b|` is a commutative IEEE addition, and the third term
+///     does not depend on the order;
+///   * the Winkler prefix is symmetric.
+/// * The forward direction's best for `a`'s token `x` in one pair is the
+///   maximum of `x`'s row over the columns of that pair's tokens only.
+/// * The reference folds each best with `fold(0.0, f64::max)` over finite
+///   scores in `[0, 1]`: the plain maximum of the value set, whatever the
+///   order, so duplicate tokens on either side count once. A token equal
+///   to `x` scores an exact 1.0 (`jaro_winkler(x, x)`'s bits) without a
+///   kernel call.
 ///
-/// The reference's per-token fold (`fold(0.0, f64::max)` over finite
-/// scores in `[0, 1]`) is the plain maximum of its value set, so
-/// duplicate tokens on either side are compared once, and a token
-/// present on both sides scores an exact 1.0 (`jaro_winkler(x, x)`'s
-/// bits) that no score can exceed. A cell is skipped only when both its
-/// row and its column already hold that 1.0: it could raise neither
-/// maximum. Both sums then add per-occurrence terms in occurrence order
-/// (through `word_dedup_rank`), and the result is the reference's
-/// `(fwd/na + bwd/nb)/2`.
-pub(crate) fn monge_elkan_pre(
+/// Both sums then add per-occurrence terms in occurrence order (through
+/// `word_dedup_rank`), and the result is the reference's
+/// `(fwd/na + bwd/nb)/2`. Each cell keeps the per-pair kernel's policy
+/// ([`me_cell`]). On attributes whose values recur the whole-value memo
+/// is checked per pair first, and only the pairs it misses enter the
+/// grid.
+pub(crate) fn monge_elkan_run(
     a: AttrView<'_>,
-    b: AttrView<'_>,
+    bs: &[(usize, AttrView<'_>)],
     cx: Ctx,
     s: &mut CharScratch,
-) -> f64 {
-    memoized(s, cx, TAG_ME, a, b, |s| {
-        let (na, nb) = (a.n_word_tokens(), b.n_word_tokens());
-        if na == 0 && nb == 0 {
-            return 1.0;
-        }
+    mut put: impl FnMut(usize, f64),
+) {
+    let na = a.n_word_tokens();
+    let m = a.word_dedup_ids().len();
+    let mut chunk = MeChunk {
+        a,
+        bs,
+        pairs: std::mem::take(&mut s.me_pairs),
+        columns: std::mem::take(&mut s.me_tokens),
+        pair_columns: std::mem::take(&mut s.me_pair_columns),
+    };
+    chunk.clear(s);
+    for (i, &(row, b)) in bs.iter().enumerate() {
+        let nb = b.n_word_tokens();
         if na == 0 || nb == 0 {
-            return 0.0;
+            put(row, if na == nb { 1.0 } else { 0.0 });
+            continue;
         }
-        let (da, db) = (a.word_dedup_ids(), b.word_dedup_ids());
-        let mut rows = std::mem::take(&mut s.me_rows);
-        let mut cols = std::mem::take(&mut s.me_cols);
-        rows.clear();
-        rows.resize(da.len(), 0.0);
-        cols.clear();
-        cols.resize(db.len(), 0.0);
-        for (r, ida) in da.iter().enumerate() {
-            if let Some(c) = db.iter().position(|idb| idb == ida) {
-                rows[r] = 1.0;
-                cols[c] = 1.0;
+        if cx.memo {
+            if let Some(v) = cache_get(s, cx.gen, TAG_ME, a.value_id(), b.value_id()) {
+                put(row, v);
+                continue;
             }
         }
-        for (r, &ida) in da.iter().enumerate() {
-            let ta = a.word_token(a.word_dedup_first()[r] as usize);
-            for (c, &idb) in db.iter().enumerate() {
-                if rows[r] == 1.0 && cols[c] == 1.0 {
-                    continue;
+        chunk.add(i, s);
+        if chunk.pairs.len() > 1 && chunk.columns.len() * m > ME_GRID_CELLS {
+            // The pair's new columns would outgrow the grid: score the
+            // chunk without it, then start the next chunk with it.
+            chunk.drop_last(i);
+            chunk.score(cx, s, &mut put);
+            chunk.clear(s);
+            chunk.add(i, s);
+        }
+    }
+    chunk.score(cx, s, &mut put);
+    s.me_pairs = chunk.pairs;
+    s.me_tokens = chunk.columns;
+    s.me_pair_columns = chunk.pair_columns;
+}
+
+/// The pairs of a [`monge_elkan_run`] waiting for their grid, and the
+/// grid's columns. All three lists hold plain indices, so their buffers
+/// stay in the scratch across runs.
+struct MeChunk<'r, 'a> {
+    /// The run's left value.
+    a: AttrView<'a>,
+    /// The whole run.
+    bs: &'r [(usize, AttrView<'a>)],
+    /// The chunk's pairs, as indices into `bs`.
+    pairs: Vec<u32>,
+    /// The grid's columns in first-seen order: each distinct right token
+    /// of the chunk's pairs, as `(word-pool id, index into bs, token
+    /// position in that value)`.
+    columns: Vec<(u32, u32, u32)>,
+    /// Each pair's columns, pair after pair: the column of each of the
+    /// pair's `word_dedup_ids`, in that order.
+    pair_columns: Vec<u32>,
+}
+
+impl MeChunk<'_, '_> {
+    /// Start a new chunk.
+    fn clear(&mut self, s: &mut CharScratch) {
+        self.pairs.clear();
+        self.columns.clear();
+        self.pair_columns.clear();
+        s.me_columns.reset();
+    }
+
+    /// Add pair `bs[i]`, giving each of its tokens not seen in the chunk
+    /// a new column.
+    fn add(&mut self, i: usize, s: &mut CharScratch) {
+        let b = self.bs[i].1;
+        for (&y, &k) in b.word_dedup_ids().iter().zip(b.word_dedup_first()) {
+            let (u, new) = s.me_columns.column(y, self.columns.len());
+            if new {
+                self.columns.push((y, i as u32, k));
+            }
+            self.pair_columns.push(u as u32);
+        }
+        self.pairs.push(i as u32);
+    }
+
+    /// Take back the last [`Self::add`], of pair `bs[i]`. Its new columns
+    /// are the last ones, and the chunk is scored and cleared before the
+    /// token map is read again.
+    fn drop_last(&mut self, i: usize) {
+        let b = self.bs[i].1;
+        self.pairs.pop();
+        self.pair_columns.truncate(self.pair_columns.len() - b.word_dedup_ids().len());
+        while self.columns.last().is_some_and(|&(_, j, _)| j as usize == i) {
+            self.columns.pop();
+        }
+    }
+
+    /// The chars of `a`'s distinct token `r` (row `r` of the grid).
+    #[inline]
+    fn row_token(&self, r: usize) -> &[u32] {
+        self.a.word_token(self.a.word_dedup_first()[r] as usize)
+    }
+
+    /// The token id and chars of column `u`.
+    #[inline]
+    fn column_token(&self, u: usize) -> (u32, &[u32]) {
+        let (y, i, k) = self.columns[u];
+        (y, self.bs[i as usize].1.word_token(k as usize))
+    }
+
+    /// Compute the chunk's grid and hand every pair's score to `put`. A
+    /// chunk of several pairs stores the grid column-major and folds each
+    /// pair's columns into its row maxima. A chunk of one pair, whose
+    /// columns are its tokens in order, keeps no grid: each cell goes
+    /// straight into its row and column maxima, and, as in a per-pair
+    /// grid, a cell whose row and column both already hold an exact 1.0
+    /// (a token on both sides) is skipped, since it could raise neither.
+    fn score(&self, cx: Ctx, s: &mut CharScratch, put: &mut impl FnMut(usize, f64)) {
+        if self.pairs.is_empty() {
+            return;
+        }
+        let (a, da) = (self.a, self.a.word_dedup_ids());
+        let m = da.len();
+        let single = self.pairs.len() == 1;
+        let mut grid = std::mem::take(&mut s.me_grid);
+        let mut best_col = std::mem::take(&mut s.me_cols);
+        let mut best_row = std::mem::take(&mut s.me_rows);
+        best_col.clear();
+        best_row.clear();
+        if single {
+            let db = self.bs[self.pairs[0] as usize].1.word_dedup_ids();
+            best_row.extend(da.iter().map(|x| if db.contains(x) { 1.0 } else { 0.0 }));
+            for u in 0..self.columns.len() {
+                let (y, tb) = self.column_token(u);
+                let mut best = if da.contains(&y) { 1.0 } else { 0.0 };
+                for (r, (row, &x)) in best_row.iter_mut().zip(da).enumerate() {
+                    if best == 1.0 && *row == 1.0 {
+                        continue;
+                    }
+                    let v = me_cell(x, self.row_token(r), y, tb, cx, s);
+                    best = f64::max(best, v);
+                    *row = row.max(v);
                 }
-                let tb = b.word_token(b.word_dedup_first()[c] as usize);
-                // Tiny token pairs (numeric fragments, initials) compute
-                // faster than a probe-plus-fill on the low hit rates
-                // their near-unique values see; longer vocabulary words
-                // recur across records and keep the memo, keyed by the
-                // unordered id pair since the score is symmetric.
-                let v = if ta.len() + tb.len() <= 8 {
-                    jaro_winkler_ids(ta, tb, cx.pool, s)
-                } else {
-                    let (lo, hi) = if ida <= idb { (ida, idb) } else { (idb, ida) };
-                    cached(s, cx.gen, TAG_ME_TOKEN, lo, hi, |s| {
-                        jaro_winkler_ids(ta, tb, cx.pool, s)
-                    })
-                };
-                rows[r] = rows[r].max(v);
-                cols[c] = cols[c].max(v);
+                best_col.push(best);
             }
+        } else {
+            grid.clear();
+            grid.resize(self.columns.len() * m, 0.0);
+            for (u, cells) in grid.chunks_exact_mut(m).enumerate() {
+                let (y, tb) = self.column_token(u);
+                for (r, (cell, &x)) in cells.iter_mut().zip(da).enumerate() {
+                    *cell = me_cell(x, self.row_token(r), y, tb, cx, s);
+                }
+                best_col.push(cells.iter().copied().fold(0.0, f64::max));
+            }
+            best_row.resize(m, 0.0);
         }
-        let fwd: f64 = a.word_dedup_rank().iter().map(|&r| rows[r as usize]).sum();
-        let bwd: f64 = b.word_dedup_rank().iter().map(|&c| cols[c as usize]).sum();
-        s.me_rows = rows;
-        s.me_cols = cols;
-        (fwd / na as f64 + bwd / nb as f64) / 2.0
-    })
+        let na = a.n_word_tokens() as f64;
+        let mut cols = self.pair_columns.as_slice();
+        for &i in &self.pairs {
+            let (row, b) = self.bs[i as usize];
+            let own;
+            (own, cols) = cols.split_at(b.word_dedup_ids().len());
+            if !single {
+                best_row.fill(0.0);
+                for &u in own {
+                    let u = u as usize;
+                    fold_max(&mut best_row, &grid[u * m..(u + 1) * m]);
+                }
+            }
+            let fwd: f64 = a.word_dedup_rank().iter().map(|&r| best_row[r as usize]).sum();
+            let bwd: f64 = b.word_dedup_rank().iter().map(|&c| best_col[own[c as usize] as usize]).sum();
+            let v = (fwd / na + bwd / b.n_word_tokens() as f64) / 2.0;
+            if cx.memo {
+                cache_put(s, cx.gen, TAG_ME, a.value_id(), b.value_id(), v);
+            }
+            put(row, v);
+        }
+        s.me_grid = grid;
+        s.me_cols = best_col;
+        s.me_rows = best_row;
+    }
+}
+
+/// Jaro-Winkler of `a`'s token `x` (chars `ta`) and a right token `y`
+/// (chars `tb`): an exact 1.0 for the same token; tiny token pairs
+/// (numeric fragments, initials) directly, faster than a probe-plus-fill
+/// on the low hit rates their near-unique values see; longer vocabulary
+/// words, which recur across runs, through the `TAG_ME_TOKEN` memo, keyed
+/// by the unordered id pair since the score is symmetric.
+#[inline]
+fn me_cell(x: u32, ta: &[u32], y: u32, tb: &[u32], cx: Ctx, s: &mut CharScratch) -> f64 {
+    if x == y {
+        1.0
+    } else if ta.len() + tb.len() <= 8 {
+        jaro_winkler_ids(ta, tb, cx.pool, s)
+    } else {
+        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
+        cached(s, cx.gen, TAG_ME_TOKEN, lo, hi, |s| jaro_winkler_ids(ta, tb, cx.pool, s))
+    }
+}
+
+/// `acc[i] = max(acc[i], x[i])`: one more token's scores folded into
+/// running per-token maxima.
+#[inline]
+fn fold_max(acc: &mut [f64], x: &[f64]) {
+    for (m, &v) in acc.iter_mut().zip(x) {
+        *m = m.max(v);
+    }
 }
 
 // ---- Smith-Waterman ------------------------------------------------------

@@ -94,11 +94,13 @@ impl FeatureKind {
     /// per-pair-quadratic char measures
     /// (Smith-Waterman, Monge-Elkan) and the wide 3-gram merges still
     /// stand apart — the old 23× top-to-bottom ratio is now ~15×.
-    /// Monge-Elkan's measured cost has since fallen again: one pass over
-    /// the distinct-token grid serves both directions (DESIGN.md §4h),
-    /// about half the inner Jaro-Winkler calls. Its 9.5 stays, like every
-    /// entry: the table ranks blocking rules, so recalibrating it moves
-    /// run bytes and is a change of its own.
+    /// Monge-Elkan's measured cost has since fallen twice: one pass over
+    /// the distinct-token grid served both directions, and then one token
+    /// grid per run of pairs sharing the left value (DESIGN.md §4h), so a
+    /// right token that recurs across the run is scored against the left
+    /// tokens once. Its 9.5 stays, like every entry: the table ranks
+    /// blocking rules, so changing it would change which rules run, and
+    /// the run bytes with them; a recalibration is a change of its own.
     /// `tests::costs_track_measured_kernel_timings` keeps this table
     /// honest against kernel drift.
     pub fn unit_cost(self) -> f64 {

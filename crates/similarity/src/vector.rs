@@ -135,9 +135,12 @@ impl FeatureVectorizer {
     /// * a pair's Jaro score feeds both Jaro and Jaro-Winkler (through
     ///   the scratch's last-pair slot), and Levenshtein keeps `a`'s
     ///   pattern table across the run;
-    /// * Smith-Waterman on attributes whose values do not recur scores
-    ///   `a` against sixteen `b`s per DP sweep
-    ///   ([`charkernels::smith_waterman_run`]).
+    /// * Monge-Elkan computes the Jaro-Winkler grid of `a`'s tokens
+    ///   against the run's right tokens once for the run
+    ///   ([`charkernels::monge_elkan_run`]), and Smith-Waterman on
+    ///   attributes whose values do not recur scores `a` against sixteen
+    ///   `b`s per DP sweep ([`charkernels::smith_waterman_run`]); both
+    ///   score the whole run after the per-pair loop.
     ///
     /// # Panics
     /// Panics if `out` does not hold `bs.len()` rows.
@@ -213,8 +216,11 @@ impl FeatureVectorizer {
         let defs = &self.lib.defs[fis.clone()];
         let attr = defs[0].attr;
         let va = an.attr_a(a.id, attr);
-        let laned =
-            defs.iter().any(|d| d.kind == FeatureKind::SmithWaterman) && !an.recurring(attr);
+        // Kinds scored for the whole run at once, after the per-pair loop.
+        let by_run = |kind: FeatureKind| {
+            kind == FeatureKind::MongeElkan
+                || (kind == FeatureKind::SmithWaterman && !an.recurring(attr))
+        };
         if let Some(va) = va {
             marks.mark(va);
         }
@@ -227,7 +233,7 @@ impl FeatureVectorizer {
                 _ => None,
             };
             for (fi, def) in fis.clone().zip(defs) {
-                if laned && def.kind == FeatureKind::SmithWaterman {
+                if by_run(def.kind) {
                     continue;
                 }
                 out[at(k, fi)] = match (def.kind, sets) {
@@ -252,33 +258,40 @@ impl FeatureVectorizer {
         if let Some(va) = va {
             marks.clear(va);
         }
-        if !laned {
+        if !defs.iter().any(|d| by_run(d.kind)) {
             return;
         }
-        for fi in fis.filter(|&fi| self.lib.defs[fi].kind == FeatureKind::SmithWaterman) {
-            // Pairs with a missing value score NaN, as on every path.
-            let mut present: Vec<(usize, AttrView<'_>)> = Vec::with_capacity(bs.len());
-            for (k, b) in bs.iter().enumerate() {
-                match (va, an.attr_b(b.id, attr)) {
-                    (Some(_), Some(vb)) => present.push((k, vb)),
-                    _ => out[at(k, fi)] = f64::NAN,
-                }
+        // The run kernels score the pairs both of whose values are
+        // present; the others keep NaN, as on every path.
+        let present: Vec<(usize, AttrView<'_>)> = match va {
+            Some(_) => bs
+                .iter()
+                .enumerate()
+                .filter_map(|(k, b)| an.attr_b(b.id, attr).map(|vb| (k, vb)))
+                .collect(),
+            None => Vec::new(),
+        };
+        let cx = charkernels::Ctx::new(an, attr);
+        for (fi, def) in fis.zip(defs).filter(|(_, d)| by_run(d.kind)) {
+            for k in 0..bs.len() {
+                out[at(k, fi)] = f64::NAN;
             }
-            if let Some(va) = va {
-                let cx = charkernels::Ctx::new(an, attr);
-                charkernels::smith_waterman_run(va, &present, cx, s, |k, x| {
-                    out[at(k, fi)] = x;
-                });
+            let Some(va) = va else { continue };
+            let put = |k: usize, x: f64| out[at(k, fi)] = x;
+            match def.kind {
+                FeatureKind::MongeElkan => charkernels::monge_elkan_run(va, &present, cx, s, put),
+                _ => charkernels::smith_waterman_run(va, &present, cx, s, put),
             }
         }
     }
 
     /// One text feature of one pair of values, for the kinds
-    /// [`Self::vectorize_attr_run`] does not count against its left-value
-    /// marks: set/vector kernels run allocation-free over interned ids,
-    /// and the character-level measures (edit distance, Jaro/Jaro-Winkler,
-    /// Monge-Elkan, Smith-Waterman) over the precomputed char-id material
-    /// in [`crate::charkernels`]. Whole-value results are cached only on
+    /// [`Self::vectorize_attr_run`] neither counts against its left-value
+    /// marks nor scores by run: set/vector kernels run allocation-free
+    /// over interned ids, and the character-level measures (edit
+    /// distance, Jaro/Jaro-Winkler, Smith-Waterman on attributes whose
+    /// values recur) over the precomputed char-id material in
+    /// [`crate::charkernels`]. Whole-value results are cached only on
     /// attributes whose values recur ([`TaskAnalysis::recurring`]).
     fn text_feature(
         &self,
@@ -304,14 +317,14 @@ impl FeatureVectorizer {
             FeatureKind::Levenshtein => charkernels::levenshtein_pre(ra, rb, cx(), s),
             FeatureKind::Jaro => charkernels::jaro_pre(ra, rb, cx(), s),
             FeatureKind::JaroWinkler => charkernels::jaro_winkler_pre(ra, rb, cx(), s),
-            FeatureKind::MongeElkan => charkernels::monge_elkan_pre(ra, rb, cx(), s),
             FeatureKind::SmithWaterman => charkernels::smith_waterman_pre(ra, rb, cx(), s),
             FeatureKind::JaccardWords
             | FeatureKind::Jaccard3Grams
             | FeatureKind::OverlapWords
             | FeatureKind::DiceWords
+            | FeatureKind::MongeElkan
             | FeatureKind::NumExact
-            | FeatureKind::NumRelSim => unreachable!("counted or numeric: {:?}", def.kind),
+            | FeatureKind::NumRelSim => unreachable!("counted, by run or numeric: {:?}", def.kind),
         }
     }
 }

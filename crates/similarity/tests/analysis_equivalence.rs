@@ -249,7 +249,7 @@ fn one_attr_tables(values: &[Value]) -> (Table, Table) {
 }
 
 proptest! {
-    /// The premise of the one-pass Monge-Elkan: Jaro and Jaro-Winkler
+    /// The premise of the Monge-Elkan run grid: Jaro and Jaro-Winkler
     /// return the same bits with their arguments swapped, in the
     /// reference and in the analysis-path kernels.
     #[test]
@@ -270,7 +270,7 @@ proptest! {
         }
     }
 
-    /// Monge-Elkan over duplicate-heavy token soups: the one-pass grid
+    /// Monge-Elkan over duplicate-heavy token soups: the run grid
     /// against the reference's two directed passes, every path.
     #[test]
     fn monge_elkan_token_soups_are_bit_identical(
@@ -285,7 +285,7 @@ proptest! {
     }
 }
 
-/// The cases the one-pass Monge-Elkan treats specially, each checked
+/// The cases the Monge-Elkan run grid treats specially, each checked
 /// bitwise against `monge_elkan_sym` in both orientations, per feature
 /// and as runs.
 #[test]
@@ -331,6 +331,123 @@ fn monge_elkan_grid_cases_match_the_reference() {
         }
     }
     assert_all_pairs_bitwise(&a, &b).expect("every feature of the Monge-Elkan cases");
+}
+
+/// Values for the Monge-Elkan run grid: token soups over a vocabulary of
+/// tokens of at most 8 chars and of more than 64 chars, near misses of
+/// both, so right tokens repeat across a run and are shared with the left
+/// value, with duplicates inside a value; plus empty, punctuation-only and
+/// missing values.
+fn grid_value() -> impl Strategy<Value = Value> {
+    const LONG: &str = "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyzabcdefghijklmnopqr";
+    const LONG_NEAR: &str =
+        "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyzabcdefghijklmnopqz";
+    const TOKENS: [&str; 9] = ["a", "ab", "4gb", "kit", "kingston", "kingstom", "hyperx", LONG, LONG_NEAR];
+    let soup = || {
+        vec(0..TOKENS.len(), 1..6)
+            .prop_map(|ks| Value::Text(ks.iter().map(|&k| TOKENS[k]).collect::<Vec<_>>().join(" ")))
+    };
+    prop_oneof![
+        4 => soup(),
+        1 => Just(Value::Text(String::new())),
+        1 => Just(Value::Text("!!! --".into())),
+        1 => Just(Value::Null),
+    ]
+}
+
+/// Every Monge-Elkan value of each A record against all of B must be
+/// `monge_elkan_sym`'s bits (NaN where a value is missing) on every path:
+/// the run as one `feature_run`, its `vectorize_pre_into` rows, the run
+/// cut into pieces ending at `cuts` (as a candidate build cuts a long run
+/// across tiles), and each pair as a run of one.
+fn check_monge_elkan_runs(a: &Table, b: &Table, cuts: &[usize]) -> Result<(), TestCaseError> {
+    let vz = FeatureVectorizer::fit(a, b);
+    let an = vz.analyze(a, b, exec::Threads::new(1));
+    let me = vz.library().defs.iter().position(|d| d.kind == FeatureKind::MongeElkan).unwrap();
+    let nf = vz.n_features();
+    let all_b: Vec<&Record> = b.records.iter().collect();
+    let mut run = vec![0.0; all_b.len()];
+    let mut rows = vec![0.0; all_b.len() * nf];
+    let mut pieces = vec![0.0; all_b.len()];
+    for ra in &a.records {
+        vz.feature_run(me, ra, &all_b, &an, &mut run);
+        vz.vectorize_pre_into(ra, &all_b, &an, &mut rows);
+        let mut start = 0;
+        for &end in cuts.iter().chain([all_b.len()].iter()) {
+            vz.feature_run(me, ra, &all_b[start..end], &an, &mut pieces[start..end]);
+            start = end;
+        }
+        for (j, rb) in b.records.iter().enumerate() {
+            let want = match (ra.value(0).as_text(), rb.value(0).as_text()) {
+                (Some(x), Some(y)) => monge_elkan_sym(x, y),
+                _ => f64::NAN,
+            };
+            let paths = [
+                ("run", run[j]),
+                ("vector run", rows[j * nf + me]),
+                ("pieces", pieces[j]),
+                ("run of one", feature_of(&vz, me, ra, rb, &an)),
+            ];
+            for (path, got) in paths {
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} on a{} b{}: {} vs {}",
+                    path,
+                    ra.id,
+                    rb.id,
+                    got,
+                    want
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The Monge-Elkan run grid over runs of 0, 1 and many right values.
+    #[test]
+    fn monge_elkan_run_grid_is_bit_identical(
+        left in vec(grid_value(), 1..4),
+        right in vec(grid_value(), 0..24),
+        cut in 0..24usize,
+    ) {
+        let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+        let rows = |vs: Vec<Value>| vs.into_iter().map(|v| vec![v]).collect();
+        let cut = cut.min(right.len());
+        let a = Table::new("a", schema.clone(), rows(left));
+        let b = Table::new("b", schema, rows(right));
+        check_monge_elkan_runs(&a, &b, &[cut])?;
+    }
+}
+
+/// Runs whose grid outgrows one chunk: 1,100 right values (longer than a
+/// 1,024-row tile, cut in two as the candidate build cuts it), nearly all
+/// of their tokens their own, against a left value of 40 distinct tokens;
+/// and a left value of 400 distinct tokens against a right value sharing
+/// half of them, a pair whose grid alone outgrows a chunk.
+#[test]
+fn monge_elkan_runs_past_a_tile_and_a_chunk_match_the_reference() {
+    let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+    let text = |t: String| vec![Value::Text(t)];
+    let words = |tag: &str, ks: std::ops::Range<usize>| -> String {
+        ks.map(|k| format!("{tag}{k}")).collect::<Vec<_>>().join(" ")
+    };
+    let mut right: Vec<Vec<Value>> = (0..1100)
+        .map(|i| text(format!("r{i}x r{i}y r{i}z kingston w{}", i % 50)))
+        .collect();
+    right[3] = vec![Value::Null];
+    right[5] = text(String::new());
+    let left = vec![text(words("w", 0..40)), text("kingston hyperx w7".into())];
+    let a = Table::new("a", schema.clone(), left);
+    let b = Table::new("b", schema.clone(), right);
+    check_monge_elkan_runs(&a, &b, &[550]).expect("a long run with a wide grid");
+
+    let a = Table::new("a", schema.clone(), vec![text(words("t", 0..400))]);
+    let right = vec![text("t5 kingston".into()), text(words("t", 200..600)), text("t9".into())];
+    let b = Table::new("b", schema, right);
+    check_monge_elkan_runs(&a, &b, &[1]).expect("a pair whose grid outgrows a chunk");
 }
 
 /// Runs built back to back on one thread leave no word or 3-gram marks

@@ -193,4 +193,19 @@ cargo run --release -q -p service --bin corleone-serve -- \
 [ -f "$svc_dir/piped/restaurants.json" ] \
     || { echo "FAIL: corleone-serve wrote no report when its stdout closed"; exit 1; }
 
+echo "==> smoke with a closed stdout"
+# The bench bins print through the same writer (corleone::lines): a
+# closed pipe ends the printing, not the runs, so smoke must still run
+# every dataset, write each --emit-json report and exit 0.
+code=0
+cargo run --release -q -p bench --bin smoke -- \
+    --datasets restaurants,citations --scale 0.05 --emit-json "$svc_dir/smoke-piped" \
+    | true || code=$?
+[ "$code" -eq 0 ] \
+    || { echo "FAIL: smoke exited $code when its stdout closed"; exit 1; }
+for ds in restaurants citations; do
+    [ -f "$svc_dir/smoke-piped/$ds.json" ] \
+        || { echo "FAIL: smoke wrote no $ds report when its stdout closed"; exit 1; }
+done
+
 echo "==> CI OK"
