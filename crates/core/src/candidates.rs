@@ -20,10 +20,9 @@
 //! and again read only a few features of each row, and here they read
 //! them by column: forest votes ([`CandidateSet::positive_votes`]) go one
 //! tree at a time over a tile's rows, from one predicate bitmask per
-//! split node where the rows cover most of the tile, and rule coverage
-//! ([`CandidateSet::coverage`]) filters a tile's rows one predicate at a
-//! time. Nothing outside this module sees the layout: [`CandidateSet::row`]
-//! gathers an owned vector.
+//! split node, and rule coverage ([`CandidateSet::coverage`]) filters a
+//! tile's rows one predicate at a time. Nothing outside this module sees
+//! the layout: [`CandidateSet::row`] gathers an owned vector.
 
 use crate::cache::FeatureCache;
 use crate::source::{CandidateSource, CartesianScan};
@@ -224,15 +223,16 @@ impl CandidateSet {
 
     /// How many of `forest`'s trees vote "matched" for each pair of
     /// `indices`, in the order given: [`RandomForest::positive_votes`] of
-    /// each row, in parallel over tiles for large lists. Where the chosen
-    /// rows cover at least half of their tile, each tree (of at most
-    /// [`MASK_MAX_NODES`] nodes) is scored over the whole tile from one
-    /// predicate bitmask per split node ([`TileMasks`]); the rows of a
-    /// sparser stretch, and larger trees, are walked one tree at a time,
-    /// reading the features on each walk from the tile's columns. A count
-    /// is an integer, so the order rows and trees are visited in cannot
-    /// change it: an unsorted list is scanned in ascending order and its
-    /// counts put back in the given order.
+    /// each row, in parallel over tiles for large lists. Every tile the
+    /// list touches is scored whole, one tree at a time, from one predicate
+    /// bitmask per split node ([`TileMasks`]), and the chosen rows' counts
+    /// are read off. So a call costs a pass over each tile it touches,
+    /// however few of the tile's rows it asks for: a caller that scores a
+    /// few scattered rows again and again gathers them first
+    /// ([`Self::subset`]), as the learner's monitor set does. A count is an
+    /// integer, so the order rows and trees are visited in cannot change
+    /// it: an unsorted list is scanned in ascending order and its counts
+    /// put back in the given order.
     pub fn positive_votes(
         &self,
         forest: &RandomForest,
@@ -261,26 +261,12 @@ impl CandidateSet {
         let mut votes = vec![0; indices.len()];
         exec::par_split_at_mut(threads, &mut votes, &ends, |s, out| {
             let (tile, rows) = stretches[s];
-            // A stretch that covers most of its tile is scored from masks
-            // over the whole tile; the rows of a sparse one are walked.
-            let mut masks = (2 * rows.len() >= tile.len).then(|| TileMasks::new(tile));
+            let mut masks = TileMasks::new(tile);
             for tree in forest.trees() {
-                match &mut masks {
-                    Some(masks) if tree.nodes().len() <= MASK_MAX_NODES => {
-                        masks.add_votes(tree.nodes(), 0, 0)
-                    }
-                    _ => {
-                        for (v, &i) in out.iter_mut().zip(rows) {
-                            let r = i - tile.start;
-                            *v += usize::from(tree.predict_by(|f| tile.cells[f * tile.len + r]));
-                        }
-                    }
-                }
+                masks.add_votes(tree.nodes(), 0, 0);
             }
-            if let Some(masks) = masks {
-                for (v, &i) in out.iter_mut().zip(rows) {
-                    *v += masks.votes[i - tile.start] as usize;
-                }
+            for (v, &i) in out.iter_mut().zip(rows) {
+                *v = masks.votes[i - tile.start] as usize;
             }
         });
         votes
@@ -364,12 +350,6 @@ impl CandidateSet {
     }
 }
 
-/// The largest tree (in nodes) whose votes [`TileMasks`] counts; a larger
-/// one is walked row by row. The Blocker's trees have 1–13 nodes. A split
-/// node costs a pass over its rows' words, so a tree with many splits
-/// would cost more than the walk of its depth.
-const MASK_MAX_NODES: usize = 31;
-
 /// Forest votes over every row of one tile, counted from predicate
 /// bitmasks instead of one tree walk per row. Each split node gets the
 /// mask of the rows that reach it: the root's mask is every row, and a
@@ -378,7 +358,14 @@ const MASK_MAX_NODES: usize = 31;
 /// anything else goes left when `v <= threshold`), its right child the
 /// rest of its mask. Each row of a positive leaf's mask gets one vote. A
 /// row reaches exactly the leaf its walk would, and votes are integers,
-/// so the counts equal the walk's at any thread count.
+/// so the counts equal the walk's at any thread count, for any tree.
+///
+/// A split node costs one pass over the words of its mask (a word no row
+/// of the node sits in is skipped), so a tree costs by its split count,
+/// where a walk costs by the length of each row's path. The learners'
+/// trees are small (at most 19 nodes on the benchmark's workloads), and
+/// there the masks win; a wide, balanced tree of a hundred nodes or more
+/// would cost up to about twice its walk (DESIGN §4k).
 struct TileMasks<'a> {
     tile: Tile<'a>,
     /// Words per mask: one bit per row of the tile.
@@ -766,7 +753,7 @@ mod tests {
     /// either label; a split on a feature with NaN cells routing NaN each
     /// way; ±∞ thresholds (everything but NaN goes left of +∞, only NaN
     /// and −∞ can go left of −∞); a spine of six splits (13 nodes), and
-    /// one of 20 (41 nodes, past the largest tree the masks count).
+    /// one of 20 (41 nodes, deeper than any tree the Blocker grows).
     fn hand_trees(n_features: usize, nan_feature: usize) -> RandomForest {
         use HandNode::{Leaf, Split};
         let spine = |splits: usize| -> Vec<HandNode> {

@@ -1714,4 +1714,36 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn token_columns_wrap_clears_stale_stamps() {
+        // Ids as a chunk meets them, each new one given the next column.
+        let assign = |map: &mut TokenColumns| -> Vec<(usize, bool)> {
+            let mut next = 0;
+            [0u32, 3, 1, 3, 5, 7, 0, 8]
+                .iter()
+                .map(|&id| {
+                    let (col, new) = map.column(id, next);
+                    next += usize::from(new);
+                    (col, new)
+                })
+                .collect()
+        };
+        let mut fresh = TokenColumns::default();
+        fresh.reset();
+        let want = assign(&mut fresh);
+        assert_eq!(want.iter().filter(|&&(_, new)| new).count(), 6, "six distinct ids");
+        // A long-lived map at the end of its stamp range: slots stamped 1
+        // (stale from the first chunk, which the restarted stamps reach
+        // again), slots stamped with the current stamp, and slots never
+        // written. After the reset every id is new, as in a fresh map.
+        let mut worn = TokenColumns {
+            slots: (0..8).map(|k| [(1, 9), (u32::MAX, 4), (0, 0)][k % 3]).collect(),
+            stamp: u32::MAX,
+        };
+        worn.reset();
+        assert_eq!(assign(&mut worn), want);
+        worn.reset();
+        assert_eq!(assign(&mut worn), want, "the chunk after the wrap");
+    }
 }
