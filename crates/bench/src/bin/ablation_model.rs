@@ -13,19 +13,22 @@ use bench::{
     dataset, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
+use corleone::lines::Lines;
 use corleone::{run_active_learning, CorleoneConfig, Threads};
 use forest::{extract_rules, Dataset, LogRegConfig, LogisticRegression};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Model ablation: random forest vs logistic regression (scale {}, {} runs, {:.0}% error)\n",
         opts.scale,
         opts.runs,
         opts.error_rate * 100.0
-    );
+    ));
     let mut rows = Vec::new();
     for name in &opts.datasets {
         let mut rf_f1 = vec![];
@@ -74,14 +77,12 @@ fn main() {
             "0".to_string(),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &["Dataset", "Forest F1", "LogReg F1", "Forest rules", "LogReg rules"],
-            &rows
-        )
-    );
-    println!("\nThe forest must be competitive on accuracy while being the only model");
-    println!("that yields the machine-readable rules the Blocker (§4), Estimator (§6),");
-    println!("and Locator (§7) are built on — the paper's §4.1 design argument.");
+    out.print(&render_table(
+        &["Dataset", "Forest F1", "LogReg F1", "Forest rules", "LogReg rules"],
+        &rows
+    ));
+    out.print("\nThe forest must be competitive on accuracy while being the only model");
+    out.print("that yields the machine-readable rules the Blocker (§4), Estimator (§6),");
+    out.print("and Locator (§7) are built on — the paper's §4.1 design argument.");
+    out.finish()
 }

@@ -10,22 +10,25 @@ use bench::{
     dataset, dollars, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
+use corleone::lines::Lines;
 use corleone::{run_active_learning, CorleoneConfig, StoppingConfig, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut out = Lines::stdout();
     let mut opts = parse_args();
     if opts.error_rate < 0.12 {
         opts.error_rate = 0.15; // over-training hurts most under noise
     }
     let name = opts.datasets.first().cloned().unwrap_or_else(|| "products".into());
-    println!(
+    out.print(&format!(
         "Stopping-rule ablation on {name} (scale {}, {} runs, {:.0}% crowd error)\n",
         opts.scale,
         opts.runs,
         opts.error_rate * 100.0
-    );
+    ));
 
     // never_stop pushes min_iterations past max_iterations so only the
     // hard cap ends the loop.
@@ -88,11 +91,9 @@ fn main() {
             dollars(mean(&costs)),
         ]);
     }
-    println!(
-        "{}",
-        render_table(&["Variant", "AL iters", "F1", "Training cost"], &rows)
-    );
-    println!("\nExpected shape (§5.3): the pattern stopper lands near the 80-iteration");
-    println!("F1 at a fraction of the cost; 5 iterations undertrains; under heavy");
-    println!("noise the long run can even fall below the stopper (degrading pattern).");
+    out.print(&render_table(&["Variant", "AL iters", "F1", "Training cost"], &rows));
+    out.print("\nExpected shape (§5.3): the pattern stopper lands near the 80-iteration");
+    out.print("F1 at a fraction of the cost; 5 iterations undertrains; under heavy");
+    out.print("noise the long run can even fall below the stopper (degrading pattern).");
+    out.finish()
 }

@@ -11,24 +11,27 @@ use bench::{
     dataset, dollars, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
+use corleone::lines::Lines;
 use corleone::{estimate_accuracy, run_active_learning, CorleoneConfig, RunEnv, Threads};
 use crowd::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut out = Lines::stdout();
     let mut opts = parse_args();
     if opts.error_rate < 0.12 {
         opts.error_rate = 0.15; // the ablation needs a visibly noisy crowd
     }
     let name = opts.datasets.first().cloned().unwrap_or_else(|| "citations".into());
-    println!(
+    out.print(&format!(
         "Voting-scheme ablation in the estimator on {name} (scale {}, {} runs, {:.0}% crowd error)\n",
         opts.scale,
         opts.runs,
         opts.error_rate * 100.0
-    );
+    ));
 
     let schemes = [
         ("2+1", Scheme::TwoPlusOne),
@@ -87,10 +90,8 @@ fn main() {
             dollars(mean(&costs)),
         ]);
     }
-    println!(
-        "{}",
-        render_table(&["Scheme", "|est F1 - true F1|", "Estimation cost"], &rows)
-    );
-    println!("\nExpected shape (§8.2): hybrid ≈ strong-majority estimate quality at a");
-    println!("cost much closer to 2+1; plain 2+1 drifts under noise.");
+    out.print(&render_table(&["Scheme", "|est F1 - true F1|", "Estimation cost"], &rows));
+    out.print("\nExpected shape (§8.2): hybrid ≈ strong-majority estimate quality at a");
+    out.print("cost much closer to 2+1; plain 2+1 drifts under noise.");
+    out.finish()
 }

@@ -8,6 +8,7 @@
 //! with a proper crowd and condemns the bad ones.
 
 use bench::{dataset, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table};
+use corleone::lines::Lines;
 use corleone::{clean_forest, CandidateSet, CleanerConfig};
 use crowd::TruthOracle;
 use forest::{Dataset, ForestConfig, RandomForest};
@@ -15,13 +16,15 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Model cleaning (§10 extension): crowd audits of forest rules (scale {}, {} runs)\n",
         opts.scale, opts.runs
-    );
+    ));
     let mut rows = Vec::new();
     for name in &opts.datasets {
         let mut before_v = vec![];
@@ -96,13 +99,11 @@ fn main() {
             format!("${:.1}", mean(&cost_v) / 100.0),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &["Dataset", "F1 before", "F1 after", "ΔF1", "Rules condemned", "Cost"],
-            &rows
-        )
-    );
-    println!("\nShape: cleaning condemns rules in noisy models and never hurts a clean");
-    println!("one — the crowd acts as a model debugger, not just a labeler (§10).");
+    out.print(&render_table(
+        &["Dataset", "F1 before", "F1 after", "ΔF1", "Rules condemned", "Cost"],
+        &rows
+    ));
+    out.print("\nShape: cleaning condemns rules in noisy models and never hurts a clean");
+    out.print("one — the crowd acts as a model debugger, not just a labeler (§10).");
+    out.finish()
 }

@@ -8,14 +8,17 @@
 //! Products.
 
 use bench::{mean, parse_args, render_table, run_corleone};
+use corleone::lines::Lines;
 use crowd::stats::{required_sample_size, z_for_confidence};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Estimator cost vs naive sampling (scale {}, {} runs, eps = 0.05)\n",
         opts.scale, opts.runs
-    );
+    ));
     let z = z_for_confidence(0.95);
     let eps = 0.05;
     let mut rows = Vec::new();
@@ -62,13 +65,11 @@ fn main() {
             format!("{:.0}%", saving * 100.0),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &["Dataset", "Pos density", "Naive #labels", "Corleone #labels", "Saved"],
-            &rows
-        )
-    );
-    println!("\nPaper: Restaurants 100,000+ → 170; Citations 50% fewer; Products 92% fewer.");
-    println!("Shape: the skewier the dataset, the bigger the saving from reduction rules.");
+    out.print(&render_table(
+        &["Dataset", "Pos density", "Naive #labels", "Corleone #labels", "Saved"],
+        &rows
+    ));
+    out.print("\nPaper: Restaurants 100,000+ → 170; Citations 50% fewer; Products 92% fewer.");
+    out.print("Shape: the skewier the dataset, the bigger the saving from reduction rules.");
+    out.finish()
 }

@@ -6,20 +6,23 @@
 //! the (cost, simulated crowd time, F1) frontier.
 
 use bench::{dataset, make_task, mean, parse_args, pct, render_table};
+use corleone::lines::Lines;
 use corleone::Engine;
 use crowd::{CrowdConfig, CrowdPlatform, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
+    let mut out = Lines::stdout();
     let name = opts.datasets.first().cloned().unwrap_or_else(|| "restaurants".into());
-    println!(
+    out.print(&format!(
         "Money-time trade-off (§10) on {name} (scale {}, {} runs, {:.0}% error)\n",
         opts.scale,
         opts.runs,
         opts.error_rate * 100.0
-    );
+    ));
     let mut rows = Vec::new();
     for price in [0.5, 1.0, 2.0, 4.0] {
         let mut costs = vec![];
@@ -60,11 +63,9 @@ fn main() {
             pct(mean(&f1s)),
         ]);
     }
-    println!(
-        "{}",
-        render_table(&["Pay/answer", "Total cost", "Crowd time", "F1"], &rows)
-    );
-    println!("\nShape: accuracy is flat across pay rates (same labels, same votes);");
-    println!("cost scales linearly with pay while crowd time falls as pay^-0.5 —");
-    println!("the knob trades money for latency, not for quality.");
+    out.print(&render_table(&["Pay/answer", "Total cost", "Crowd time", "F1"], &rows));
+    out.print("\nShape: accuracy is flat across pay rates (same labels, same votes);");
+    out.print("cost scales linearly with pay while crowd time falls as pay^-0.5 —");
+    out.print("the knob trades money for latency, not for quality.");
+    out.finish()
 }

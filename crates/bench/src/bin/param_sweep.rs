@@ -4,7 +4,9 @@
 //! the active-learning batch size `q`.
 
 use bench::{dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table};
+use corleone::lines::Lines;
 use corleone::{CorleoneConfig, Engine};
+use std::process::ExitCode;
 
 fn run_with(
     name: &str,
@@ -30,17 +32,18 @@ fn run_with(
     (mean(&f1s), mean(&costs))
 }
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
+    let mut out = Lines::stdout();
     // Parameter sweeps multiply runtime; default to one dataset unless
     // the user asked for specific ones.
     let name = opts.datasets.first().cloned().unwrap_or_else(|| "citations".into());
-    println!(
+    out.print(&format!(
         "Parameter robustness (§9.4) on {name} (scale {}, {} runs, {}% error)\n",
         opts.scale,
         opts.runs,
         opts.error_rate * 100.0
-    );
+    ));
     let base = bench::experiment_config();
 
     let mut rows = Vec::new();
@@ -64,8 +67,9 @@ fn main() {
         let (f1, cost) = run_with(&name, &opts, cfg);
         rows.push(vec![format!("q = {q}"), pct(f1), dollars(cost)]);
     }
-    println!("{}", render_table(&["Setting", "F1", "Cost"], &rows));
-    println!("\nPaper: k can drop to 5 without hurting accuracy; P_min can vary over");
-    println!("0.9-0.99 with no noticeable effect (rules are either very precise or");
-    println!("clearly bad); q = 20 balances crowd overhead and informativeness.");
+    out.print(&render_table(&["Setting", "F1", "Cost"], &rows));
+    out.print("\nPaper: k can drop to 5 without hurting accuracy; P_min can vary over");
+    out.print("0.9-0.99 with no noticeable effect (rules are either very precise or");
+    out.print("clearly bad); q = 20 balances crowd overhead and informativeness.");
+    out.finish()
 }

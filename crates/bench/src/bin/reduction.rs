@@ -11,24 +11,27 @@ use bench::{
     dataset, gold_prf, make_platform, make_task, parse_args, pct, render_table,
     sampled_candidates,
 };
+use corleone::lines::Lines;
 use corleone::ruleeval::RuleEvalConfig;
 use corleone::{locate_difficult_pairs, run_active_learning, CorleoneConfig, RunEnv, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut out = Lines::stdout();
     let mut opts = parse_args();
     // A near-perfect crowd lets iteration 1 learn everything, leaving no
     // difficult region to measure; the paper's real crowds were noisier.
     if opts.error_rate < 0.12 {
         opts.error_rate = 0.12;
     }
-    println!(
+    out.print(&format!(
         "Effectiveness of reduction (§9.3) — accuracy on the difficult subset\n(scale {}, {}% crowd error)\n",
         opts.scale,
         opts.error_rate * 100.0
-    );
+    ));
     let cfg = CorleoneConfig::default();
     let mut rows = Vec::new();
     for name in &opts.datasets {
@@ -67,10 +70,10 @@ fn main() {
             &RunEnv::default(),
         );
         let Some(difficult) = located.difficult else {
-            println!(
+            out.print(&format!(
                 "{name}: locator terminated ({}); nothing to measure\n",
                 located.report.termination.unwrap_or_default()
-            );
+            ));
             continue;
         };
 
@@ -109,16 +112,14 @@ fn main() {
             format!("{:+.1}", (after.f1 - before.f1) * 100.0),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Dataset", "#Difficult", "P(M1)", "R(M1)", "F1(M1)", "P(M2)", "R(M2)", "F1(M2)",
-                "ΔF1",
-            ],
-            &rows
-        )
-    );
-    println!("\nPaper: on the difficult subset recall improves 3.3% (Citations) and");
-    println!("11.8% (Products), for F1 gains of 2.1% and 9.2%; overall F1 +0.4-3.3%.");
+    out.print(&render_table(
+        &[
+            "Dataset", "#Difficult", "P(M1)", "R(M1)", "F1(M1)", "P(M2)", "R(M2)", "F1(M2)",
+            "ΔF1",
+        ],
+        &rows
+    ));
+    out.print("\nPaper: on the difficult subset recall improves 3.3% (Citations) and");
+    out.print("11.8% (Products), for F1 gains of 2.1% and 9.2%; overall F1 +0.4-3.3%.");
+    out.finish()
 }

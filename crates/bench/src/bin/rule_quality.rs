@@ -10,6 +10,7 @@
 use bench::{
     dataset, make_platform, make_task, mean, parse_args, render_table, sampled_candidates,
 };
+use corleone::lines::Lines;
 use corleone::ruleeval::{evaluate_rules_jointly, labeled_as, select_top_rules, RuleEvalConfig};
 use corleone::{run_active_learning, CandidateSet, CorleoneConfig, Threads};
 use crowd::TruthOracle;
@@ -17,6 +18,7 @@ use forest::{negative_rules, positive_rules, Rule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::process::ExitCode;
 
 /// True precision of a rule over the candidate subset it covers.
 fn true_precision(
@@ -35,13 +37,14 @@ fn true_precision(
     ok as f64 / coverage.len() as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Rule evaluation quality (§9.3): true precision of kept rules\n(scale {}, {}% crowd error)\n",
         opts.scale,
         opts.error_rate * 100.0
-    );
+    ));
     let cfg = CorleoneConfig::default();
     let mut rows = Vec::new();
     for name in &opts.datasets {
@@ -115,13 +118,11 @@ fn main() {
             fmt(&p_pos),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &["Dataset", "#Neg kept", "Neg precision", "#Pos kept", "Pos precision"],
-            &rows
-        )
-    );
-    println!("\nPaper: blocking rules 99.9-99.99% precise; later-step rules 97.5-99.99%;");
-    println!("citations avg 11.33 negative + 16.33 positive rules, products 17.33 + 9.33.");
+    out.print(&render_table(
+        &["Dataset", "#Neg kept", "Neg precision", "#Pos kept", "Pos precision"],
+        &rows
+    ));
+    out.print("\nPaper: blocking rules 99.9-99.99% precise; later-step rules 97.5-99.99%;");
+    out.print("citations avg 11.33 negative + 16.33 positive rules, products 17.33 + 9.33.");
+    out.finish()
 }

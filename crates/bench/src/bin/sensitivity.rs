@@ -6,13 +6,16 @@
 //! dips a further 1-10% (28% on Restaurants) and cost shoots up $250-500.
 
 use bench::{dollars, mean, parse_args, pct, render_table, ExpOptions};
+use corleone::lines::Lines;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let opts = parse_args();
-    println!(
+    let mut out = Lines::stdout();
+    out.print(&format!(
         "Sensitivity to crowd error rate (scale {}, {} runs)\n",
         opts.scale, opts.runs
-    );
+    ));
     let error_rates = [0.0, 0.10, 0.20];
     let mut rows = Vec::new();
     for name in &opts.datasets {
@@ -46,14 +49,12 @@ fn main() {
         }
         rows.push(cells);
     }
-    println!(
-        "{}",
-        render_table(
-            &["Dataset", "F1@0%", "Cost@0%", "F1@10%", "Cost@10%", "F1@20%", "Cost@20%"],
-            &rows
-        )
-    );
-    println!("\nPaper shape: small error-rate changes barely move F1; 10% error costs a");
-    println!("few percent F1 and modest extra dollars; 20% error hurts F1 noticeably");
-    println!("(worst on the smallest dataset) and drives cost up sharply.");
+    out.print(&render_table(
+        &["Dataset", "F1@0%", "Cost@0%", "F1@10%", "Cost@10%", "F1@20%", "Cost@20%"],
+        &rows
+    ));
+    out.print("\nPaper shape: small error-rate changes barely move F1; 10% error costs a");
+    out.print("few percent F1 and modest extra dollars; 20% error hurts F1 noticeably");
+    out.print("(worst on the smallest dataset) and drives cost up sharply.");
+    out.finish()
 }

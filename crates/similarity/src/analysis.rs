@@ -102,11 +102,10 @@ const SEG_RAW_CHARS: usize = 4; // raw-value char ids, in order
 const SEG_LOWER_CHARS: usize = 5; // lowercased-value char ids, in order
 const SEG_WORD_CHARS: usize = 6; // flattened token char ids, in order
 const SEG_WORD_ENDS: usize = 7; // exclusive end of token k in WORD_CHARS
-const SEG_WORD_TOKEN_IDS: usize = 8; // pool id of token k, duplicates kept
-const SEG_DEDUP_RANK: usize = 9; // rank into DEDUP_IDS of token k
-const SEG_DEDUP_IDS: usize = 10; // distinct token ids, first-occurrence order
-const SEG_DEDUP_FIRST: usize = 11; // first token index of DEDUP_IDS entry
-const N_SEGS: usize = 12;
+const SEG_DEDUP_RANK: usize = 8; // rank into DEDUP_IDS of token k
+const SEG_DEDUP_IDS: usize = 9; // distinct token ids, first-occurrence order
+const SEG_DEDUP_FIRST: usize = 10; // first token index of DEDUP_IDS entry
+const N_SEGS: usize = 11;
 
 /// `value_id` sentinel marking a `(record, attr)` cell with no analysis
 /// (null or non-text). Real ids are ranks into the distinct-value pool,
@@ -270,17 +269,10 @@ impl<'a> AttrView<'a> {
         self.seg(SEG_WORD_ENDS)
     }
 
-    /// Interned pool id of each word token in occurrence order (parallel
-    /// to [`Self::word_ends`], duplicates kept). Id equality is token
-    /// equality — Monge-Elkan uses it to dedup inner comparisons.
-    #[inline]
-    pub fn word_token_ids(&self) -> &'a [u32] {
-        self.seg(SEG_WORD_TOKEN_IDS)
-    }
-
-    /// Distinct entries of [`Self::word_token_ids`] in first-occurrence
-    /// order (parallel to [`Self::word_dedup_first`]). Monge-Elkan reads
-    /// these instead of re-deduplicating the token list on every pair.
+    /// Interned pool ids of the distinct word tokens in first-occurrence
+    /// order (parallel to [`Self::word_dedup_first`]). Id equality is
+    /// token equality: Monge-Elkan reads these instead of
+    /// re-deduplicating the token list on every pair.
     #[inline]
     pub fn word_dedup_ids(&self) -> &'a [u32] {
         self.seg(SEG_DEDUP_IDS)
@@ -294,8 +286,8 @@ impl<'a> AttrView<'a> {
     }
 
     /// Rank into [`Self::word_dedup_ids`] of each token position
-    /// (parallel to [`Self::word_token_ids`]), making per-token memo
-    /// lookups O(1).
+    /// (parallel to [`Self::word_ends`]): token `k`'s pool id is
+    /// `word_dedup_ids()[word_dedup_rank()[k]]`.
     #[inline]
     pub fn word_dedup_rank(&self) -> &'a [u32] {
         self.seg(SEG_DEDUP_RANK)
@@ -922,18 +914,14 @@ fn fill_chunk(
         segs[SEG_WORD_ENDS] = off32(u.len());
         u.extend_from_slice(&t.ends[cell.words[0] as usize..cell.words[1] as usize]);
 
-        segs[SEG_WORD_TOKEN_IDS] = off32(u.len());
-        let tokens_start = u.len();
-        u.extend(wids.iter().map(|&w| word[w as usize]));
-
         // First-occurrence dedup of the token ids, hoisted out of the
         // Monge-Elkan inner loop (values hold few enough tokens that the
         // quadratic scan is negligible one-time work).
         segs[SEG_DEDUP_RANK] = off32(u.len());
         dedup_ids.clear();
         dedup_first.clear();
-        for pos in 0..wids.len() {
-            let id = u[tokens_start + pos];
+        for (pos, &w) in wids.iter().enumerate() {
+            let id = word[w as usize];
             let rank = match dedup_ids.iter().position(|&x| x == id) {
                 Some(r) => r,
                 None => {
@@ -1349,7 +1337,10 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             for view in [an.attr_a(i as u32, 0).unwrap(), an.attr_b(i as u32, 0).unwrap()] {
                 let occurrences = ranks(&word_pool, words(v));
-                assert_eq!(view.word_token_ids(), occurrences, "{v:?}: occurrence order");
+                let dedup = view.word_dedup_ids();
+                let tokens: Vec<u32> =
+                    view.word_dedup_rank().iter().map(|&r| dedup[r as usize]).collect();
+                assert_eq!(tokens, occurrences, "{v:?}: occurrence order");
                 assert_eq!(view.word_ids(), sorted(occurrences), "{v:?}: sorted word ranks");
                 assert_eq!(view.gram_ids(), sorted(ranks(&gram_pool, qgrams(v, 3))), "{v:?}");
             }

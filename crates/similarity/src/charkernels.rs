@@ -9,10 +9,11 @@
 //! This module reimplements all five over the interned char-id sequences
 //! the analysis layer precomputes, with zero per-pair allocation:
 //!
-//! * **Levenshtein** runs Myers' bit-parallel algorithm (u64 blocks,
-//!   multi-word for patterns over 64 chars, common prefix/suffix
-//!   trimming): `O(⌈m/64⌉·n)` word operations instead of `O(m·n)` cell
-//!   updates, and the exact integer distance of the reference DP.
+//! * **Levenshtein** runs Myers' bit-parallel algorithm (one u64 for
+//!   patterns up to 64 chars, blocked words past that), with the left
+//!   value as the pattern and its bit table kept across a run of pairs:
+//!   `O(⌈m/64⌉·n)` word operations instead of `O(m·n)` cell updates, and
+//!   the exact integer distance of the reference DP.
 //! * **Jaro / Jaro-Winkler** match through per-char availability
 //!   bitmasks: each `a` char finds the lowest untaken matching `b`
 //!   position in its window with a find-first-set instead of a linear
@@ -25,14 +26,14 @@
 //!   folds only its own columns into its forward bests. The sums walk
 //!   the precomputed token ranges in occurrence order, duplicates kept —
 //!   exactly what `tokenize::words` yields.
-//! * **Smith-Waterman** scores one left value against up to 16 right
-//!   values at once when a vectorizer run shares the left record
-//!   ([`smith_waterman_run`]): the right sequences are transposed into
-//!   `[i16; 16]` lane arrays and one DP sweep advances all sixteen
-//!   alignments. Single pairs, and pairs that cannot ride a lane, roll
-//!   two reusable DP rows (or anti-diagonals for long inputs) with
-//!   bounds-check-free inner cells over the precomputed lowercased
-//!   sequences.
+//! * **Smith-Waterman** scores one left value against a whole run of
+//!   right values ([`smith_waterman_run`]), sixteen at a time: the right
+//!   sequences are transposed into `[i16; 16]` lane arrays and one DP
+//!   sweep advances all sixteen alignments ([`sw_lanes`]). Every pair of
+//!   every run takes the lanes, a lone pair as a run of one. The few
+//!   pairs no 16-bit lane holds (a char pool too wide to narrow, or a
+//!   sequence past [`SW_I16_MAX_LEN`]) take the reference recurrence in
+//!   two rolling rows ([`sw_fallback`]).
 //!
 //! # Whole-value result cache
 //!
@@ -54,11 +55,10 @@
 //! * Char ids are ranks into a shared pool, so id equality is char
 //!   equality — and equality is the *only* char operation any of these
 //!   measures performs.
-//! * Myers computes the same exact integer distance as the reference DP
-//!   (affix trimming cannot change unit-cost edit distance), so
-//!   `1 - d/max` is the identical f64 expression on identical integers.
-//!   Likewise Smith-Waterman's integer score and `(s/max).clamp(..)`;
-//!   the lane form's padding argument is at [`sw_lanes`].
+//! * Myers computes the same exact integer distance as the reference DP,
+//!   so `1 - d/max` is the identical f64 expression on identical
+//!   integers. Likewise Smith-Waterman's integer score and
+//!   `(s/max).clamp(..)`; the lanes' padding argument is at [`sw_lanes`].
 //! * Jaro's bitset matching selects the same `b` position for each `a`
 //!   char as the reference's greedy window scan (the lowest untaken
 //!   match), so its match/transposition counts are identical integers.
@@ -93,7 +93,7 @@ pub struct CharScratch {
     /// char id: row `c` holds the positions of char `c` in the current
     /// subject string. Zeroed wholesale per build (it is a few KiB), so
     /// absent chars read an all-zero row with no mapping layer at all.
-    /// Shared by the per-pair builds (Myers Peq, Jaro availability).
+    /// Jaro's per-pair availability rows.
     peq: Vec<u64>,
     /// Persistent Myers Peq table for the Levenshtein *pattern* side.
     /// Candidate streams arrive grouped by the left record, so the table
@@ -131,26 +131,13 @@ pub struct CharScratch {
     /// ranks into per-task pools, so entries from another analysis build
     /// must never hit; a generation change flushes the cache.
     cache_gen: u64,
-    /// Smith-Waterman rolling DP rows (row form) / rolling anti-diagonals
-    /// plus the reversed-`b` buffer (diagonal form).
-    sw_prev: Vec<i32>,
-    sw_cur: Vec<i32>,
-    sw_diag: Vec<i32>,
-    sw_brev: Vec<u32>,
-    /// 16-bit twins of the Smith-Waterman buffers. Halving the cell
-    /// width doubles the lanes the auto-vectorizer packs per register,
-    /// and the scores fit: every DP value is bounded by `2·min(|a|,|b|)`
-    /// and the row form's scanned offset by `3·|b|`, both within `i16`
-    /// under the [`SW_I16_MAX_LEN`] dispatch gate.
-    sw_prev16: Vec<i16>,
-    sw_cur16: Vec<i16>,
-    sw_diag16: Vec<i16>,
-    sw_brev16: Vec<i16>,
-    /// Lane form: the right sequences transposed, `sw_bt[j][lane]`
-    /// (`-1` past a sequence's end), and the DP column over the left
-    /// sequence.
+    /// Smith-Waterman lanes ([`sw_lanes`]): the right sequences
+    /// transposed, `sw_bt[j][lane]` (`-1` past a sequence's end), and the
+    /// DP column over the left sequence.
     sw_bt: Vec<[i16; SW_LANES]>,
     sw_col: Vec<[i16; SW_LANES]>,
+    /// The two rolling DP rows of [`sw_fallback`], back to back.
+    sw_rows: Vec<i64>,
     /// The last value pair's Jaro score. Keyed like the result cache, so
     /// a hit is the same two strings, but on every attribute: a pair's
     /// Jaro-Winkler reuses its Jaro matching when a run computes both.
@@ -279,6 +266,32 @@ fn cache_put(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32, v: f64
     }
 }
 
+/// The remembered result of kernel `tag` for the whole values `a` and
+/// `b`, on attributes whose values recur (`cx.memo`); elsewhere `None`.
+#[inline]
+fn memo_get(
+    s: &mut CharScratch,
+    cx: Ctx,
+    tag: u64,
+    a: AttrView<'_>,
+    b: AttrView<'_>,
+) -> Option<f64> {
+    if cx.memo {
+        cache_get(s, cx.gen, tag, a.value_id(), b.value_id())
+    } else {
+        None
+    }
+}
+
+/// Remember `v` as kernel `tag`'s result for the whole values `a` and
+/// `b`, on attributes whose values recur (`cx.memo`).
+#[inline]
+fn memo_put(s: &mut CharScratch, cx: Ctx, tag: u64, a: AttrView<'_>, b: AttrView<'_>, v: f64) {
+    if cx.memo {
+        cache_put(s, cx.gen, tag, a.value_id(), b.value_id(), v);
+    }
+}
+
 /// [`cached`] keyed by the two whole values, for attributes whose values
 /// recur (`cx.memo`); elsewhere `f` runs directly.
 #[inline]
@@ -290,63 +303,27 @@ fn memoized(
     b: AttrView<'_>,
     f: impl FnOnce(&mut CharScratch) -> f64,
 ) -> f64 {
-    if cx.memo {
-        cached(s, cx.gen, tag, a.value_id(), b.value_id(), f)
-    } else {
-        f(s)
+    if let Some(v) = memo_get(s, cx, tag, a, b) {
+        return v;
     }
+    let v = f(s);
+    memo_put(s, cx, tag, a, b, v);
+    v
 }
 
 // ---- Myers bit-parallel edit distance ------------------------------------
 
-/// Exact Levenshtein distance between two interned char-id sequences via
-/// Myers' bit-parallel algorithm. `pool` is the char intern-pool size
-/// (every id in `a` and `b` is `< pool`).
+/// Exact Levenshtein distance between the raw char ids of two values via
+/// Myers' bit-parallel algorithm, over `⌈m/64⌉` u64 blocks with carry
+/// propagation between blocks — the blocked formulation of Myers (1999)
+/// as corrected by Hyyrö. `pool` is the char intern-pool size.
 ///
-/// Identical common prefixes and suffixes are trimmed first (unit-cost
-/// edit distance is invariant under shared-affix removal), the shorter
-/// remainder becomes the pattern, and the bit matrix runs over
-/// `⌈m/64⌉` u64 blocks with carry propagation between blocks — the
-/// blocked formulation of Myers (1999) as corrected by Hyyrö.
-pub fn myers_distance(a: &[u32], b: &[u32], pool: usize, s: &mut CharScratch) -> usize {
-    // Shared-affix trim: often collapses near-duplicates to a few chars
-    // and drops long inputs into the single-word fast path.
-    let prefix = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
-    let (a, b) = (&a[prefix..], &b[prefix..]);
-    let suffix = a
-        .iter()
-        .rev()
-        .zip(b.iter().rev())
-        .take_while(|(x, y)| x == y)
-        .count();
-    let (a, b) = (&a[..a.len() - suffix], &b[..b.len() - suffix]);
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-
-    // Distance is symmetric; the shorter side as pattern minimizes words.
-    let (pat, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let m = pat.len();
-    let words = m.div_ceil(64);
-    build_peq(pat, pool, words, &mut s.peq);
-    match words {
-        1 => myers_64(&s.peq, text, m),
-        2 => myers_128(&s.peq, text, m),
-        _ => myers_blocked(&s.peq, &mut s.pv, &mut s.mv, text, m, words),
-    }
-}
-
-/// Myers through the persistent pattern table: `a` is always the
-/// pattern, and its Peq table survives in the scratch until a different
-/// value (or analysis generation) shows up. Candidate streams arrive
-/// grouped by the left record, so the build amortizes across a whole run
-/// of pairs. Affix trimming is skipped — a trim would shift the pattern
-/// masks per pair, defeating the reuse — and fixing the pattern side is
-/// sound because unit-cost edit distance is symmetric: the same integer
-/// comes out whichever side drives the bit matrix.
+/// `a` is always the pattern, and its Peq table survives in the scratch
+/// until a different value (or analysis generation) shows up. Candidate
+/// streams arrive grouped by the left record, so the build amortizes
+/// across a whole run of pairs. Fixing the pattern side is sound because
+/// unit-cost edit distance is symmetric: the same integer comes out
+/// whichever side drives the bit matrix.
 fn myers_distance_pat(
     a: AttrView<'_>,
     b: AttrView<'_>,
@@ -370,7 +347,6 @@ fn myers_distance_pat(
     }
     match words {
         1 => myers_64(&s.pat_peq, text, m),
-        2 => myers_128(&s.pat_peq, text, m),
         _ => myers_blocked(&s.pat_peq, &mut s.pv, &mut s.mv, text, m, words),
     }
 }
@@ -417,55 +393,6 @@ fn myers_64(peq: &[u64], text: &[u32], m: usize) -> usize {
         let mh = mh << 1;
         pv = mh | !(xv | ph);
         mv = ph & xv;
-    }
-    score as usize
-}
-
-/// Two-word Myers (`64 < m ≤ 128`): the blocked recurrence with both
-/// blocks' bit vectors held in registers instead of scratch slices —
-/// the same per-block steps as [`myers_blocked`] with `words == 2`,
-/// fully unrolled (block 0 always enters with `hin = +1`).
-#[inline]
-fn myers_128(peq: &[u64], text: &[u32], m: usize) -> usize {
-    let (mut pv0, mut pv1) = (!0u64, !0u64);
-    let (mut mv0, mut mv1) = (0u64, 0u64);
-    let mut score = m as i64;
-    let top = 1u64 << ((m - 1) % 64);
-    const HIGH: u64 = 1u64 << 63;
-    for &tc in text {
-        let base = tc as usize * 2;
-        let eq = peq[base];
-        let xv = eq | mv0;
-        let xh = (((eq & pv0).wrapping_add(pv0)) ^ pv0) | eq;
-        let ph = mv0 | !(xh | pv0);
-        let mh = pv0 & xh;
-        let mut hin: i32 = 0;
-        if ph & HIGH != 0 {
-            hin = 1;
-        } else if mh & HIGH != 0 {
-            hin = -1;
-        }
-        let ph = (ph << 1) | 1;
-        let mh = mh << 1;
-        pv0 = mh | !(xv | ph);
-        mv0 = ph & xv;
-
-        let eq = peq[base + 1];
-        let hin_neg = u64::from(hin < 0);
-        let eq_in = eq | hin_neg;
-        let xv = eq | mv1;
-        let xh = (((eq_in & pv1).wrapping_add(pv1)) ^ pv1) | eq_in;
-        let ph = mv1 | !(xh | pv1);
-        let mh = pv1 & xh;
-        if ph & top != 0 {
-            score += 1;
-        } else if mh & top != 0 {
-            score -= 1;
-        }
-        let ph = (ph << 1) | u64::from(hin > 0);
-        let mh = (mh << 1) | hin_neg;
-        pv1 = mh | !(xv | ph);
-        mv1 = ph & xv;
     }
     score as usize
 }
@@ -552,7 +479,9 @@ pub(crate) fn levenshtein_pre(
 /// Jaro similarity over char-id slices via bitset matching: one
 /// availability bitmask row per pool char (direct-indexed, like the
 /// Myers Peq) lets each `a` char find its match with a find-first-set
-/// over one or two words instead of a linear window scan.
+/// per word of its window instead of a linear window scan: one word
+/// for `b` up to 64 chars, a loop over the window's words past that.
+/// Sequences of at most 8 chars take the plain window scan.
 ///
 /// The greedy semantics are the reference's exactly — the lowest untaken
 /// matching `b` position inside the window, processed in `a` order — so
@@ -625,32 +554,6 @@ fn jaro_ids(a: &[u32], b: &[u32], pool: usize, s: &mut CharScratch) -> f64 {
             }
         }
         return jaro_finish(a, b, &[taken], &s.a_matches);
-    }
-
-    // Two-word specialization (b up to 128 chars — e.g. paper titles):
-    // same one-load-two-shifts structure as the single-word path, widened
-    // to u128 so the window never straddles a word boundary in code.
-    if words == 2 {
-        let mut taken = 0u128;
-        s.a_matches.clear();
-        for (i, &ca) in a.iter().enumerate() {
-            let lo = i.saturating_sub(window);
-            let hi = (i + window + 1).min(b.len());
-            if lo >= hi {
-                continue;
-            }
-            let base = ca as usize * 2;
-            let avail = u128::from(s.peq[base]) | (u128::from(s.peq[base + 1]) << 64);
-            let mask = avail & (!0u128 << lo) & (!0u128 >> (128 - hi));
-            if mask != 0 {
-                let bit = mask & mask.wrapping_neg();
-                let j = bit.trailing_zeros() as usize;
-                s.peq[base + j / 64] ^= 1u64 << (j % 64);
-                taken |= bit;
-                s.a_matches.push(ca);
-            }
-        }
-        return jaro_finish(a, b, &[taken as u64, (taken >> 64) as u64], &s.a_matches);
     }
 
     if s.taken.len() < words {
@@ -868,11 +771,9 @@ pub(crate) fn monge_elkan_run(
             put(row, if na == nb { 1.0 } else { 0.0 });
             continue;
         }
-        if cx.memo {
-            if let Some(v) = cache_get(s, cx.gen, TAG_ME, a.value_id(), b.value_id()) {
-                put(row, v);
-                continue;
-            }
+        if let Some(v) = memo_get(s, cx, TAG_ME, a, b) {
+            put(row, v);
+            continue;
         }
         chunk.add(i, s);
         if chunk.pairs.len() > 1 && chunk.columns.len() * m > ME_GRID_CELLS {
@@ -1020,9 +921,7 @@ impl MeChunk<'_, '_> {
             let fwd: f64 = a.word_dedup_rank().iter().map(|&r| best_row[r as usize]).sum();
             let bwd: f64 = b.word_dedup_rank().iter().map(|&c| best_col[own[c as usize] as usize]).sum();
             let v = (fwd / na + bwd / b.n_word_tokens() as f64) / 2.0;
-            if cx.memo {
-                cache_put(s, cx.gen, TAG_ME, a.value_id(), b.value_id(), v);
-            }
+            memo_put(s, cx, TAG_ME, a, b, v);
             put(row, v);
         }
         s.me_grid = grid;
@@ -1060,214 +959,16 @@ fn fold_max(acc: &mut [f64], x: &[f64]) {
 
 // ---- Smith-Waterman ------------------------------------------------------
 
-/// Length cap for the 16-bit Smith-Waterman path. The DP values are
-/// bounded by `2·min(|a|,|b|)` and the row form's scanned offset
-/// `partial + j` by `2·min(|a|,|b|) + |b| − 1 ≤ 3·len − 1`, so with both
-/// lengths capped at 8192 every intermediate stays well inside `i16`
-/// and the 16-bit arithmetic is integer-identical to the 32-bit form.
+/// Length cap for a sequence in a Smith-Waterman lane ([`lane_seq`]).
+/// Every DP value is bounded by `2·min(|a|,|b|)`, so with both lengths
+/// capped at 8192 every intermediate (a cell plus a `+2` match step)
+/// stays well inside `i16`, and the 16-bit arithmetic is
+/// integer-identical to the reference's.
 const SW_I16_MAX_LEN: usize = 8192;
 
-/// Right sequences one lane-form DP sweep aligns at once: 16 `i16`
-/// cells fill one 256-bit vector, or two SSE2 registers at the default
-/// target.
+/// Right sequences one lane DP sweep aligns at once: 16 `i16` cells fill
+/// one 256-bit vector, or two SSE2 registers at the default target.
 const SW_LANES: usize = 16;
-
-/// Generates one cell-width instantiation of the two Smith-Waterman
-/// forms. The bodies are textually shared so the 16-bit variants cannot
-/// drift from the 32-bit ones: only the char type, cell type, and the
-/// scratch buffers differ. The recurrence replicates `align`'s exactly —
-/// every intermediate fits the cell type (`i32` unconditionally; `i16`
-/// under the [`SW_I16_MAX_LEN`] gate enforced by the dispatcher), so the
-/// integer arithmetic is identical at either width.
-macro_rules! sw_forms {
-    ($score:ident, $diag:ident, $ch:ty, $cell:ty,
-     $prev:ident, $cur:ident, $diagbuf:ident, $brev:ident) => {
-        /// Smith-Waterman local-alignment score over char-id slices
-        /// with reusable DP rows.
-        fn $score(a: &[$ch], b: &[$ch], s: &mut CharScratch) -> i64 {
-            if a.is_empty() || b.is_empty() {
-                return 0;
-            }
-            if a == b {
-                // The identity alignment scores the 2·|a| upper bound,
-                // so it is the DP's exact best.
-                return 2 * a.len() as i64;
-            }
-            // Longer inputs amortize the anti-diagonal form's
-            // per-diagonal setup; the crossover sits near 40 chars in
-            // microbenchmarks.
-            if a.len().min(b.len()) >= 40 {
-                return $diag(a, b, s);
-            }
-            s.$prev.clear();
-            s.$prev.resize(b.len() + 1, 0);
-            s.$cur.clear();
-            s.$cur.resize(b.len() + 1, 0);
-            let mut best: $cell = 0;
-            for &ca in a {
-                // The reference recurrence is
-                //   v[j] = max(diag + s, up − 1, v[j−1] − 1, 0).
-                // Let partial[j] = max(diag + s, up − 1, 0)
-                // (previous-row terms only). Unrolling the v[j−1]
-                // dependency gives
-                //   v[j] = max over k ≤ j of (partial[k] − (j − k))
-                //        = prefixmax(partial[k] + k) − j,
-                // so the row splits into an elementwise pass with no
-                // loop-carried state (vectorizable) and a prefix-max
-                // scan whose carried chain is a single integer max.
-                // Integer max is associative and commutative, so every
-                // cell equals the reference's exactly.
-                let n = b.len();
-                let prev = &s.$prev[..n + 1];
-                let cur = &mut s.$cur[1..n + 1];
-                // Elementwise pass: no loop-carried state, bounds
-                // pre-established — the form LLVM's auto-vectorizer
-                // handles (compare + blend for the score, packed max
-                // for the clamps, iota for `+ j`).
-                for j in 0..n {
-                    let partial = (prev[j] + if b[j] == ca { 2 } else { -1 })
-                        .max(prev[j + 1] - 1)
-                        .max(0);
-                    cur[j] = partial + j as $cell;
-                }
-                // Serial scan. `best` tracks the row max of partial
-                // (= *c − j), not of the scanned value: each scanned
-                // max(partial[k] − (j − k), k ≤ j) is bounded by some
-                // partial and reaches it at j = k, so the two row
-                // maxima are the same integer. Keeping the reduction
-                // out of the first loop leaves it free of carried
-                // dependencies.
-                let mut m = <$cell>::MIN;
-                for (j, c) in cur.iter_mut().enumerate() {
-                    m = m.max(*c);
-                    best = best.max(*c - j as $cell);
-                    *c = m - j as $cell;
-                }
-                std::mem::swap(&mut s.$prev, &mut s.$cur);
-            }
-            i64::from(best)
-        }
-
-        /// Anti-diagonal Smith-Waterman for longer inputs. Every cell
-        /// on the anti-diagonal `d = i + j` depends only on diagonals
-        /// `d−1` and `d−2`, so a whole diagonal computes elementwise
-        /// with no carried state — not even the row form's prefix-max
-        /// scan. `b` is reversed once up front so both sequences
-        /// advance forward along a diagonal. Cell for cell this
-        /// evaluates the identical integer recurrence, so the score is
-        /// exactly the row form's (and the reference's).
-        fn $diag(a: &[$ch], b: &[$ch], s: &mut CharScratch) -> i64 {
-            let m = a.len();
-            let n = b.len();
-            s.$brev.clear();
-            s.$brev.extend(b.iter().rev());
-            for v in [&mut s.$prev, &mut s.$cur, &mut s.$diagbuf] {
-                v.clear();
-                v.resize(m + 2, 0);
-            }
-            let mut best: $cell = 0;
-            // Rolling diagonals, indexed at `i + 1` so reads at `i − 1`
-            // land on a real slot. A slot is only ever read as a cell
-            // of diagonal `d−1` or `d−2` if that diagonal's valid range
-            // actually wrote it (the ranges shift by at most one per
-            // step); otherwise it still holds a zero from
-            // initialization — exactly the out-of-matrix boundary
-            // value.
-            let mut p2 = std::mem::take(&mut s.$diagbuf);
-            let mut p1 = std::mem::take(&mut s.$prev);
-            let mut cur = std::mem::take(&mut s.$cur);
-            for d in 0..(m + n - 1) {
-                // Cells (i, d − i) with lo ≤ i ≤ hi are inside the
-                // matrix.
-                let lo = d.saturating_sub(n - 1);
-                let hi = d.min(m - 1);
-                let aw = &a[lo..hi + 1];
-                // b[d − i] = brev[n − 1 − d + i]: forward in i.
-                let bw = &s.$brev[(lo + n - 1 - d)..(hi + n - d)];
-                let len = hi - lo + 1;
-                let p2w = &p2[lo..hi + 1];
-                let p1dw = &p1[lo..hi + 1];
-                let p1uw = &p1[lo + 1..hi + 2];
-                let curw = &mut cur[lo + 1..hi + 2];
-                // Index-based over equal-length windows (bounds
-                // established by the slicing above) — the flat shape
-                // the auto-vectorizer handles more reliably than a
-                // five-way nested zip.
-                for k in 0..len {
-                    let sc = if aw[k] == bw[k] { 2 } else { -1 };
-                    curw[k] = (p2w[k] + sc).max(p1dw[k].max(p1uw[k]) - 1).max(0);
-                }
-                let mut dm: $cell = 0;
-                for &v in curw.iter() {
-                    dm = dm.max(v);
-                }
-                best = best.max(dm);
-                let t = p2;
-                p2 = p1;
-                p1 = cur;
-                cur = t;
-            }
-            s.$diagbuf = p2;
-            s.$prev = p1;
-            s.$cur = cur;
-            i64::from(best)
-        }
-    };
-}
-
-sw_forms!(
-    smith_waterman_score_ids,
-    smith_waterman_score_diag,
-    u32,
-    i32,
-    sw_prev,
-    sw_cur,
-    sw_diag,
-    sw_brev
-);
-sw_forms!(
-    smith_waterman_score_ids16,
-    smith_waterman_score_diag16,
-    i16,
-    i16,
-    sw_prev16,
-    sw_cur16,
-    sw_diag16,
-    sw_brev16
-);
-
-/// Normalized Smith-Waterman over the precomputed lowercased char ids;
-/// mirrors `align::smith_waterman_similarity` (which scores and
-/// normalizes over the lower-cased sequences).
-pub(crate) fn smith_waterman_pre(
-    a: AttrView<'_>,
-    b: AttrView<'_>,
-    cx: Ctx,
-    s: &mut CharScratch,
-) -> f64 {
-    memoized(s, cx, TAG_SW, a, b, |s| {
-        let (ca, cb) = (a.lower_char_ids(), b.lower_char_ids());
-        if ca.is_empty() && cb.is_empty() {
-            return 1.0;
-        }
-        if ca.is_empty() || cb.is_empty() {
-            return 0.0;
-        }
-        // 16-bit path when both sides carry narrowed ids (empty means
-        // the char pool overflowed i16 — `ca`/`cb` are non-empty here)
-        // and the lengths keep every DP intermediate inside i16.
-        let (ca16, cb16) = (a.lower_char_i16(), b.lower_char_i16());
-        let score = if ca16.len() == ca.len()
-            && cb16.len() == cb.len()
-            && ca.len().max(cb.len()) <= SW_I16_MAX_LEN
-        {
-            smith_waterman_score_ids16(ca16, cb16, s)
-        } else {
-            smith_waterman_score_ids(ca, cb, s)
-        };
-        sw_similarity(score, ca.len(), cb.len())
-    })
-}
 
 /// The reference's normalization of a local-alignment score of two
 /// non-empty sequences of lengths `la` and `lb`.
@@ -1287,14 +988,16 @@ fn lane_seq(v: AttrView<'_>) -> Option<&[i16]> {
 }
 
 /// Normalized Smith-Waterman of one left value `a` against a run of
-/// right values `bs` (each with the output row it belongs to), bit-equal
-/// to [`smith_waterman_pre`] on every pair; `put(row, score)` receives
-/// each result.
+/// right values `bs` (each with the output row it belongs to), over the
+/// precomputed lowercased sequences: `align::smith_waterman_similarity`
+/// bit for bit on every pair, a lone pair being a run of one. `put(row,
+/// score)` receives each result.
 ///
-/// Pairs whose sequences can both ride a lane ([`lane_seq`]) are
+/// On attributes whose values recur the whole-value memo is checked per
+/// pair first, as in [`monge_elkan_run`]. The pairs it misses are
 /// grouped by right-sequence length, sixteen to a group, and scored by
-/// [`sw_lanes`]. The rest — and a run with fewer than two lane pairs —
-/// take the per-pair forms.
+/// [`sw_lanes`]; a pair a lane cannot hold ([`lane_seq`]) takes
+/// [`sw_fallback`].
 pub(crate) fn smith_waterman_run(
     a: AttrView<'_>,
     bs: &[(usize, AttrView<'_>)],
@@ -1302,30 +1005,37 @@ pub(crate) fn smith_waterman_run(
     s: &mut CharScratch,
     mut put: impl FnMut(usize, f64),
 ) {
+    let ca = a.lower_char_ids();
     let qa = lane_seq(a);
-    let n_lane = match qa {
-        Some(_) => bs.iter().filter(|&&(_, b)| lane_seq(b).is_some()).count(),
-        None => 0,
-    };
-    let mut laned: Vec<(usize, &[i16])> = Vec::with_capacity(n_lane);
+    let mut laned: Vec<(usize, AttrView<'_>, &[i16])> = Vec::with_capacity(bs.len());
     for &(row, b) in bs {
-        match lane_seq(b) {
-            Some(qb) if n_lane >= 2 => laned.push((row, qb)),
-            _ => put(row, smith_waterman_pre(a, b, cx, s)),
+        let cb = b.lower_char_ids();
+        if ca.is_empty() || cb.is_empty() {
+            put(row, if ca.len() == cb.len() { 1.0 } else { 0.0 });
+        } else if let Some(v) = memo_get(s, cx, TAG_SW, a, b) {
+            put(row, v);
+        } else if let (Some(_), Some(qb)) = (qa, lane_seq(b)) {
+            laned.push((row, b, qb));
+        } else {
+            let v = sw_similarity(sw_fallback(ca, cb, s), ca.len(), cb.len());
+            memo_put(s, cx, TAG_SW, a, b, v);
+            put(row, v);
         }
     }
     let Some(qa) = qa else { return };
     // A group sweeps to its longest sequence; similar lengths together
     // leave the least padding.
-    laned.sort_unstable_by_key(|&(_, qb)| qb.len());
+    laned.sort_unstable_by_key(|&(_, _, qb)| qb.len());
     let mut group: [&[i16]; SW_LANES] = [&[]; SW_LANES];
     for chunk in laned.chunks(SW_LANES) {
-        for (g, &(_, qb)) in group.iter_mut().zip(chunk) {
+        for (g, &(_, _, qb)) in group.iter_mut().zip(chunk) {
             *g = qb;
         }
         let scores = sw_lanes(qa, &group[..chunk.len()], s);
-        for (&score, &(row, qb)) in scores.iter().zip(chunk) {
-            put(row, sw_similarity(i64::from(score), qa.len(), qb.len()));
+        for (&score, &(row, b, qb)) in scores.iter().zip(chunk) {
+            let v = sw_similarity(i64::from(score), qa.len(), qb.len());
+            memo_put(s, cx, TAG_SW, a, b, v);
+            put(row, v);
         }
     }
 }
@@ -1386,6 +1096,27 @@ fn sw_lanes(a: &[i16], bs: &[&[i16]], s: &mut CharScratch) -> [i16; SW_LANES] {
     best
 }
 
+/// Smith-Waterman score of two sequences by the reference recurrence
+/// `max(diag ± score, up − 1, left − 1, 0)` in two rolling rows: the
+/// path of the pairs no lane holds ([`lane_seq`]).
+fn sw_fallback(a: &[u32], b: &[u32], s: &mut CharScratch) -> i64 {
+    let n = b.len();
+    s.sw_rows.clear();
+    s.sw_rows.resize(2 * (n + 1), 0);
+    let (mut prev, mut cur) = s.sw_rows.split_at_mut(n + 1);
+    let mut best = 0;
+    for &ca in a {
+        // Column 0 of every row is the zero boundary.
+        for (j, &cb) in b.iter().enumerate() {
+            let diag = prev[j] + if ca == cb { 2 } else { -1 };
+            cur[j + 1] = diag.max(prev[j + 1] - 1).max(cur[j] - 1).max(0);
+            best = best.max(cur[j + 1]);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1405,27 +1136,50 @@ mod tests {
         (ids(a), ids(b), pool.len())
     }
 
-    fn myers(a: &str, b: &str) -> usize {
-        let (ia, ib, pool) = intern(a, b);
-        let mut s = CharScratch::default();
-        myers_distance(&ia, &ib, pool, &mut s)
+    /// An analysis of one text attribute: table A holds `xs`, B `ys`.
+    fn analyzed(xs: &[&str], ys: &[&str]) -> TaskAnalysis {
+        use crate::analysis::analyze_task;
+        use crate::record::{Attribute, Schema, Table, Value};
+        use std::sync::Arc;
+        let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+        let rows = |ts: &[&str]| ts.iter().map(|t| vec![Value::Text(t.to_string())]).collect();
+        let a = Table::new("a", schema.clone(), rows(xs));
+        let b = Table::new("b", schema, rows(ys));
+        analyze_task(&a, &b, &[None], exec::Threads::new(1))
+    }
+
+    fn strs(v: &[String]) -> Vec<&str> {
+        v.iter().map(String::as_str).collect()
+    }
+
+    /// Myers through the pattern table against the reference DP on every
+    /// pair of `xs × ys`, over one analysis and the scratch `s`: left value
+    /// by left value (a run keeps its pattern table), then right value by
+    /// right value (the pattern changes at every pair).
+    fn check_myers(xs: &[&str], ys: &[&str], s: &mut CharScratch) {
+        let an = analyzed(xs, ys);
+        let check = |i: usize, j: usize, s: &mut CharScratch| {
+            let (a, b) = (an.attr_a(i as u32, 0).unwrap(), an.attr_b(j as u32, 0).unwrap());
+            let got = myers_distance_pat(a, b, an.stats.distinct_chars, an.generation, s);
+            assert_eq!(got, edit::levenshtein(xs[i], ys[j]), "({:?}, {:?})", xs[i], ys[j]);
+        };
+        for i in 0..xs.len() {
+            for j in 0..ys.len() {
+                check(i, j, s);
+            }
+        }
+        for j in 0..ys.len() {
+            for i in 0..xs.len() {
+                check(i, j, s);
+            }
+        }
     }
 
     #[test]
     fn myers_matches_dp_on_classics() {
-        for (a, b) in [
-            ("kitten", "sitting"),
-            ("", "abc"),
-            ("abc", ""),
-            ("", ""),
-            ("flaw", "lawn"),
-            ("café", "cafe"),
-            ("abc", "abc"),
-            ("a", "b"),
-            ("ab", "ba"),
-        ] {
-            assert_eq!(myers(a, b), edit::levenshtein(a, b), "({a:?}, {b:?})");
-        }
+        let lefts = ["kitten", "", "abc", "flaw", "café", "a", "ab"];
+        let rights = ["sitting", "abc", "", "lawn", "cafe", "b", "ba"];
+        check_myers(&lefts, &rights, &mut CharScratch::default());
     }
 
     #[test]
@@ -1441,38 +1195,21 @@ mod tests {
                 })
                 .collect()
         };
-        for la in [1usize, 7, 63, 64, 65, 100, 127, 128, 129, 200] {
-            for lb in [1usize, 63, 64, 65, 130] {
-                let a = gen(la as u64 * 31 + 7, la);
-                let b = gen(lb as u64 * 17 + 3, lb);
-                assert_eq!(
-                    myers(&a, &b),
-                    edit::levenshtein(&a, &b),
-                    "lengths ({la}, {lb})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn myers_affix_trimming_is_sound() {
-        // Shared prefix + suffix around a differing core, crossing the
-        // word boundary so the trim changes the block count.
-        let pre = "x".repeat(60);
-        let suf = "y".repeat(60);
-        let a = format!("{pre}hello{suf}");
-        let b = format!("{pre}hallo{suf}");
-        assert_eq!(myers(&a, &b), 1);
-        assert_eq!(myers(&a, &a), 0);
-        let c = format!("{pre}{suf}");
-        assert_eq!(myers(&a, &c), 5);
+        let lefts: Vec<String> = [1usize, 7, 63, 64, 65, 100, 127, 128, 129, 200]
+            .iter()
+            .map(|&la| gen(la as u64 * 31 + 7, la))
+            .collect();
+        let rights: Vec<String> =
+            [1usize, 63, 64, 65, 130].iter().map(|&lb| gen(lb as u64 * 17 + 3, lb)).collect();
+        check_myers(&strs(&lefts), &strs(&rights), &mut CharScratch::default());
     }
 
     #[test]
     fn scratch_reuse_does_not_leak_state() {
-        // Back-to-back calls with very different alphabets and sizes on
-        // ONE scratch must each match the reference — stale map/peq/pv
-        // state would corrupt the later calls.
+        // Back-to-back analyses with very different alphabets and sizes,
+        // whose values reuse the same ids, on ONE scratch must each match
+        // the reference — a stale pattern table or pv/mv state would
+        // corrupt the later calls.
         let cases = [
             ("kingston hyperx 4gb kit of two modules and a heat spreader, extended edition", "kingston hyper-x 4 gb kit"),
             ("ab", "ba"),
@@ -1481,12 +1218,7 @@ mod tests {
         ];
         let mut s = CharScratch::default();
         for (a, b) in cases {
-            let (ia, ib, pool) = intern(a, b);
-            assert_eq!(
-                myers_distance(&ia, &ib, pool, &mut s),
-                edit::levenshtein(a, b),
-                "({a:?}, {b:?})"
-            );
+            check_myers(&[a], &[b], &mut s);
         }
     }
 
@@ -1543,83 +1275,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn smith_waterman_ids_matches_reference_scores() {
-        use crate::align;
-        let mut s = CharScratch::default();
-        for (a, b) in [
-            ("kingston", "kingston"),
-            ("aaaa", "bbbb"),
-            ("khx1600c9d3k3", "kingston hyperx khx1600c9d3k3 12gb kit"),
-            ("kingston", "king-ston"),
-        ] {
-            let (ia, ib, _) = intern(a, b);
-            // Inputs are pre-lowercased here, so the reference's own
-            // lowercasing is the identity and scores must agree.
-            assert_eq!(
-                smith_waterman_score_ids(&ia, &ib, &mut s),
-                align::smith_waterman_score(a, b),
-                "({a:?}, {b:?})"
-            );
-        }
-    }
-
-    #[test]
-    fn smith_waterman_row_and_diag_forms_match_reference() {
-        use crate::align;
-        // Length sweep straddling the 40-char row/diagonal crossover,
-        // including strongly asymmetric pairs, on deterministic
-        // pseudo-random strings over a small alphabet (frequent matches).
-        let gen = |seed: u64, len: usize| -> String {
-            let mut x = seed | 1;
-            (0..len)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    char::from(b'a' + ((x >> 33) % 6) as u8)
-                })
-                .collect()
-        };
-        let mut s = CharScratch::default();
-        for la in [1usize, 8, 25, 39, 40, 41, 70, 110] {
-            for lb in [1usize, 12, 40, 64, 90, 150] {
-                let a = gen(la as u64 * 131 + 3, la);
-                let b = gen(lb as u64 * 17 + 11, lb);
-                let (ia, ib, _) = intern(&a, &b);
-                let want = align::smith_waterman_score(&a, &b);
-                assert_eq!(
-                    smith_waterman_score_ids(&ia, &ib, &mut s),
-                    want,
-                    "dispatch ({la}, {lb})"
-                );
-                // Both forms must agree with the reference regardless of
-                // the dispatch length gate.
-                if !ia.is_empty() && !ib.is_empty() {
-                    assert_eq!(
-                        smith_waterman_score_diag(&ia, &ib, &mut s),
-                        want,
-                        "diag ({la}, {lb})"
-                    );
-                }
-                // The 16-bit instantiations must agree cell-for-cell:
-                // same grid through the narrowed ids.
-                let ia16: Vec<i16> = ia.iter().map(|&c| c as i16).collect();
-                let ib16: Vec<i16> = ib.iter().map(|&c| c as i16).collect();
-                assert_eq!(
-                    smith_waterman_score_ids16(&ia16, &ib16, &mut s),
-                    want,
-                    "dispatch16 ({la}, {lb})"
-                );
-                if !ia16.is_empty() && !ib16.is_empty() {
-                    assert_eq!(
-                        smith_waterman_score_diag16(&ia16, &ib16, &mut s),
-                        want,
-                        "diag16 ({la}, {lb})"
-                    );
-                }
-            }
-        }
-    }
-
     /// Deterministic pseudo-random lowercase strings over a small
     /// alphabet (frequent matches), so the reference lowercasing is the
     /// identity.
@@ -1638,14 +1293,55 @@ mod tests {
     }
 
     #[test]
+    fn sw_fallback_matches_reference() {
+        use crate::align;
+        // A length grid with strongly asymmetric pairs.
+        let mut s = CharScratch::default();
+        for la in [1usize, 8, 25, 39, 40, 41, 70, 110] {
+            for lb in [1usize, 12, 40, 64, 90, 150] {
+                let a = lane_text(la as u64 * 131 + 3, la);
+                let b = lane_text(lb as u64 * 17 + 11, lb);
+                let (ia, ib, _) = intern(&a, &b);
+                let want = align::smith_waterman_score(&a, &b);
+                assert_eq!(sw_fallback(&ia, &ib, &mut s), want, "lengths ({la}, {lb})");
+            }
+        }
+    }
+
+    #[test]
+    fn smith_waterman_ids_matches_reference_scores() {
+        use crate::align;
+        let mut s = CharScratch::default();
+        for (a, b) in [
+            ("kingston", "kingston"),
+            ("aaaa", "bbbb"),
+            ("khx1600c9d3k3", "kingston hyperx khx1600c9d3k3 12gb kit"),
+            ("kingston", "king-ston"),
+        ] {
+            let (ia, ib, _) = intern(a, b);
+            // Inputs are pre-lowercased here, so the reference's own
+            // lowercasing is the identity and scores must agree: through
+            // the two-row fallback and through a sweep of one lane, each
+            // from either side.
+            let narrow = |ids: &[u32]| ids.iter().map(|&c| c as i16).collect::<Vec<_>>();
+            let (qa, qb) = (narrow(&ia), narrow(&ib));
+            let want = align::smith_waterman_score(a, b);
+            assert_eq!(sw_fallback(&ia, &ib, &mut s), want, "({a:?}, {b:?})");
+            assert_eq!(sw_fallback(&ib, &ia, &mut s), want, "({b:?}, {a:?})");
+            assert_eq!(i64::from(sw_lanes(&qa, &[&qb], &mut s)[0]), want, "({a:?}, {b:?})");
+            assert_eq!(i64::from(sw_lanes(&qb, &[&qa], &mut s)[0]), want, "({b:?}, {a:?})");
+        }
+    }
+
+    #[test]
     fn sw_lanes_match_reference_scores() {
         use crate::align;
         let mut s = CharScratch::default();
         for la in [1usize, 7, 39, 40, 41, 70] {
             let q = lane_text(la as u64 * 7 + 1, la);
-            // Lengths around the row/diagonal crossover, each lane a
-            // different length (so every lane but the longest is padded),
-            // plus the query itself (identity alignment).
+            // Lengths 1 to 85, each lane a different length (so every
+            // lane but the longest is padded), plus the query itself
+            // (identity alignment).
             let subjects: Vec<String> = (0..SW_LANES)
                 .map(|l| match l {
                     0 => q.clone(),
@@ -1671,13 +1367,11 @@ mod tests {
     #[test]
     fn sw_run_matches_reference_across_lane_counts_and_the_length_cap() {
         use crate::align;
-        use crate::analysis::analyze_task;
-        use crate::record::{Attribute, Schema, Table, Value};
-        use std::sync::Arc;
 
         // B holds a lane-eligible sequence mix, one sequence past the i16
         // cap and one empty value: both must leave the lanes and still
-        // agree with the reference.
+        // agree with the reference. A's second value is too long for any
+        // lane, so its whole run takes the fallback.
         let query = lane_text(3, 40);
         let mut texts: Vec<String> = (0..17)
             .map(|k| lane_text(k as u64 * 17 + 5, 30 + (k * 13) % 25))
@@ -1685,34 +1379,53 @@ mod tests {
         texts[4] = query.clone();
         texts[9] = lane_text(99, SW_I16_MAX_LEN + 5);
         texts[12] = String::new();
-        let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
-        let rows = |ts: &[String]| ts.iter().map(|t| vec![Value::Text(t.clone())]).collect();
-        let a = Table::new("a", schema.clone(), rows(&[query.clone(), lane_text(7, 9000)]));
-        let b = Table::new("b", schema, rows(&texts));
-        let an = analyze_task(&a, &b, &[None], exec::Threads::new(1));
-        let cx = Ctx { pool: an.stats.distinct_chars, gen: an.generation, memo: false };
-        let mut s = CharScratch::default();
-        for ra in 0..a.len() as u32 {
-            let av = an.attr_a(ra, 0).expect("text");
-            let x = a.record(ra).value(0).as_text().expect("text");
-            // Every lane count for the short query; the long one (too
-            // long for any lane) once.
-            let first = if ra == 0 { 1 } else { texts.len() };
-            for count in first..=texts.len() {
-                let bs: Vec<(usize, AttrView<'_>)> =
-                    (0..count).map(|k| (k, an.attr_b(k as u32, 0).expect("text"))).collect();
-                let mut got = vec![f64::NAN; count];
-                smith_waterman_run(av, &bs, cx, &mut s, |k, v| got[k] = v);
-                for (k, g) in got.iter().enumerate() {
-                    let want = align::smith_waterman_similarity(x, &texts[k]);
-                    assert_eq!(
-                        g.to_bits(),
-                        want.to_bits(),
-                        "a{ra}, run of {count}, pair {k}: {g} vs {want}"
-                    );
-                }
+        let lefts = [query, lane_text(7, 9000)];
+        let an = analyzed(&strs(&lefts), &strs(&texts));
+        let views = |ra: usize, ks: &[usize]| -> (AttrView<'_>, Vec<(usize, AttrView<'_>)>) {
+            let bs = ks.iter().map(|&k| an.attr_b(k as u32, 0).expect("text"));
+            (an.attr_a(ra as u32, 0).expect("text"), bs.enumerate().collect())
+        };
+        // The run of `lefts[ra]` against the right values `ks`, in order.
+        let check = |ra: usize, ks: &[usize], cx: Ctx, s: &mut CharScratch, what: &str| {
+            let (av, bs) = views(ra, ks);
+            let mut got = vec![f64::NAN; ks.len()];
+            smith_waterman_run(av, &bs, cx, s, |row, v| got[row] = v);
+            for (row, (&k, g)) in ks.iter().zip(&got).enumerate() {
+                let want = align::smith_waterman_similarity(&lefts[ra], &texts[k]);
+                let at = format!("{what}: a{ra}, pair {row} (b{k})");
+                assert_eq!(g.to_bits(), want.to_bits(), "{at}: {g} vs {want}");
             }
+        };
+        let cx = Ctx { pool: an.stats.distinct_chars, gen: an.generation, memo: false };
+        let all: Vec<usize> = (0..texts.len()).collect();
+        let mut s = CharScratch::default();
+        for count in 1..=texts.len() {
+            check(0, &all[..count], cx, &mut s, "lane count");
         }
+        check(1, &all, cx, &mut s, "past the cap");
+
+        // With the memo, each run twice over one analysis: all misses,
+        // then all hits.
+        let memo = Ctx { memo: true, ..cx };
+        let mut s = CharScratch::default();
+        for ra in 0..lefts.len() {
+            check(ra, &all, memo, &mut s, "misses");
+            let (av, bs) = views(ra, &all);
+            for &(k, bv) in &bs {
+                let remembered = memo_get(&mut s, memo, TAG_SW, av, bv).is_some();
+                assert_eq!(remembered, !texts[k].is_empty(), "a{ra}, b{k} remembered");
+            }
+            check(ra, &all, memo, &mut s, "hits");
+        }
+
+        // A run mixing hits (the even right values, remembered by a first
+        // run), misses, and right values repeated within the run.
+        let mut s = CharScratch::default();
+        let evens: Vec<usize> = all.iter().copied().step_by(2).collect();
+        check(0, &evens, memo, &mut s, "the even values");
+        let mixed: Vec<usize> = all.iter().copied().chain([3, 3, 8, 4, 9, 12, 1, 3]).collect();
+        check(0, &mixed, memo, &mut s, "mixed");
+        check(0, &mixed, memo, &mut s, "mixed, again");
     }
 
     #[test]

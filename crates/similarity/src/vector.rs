@@ -137,10 +137,10 @@ impl FeatureVectorizer {
     ///   pattern table across the run;
     /// * Monge-Elkan computes the Jaro-Winkler grid of `a`'s tokens
     ///   against the run's right tokens once for the run
-    ///   ([`charkernels::monge_elkan_run`]), and Smith-Waterman on
-    ///   attributes whose values do not recur scores `a` against sixteen
-    ///   `b`s per DP sweep ([`charkernels::smith_waterman_run`]); both
-    ///   score the whole run after the per-pair loop.
+    ///   ([`charkernels::monge_elkan_run`]), and Smith-Waterman scores `a`
+    ///   against sixteen `b`s per DP sweep
+    ///   ([`charkernels::smith_waterman_run`]); both score the whole run
+    ///   after the per-pair loop.
     ///
     /// # Panics
     /// Panics if `out` does not hold `bs.len()` rows.
@@ -217,10 +217,7 @@ impl FeatureVectorizer {
         let attr = defs[0].attr;
         let va = an.attr_a(a.id, attr);
         // Kinds scored for the whole run at once, after the per-pair loop.
-        let by_run = |kind: FeatureKind| {
-            kind == FeatureKind::MongeElkan
-                || (kind == FeatureKind::SmithWaterman && !an.recurring(attr))
-        };
+        let by_run = |kind| matches!(kind, FeatureKind::MongeElkan | FeatureKind::SmithWaterman);
         if let Some(va) = va {
             marks.mark(va);
         }
@@ -289,9 +286,8 @@ impl FeatureVectorizer {
     /// [`Self::vectorize_attr_run`] neither counts against its left-value
     /// marks nor scores by run: set/vector kernels run allocation-free
     /// over interned ids, and the character-level measures (edit
-    /// distance, Jaro/Jaro-Winkler, Smith-Waterman on attributes whose
-    /// values recur) over the precomputed char-id material in
-    /// [`crate::charkernels`]. Whole-value results are cached only on
+    /// distance, Jaro/Jaro-Winkler) over the precomputed char-id material
+    /// in [`crate::charkernels`]. Whole-value results are cached only on
     /// attributes whose values recur ([`TaskAnalysis::recurring`]).
     fn text_feature(
         &self,
@@ -317,12 +313,12 @@ impl FeatureVectorizer {
             FeatureKind::Levenshtein => charkernels::levenshtein_pre(ra, rb, cx(), s),
             FeatureKind::Jaro => charkernels::jaro_pre(ra, rb, cx(), s),
             FeatureKind::JaroWinkler => charkernels::jaro_winkler_pre(ra, rb, cx(), s),
-            FeatureKind::SmithWaterman => charkernels::smith_waterman_pre(ra, rb, cx(), s),
             FeatureKind::JaccardWords
             | FeatureKind::Jaccard3Grams
             | FeatureKind::OverlapWords
             | FeatureKind::DiceWords
             | FeatureKind::MongeElkan
+            | FeatureKind::SmithWaterman
             | FeatureKind::NumExact
             | FeatureKind::NumRelSim => unreachable!("counted, by run or numeric: {:?}", def.kind),
         }

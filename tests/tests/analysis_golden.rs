@@ -11,14 +11,15 @@
 
 use similarity::{AnalysisStats, AttrView, FeatureVectorizer, TableAnalysis, TaskAnalysis};
 
-/// `(dataset, digest)` at scale 0.05, seed 7. Recorded on the build
-/// before the stats dropped their model of the retired per-value layout,
-/// with only that field left out of the digest, so they pin the current
-/// build to the same bytes.
+/// `(dataset, digest)` at scale 0.05, seed 7. Re-recorded when the
+/// per-occurrence word-token id segment was dropped from the arena: with
+/// that segment, `id_bytes` and `resident_bytes` left out, the digest of
+/// the build before and after the drop was the same, so these pin the
+/// current build to the same bytes.
 const GOLDEN: [(&str, &str); 3] = [
-    ("restaurants", "4475cc86a7e30270"),
-    ("citations", "f2875beb7134afbc"),
-    ("products", "d87da8c1fe22a9c6"),
+    ("restaurants", "03b324e70dbd2033"),
+    ("citations", "fc41f3d60c2565bf"),
+    ("products", "bf72094cdaaf1dc6"),
 ];
 
 /// Length-prefixed little-endian byte sink: a run boundary can never be
@@ -60,7 +61,6 @@ impl Sink {
             v.lower_char_ids(),
             v.word_char_ids(),
             v.word_ends(),
-            v.word_token_ids(),
             v.word_dedup_rank(),
             v.word_dedup_ids(),
             v.word_dedup_first(),
