@@ -7,7 +7,6 @@ use crate::{predict_all, random_training_forest};
 use corleone::metrics::{evaluate, Prf};
 use corleone::{CandidateSet, MatchTask};
 use crowd::{GoldOracle, PairKey};
-use std::collections::HashSet;
 
 /// Result of a baseline run.
 #[derive(Debug, Clone)]
@@ -33,7 +32,7 @@ pub fn run(
     let cand = CandidateSet::build(task, kept);
     let forest = random_training_forest(&cand, gold, n_train, seed);
     let preds = predict_all(&cand, &forest);
-    let predicted: HashSet<PairKey> = preds
+    let predicted: Vec<PairKey> = preds
         .iter()
         .enumerate()
         .filter(|&(_, &p)| p)

@@ -8,7 +8,6 @@ use crate::{predict_all, random_training_forest};
 use corleone::metrics::evaluate;
 use corleone::{CandidateSet, MatchTask};
 use crowd::{GoldOracle, PairKey};
-use std::collections::HashSet;
 
 /// Fraction of the candidate set used for training.
 pub const TRAIN_FRACTION: f64 = 0.2;
@@ -21,7 +20,7 @@ pub fn run(task: &MatchTask, dataset_name: &str, gold: &GoldOracle, seed: u64) -
     let n_train = ((cand.len() as f64 * TRAIN_FRACTION).round() as usize).max(4);
     let forest = random_training_forest(&cand, gold, n_train, seed);
     let preds = predict_all(&cand, &forest);
-    let predicted: HashSet<PairKey> = preds
+    let predicted: Vec<PairKey> = preds
         .iter()
         .enumerate()
         .filter(|&(_, &p)| p)

@@ -12,11 +12,11 @@ use bench::{
     sampled_candidates,
 };
 use corleone::lines::Lines;
+use corleone::ruleeval::label_pool;
 use corleone::{estimate_accuracy, run_active_learning, CorleoneConfig, RunEnv, Threads};
 use crowd::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -63,7 +63,7 @@ fn main() -> ExitCode {
                 Threads::auto(),
             );
             let predictions = cand.predictions(&learn.forest, Threads::auto());
-            let known: HashMap<usize, bool> = learn.crowd_labels().collect();
+            let known = label_pool(cand.len(), learn.crowd_labels());
 
             let mut est_cfg = cfg.estimator;
             est_cfg.scheme = scheme;

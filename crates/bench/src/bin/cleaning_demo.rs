@@ -15,7 +15,6 @@ use forest::{Dataset, ForestConfig, RandomForest};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -78,7 +77,7 @@ fn main() -> ExitCode {
             let (cleaned, report) = clean_forest(
                 &forest,
                 &cand,
-                &HashMap::new(),
+                &vec![None; cand.len()],
                 &mut platform,
                 &gold,
                 &CleanerConfig { min_coverage: 5, ..Default::default() },

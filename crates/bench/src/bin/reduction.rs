@@ -12,11 +12,10 @@ use bench::{
     sampled_candidates,
 };
 use corleone::lines::Lines;
-use corleone::ruleeval::RuleEvalConfig;
+use corleone::ruleeval::{label_pool, RuleEvalConfig};
 use corleone::{locate_difficult_pairs, run_active_learning, CorleoneConfig, RunEnv, Threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -55,7 +54,7 @@ fn main() -> ExitCode {
             &mut rng,
             Threads::auto(),
         );
-        let known: HashMap<usize, bool> = m1.crowd_labels().collect();
+        let known = label_pool(cand.len(), m1.crowd_labels());
         let within: Vec<usize> = (0..cand.len()).collect();
         let located = locate_difficult_pairs(
             &cand,
@@ -93,12 +92,11 @@ fn main() -> ExitCode {
             Threads::auto(),
         );
         let sub_pred = sub.predictions(&m2.forest, Threads::auto());
-        let pos_in_sub: HashMap<usize, bool> = difficult
-            .iter()
-            .enumerate()
-            .map(|(j, &g)| (g, sub_pred[j]))
-            .collect();
-        let after = gold_prf(&cand, difficult.iter().copied(), &gold, |i| pos_in_sub[&i]);
+        let mut pos_in_sub = vec![false; cand.len()];
+        for (&g, &p) in difficult.iter().zip(&sub_pred) {
+            pos_in_sub[g] = p;
+        }
+        let after = gold_prf(&cand, difficult.iter().copied(), &gold, |i| pos_in_sub[i]);
 
         rows.push(vec![
             name.clone(),

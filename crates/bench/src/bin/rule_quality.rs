@@ -11,13 +11,14 @@ use bench::{
     dataset, make_platform, make_task, mean, parse_args, render_table, sampled_candidates,
 };
 use corleone::lines::Lines;
-use corleone::ruleeval::{evaluate_rules_jointly, labeled_as, select_top_rules, RuleEvalConfig};
+use corleone::ruleeval::{
+    evaluate_rules_jointly, label_pool, labeled_as, select_top_rules, RuleEvalConfig,
+};
 use corleone::{run_active_learning, CandidateSet, CorleoneConfig, Threads};
 use crowd::TruthOracle;
 use forest::{negative_rules, positive_rules, Rule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 /// True precision of a rule over the candidate subset it covers.
@@ -66,7 +67,7 @@ fn main() -> ExitCode {
                 &mut rng,
                 Threads::auto(),
             );
-        let known: HashMap<usize, bool> = learn.crowd_labels().collect();
+        let known = label_pool(cand.len(), learn.crowd_labels());
         let known_pos = labeled_as(&known, true);
         let known_neg = labeled_as(&known, false);
 

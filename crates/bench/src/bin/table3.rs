@@ -6,8 +6,6 @@ use baselines::dev_blocker;
 use bench::{dollars, make_task, mean, parse_args, pct, render_table, run_corleone};
 use corleone::lines::Lines;
 use corleone::metrics::blocking_recall;
-use crowd::PairKey;
-use std::collections::HashSet;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -43,8 +41,7 @@ fn main() -> ExitCode {
             // Developer blocker comparison (§9.2).
             let (task, gold) = make_task(&ds);
             let kept = dev_blocker::apply(&task, dev_blocker::rule_for(name));
-            let kept_set: HashSet<PairKey> = kept.iter().copied().collect();
-            dev_recall.push(blocking_recall(&kept_set, gold.matches()));
+            dev_recall.push(blocking_recall(&kept, gold.matches()));
             dev_size.push(kept.len() as f64);
         }
         rows.push(vec![

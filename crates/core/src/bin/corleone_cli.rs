@@ -16,7 +16,12 @@
 //!     --instruction "match if same person" \
 //!     --pos 0:0,1:1 --neg 0:5,2:7 --interactive
 //! ```
+//!
+//! Stdout, interactive questions included, goes through
+//! [`corleone::lines::Lines`]: a reader that closes the pipe early ends
+//! the printing, not the run, and `--out` is still written.
 
+use corleone::lines::Lines;
 use corleone::{CorleoneConfig, Engine, MatchTask, RunSession};
 use crowd::hit::render_question;
 use crowd::{CrowdConfig, CrowdPlatform, GoldOracle, PairKey, TruthOracle, WorkerPool};
@@ -24,8 +29,8 @@ use similarity::csv::{parse_csv, table_from_csv, table_from_csv_with_schema};
 use similarity::Table;
 use std::cell::RefCell;
 use std::collections::HashSet;
-use std::io::{BufRead, Write};
-use std::process::exit;
+use std::io::{BufRead, StdoutLock};
+use std::process::{exit, ExitCode};
 
 struct Args {
     table_a: String,
@@ -195,14 +200,15 @@ fn apply_checkpointing<'s>(mut session: RunSession<'s>, args: &Args) -> RunSessi
 }
 
 /// Oracle that asks the human at the terminal, remembering answers.
-struct StdinOracle {
+struct StdinOracle<'o> {
     table_a: Table,
     table_b: Table,
     instruction: String,
     answers: RefCell<std::collections::HashMap<PairKey, bool>>,
+    out: &'o RefCell<Lines<StdoutLock<'static>>>,
 }
 
-impl TruthOracle for StdinOracle {
+impl TruthOracle for StdinOracle<'_> {
     fn true_label(&self, pair: PairKey) -> bool {
         if let Some(&l) = self.answers.borrow().get(&pair) {
             return l;
@@ -215,9 +221,7 @@ impl TruthOracle for StdinOracle {
         );
         let stdin = std::io::stdin();
         loop {
-            println!("\n{q}");
-            print!("your answer [y/n]: ");
-            std::io::stdout().flush().ok();
+            self.out.borrow_mut().print(&format!("\n{q}\nyour answer [y/n]:"));
             let mut line = String::new();
             if stdin.lock().read_line(&mut line).unwrap_or(0) == 0 {
                 eprintln!("stdin closed; treating as 'no'");
@@ -233,7 +237,7 @@ impl TruthOracle for StdinOracle {
                     self.answers.borrow_mut().insert(pair, false);
                     return false;
                 }
-                _ => println!("please answer y or n"),
+                _ => self.out.borrow_mut().print("please answer y or n"),
             }
         }
     }
@@ -270,8 +274,9 @@ fn load_gold(path: &str) -> HashSet<PairKey> {
         .collect()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_args();
+    let out = RefCell::new(Lines::stdout());
     let read = |p: &str| {
         std::fs::read_to_string(p).unwrap_or_else(|e| {
             eprintln!("cannot read {p}: {e}");
@@ -312,6 +317,7 @@ fn main() {
             table_b,
             instruction: args.instruction.clone(),
             answers: RefCell::new(Default::default()),
+            out: &out,
         };
         let mut platform = CrowdPlatform::new(
             WorkerPool::perfect(1),
@@ -342,56 +348,58 @@ fn main() {
         exit(1)
     });
 
-    println!("matches: {}", report.predicted_matches.len());
+    let mut out = out.into_inner();
+    out.print(&format!("matches: {}", report.predicted_matches.len()));
     for p in report.predicted_matches.iter().take(20) {
-        println!("  {}:{}", p.a, p.b);
+        out.print(&format!("  {}:{}", p.a, p.b));
     }
     if report.predicted_matches.len() > 20 {
-        println!("  … and {} more", report.predicted_matches.len() - 20);
+        out.print(&format!("  … and {} more", report.predicted_matches.len() - 20));
     }
     if let Some(est) = &report.final_estimate {
-        println!(
+        out.print(&format!(
             "estimated accuracy: P={:.1}% (±{:.3}) R={:.1}% (±{:.3}) F1={:.1}%",
             est.precision * 100.0,
             est.eps_p,
             est.recall * 100.0,
             est.eps_r,
             est.f1 * 100.0
-        );
+        ));
     }
     if let Some(t) = report.final_true {
-        println!(
+        out.print(&format!(
             "true accuracy (vs gold): P={:.1}% R={:.1}% F1={:.1}%",
             t.precision * 100.0,
             t.recall * 100.0,
             t.f1 * 100.0
-        );
+        ));
     }
-    println!(
+    out.print(&format!(
         "crowd cost: ${:.2}, pairs labeled: {}, termination: {:?}",
         report.total_cost_dollars(),
         report.total_pairs_labeled,
         report.termination
-    );
+    ));
     if let Some(it) = report.perf.resumed_from_iteration {
-        println!("resumed from snapshot at iteration {it}");
+        out.print(&format!("resumed from snapshot at iteration {it}"));
     }
     if report.perf.snapshots_written > 0 {
-        println!(
+        out.print(&format!(
             "snapshots written: {} (latest in {})",
             report.perf.snapshots_written,
             args.checkpoint_dir.as_deref().unwrap_or("?"),
-        );
+        ));
     }
-    if let Some(out) = args.out {
+    if let Some(path) = args.out {
         let json = serde_json::to_string_pretty(&report).unwrap_or_else(|e| {
             eprintln!("cannot serialize report: {e}");
             exit(1)
         });
-        std::fs::write(&out, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
+        std::fs::write(&path, json).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
             exit(1)
         });
-        println!("full report written to {out}");
+        out.print(&format!("full report written to {path}"));
     }
+    out.finish()
 }

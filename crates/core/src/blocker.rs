@@ -14,7 +14,7 @@ use crate::config::{BlockerConfig, MatcherConfig};
 use crate::env::RunEnv;
 use crate::learner::{run_active_learning, LearnOutcome};
 use crate::ruleeval::{
-    evaluate_rules_jointly, labeled_as, select_top_rules, EvaluatedRule, RuleEvalConfig,
+    evaluate_rules_jointly, label_pool, labeled_as, select_top_rules, EvaluatedRule, RuleEvalConfig,
 };
 use crate::source::{plan_blocking_source, CandidateSource, CartesianScan};
 use crate::task::MatchTask;
@@ -23,7 +23,6 @@ use forest::{negative_rules, Rule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// What the Blocker did, for reporting (paper Table 3).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -143,7 +142,7 @@ pub fn run_blocker(
 
     // 5. Crowd evaluation (§4.2 step 2), seeded with the labels gathered
     //    during active learning so they are reused for free.
-    let mut label_pool: HashMap<usize, bool> = learn.crowd_labels().collect();
+    let mut pool = label_pool(sample.len(), learn.crowd_labels());
     let eval_cfg = RuleEvalConfig {
         batch: cfg.eval_batch,
         p_min: cfg.p_min,
@@ -151,15 +150,8 @@ pub fn run_blocker(
         confidence: cfg.confidence,
         ..Default::default()
     };
-    let evaluated = evaluate_rules_jointly(
-        scored,
-        &sample,
-        platform,
-        oracle,
-        &eval_cfg,
-        rng,
-        &mut label_pool,
-    );
+    let evaluated =
+        evaluate_rules_jointly(scored, &sample, platform, oracle, &eval_cfg, rng, &mut pool);
     let mut kept: Vec<EvaluatedRule> = evaluated.iter().filter(|e| e.kept).cloned().collect();
     let rules_kept = kept.len();
     if kept.is_empty() {
@@ -185,7 +177,7 @@ pub fn run_blocker(
     //    the crowd already labeled positive. A rule covering a witnessed
     //    positive provably blocks a real match, so such rules are only
     //    applied when no clean rule remains.
-    let known_pos = labeled_as(&label_pool, true);
+    let known_pos = labeled_as(&pool, true);
     let costs = task.feature_costs();
     let target = sample.len() as f64 * (cfg.t_b as f64 / cartesian as f64);
     let mut current: Vec<usize> = (0..sample.len()).collect();
@@ -350,7 +342,6 @@ mod tests {
     use forest::{Op, Predicate};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
-    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn toy_task(n: usize) -> (MatchTask, GoldOracle) {
@@ -426,16 +417,8 @@ mod tests {
         );
         // Recall of the umbrella set should be high: the diagonal pairs
         // are trivially similar.
-        let umbrella: HashSet<PairKey> = out.candidates.pairs().iter().copied().collect();
-        let kept_gold = gold
-            .matches()
-            .iter()
-            .filter(|p| umbrella.contains(p))
-            .count();
-        assert!(
-            kept_gold as f64 / gold.n_matches() as f64 > 0.85,
-            "blocking recall too low: {kept_gold}/40"
-        );
+        let recall = crate::metrics::blocking_recall(out.candidates.pairs(), gold.matches());
+        assert!(recall > 0.85, "blocking recall too low: {recall}");
         assert!(out.report.cost_cents > 0.0);
         assert!(out.report.pairs_labeled > 0);
     }

@@ -24,7 +24,7 @@ use crowd::{CrowdPlatform, TruthOracle};
 use forest::{rules::extract_tree_rules, RandomForest, Rule};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Configuration for model cleaning.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -127,13 +127,13 @@ impl CleanedForest {
 /// Crowd-audit the forest's most suspicious rules over `cand` and condemn
 /// the bad ones (paper §10's "cleaning learning models").
 ///
-/// `known_labels` are prior crowd labels (candidate index → label), used
-/// both to rank suspicion (upper-bound precision) and as free evidence.
+/// `known_labels` is a label pool of prior crowd labels, used both to
+/// rank suspicion (upper-bound precision) and as free evidence.
 #[allow(clippy::too_many_arguments)]
 pub fn clean_forest(
     forest: &RandomForest,
     cand: &CandidateSet,
-    known_labels: &HashMap<usize, bool>,
+    known_labels: &[Option<bool>],
     platform: &mut CrowdPlatform,
     oracle: &dyn TruthOracle,
     cfg: &CleanerConfig,
@@ -158,7 +158,7 @@ pub fn clean_forest(
             }
             let violations = coverage
                 .iter()
-                .filter(|i| known_labels.get(i).is_some_and(|&l| l != rule.label))
+                .filter(|&&i| known_labels[i].is_some_and(|l| l != rule.label))
                 .count();
             let ub = (coverage.len() - violations) as f64 / coverage.len() as f64;
             suspects.push(Suspect {
@@ -171,7 +171,7 @@ pub fn clean_forest(
     suspects.sort_by(|a, b| a.scored.ub_precision.total_cmp(&b.scored.ub_precision));
     suspects.truncate(cfg.k_rules);
 
-    let mut label_pool = known_labels.clone();
+    let mut label_pool = known_labels.to_vec();
     let scored: Vec<ScoredRule> = suspects.iter().map(|s| s.scored.clone()).collect();
     let evaluated = evaluate_rules_jointly(
         scored,
@@ -273,7 +273,7 @@ mod tests {
         let (cleaned, report) = clean_forest(
             &forest,
             &cand,
-            &HashMap::new(),
+            &vec![None; cand.len()],
             &mut platform,
             &gold,
             &cfg,
@@ -297,7 +297,7 @@ mod tests {
         let (cleaned, report) = clean_forest(
             &forest,
             &cand,
-            &HashMap::new(),
+            &vec![None; cand.len()],
             &mut platform,
             &gold,
             &CleanerConfig { min_coverage: 3, ..Default::default() },

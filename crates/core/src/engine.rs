@@ -22,7 +22,7 @@ use crate::estimator::{estimate_accuracy, AccuracyEstimate};
 use crate::learner::{run_active_learning, StopReason};
 use crate::locator::{locate_difficult_pairs, LocatorReport};
 use crate::metrics::{blocking_recall, evaluate, Prf};
-use crate::ruleeval::{sorted_labels, RuleEvalConfig};
+use crate::ruleeval::{label_pool, RuleEvalConfig};
 use crate::snapshot::RunSnapshot;
 use crate::task::{KernelCounters, MatchTask};
 use crowd::{CrowdPlatform, FaultStats, Ledger, PairKey, TruthOracle};
@@ -30,7 +30,7 @@ use exec::Threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 use store::{Snapshotter, StoreError};
 
@@ -261,8 +261,9 @@ impl Engine {
     }
 
     /// Fingerprint of everything a checkpoint needs held fixed to resume
-    /// safely: the engine configuration, the task's feature schema, and
-    /// the platform architecture. Two knobs are deliberately excluded:
+    /// safely: the engine configuration, the task's feature schema, its
+    /// records and seed pairs (a snapshot's labels belong to its pairs),
+    /// and the platform architecture. Two knobs are deliberately excluded:
     /// the RNG seed (a resume continues the snapshot's recorded stream
     /// position, so the seed cannot diverge a resumed run) and the
     /// monetary budget (topping up the budget to continue a
@@ -279,11 +280,14 @@ impl Engine {
         let cfg_json = serde_json::to_string(&cfg)
             .map_err(|e| CorleoneError::Serialization(e.to_string()))?;
         let material = format!(
-            "{cfg_json}\0{}\0{}",
+            "{cfg_json}\0{}\0{}\0",
             task.feature_names().join(","),
             std::env::consts::ARCH
         );
-        Ok(store::fingerprint64(material.as_bytes()))
+        let mut h = store::Fnv64::default();
+        h.write(material.as_bytes());
+        task.digest_records(&mut h);
+        Ok(h.hex())
     }
 
     /// Execute one full run. All session knobs arrive resolved: the
@@ -371,7 +375,7 @@ impl Engine {
         let cand: CandidateSet;
         let blocker_report;
         let predictions: Vec<bool>;
-        let known_labels: HashMap<usize, bool>;
+        let known_labels: Vec<Option<bool>>;
         let region: Vec<usize>;
         let iterations: Vec<IterationReport>;
         let best: Option<(AccuracyEstimate, Vec<bool>)>;
@@ -382,26 +386,7 @@ impl Engine {
         match resume {
             Some(snap) => {
                 let snap = *snap;
-                if snap.n_features != task.n_features() {
-                    return Err(CorleoneError::Store(StoreError::Decode {
-                        path: String::new(),
-                        message: format!(
-                            "snapshot captured a task with {} features, this task has {}",
-                            snap.n_features,
-                            task.n_features()
-                        ),
-                    }));
-                }
-                if snap.predictions.len() != snap.cand_pairs.len() {
-                    return Err(CorleoneError::Store(StoreError::Decode {
-                        path: String::new(),
-                        message: format!(
-                            "snapshot is inconsistent: {} predictions for {} candidates",
-                            snap.predictions.len(),
-                            snap.cand_pairs.len()
-                        ),
-                    }));
-                }
+                check_snapshot(&snap, task)?;
                 // The caller's platform is overwritten wholesale: ledger,
                 // label cache, worker pool, fault counters, and both RNG
                 // stream positions continue exactly where the snapshot
@@ -422,7 +407,7 @@ impl Engine {
                 // predictions (see `RunSnapshot::best`).
                 best = snap.best.map(|e| (e, snap.predictions.clone()));
                 predictions = snap.predictions;
-                known_labels = snap.known_labels.into_iter().collect();
+                known_labels = label_pool(cand.len(), snap.known_labels);
                 region = snap.region;
                 iterations = snap.iterations;
                 start_iter = snap.completed_iterations + 1;
@@ -452,7 +437,7 @@ impl Engine {
                 cand = blocked.candidates;
                 blocker_report = blocked.report;
                 predictions = vec![false; cand.len()];
-                known_labels = HashMap::new();
+                known_labels = vec![None; cand.len()];
                 region = (0..cand.len()).collect();
                 iterations = Vec::new();
                 best = None;
@@ -462,10 +447,7 @@ impl Engine {
             }
         }
 
-        let blocking_rec = gold.map(|g| {
-            let umbrella: HashSet<PairKey> = cand.pairs().iter().copied().collect();
-            blocking_recall(&umbrella, g)
-        });
+        let blocking_rec = gold.map(|g| blocking_recall(cand.pairs(), g));
 
         if cand.is_empty() {
             return Err(CorleoneError::EmptyCandidates);
@@ -576,7 +558,7 @@ impl Engine {
         );
         let ledger_m_end = *platform.ledger();
         for (sub_idx, label) in learn.crowd_labels() {
-            st.known_labels.insert(st.region[sub_idx], label);
+            st.known_labels[st.region[sub_idx]] = Some(label);
         }
         let region_preds = sub.predictions(&learn.forest, env.threads);
         for (j, &global) in st.region.iter().enumerate() {
@@ -620,13 +602,11 @@ impl Engine {
             &env,
         );
         st.t_estimator += t0.elapsed().as_secs_f64() * 1000.0;
-        // Fold the estimator's uniform sample back into the shared
-        // label pool (it is cached crowd knowledge either way).
+        // The estimator's uniform sample stays local to it: its labels do
+        // not join the shared pool (the platform's label cache still
+        // answers a repeated question for free).
 
-        let true_prf = gold.map(|g| {
-            let pred: HashSet<PairKey> = predicted_pairs(&st.cand, &st.predictions);
-            evaluate(&pred, g)
-        });
+        let true_prf = gold.map(|g| evaluate(&predicted_pairs(&st.cand, &st.predictions), g));
 
         let feature_names = task.feature_names();
         let mut importance: Vec<(String, f64)> = learn
@@ -773,10 +753,8 @@ impl Engine {
         if let Some((_, snap)) = best {
             predictions = snap;
         }
-        let predicted: HashSet<PairKey> = predicted_pairs(&cand, &predictions);
-        let final_true = gold.map(|g| evaluate(&predicted, g));
-        let mut predicted_matches: Vec<PairKey> = predicted.into_iter().collect(); // lint:allow(D2): sorted on the next line before any use
-        predicted_matches.sort();
+        let predicted_matches = predicted_pairs(&cand, &predictions);
+        let final_true = gold.map(|g| evaluate(&predicted_matches, g));
 
         // A HIT that exhausted its retry budget means some requested
         // labels never arrived: the run finished, but degraded. This
@@ -869,7 +847,8 @@ pub struct RunState {
     blocker_report: BlockerReport,
     blocking_rec: Option<f64>,
     predictions: Vec<bool>,
-    known_labels: HashMap<usize, bool>,
+    /// The run's [`label_pool`] over `cand`.
+    known_labels: Vec<Option<bool>>,
     region: Vec<usize>,
     iterations: Vec<IterationReport>,
     best: Option<(AccuracyEstimate, Vec<bool>)>,
@@ -944,7 +923,12 @@ impl RunState {
             n_features: self.cand.n_features(),
             blocker_report: self.blocker_report.clone(),
             predictions: self.predictions.clone(),
-            known_labels: sorted_labels(&self.known_labels),
+            known_labels: self
+                .known_labels
+                .iter()
+                .enumerate()
+                .filter_map(|(i, l)| l.map(|l| (i, l)))
+                .collect(),
             region: self.region.clone(),
             iterations: self.iterations.clone(),
             best: self.best.as_ref().map(|(e, _)| e.clone()),
@@ -969,13 +953,40 @@ pub struct StepOutcome {
     pub finished: bool,
 }
 
-fn predicted_pairs(cand: &CandidateSet, predictions: &[bool]) -> HashSet<PairKey> {
-    predictions
-        .iter()
-        .enumerate()
-        .filter(|&(_, &p)| p)
-        .map(|(i, _)| cand.pair(i))
-        .collect()
+/// The pairs predicted to match, in candidate order: ascending and
+/// distinct, as generation emits the candidates and resume checks them.
+fn predicted_pairs(cand: &CandidateSet, predictions: &[bool]) -> Vec<PairKey> {
+    cand.pairs().iter().zip(predictions).filter(|&(_, &p)| p).map(|(&k, _)| k).collect()
+}
+
+/// Refuse a snapshot that does not fit `task` or contradicts itself, as
+/// a decode error rather than a panic later in the run: every candidate
+/// index it holds must lie inside its candidate set, every candidate pair
+/// inside the task's tables, and its candidates must be ascending and
+/// distinct, as generation emits them.
+fn check_snapshot(snap: &RunSnapshot, task: &MatchTask) -> Result<(), CorleoneError> {
+    let n = snap.cand_pairs.len();
+    let labeled = snap.known_labels.iter().map(|&(i, _)| i);
+    let message = if snap.n_features != task.n_features() {
+        format!(
+            "snapshot captured a task with {} features, this task has {}",
+            snap.n_features,
+            task.n_features()
+        )
+    } else if snap.predictions.len() != n {
+        format!("snapshot is inconsistent: {} predictions for {n} candidates", snap.predictions.len())
+    } else if let Some(i) = labeled.chain(snap.region.iter().copied()).find(|&i| i >= n) {
+        format!("snapshot is inconsistent: candidate index {i} of {n} candidates")
+    } else if !snap.cand_pairs.is_sorted_by(|a, b| a < b) {
+        "snapshot is inconsistent: candidate pairs not ascending and distinct".to_string()
+    } else if let Some(p) = snap.cand_pairs.iter().find(|p| {
+        p.a as usize >= task.table_a.len() || p.b as usize >= task.table_b.len()
+    }) {
+        format!("snapshot is inconsistent: candidate pair {p:?} outside the task's tables")
+    } else {
+        return Ok(());
+    };
+    Err(CorleoneError::Store(StoreError::Decode { path: String::new(), message }))
 }
 
 fn stop_label(stop: StopReason) -> String {

@@ -35,7 +35,6 @@ use forest::{negative_rules, RandomForest};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// The estimator's output.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -78,10 +77,10 @@ struct SampleStats {
     n_ap: usize,
 }
 
-fn sample_stats(x: &HashMap<usize, bool>, predictions: &[bool]) -> SampleStats {
+fn sample_stats(x: &[Option<bool>], predictions: &[bool]) -> SampleStats {
     let mut s = SampleStats { n: 0, n_pp: 0, n_tp: 0, n_ap: 0 };
-    for (&i, &label) in x { // lint:allow(D2): order-free integer counting; no float accumulation, no serialization
-
+    for (i, label) in x.iter().enumerate() {
+        let Some(label) = *label else { continue };
         s.n += 1;
         if predictions[i] {
             s.n_pp += 1;
@@ -100,16 +99,16 @@ fn sample_stats(x: &HashMap<usize, bool>, predictions: &[bool]) -> SampleStats {
 ///
 /// * `matcher_forest` — the trained matcher, source of the candidate
 ///   reduction rules.
-/// * `known_labels` — crowd labels already gathered by earlier phases
-///   (active learning, rule evaluation). They are *not* mixed into the
-///   uniform estimation sample (they were selected non-uniformly) but are
-///   used for the rules' precision upper bounds, and make cache hits free.
+/// * `known_labels` — the label pool of earlier phases (active learning,
+///   rule evaluation). Its labels are *not* mixed into the uniform
+///   estimation sample (they were selected non-uniformly) but are used for
+///   the rules' precision upper bounds, and make cache hits free.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_accuracy(
     cand: &CandidateSet,
     predictions: &[bool],
     matcher_forest: &RandomForest,
-    known_labels: &HashMap<usize, bool>,
+    known_labels: &[Option<bool>],
     platform: &mut CrowdPlatform,
     oracle: &dyn TruthOracle,
     cfg: &EstimatorConfig,
@@ -151,9 +150,10 @@ pub fn estimate_accuracy(
         env.threads,
     );
 
+    // The active population (as a list and as a mask) and the sample `X`.
     let mut active: Vec<usize> = (0..cand.len()).collect();
-    let mut active_set: HashSet<usize> = active.iter().copied().collect();
-    let mut x: HashMap<usize, bool> = HashMap::new();
+    let mut in_active = vec![true; cand.len()];
+    let mut x: Vec<Option<bool>> = vec![None; cand.len()];
 
     let mut rules_used = 0usize;
     let mut rounds = 0usize;
@@ -175,7 +175,7 @@ pub fn estimate_accuracy(
         let mut unsampled: Vec<usize> = active
             .iter()
             .copied()
-            .filter(|i| !x.contains_key(i))
+            .filter(|&i| x[i].is_none())
             .collect();
         if !unsampled.is_empty() {
             unsampled.shuffle(rng);
@@ -184,7 +184,7 @@ pub fn estimate_accuracy(
             for (key, label) in platform.label_batch(oracle, &keys, cfg.scheme) {
                 // The crowd answers only the pairs it was asked about.
                 let pos = keys.iter().position(|&k| k == key).expect("labeled pair was requested");
-                x.insert(unsampled[pos], label);
+                x[unsampled[pos]] = Some(label);
             }
         }
 
@@ -221,12 +221,12 @@ pub fn estimate_accuracy(
             converged = true;
             break;
         }
-        if x.len() >= active.len() {
+        if s.n >= active.len() {
             // Sample exhausted the population: estimates are exact.
             converged = true;
             break;
         }
-        if x.len() >= cfg.max_labels {
+        if s.n >= cfg.max_labels {
             break;
         }
 
@@ -247,7 +247,7 @@ pub fn estimate_accuracy(
             sr.coverage
                 .iter()
                 .copied()
-                .filter(|i| active_set.contains(i))
+                .filter(|&i| in_active[i])
                 .collect()
         });
 
@@ -269,22 +269,19 @@ pub fn estimate_accuracy(
 
         let ap_active_est = (d_hat * active.len() as f64).max(1.0);
         let mut best_j = 0usize;
-        let mut best_cost =
-            sampling_labels(active.len(), pp_active, ap_active_est, x.len()) as f64;
+        let mut best_cost = sampling_labels(active.len(), pp_active, ap_active_est, s.n) as f64;
         let mut eval_cost_acc = 0.0;
-        let mut removed_union: HashSet<usize> = HashSet::new();
+        let mut removed = vec![false; cand.len()];
         for j in 1..=remaining.len() {
             let cov = &coverages[j - 1];
             // Cost of evaluating this rule's precision to ε_max.
             eval_cost_acc +=
                 required_sample_size(cfg.p_min(), cov.len().max(1), z, cfg.eps_max) as f64;
-            removed_union.extend(cov.iter().copied());
-            let active_after = active.len().saturating_sub(removed_union.len());
-            let pp_after = active
-                .iter()
-                .filter(|&&i| predictions[i] && !removed_union.contains(&i))
-                .count();
-            let have_after = x.keys().filter(|i| !removed_union.contains(i)).count(); // lint:allow(D2): order-free count; no floats touched during iteration
+            cov.iter().for_each(|&i| removed[i] = true);
+            let kept = || active.iter().filter(|&&i| !removed[i]);
+            let active_after = kept().count();
+            let pp_after = kept().filter(|&&i| predictions[i]).count();
+            let have_after = kept().filter(|&&i| x[i].is_some()).count();
             // Assuming precise rules, all actual positives stay.
             let cost = eval_cost_acc
                 + sampling_labels(active_after, pp_after, ap_active_est, have_after) as f64;
@@ -308,14 +305,14 @@ pub fn estimate_accuracy(
                     .coverage
                     .iter()
                     .copied()
-                    .filter(|i| active_set.contains(i))
+                    .filter(|&i| in_active[i])
                     .collect(),
                 ..sr
             })
             .filter(|sr| !sr.coverage.is_empty())
             .collect();
-        let mut eval_pool: HashMap<usize, bool> = known_labels.clone();
-        eval_pool.extend(x.iter().map(|(&i, &l)| (i, l))); // lint:allow(D2): order-free map-to-map merge; insertion order does not affect map contents
+        let mut eval_pool: Vec<Option<bool>> =
+            known_labels.iter().zip(&x).map(|(&k, &l)| l.or(k)).collect();
         let eval_cfg = RuleEvalConfig {
             eps_max: cfg.eps_max,
             confidence: cfg.confidence,
@@ -332,13 +329,14 @@ pub fn estimate_accuracy(
         for er in evaluated.iter().filter(|e| e.kept) {
             rules_used += 1;
             for &i in &er.coverage {
-                active_set.remove(&i);
+                in_active[i] = false;
+                // Keep the uniform sample consistent with the reduced
+                // population: conditioning a uniform sample on membership
+                // stays uniform.
+                x[i] = None;
             }
         }
-        active.retain(|i| active_set.contains(i));
-        // Keep the uniform sample consistent with the reduced population:
-        // conditioning a uniform sample on membership stays uniform.
-        x.retain(|i, _| active_set.contains(i)); // lint:allow(D2): pure membership predicate; retain outcome is order-independent
+        active.retain(|&i| in_active[i]);
         if active.is_empty() {
             break;
         }
@@ -353,7 +351,7 @@ pub fn estimate_accuracy(
         eps_r: final_eps_r,
         rules_used,
         rounds,
-        sample_labels: x.len(),
+        sample_labels: x.iter().flatten().count(),
         pairs_labeled: ledger_end.pairs_labeled - ledger_start.pairs_labeled,
         cost_cents: ledger_end.total_cents - ledger_start.total_cents,
         converged,
@@ -381,7 +379,7 @@ mod tests {
     use std::sync::Arc;
 
     /// 40×50 task, diagonal matches; matcher trained by AL.
-    fn setup() -> (MatchTask, GoldOracle, CandidateSet, RandomForest, Vec<bool>, HashMap<usize, bool>, CrowdPlatform)
+    fn setup() -> (MatchTask, GoldOracle, CandidateSet, RandomForest, Vec<bool>, Vec<Option<bool>>, CrowdPlatform)
     {
         let schema = Arc::new(Schema::new(vec![Attribute::text("name")]));
         let a_rows: Vec<Vec<Value>> = (0..40)
@@ -418,7 +416,7 @@ mod tests {
             exec::Threads::new(2),
         );
         let predictions = cand.predictions(&learn.forest, exec::Threads::new(2));
-        let known: HashMap<usize, bool> = learn.crowd_labels().collect();
+        let known = crate::ruleeval::label_pool(cand.len(), learn.crowd_labels());
         (task, gold, cand, learn.forest, predictions, known, platform)
     }
 

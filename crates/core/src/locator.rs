@@ -16,7 +16,6 @@ use crowd::{CrowdPlatform, TruthOracle};
 use forest::{negative_rules, positive_rules, RandomForest};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Locator result.
 #[derive(Debug, Clone)]
@@ -50,14 +49,14 @@ pub struct LocatorReport {
 
 /// Run the Locator over the candidate indices `within` of `cand`.
 ///
-/// `known_labels` are crowd labels from earlier phases, reused for rule
+/// `known_labels` is the label pool of earlier phases, reused for rule
 /// upper bounds and free cache hits.
 #[allow(clippy::too_many_arguments)]
 pub fn locate_difficult_pairs(
     cand: &CandidateSet,
     within: &[usize],
     matcher_forest: &RandomForest,
-    known_labels: &HashMap<usize, bool>,
+    known_labels: &[Option<bool>],
     platform: &mut CrowdPlatform,
     oracle: &dyn TruthOracle,
     cfg: &LocatorConfig,
@@ -71,7 +70,7 @@ pub fn locate_difficult_pairs(
 
     // 1. Top-k precise negative and positive rules (§7 step 1), each
     //    validated by the crowd like blocking rules.
-    let mut label_pool: HashMap<usize, bool> = known_labels.clone();
+    let mut label_pool = known_labels.to_vec();
     let neg_scored = select_top_rules(
         negative_rules(matcher_forest),
         cand,
@@ -96,22 +95,18 @@ pub fn locate_difficult_pairs(
     );
 
     // 2. Remove everything covered by a kept rule (§7 step 2).
-    let mut covered: HashSet<usize> = HashSet::new();
+    let mut covered = vec![false; cand.len()];
     let mut n_neg_used = 0usize;
     let mut n_pos_used = 0usize;
     for er in neg_eval.iter().filter(|e| e.kept) {
         n_neg_used += 1;
-        covered.extend(er.coverage.iter().copied());
+        er.coverage.iter().for_each(|&i| covered[i] = true);
     }
     for er in pos_eval.iter().filter(|e| e.kept) {
         n_pos_used += 1;
-        covered.extend(er.coverage.iter().copied());
+        er.coverage.iter().for_each(|&i| covered[i] = true);
     }
-    let difficult: Vec<usize> = within
-        .iter()
-        .copied()
-        .filter(|i| !covered.contains(i))
-        .collect();
+    let difficult: Vec<usize> = within.iter().copied().filter(|&i| !covered[i]).collect();
 
     // 3. Termination tests (§7 step 3).
     let termination = if difficult.len() < cfg.min_difficult {
@@ -157,7 +152,7 @@ mod tests {
     use similarity::{Attribute, Schema, Table, Value};
     use std::sync::Arc;
 
-    fn setup() -> (CandidateSet, RandomForest, HashMap<usize, bool>, GoldOracle, CrowdPlatform)
+    fn setup() -> (CandidateSet, RandomForest, Vec<Option<bool>>, GoldOracle, CrowdPlatform)
     {
         let schema = Arc::new(Schema::new(vec![Attribute::text("name")]));
         let a_rows: Vec<Vec<Value>> = (0..30)
@@ -192,7 +187,7 @@ mod tests {
             &mut rng,
             exec::Threads::new(2),
         );
-        let known: HashMap<usize, bool> = learn.crowd_labels().collect();
+        let known = crate::ruleeval::label_pool(cand.len(), learn.crowd_labels());
         (cand, learn.forest, known, gold, platform)
     }
 
@@ -266,8 +261,7 @@ mod tests {
             &RunEnv::default(),
         );
         if let Some(d) = out.difficult {
-            let within_set: HashSet<usize> = within.iter().copied().collect();
-            assert!(d.iter().all(|i| within_set.contains(i)));
+            assert!(d.iter().all(|i| within.contains(i)));
         }
     }
 }

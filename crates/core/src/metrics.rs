@@ -35,35 +35,38 @@ impl Prf {
     }
 }
 
-/// Evaluate a set of predicted matching pairs against the gold set.
+/// Evaluate predicted matching pairs (distinct) against the gold set.
 /// Pairs not predicted are treated as predicted non-matches, so recall is
 /// over the *entire* gold set — blocking losses count against recall.
-pub fn evaluate(predicted: &HashSet<PairKey>, gold: &HashSet<PairKey>) -> Prf {
-    let tp = predicted.intersection(gold).count();
+pub fn evaluate(predicted: &[PairKey], gold: &HashSet<PairKey>) -> Prf {
+    let tp = predicted.iter().filter(|p| gold.contains(p)).count();
     Prf::from_counts(tp, predicted.len(), gold.len())
 }
 
 /// Blocking recall (paper Table 3): the fraction of gold matches retained
-/// in the umbrella set.
-pub fn blocking_recall(umbrella: &HashSet<PairKey>, gold: &HashSet<PairKey>) -> f64 {
+/// in the umbrella set (distinct pairs).
+pub fn blocking_recall(umbrella: &[PairKey], gold: &HashSet<PairKey>) -> f64 {
     if gold.is_empty() {
         return 1.0;
     }
-    gold.iter().filter(|p| umbrella.contains(p)).count() as f64 / gold.len() as f64 // lint:allow(D2): order-free count; the division happens once after iteration
+    umbrella.iter().filter(|p| gold.contains(p)).count() as f64 / gold.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn keys(pairs: &[(u32, u32)]) -> HashSet<PairKey> {
+    fn keys(pairs: &[(u32, u32)]) -> Vec<PairKey> {
         pairs.iter().map(|&(a, b)| PairKey::new(a, b)).collect()
+    }
+
+    fn gold(pairs: &[(u32, u32)]) -> HashSet<PairKey> {
+        keys(pairs).into_iter().collect()
     }
 
     #[test]
     fn perfect_prediction() {
-        let gold = keys(&[(0, 0), (1, 1)]);
-        let m = evaluate(&gold.clone(), &gold);
+        let m = evaluate(&keys(&[(0, 0), (1, 1)]), &gold(&[(0, 0), (1, 1)]));
         assert_eq!(m.precision, 1.0);
         assert_eq!(m.recall, 1.0);
         assert_eq!(m.f1, 1.0);
@@ -71,9 +74,7 @@ mod tests {
 
     #[test]
     fn half_precision_full_recall() {
-        let gold = keys(&[(0, 0)]);
-        let pred = keys(&[(0, 0), (1, 1)]);
-        let m = evaluate(&pred, &gold);
+        let m = evaluate(&keys(&[(0, 0), (1, 1)]), &gold(&[(0, 0)]));
         assert_eq!(m.precision, 0.5);
         assert_eq!(m.recall, 1.0);
         assert!((m.f1 - 2.0 / 3.0).abs() < 1e-12);
@@ -81,8 +82,7 @@ mod tests {
 
     #[test]
     fn empty_prediction_is_zero() {
-        let gold = keys(&[(0, 0)]);
-        let m = evaluate(&HashSet::new(), &gold);
+        let m = evaluate(&[], &gold(&[(0, 0)]));
         assert_eq!(m.precision, 0.0);
         assert_eq!(m.recall, 0.0);
         assert_eq!(m.f1, 0.0);
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn blocking_recall_counts_retained_gold() {
-        let gold = keys(&[(0, 0), (1, 1), (2, 2), (3, 3)]);
+        let gold = gold(&[(0, 0), (1, 1), (2, 2), (3, 3)]);
         let umbrella = keys(&[(0, 0), (1, 1), (2, 2), (9, 9)]);
         assert_eq!(blocking_recall(&umbrella, &gold), 0.75);
         assert_eq!(blocking_recall(&umbrella, &HashSet::new()), 1.0);

@@ -20,7 +20,6 @@ use forest::Rule;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A candidate rule with its coverage and precision upper bound.
 #[derive(Debug, Clone)]
@@ -136,23 +135,25 @@ pub struct EvaluatedRule {
     pub kept: bool,
 }
 
-/// Crowd labels keyed by candidate index, in ascending index order: the
-/// order-free way to walk a label pool (hash order must not reach
-/// snapshots, sampling, or anything else a run's bytes depend on).
-pub fn sorted_labels(labels: &HashMap<usize, bool>) -> Vec<(usize, bool)> {
-    let mut v: Vec<(usize, bool)> = labels.iter().map(|(&i, &l)| (i, l)).collect(); // lint:allow(D2): this IS the sanctioned collect+sort helper; sorted on the next line
-    v.sort_unstable_by_key(|&(i, _)| i);
-    v
+/// The label pool over `n` candidates holding `labels`: `pool[i]` is
+/// candidate `i`'s crowd label, `None` while unlabeled. Every phase holds
+/// its labels this way; of two labels for one row, the later wins.
+pub fn label_pool(n: usize, labels: impl IntoIterator<Item = (usize, bool)>) -> Vec<Option<bool>> {
+    let mut pool = vec![None; n];
+    for (i, l) in labels {
+        pool[i] = Some(l);
+    }
+    pool
 }
 
-/// The indices `labels` holds with label `label`, ascending.
-pub fn labeled_as(labels: &HashMap<usize, bool>, label: bool) -> Vec<usize> {
-    sorted_labels(labels).into_iter().filter(|&(_, l)| l == label).map(|(i, _)| i).collect()
+/// The candidate rows `pool` labels `label`, ascending.
+pub fn labeled_as(pool: &[Option<bool>], label: bool) -> Vec<usize> {
+    (0..pool.len()).filter(|&i| pool[i] == Some(label)).collect()
 }
 
 /// Jointly evaluate rules with the crowd (§4.2 step 2, joint variant).
-/// Also returns the pool of labels gathered, keyed by candidate index, so
-/// callers can reuse them.
+/// `pool` is the candidates' [`label_pool`]; the labels gathered here are
+/// added to it, so callers can reuse them.
 pub fn evaluate_rules_jointly(
     scored: Vec<ScoredRule>,
     cand: &CandidateSet,
@@ -160,18 +161,10 @@ pub fn evaluate_rules_jointly(
     oracle: &dyn TruthOracle,
     cfg: &RuleEvalConfig,
     rng: &mut StdRng,
-    prior_labels: &mut HashMap<usize, bool>,
+    pool: &mut [Option<bool>],
 ) -> Vec<EvaluatedRule> {
+    assert_eq!(pool.len(), cand.len(), "one label slot per candidate");
     let z = z_for_confidence(cfg.confidence);
-    // The pool as a dense per-candidate view (`None` = unlabeled), kept
-    // in step with `prior_labels`: the per-round stats and the sampling
-    // union read it once per covered index.
-    let mut dense: Vec<Option<bool>> = vec![None; cand.len()];
-    for (i, l) in sorted_labels(prior_labels) {
-        if let Some(d) = dense.get_mut(i) {
-            *d = Some(l);
-        }
-    }
 
     struct State {
         scored: ScoredRule,
@@ -201,7 +194,7 @@ pub fn evaluate_rules_jointly(
         rounds += 1;
         // Decide what we can with current labels.
         for st in states.iter_mut().filter(|s| s.decided.is_none()) {
-            let (n, ok) = stats(&st.scored, &dense);
+            let (n, ok) = stats(&st.scored, pool);
             let m = st.scored.coverage.len();
             if n == 0 {
                 continue;
@@ -247,12 +240,12 @@ pub fn evaluate_rules_jointly(
             break;
         }
         if rounds > 500 {
-            finalize(&mut states, &dense);
+            finalize(&mut states, pool);
             break;
         }
         if let Some(cap) = cfg.budget_cents_cap {
             if platform.ledger().total_cents >= cap {
-                finalize(&mut states, &dense);
+                finalize(&mut states, pool);
                 break;
             }
         }
@@ -261,13 +254,13 @@ pub fn evaluate_rules_jointly(
             .iter()
             .filter(|s| s.decided.is_none())
             .flat_map(|s| s.scored.coverage.iter().copied())
-            .filter(|&i| dense[i].is_none())
+            .filter(|&i| pool[i].is_none())
             .collect();
         union.sort_unstable();
         union.dedup();
         if union.is_empty() {
             // Exhausted: finalize the stragglers from exact coverage stats.
-            finalize(&mut states, &dense);
+            finalize(&mut states, pool);
             break;
         }
         union.shuffle(rng);
@@ -277,8 +270,7 @@ pub fn evaluate_rules_jointly(
         for (key, label) in labeled {
             // The crowd answers only the pairs it was asked about.
             let pos = keys.iter().position(|&k| k == key).expect("labeled pair was requested");
-            prior_labels.insert(union[pos], label);
-            dense[union[pos]] = Some(label);
+            pool[union[pos]] = Some(label);
         }
     }
 
@@ -423,7 +415,7 @@ mod tests {
         );
         let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
         let mut rng = StdRng::seed_from_u64(3);
-        let mut labels = HashMap::new();
+        let mut labels = vec![None; cand.len()];
         let out = evaluate_rules_jointly(
             scored,
             &cand,
@@ -438,7 +430,7 @@ mod tests {
         assert!(good_eval.est_precision >= 0.95);
         let bad_eval = out.iter().find(|e| e.rule != good).unwrap();
         assert!(!bad_eval.kept, "imprecise rule must be dropped");
-        assert!(!labels.is_empty(), "labels pool returned for reuse");
+        assert!(labels.iter().any(Option::is_some), "labels pool returned for reuse");
     }
 
     #[test]
@@ -449,7 +441,7 @@ mod tests {
         assert_eq!(scored[0].coverage.len(), 12);
         let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
         let mut rng = StdRng::seed_from_u64(4);
-        let mut labels = HashMap::new();
+        let mut labels = vec![None; cand.len()];
         let out = evaluate_rules_jointly(
             scored,
             &cand,
@@ -470,7 +462,7 @@ mod tests {
         let scored = select_top_rules(vec![good], &cand, None, &[], 1, Threads::new(1));
         let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
         let mut rng = StdRng::seed_from_u64(5);
-        let mut labels = HashMap::new();
+        let mut labels = vec![None; cand.len()];
         let out = evaluate_rules_jointly(
             scored,
             &cand,

@@ -180,13 +180,18 @@ impl<'s> RunSession<'s> {
     pub fn try_run(self) -> Result<RunReport, CorleoneError> {
         let platform = self.platform.ok_or(CorleoneError::MissingPlatform)?;
         let oracle = self.oracle.ok_or(CorleoneError::MissingOracle)?;
-        // Fingerprint of the run configuration + feature schema +
-        // platform: stamped into every snapshot this run writes, and
+        // Fingerprint of the run configuration + feature schema + records
+        // + platform: stamped into every snapshot this run writes, and
         // demanded of every snapshot it resumes — a resume under a
-        // different engine config or task schema refuses with a typed
+        // different engine config or task refuses with a typed
         // `StoreError::FingerprintMismatch` instead of silently
-        // diverging from the interrupted run.
-        let fingerprint = self.engine.run_fingerprint(self.task)?;
+        // diverging from the interrupted run. A run that neither writes
+        // nor reads a snapshot does not compute it.
+        let fingerprint = if self.checkpoint_dir.is_some() || self.resume_from.is_some() {
+            self.engine.run_fingerprint(self.task)?
+        } else {
+            String::new()
+        };
         let resume: Option<Box<RunSnapshot>> = match &self.resume_from {
             Some(path) => {
                 Some(Box::new(store::read_snapshot_checked(path, Some(&fingerprint))?))
@@ -197,7 +202,7 @@ impl<'s> RunSession<'s> {
             Some(dir) => Some(
                 Snapshotter::create(dir.clone())?
                     .keep_last(self.checkpoint_keep)
-                    .with_fingerprint(fingerprint.clone()),
+                    .with_fingerprint(fingerprint),
             ),
             None => None,
         };

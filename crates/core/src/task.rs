@@ -4,7 +4,7 @@
 use crowd::PairKey;
 use exec::Threads;
 use serde::{Deserialize, Serialize};
-use similarity::{FeatureVectorizer, Record, Table, TaskAnalysis};
+use similarity::{FeatureVectorizer, Record, Table, TaskAnalysis, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -201,6 +201,34 @@ impl MatchTask {
         let material = serde_json::to_string(&(&self.table_a, &self.table_b, &self.vectorizer))
             .map_err(|e| e.to_string())?;
         Ok(store::fingerprint64(material.as_bytes()))
+    }
+
+    /// Feed both tables' values and the seed pairs to `h`, in one pass
+    /// over the records. Each value is tagged and each text
+    /// length-prefixed, so two different tasks never feed the same bytes.
+    pub(crate) fn digest_records(&self, h: &mut store::Fnv64) {
+        for table in [&self.table_a, &self.table_b] {
+            h.write(&(table.len() as u64).to_le_bytes());
+            for value in table.records.iter().flat_map(|r| &r.values) {
+                match value {
+                    Value::Text(s) => {
+                        h.write(&[1]);
+                        h.write(&(s.len() as u64).to_le_bytes());
+                        h.write(s.as_bytes());
+                    }
+                    Value::Number(x) => {
+                        h.write(&[2]);
+                        h.write(&x.to_bits().to_le_bytes());
+                    }
+                    Value::Null => h.write(&[0]),
+                }
+            }
+        }
+        for &(p, label) in &self.seeds {
+            h.write(&p.a.to_le_bytes());
+            h.write(&p.b.to_le_bytes());
+            h.write(&[u8::from(label)]);
+        }
     }
 
     /// Adopt a prebuilt analysis from another task with the same

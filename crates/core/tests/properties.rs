@@ -87,7 +87,7 @@ proptest! {
                                    gold in prop::collection::hash_set((0u32..30, 0u32..30), 0..40)) {
         let pred: HashSet<PairKey> = pred.into_iter().map(|(a, b)| PairKey::new(a, b)).collect();
         let gold: HashSet<PairKey> = gold.into_iter().map(|(a, b)| PairKey::new(a, b)).collect();
-        let m = evaluate(&pred, &gold);
+        let m = evaluate(&pred.iter().copied().collect::<Vec<_>>(), &gold);
         let tp = pred.intersection(&gold).count();
         let expect = Prf::from_counts(tp, pred.len(), gold.len());
         prop_assert_eq!(m, expect);
@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn perfect_prediction_is_perfect(gold in prop::collection::hash_set((0u32..30, 0u32..30), 1..40)) {
         let gold: HashSet<PairKey> = gold.into_iter().map(|(a, b)| PairKey::new(a, b)).collect();
-        let m = evaluate(&gold.clone(), &gold);
+        let m = evaluate(&gold.iter().copied().collect::<Vec<_>>(), &gold);
         prop_assert_eq!(m.f1, 1.0);
     }
 }

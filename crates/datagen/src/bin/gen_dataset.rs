@@ -21,18 +21,24 @@ fn main() {
     let mut scale = 0.1;
     let mut seed = 42u64;
     let mut out = PathBuf::from(format!("./{name}_csv"));
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => scale = args[i + 1].parse().expect("bad --scale"),
-            "--seed" => seed = args[i + 1].parse().expect("bad --seed"),
-            "--out" => out = PathBuf::from(&args[i + 1]),
+    for flag in args[1..].chunks(2) {
+        let Some(value) = flag.get(1) else {
+            eprintln!("missing value for {}", flag[0]);
+            exit(2);
+        };
+        let bad = || -> ! {
+            eprintln!("bad value for {}: {value:?}", flag[0]);
+            exit(2);
+        };
+        match flag[0].as_str() {
+            "--scale" => scale = value.parse().unwrap_or_else(|_| bad()),
+            "--seed" => seed = value.parse().unwrap_or_else(|_| bad()),
+            "--out" => out = PathBuf::from(value),
             other => {
                 eprintln!("unknown flag {other}");
                 exit(2);
             }
         }
-        i += 2;
     }
     let Some(ds) = by_name(name, GenConfig { scale, seed }) else {
         eprintln!("unknown dataset '{name}'");

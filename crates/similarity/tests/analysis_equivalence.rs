@@ -680,8 +680,9 @@ fn multi_thread_analysis_is_bit_identical_to_single() {
 }
 
 /// More than `i16::MAX` distinct chars: the tables cannot narrow, so
-/// every view's `lower_char_i16` is empty and Smith-Waterman takes its
-/// 32-bit path. The short values are built from the chars ranked
+/// every view's `lower_char_i16` is empty and Smith-Waterman takes
+/// `charkernels::sw_fallback`, the two-row `i64` DP for pairs no 16-bit
+/// lane holds. The short values are built from the chars ranked
 /// highest, whose ids do not fit in an `i16`; every feature, the five
 /// char kernels included, must still match the string path bit for bit.
 #[test]

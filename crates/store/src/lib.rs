@@ -145,7 +145,8 @@ pub enum StoreError {
     },
     /// The envelope's fingerprint does not match the reader's — the
     /// snapshot was written under a different run configuration, feature
-    /// schema, or platform, and resuming it would silently diverge.
+    /// schema, task records, or platform, and resuming it would silently
+    /// diverge.
     FingerprintMismatch {
         /// Path involved.
         path: String,
@@ -189,8 +190,8 @@ impl fmt::Display for StoreError {
                 Some(found) => write!(
                     f,
                     "snapshot {path} was written under a different run configuration \
-                     (fingerprint {found}, this run is {expected}); resuming would \
-                     silently diverge"
+                     or task (fingerprint {found}, this run is {expected}); resuming \
+                     would silently diverge"
                 ),
                 None => write!(
                     f,
@@ -251,17 +252,34 @@ pub fn decode_u64(s: &str) -> Result<u64, StoreError> {
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, and more than strong enough
 /// to catch truncation and bit flips (this is integrity, not security).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Fed piece by piece, it hashes the concatenation of the pieces.
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xCBF2_9CE4_8422_2325)
     }
-    h
+}
+
+impl Fnv64 {
+    /// Hash `bytes` after everything written before.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash so far, as 16 hex digits.
+    pub fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
 }
 
 fn checksum_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a64(bytes))
+    let mut h = Fnv64::default();
+    h.write(bytes);
+    h.hex()
 }
 
 /// Hex-rendered FNV-1a 64 of arbitrary bytes: the workspace's standard
@@ -318,8 +336,8 @@ pub fn write_snapshot_tagged<T: Serialize>(
 /// With `Some(expected_fingerprint)` the envelope must carry exactly that
 /// run fingerprint. A missing or different fingerprint fails with
 /// [`StoreError::FingerprintMismatch`] — the typed refusal that keeps a
-/// resume under a different run configuration, feature schema, or
-/// platform from silently diverging. With `None` the envelope's
+/// resume under a different run configuration, feature schema, task
+/// records, or platform from silently diverging. With `None` the envelope's
 /// fingerprint, if any, is not checked.
 pub fn read_snapshot_checked<T: Deserialize>(
     path: &Path,

@@ -60,6 +60,8 @@ echo "==> bad command lines exit 2 with a reason"
 bad_lines=(
     "bench blocking_perf --scales abc"
     "service corleone-serve --threads x"
+    "datagen gen_dataset restaurants --scale abc"
+    "datagen gen_dataset restaurants --scale"
 )
 for bad in "${bad_lines[@]}"; do
     read -r pkg bin flags <<< "$bad"
@@ -192,6 +194,24 @@ cargo run --release -q -p service --bin corleone-serve -- \
     || { echo "FAIL: corleone-serve exited $code when its stdout closed"; exit 1; }
 [ -f "$svc_dir/piped/restaurants.json" ] \
     || { echo "FAIL: corleone-serve wrote no report when its stdout closed"; exit 1; }
+
+echo "==> corleone-cli with a closed stdout"
+# The CLI prints through the same writer, interactive questions included:
+# a closed pipe must still let the run finish, write --out and exit 0.
+cli_dir="$svc_dir/cli"
+gen_out=$(cargo run --release -q -p datagen --bin gen_dataset -- \
+    restaurants --scale 0.05 --out "$cli_dir")
+pos=$(echo "$gen_out" | awk '$1 == "--pos" { print $2 }')
+neg=$(echo "$gen_out" | awk '$1 == "--neg" { print $2 }')
+code=0
+cargo run --release -q -p corleone --bin corleone_cli -- \
+    --table-a "$cli_dir/a.csv" --table-b "$cli_dir/b.csv" --gold "$cli_dir/gold.csv" \
+    --instruction "same restaurant" --pos "$pos" --neg "$neg" --out "$cli_dir/report.json" \
+    | true || code=$?
+[ "$code" -eq 0 ] \
+    || { echo "FAIL: corleone_cli exited $code when its stdout closed"; exit 1; }
+[ -f "$cli_dir/report.json" ] \
+    || { echo "FAIL: corleone_cli wrote no report when its stdout closed"; exit 1; }
 
 echo "==> smoke with a closed stdout"
 # The bench bins print through the same writer (corleone::lines): a

@@ -12,7 +12,7 @@
 
 use corleone::error::CorleoneError;
 use corleone::task::task_from_parts;
-use corleone::{CorleoneConfig, Engine, MatchTask, Termination};
+use corleone::{CorleoneConfig, Engine, MatchTask, RunSnapshot, Termination};
 use crowd::{CrowdConfig, CrowdPlatform, FaultConfig, GoldOracle, RetryPolicy, WorkerPool};
 use datagen::GenConfig;
 use std::path::{Path, PathBuf};
@@ -283,6 +283,75 @@ fn snapshot_from_a_different_task_is_a_typed_error() {
         }
         other => panic!("expected FingerprintMismatch, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_of_other_records_is_a_typed_error() {
+    let (_task, gold, latest, dir) = checkpointed_run("otherrecords");
+    // Same generator, schema and table sizes as the checkpointed seed-29
+    // task: its records with the seed-30 seed pairs, and the seed-30
+    // records with its seed pairs. The snapshot's labels were bought for
+    // other pairs, or under other seed pairs, so the run fingerprint must
+    // refuse both.
+    let ds = |seed| datagen::by_name("restaurants", GenConfig { scale: 0.1, seed }).unwrap();
+    let (own, other) = (ds(29), ds(30));
+    assert_eq!(
+        (other.table_a.len(), other.table_b.len()),
+        (own.table_a.len(), own.table_b.len()),
+        "the probes need equal sizes; pick another seed"
+    );
+    assert_ne!(other.seeds.positive, own.seeds.positive, "the probes need other seed pairs");
+    let probes = [
+        ("other seed pairs", own.table_a, own.table_b, other.seeds),
+        ("other records", other.table_a, other.table_b, own.seeds),
+    ];
+    for (what, a, b, seeds) in probes {
+        let probe = task_from_parts(a, b, &own.instruction, seeds.positive, seeds.negative);
+        match try_resume(&probe, &gold, &latest) {
+            Err(CorleoneError::Store(StoreError::FingerprintMismatch {
+                expected, found, ..
+            })) => assert_ne!(Some(expected), found),
+            other => panic!("{what}: expected FingerprintMismatch, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn inconsistent_snapshot_payload_is_a_decode_error() {
+    let (task, gold, latest, dir) = checkpointed_run("inconsistent");
+    // Rewritten under the run's own fingerprint and a fresh checksum, a
+    // damaged payload passes every envelope check: resume itself must
+    // refuse it, before any index reaches the candidate set or a pair
+    // the tables.
+    let fp = Engine::new(CorleoneConfig::small())
+        .with_seed(29)
+        .run_fingerprint(&task)
+        .expect("fingerprint");
+    let snap: RunSnapshot =
+        store::read_snapshot_checked(&latest, Some(&fp)).expect("read snapshot");
+    let damaged = dir.join("damaged.json");
+    let refused = |what: &str, damage: &dyn Fn(&mut RunSnapshot)| {
+        let mut bad = snap.clone();
+        damage(&mut bad);
+        store::write_snapshot_tagged(&damaged, &bad, Some(&fp)).expect("write damaged snapshot");
+        match try_resume(&task, &gold, &damaged) {
+            Err(CorleoneError::Store(StoreError::Decode { .. })) => {}
+            other => panic!("{what}: expected Decode, got {other:?}"),
+        }
+    };
+    refused("a region index equal to |C|", &|s| s.region.push(s.cand_pairs.len()));
+    refused("a known_labels index equal to |C|", &|s| {
+        s.known_labels.push((s.cand_pairs.len(), true))
+    });
+    refused("one prediction short", &|s| {
+        s.predictions.pop();
+    });
+    refused("candidate pairs out of order", &|s| s.cand_pairs.swap(0, 1));
+    refused("a candidate pair past table B", &|s| {
+        s.cand_pairs.last_mut().expect("candidates").b = u32::MAX
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 

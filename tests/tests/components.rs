@@ -11,7 +11,6 @@ use crowd::{CrowdConfig, CrowdPlatform, GoldOracle, WorkerPool};
 use datagen::GenConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
 
 fn citations_setup(scale: f64, seed: u64) -> (MatchTask, GoldOracle, CrowdPlatform) {
     let ds = datagen::citations::generate(GenConfig { scale, seed });
@@ -48,9 +47,7 @@ fn blocker_keeps_most_gold_on_citations() {
     );
     assert!(out.report.triggered);
     assert!(!out.applied_rules.is_empty());
-    let umbrella: HashSet<_> = out.candidates.pairs().iter().copied().collect();
-    let kept = gold.matches().iter().filter(|p| umbrella.contains(p)).count();
-    let recall = kept as f64 / gold.n_matches() as f64;
+    let recall = corleone::metrics::blocking_recall(out.candidates.pairs(), gold.matches());
     assert!(recall > 0.8, "blocking recall {recall}");
     // Applied rules must agree with the umbrella set: no surviving pair
     // may be covered by any applied rule.
@@ -81,7 +78,7 @@ fn label_cache_reused_across_modules() {
         &mut rng,
         Threads::auto(),
     );
-    let known: HashMap<usize, bool> = learn.crowd_labels().collect();
+    let known = corleone::ruleeval::label_pool(cand.len(), learn.crowd_labels());
     let within: Vec<usize> = (0..cand.len()).collect();
     let run_locator = |platform: &mut CrowdPlatform, rng: &mut StdRng| {
         locate_difficult_pairs(
