@@ -13,8 +13,8 @@ use bench::{
     dataset, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
-use corleone::lines::Lines;
 use corleone::{run_active_learning, CorleoneConfig, Threads};
+use exec::lines::Lines;
 use forest::{extract_rules, Dataset, LogRegConfig, LogisticRegression};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

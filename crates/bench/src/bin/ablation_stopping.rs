@@ -10,8 +10,8 @@ use bench::{
     dataset, dollars, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
-use corleone::lines::Lines;
 use corleone::{run_active_learning, CorleoneConfig, StoppingConfig, Threads};
+use exec::lines::Lines;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;

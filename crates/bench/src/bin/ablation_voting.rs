@@ -11,10 +11,10 @@ use bench::{
     dataset, dollars, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table,
     sampled_candidates,
 };
-use corleone::lines::Lines;
 use corleone::ruleeval::label_pool;
 use corleone::{estimate_accuracy, run_active_learning, CorleoneConfig, RunEnv, Threads};
 use crowd::Scheme;
+use exec::lines::Lines;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;

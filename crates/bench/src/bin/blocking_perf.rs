@@ -40,7 +40,9 @@
 //!   record (`FeatureVectorizer::feature_run`, what the rule sweep calls)
 //!
 //! Every dataset × scale also asserts (a) the indexed candidate list is
-//! byte-identical to the scan's (`index_equivalence=ok` marker),
+//! byte-identical to the scan's, for the bench rules and, untimed, for a
+//! prefix, a containment and a missing-value rule (`index_equivalence=ok`
+//! marker),
 //! (b) every char-kernel feature value is bit-identical between the two
 //! paths on every sampled pair (`char_equivalence=ok` marker), and
 //! (c) the *full* feature vector off the arena-packed analysis is
@@ -62,11 +64,11 @@
 
 use bench::{dataset, dataset_list, flag_value, make_task, render_table, ExpOptions};
 use corleone::blocker;
-use corleone::lines::Lines;
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin};
 use corleone::task::MatchTask;
 use corleone::CandidateSet;
 use crowd::PairKey;
+use exec::lines::Lines;
 use exec::Threads;
 use forest::{Op, Predicate, Rule};
 use rand::rngs::StdRng;
@@ -207,6 +209,29 @@ fn bench_rules(task: &MatchTask) -> Vec<Rule> {
     }
     assert!(!rules.is_empty(), "dataset has no text features to block on");
     rules
+}
+
+/// One-predicate rules the indexed join serves through its prefix,
+/// containment and missing-value probes: `prefix <= 0.5`,
+/// `containment <= 0.5`, and `dice_w <= 0.5` with `nan_satisfies =
+/// false`, each on the first feature of its kind. The index oracle
+/// checks them untimed.
+fn probe_rules(task: &MatchTask) -> Vec<Rule> {
+    let rule = |kind, nan_satisfies| {
+        let feature = find_kind(task, kind).expect("a text attribute has every text kind");
+        Rule {
+            predicates: vec![Predicate { feature, op: Op::Le, threshold: 0.5, nan_satisfies }],
+            label: false,
+            tree: 0,
+            n_pos: 0,
+            n_neg: 1,
+        }
+    };
+    vec![
+        rule(FeatureKind::PrefixSim, true),
+        rule(FeatureKind::Containment, true),
+        rule(FeatureKind::DiceWords, false),
+    ]
 }
 
 /// Reference rule sweep through the string kernels, pair by pair with a
@@ -484,6 +509,16 @@ fn main() -> ExitCode {
                 scan_pairs, idx_pairs,
                 "indexed join diverged from Cartesian scan on {name} @ {scale}"
             );
+            for rules in probe_rules(&task).into_iter().map(|r| vec![r]) {
+                let join =
+                    IndexedJoin::plan(&task, &rules).expect("probe rules plan an indexed join");
+                assert_eq!(
+                    join.generate(threads),
+                    CartesianScan::new(&task, rules.clone()).generate(threads),
+                    "{} diverged from Cartesian scan on {name} @ {scale}",
+                    join.describe()
+                );
+            }
             out.print(&format!(
                 "index_equivalence=ok dataset={name} scale={scale} candidates={survivors} \
                  speedup={:.1}x",

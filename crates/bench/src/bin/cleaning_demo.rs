@@ -8,9 +8,9 @@
 //! with a proper crowd and condemns the bad ones.
 
 use bench::{dataset, gold_prf, make_platform, make_task, mean, parse_args, pct, render_table};
-use corleone::lines::Lines;
 use corleone::{clean_forest, CandidateSet, CleanerConfig};
 use crowd::TruthOracle;
+use exec::lines::Lines;
 use forest::{Dataset, ForestConfig, RandomForest};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -8,8 +8,8 @@
 //! Products.
 
 use bench::{mean, parse_args, render_table, run_corleone};
-use corleone::lines::Lines;
 use crowd::stats::{required_sample_size, z_for_confidence};
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -2,7 +2,7 @@
 //! negative rules extracted from it — the mechanism the Blocker (§4),
 //! Estimator (§6), and Locator (§7) are built on.
 
-use corleone::lines::Lines;
+use exec::lines::Lines;
 use forest::{extract_rules, Dataset, ForestConfig, RandomForest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

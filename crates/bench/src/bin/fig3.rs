@@ -5,9 +5,9 @@
 //! the detected stopping pattern.
 
 use bench::{make_platform, make_task, parse_args, sampled_candidates};
-use corleone::lines::Lines;
 use corleone::stopping::smooth;
 use corleone::{run_active_learning, MatcherConfig, Threads};
+use exec::lines::Lines;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;

@@ -6,9 +6,9 @@
 //! the (cost, simulated crowd time, F1) frontier.
 
 use bench::{dataset, make_task, mean, parse_args, pct, render_table};
-use corleone::lines::Lines;
 use corleone::Engine;
 use crowd::{CrowdConfig, CrowdPlatform, WorkerPool};
+use exec::lines::Lines;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;

@@ -4,8 +4,8 @@
 //! the active-learning batch size `q`.
 
 use bench::{dataset, dollars, make_platform, make_task, mean, parse_args, pct, render_table};
-use corleone::lines::Lines;
 use corleone::{CorleoneConfig, Engine};
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn run_with(

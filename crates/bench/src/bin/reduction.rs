@@ -11,9 +11,9 @@ use bench::{
     dataset, gold_prf, make_platform, make_task, parse_args, pct, render_table,
     sampled_candidates,
 };
-use corleone::lines::Lines;
 use corleone::ruleeval::{label_pool, RuleEvalConfig};
 use corleone::{locate_difficult_pairs, run_active_learning, CorleoneConfig, RunEnv, Threads};
+use exec::lines::Lines;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;

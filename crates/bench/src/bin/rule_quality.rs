@@ -10,12 +10,12 @@
 use bench::{
     dataset, make_platform, make_task, mean, parse_args, render_table, sampled_candidates,
 };
-use corleone::lines::Lines;
 use corleone::ruleeval::{
     evaluate_rules_jointly, label_pool, labeled_as, select_top_rules, RuleEvalConfig,
 };
 use corleone::{run_active_learning, CandidateSet, CorleoneConfig, Threads};
 use crowd::TruthOracle;
+use exec::lines::Lines;
 use forest::{negative_rules, positive_rules, Rule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

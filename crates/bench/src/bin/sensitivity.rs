@@ -6,7 +6,7 @@
 //! dips a further 1-10% (28% on Restaurants) and cost shoots up $250-500.
 
 use bench::{dollars, mean, parse_args, pct, render_table, ExpOptions};
-use corleone::lines::Lines;
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

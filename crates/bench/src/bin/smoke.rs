@@ -13,7 +13,7 @@
 //! diff a resumed run against an uninterrupted reference.
 
 use bench::{dollars, parse_args, pct, try_run_corleone};
-use corleone::lines::Lines;
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -3,7 +3,7 @@
 //! on.
 
 use bench::{dataset, parse_args, render_table};
-use corleone::lines::Lines;
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

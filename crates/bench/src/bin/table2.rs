@@ -6,7 +6,7 @@
 
 use baselines::{baseline1, baseline2};
 use bench::{dataset, dollars, make_task, mean, parse_args, pct, render_table, run_corleone};
-use corleone::lines::Lines;
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

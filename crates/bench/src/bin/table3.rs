@@ -4,8 +4,8 @@
 
 use baselines::dev_blocker;
 use bench::{dollars, make_task, mean, parse_args, pct, render_table, run_corleone};
-use corleone::lines::Lines;
 use corleone::metrics::blocking_recall;
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

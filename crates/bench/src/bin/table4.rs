@@ -3,7 +3,7 @@
 //! and reduction (#pairs, difficult-set size) for each iteration.
 
 use bench::{parse_args, pct, render_table, run_corleone};
-use corleone::lines::Lines;
+use exec::lines::Lines;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

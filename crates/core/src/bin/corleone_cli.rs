@@ -18,13 +18,13 @@
 //! ```
 //!
 //! Stdout, interactive questions included, goes through
-//! [`corleone::lines::Lines`]: a reader that closes the pipe early ends
+//! [`exec::lines::Lines`]: a reader that closes the pipe early ends
 //! the printing, not the run, and `--out` is still written.
 
-use corleone::lines::Lines;
 use corleone::{CorleoneConfig, Engine, MatchTask, RunSession};
 use crowd::hit::render_question;
 use crowd::{CrowdConfig, CrowdPlatform, GoldOracle, PairKey, TruthOracle, WorkerPool};
+use exec::lines::Lines;
 use similarity::csv::{parse_csv, table_from_csv, table_from_csv_with_schema};
 use similarity::Table;
 use std::cell::RefCell;

@@ -73,7 +73,6 @@ pub mod error;
 pub mod estimator;
 pub mod join;
 pub mod learner;
-pub mod lines;
 pub mod locator;
 pub mod metrics;
 pub mod report;

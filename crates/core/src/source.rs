@@ -8,10 +8,11 @@
 //!   (the original behavior). O(|A|·|B|) but fully general; kept as the
 //!   fallback and as the equivalence oracle for the indexed path.
 //! * [`IndexedJoin`] — output-sensitive generation: pick one rule whose
-//!   predicates are all similarity-join conditions, probe inverted
-//!   indexes over B ([`similarity::index`]) per A record for a superset
-//!   of its survivors, then verify the full rule set on those (few)
-//!   candidates with the same rule sweep the scan uses.
+//!   predicates are all similarity-join conditions, probe indexes over B
+//!   ([`similarity::index`]: token postings, sorted exact and prefix
+//!   lists, 3-byte window postings) per A record for a superset of its
+//!   survivors, then verify the full rule set on those (few) candidates
+//!   with the same rule sweep the scan uses.
 //!
 //! [`plan_blocking_source`] inspects the rules and picks the indexed
 //! path whenever one rule is fully indexable, else falls back to the
@@ -22,12 +23,16 @@
 //! Blocking rules are *negative*: a pair is blocked when **any** rule
 //! fires, so the survivor set of all rules is contained in the survivor
 //! set of each single rule. A rule is a conjunction of predicates, so
-//! its survivors are the **union** over predicates of "predicate fails"
-//! — and a threshold predicate `f <= t` (with `nan_satisfies`) fails
-//! exactly when `f` is non-NaN and `f > t`, a similarity-join
-//! condition the indexes over-approximate. Index probes thus yield a
-//! superset of the true survivor set; the verification pass shrinks it
-//! to exactly the pairs the scan would keep.
+//! its survivors are the **union** over predicates of "predicate fails".
+//! A threshold predicate `f <= t` fails when `f` is non-NaN and `f > t`,
+//! a similarity-join condition the indexes over-approximate, and, when
+//! it does not let NaN through (`nan_satisfies = false`), also when `f`
+//! is NaN. Every indexable kind is NaN exactly when one of the pair's
+//! values is missing, so such a predicate's failures are its probe's
+//! hits plus B's records with a missing value, or all of B when the A
+//! record's value is missing. Index probes thus yield a superset of the
+//! true survivor set; the verification pass shrinks it to exactly the
+//! pairs the scan would keep.
 //!
 //! # One generation loop
 //!
@@ -50,7 +55,10 @@ use crate::task::MatchTask;
 use crowd::PairKey;
 use exec::Threads;
 use forest::{Op, Rule};
-use similarity::index::{ExactIndex, InvertedIndex, ProbeScratch, SetMeasure, TokenSpace};
+use similarity::index::{
+    missing_records, ContainmentIndex, ExactIndex, InvertedIndex, PrefixIndex, ProbeScratch,
+    SetMeasure, TokenSpace,
+};
 use similarity::{FeatureKind, Record, TaskAnalysis};
 use std::cell::RefCell;
 
@@ -209,35 +217,81 @@ impl CandidateSource for CartesianScan<'_> {
 }
 
 /// One indexable predicate of the chosen rule, mapped onto an index
-/// probe. The predicate *fails* (pair survives) exactly when the probed
-/// similarity strictly exceeds `threshold`.
+/// probe. The predicate *fails* (pair survives) when the probed
+/// similarity strictly exceeds its threshold, and, when `missing`, also
+/// when a value of the pair is missing.
 #[derive(Debug, Clone, PartialEq)]
-enum ProbeSpec {
+struct ProbeSpec {
+    attr: usize,
+    probe: Probe,
+    /// The predicate does not let NaN through (`nan_satisfies = false`):
+    /// a pair with a missing value fails it.
+    missing: bool,
+}
+
+/// The similarity-join condition a [`ProbeSpec`] probes for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Probe {
     /// Set-similarity join over one token space.
-    Set { attr: usize, space: TokenSpace, measure: SetMeasure, threshold: f64 },
+    Set { space: TokenSpace, measure: SetMeasure, threshold: f64 },
     /// Equality join on the collapsed normalized string
     /// (`exact_match > t` with `t < 1` means equality).
-    Exact { attr: usize },
+    Exact,
+    /// Common-prefix ratio above `threshold`.
+    Prefix { threshold: f64 },
+    /// One collapsed string contains the other (`containment > t` with
+    /// `t < 1` means containment).
+    Contain,
+}
+
+/// What an index is built over. Indexes are threshold-independent, so
+/// probes with equal keys on one attribute share an index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IndexKey {
+    Set(TokenSpace),
+    Exact,
+    Prefix,
+    Contain,
 }
 
 impl ProbeSpec {
     fn describe(&self) -> String {
-        match self {
-            ProbeSpec::Set { attr, space, measure, threshold } => {
+        let attr = self.attr;
+        let probe = match self.probe {
+            Probe::Set { space, measure, threshold } => {
                 format!("a{attr}:{}:{}>{threshold:.3}", space.name(), measure.name())
             }
-            ProbeSpec::Exact { attr } => format!("a{attr}:exact"),
+            Probe::Exact => format!("a{attr}:exact"),
+            Probe::Prefix { threshold } => format!("a{attr}:prefix>{threshold:.3}"),
+            Probe::Contain => format!("a{attr}:contain"),
+        };
+        if self.missing {
+            format!("{probe}+missing")
+        } else {
+            probe
+        }
+    }
+
+    fn index_key(&self) -> IndexKey {
+        match self.probe {
+            Probe::Set { space, .. } => IndexKey::Set(space),
+            Probe::Exact => IndexKey::Exact,
+            Probe::Prefix { .. } => IndexKey::Prefix,
+            Probe::Contain => IndexKey::Contain,
         }
     }
 }
 
 /// Map a predicate onto an index probe, or `None` when the index cannot
-/// serve it. Indexable: `f <= t` with `nan_satisfies`, `0 ≤ t < 1`, and
-/// `f` a set/vector similarity with a precomputed token set (char-level
-/// and numeric kinds, negated or `Gt` predicates, and cosine without a
-/// corpus model all fall back to the scan).
+/// serve it. Indexable: `f <= t` with `0 ≤ t < 1` and `f` a set/vector
+/// similarity with a precomputed token set, exact match, prefix
+/// similarity or containment (the other char-level kinds, numeric kinds,
+/// `Gt` predicates, and cosine without a corpus model all fall back to
+/// the scan). Every such kind is NaN exactly when a value is missing, so
+/// a predicate without `nan_satisfies` maps to the same probe plus the
+/// pairs with a missing value.
 fn probe_spec(task: &MatchTask, pred: &forest::Predicate) -> Option<ProbeSpec> {
-    if pred.op != Op::Le || !pred.nan_satisfies {
+    if pred.op != Op::Le {
         return None;
     }
     let t = pred.threshold;
@@ -245,10 +299,8 @@ fn probe_spec(task: &MatchTask, pred: &forest::Predicate) -> Option<ProbeSpec> {
         return None;
     }
     let def = task.vectorizer.library().defs.get(pred.feature)?;
-    let set = |space, measure| {
-        Some(ProbeSpec::Set { attr: def.attr, space, measure, threshold: t })
-    };
-    match def.kind {
+    let set = |space, measure| Probe::Set { space, measure, threshold: t };
+    let probe = match def.kind {
         FeatureKind::JaccardWords => set(TokenSpace::Words, SetMeasure::Jaccard),
         FeatureKind::Jaccard3Grams => set(TokenSpace::Grams, SetMeasure::Jaccard),
         FeatureKind::DiceWords => set(TokenSpace::Words, SetMeasure::Dice),
@@ -259,12 +311,15 @@ fn probe_spec(task: &MatchTask, pred: &forest::Predicate) -> Option<ProbeSpec> {
         FeatureKind::CosineTfIdf if task.vectorizer.has_corpus_model(def.attr) => {
             set(TokenSpace::TfIdf, SetMeasure::Cosine)
         }
-        FeatureKind::ExactMatch => Some(ProbeSpec::Exact { attr: def.attr }),
-        _ => None,
-    }
+        FeatureKind::ExactMatch => Probe::Exact,
+        FeatureKind::PrefixSim => Probe::Prefix { threshold: t },
+        FeatureKind::Containment => Probe::Contain,
+        _ => return None,
+    };
+    Some(ProbeSpec { attr: def.attr, probe, missing: !pred.nan_satisfies })
 }
 
-/// Output-sensitive candidate generation: probe inverted indexes for a
+/// Output-sensitive candidate generation: probe indexes over B for a
 /// superset of one rule's survivors, then verify all rules on the
 /// candidates. Produces byte-identical output to [`CartesianScan`].
 pub struct IndexedJoin<'t> {
@@ -321,6 +376,8 @@ impl<'t> IndexedJoin<'t> {
 enum BuiltIndex {
     Set(InvertedIndex),
     Exact(ExactIndex),
+    Prefix(PrefixIndex),
+    Contain(ContainmentIndex),
 }
 
 impl CandidateSource for IndexedJoin<'_> {
@@ -332,44 +389,64 @@ impl CandidateSource for IndexedJoin<'_> {
     fn generate(&self, threads: Threads) -> Vec<PairKey> {
         let task = self.task;
         let analysis = task.ensure_analysis(threads);
+        let n_b = task.table_b.len() as u32;
 
-        // Build one index per distinct (attr, space/exact) over table B.
-        // Indexes are threshold-independent, so predicates sharing a
-        // token space share an index.
-        let mut keys: Vec<(usize, Option<TokenSpace>)> = Vec::new();
+        // Build one index per distinct (attr, index key) over table B,
+        // and one list of B's missing values per attribute a probe adds
+        // them on.
+        let mut keys: Vec<(usize, IndexKey)> = Vec::new();
         let mut indexes: Vec<BuiltIndex> = Vec::new();
+        let mut missing: Vec<(usize, Vec<u32>)> = Vec::new();
         let mut probe_index: Vec<usize> = Vec::with_capacity(self.probes.len());
         for spec in &self.probes {
-            let key = match spec {
-                ProbeSpec::Set { attr, space, .. } => (*attr, Some(*space)),
-                ProbeSpec::Exact { attr } => (*attr, None),
-            };
-            let slot = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
-                keys.push(key);
+            let (attr, key) = (spec.attr, spec.index_key());
+            let slot = keys.iter().position(|&k| k == (attr, key)).unwrap_or_else(|| {
+                keys.push((attr, key));
+                let b = &analysis.b;
                 indexes.push(match key {
-                    (attr, Some(space)) => {
-                        BuiltIndex::Set(InvertedIndex::build(&analysis.b, attr, space))
-                    }
-                    (attr, None) => BuiltIndex::Exact(ExactIndex::build(&analysis.b, attr)),
+                    IndexKey::Set(space) => BuiltIndex::Set(InvertedIndex::build(b, attr, space)),
+                    IndexKey::Exact => BuiltIndex::Exact(ExactIndex::build(b, attr)),
+                    IndexKey::Prefix => BuiltIndex::Prefix(PrefixIndex::build(b, attr)),
+                    IndexKey::Contain => BuiltIndex::Contain(ContainmentIndex::build(b, attr)),
                 });
                 keys.len() - 1
             });
             probe_index.push(slot);
+            if spec.missing && missing.iter().all(|(x, _)| *x != attr) {
+                missing.push((attr, missing_records(&analysis.b, attr)));
+            }
         }
+        let missing_of = |attr: usize| -> &[u32] {
+            missing.iter().find(|(x, _)| *x == attr).map_or(&[], |(_, m)| m)
+        };
 
         // Probe per A record; the union of its probes' hits, sorted and
         // deduped, is the record's run for the sweep of the full rule set.
         generate_rows(task, &self.rules, analysis, threads, |a, hits, scratch| {
             for (spec, &slot) in self.probes.iter().zip(&probe_index) {
-                match (spec, &indexes[slot]) {
-                    (ProbeSpec::Set { attr, measure, threshold, .. }, BuiltIndex::Set(idx)) => {
-                        idx.probe(analysis.attr_a(a, *attr), *measure, *threshold, scratch, hits);
+                let va = analysis.attr_a(a, spec.attr);
+                if spec.missing {
+                    if va.is_none() {
+                        // NaN against every B record: all of B survives.
+                        hits.clear();
+                        hits.extend(0..n_b);
+                        return;
                     }
-                    (ProbeSpec::Exact { attr }, BuiltIndex::Exact(idx)) => {
-                        if let Some(an) = analysis.attr_a(a, *attr) {
-                            idx.matches(&analysis.b, an.collapsed(), hits);
+                    hits.extend_from_slice(missing_of(spec.attr));
+                }
+                match (spec.probe, &indexes[slot]) {
+                    (Probe::Set { measure, threshold, .. }, BuiltIndex::Set(idx)) => {
+                        idx.probe(va, measure, threshold, scratch, hits);
+                    }
+                    (Probe::Exact, BuiltIndex::Exact(idx)) => {
+                        if let Some(va) = va {
+                            idx.matches(&analysis.b, va.collapsed(), hits);
                         }
                     }
+                    (Probe::Prefix { threshold }, BuiltIndex::Prefix(idx)) => {
+                        idx.probe(&analysis.b, va, threshold, hits);
+                    }
+                    (Probe::Contain, BuiltIndex::Contain(idx)) => idx.probe(va, hits),
                     // Planner pairs specs with matching indexes.
                     _ => {}
                 }
@@ -385,7 +462,7 @@ impl CandidateSource for IndexedJoin<'_> {
 pub enum PlannedSource<'t> {
     /// Fallback: full `A × B` scan.
     Cartesian(CartesianScan<'t>),
-    /// Output-sensitive inverted-index join.
+    /// Output-sensitive index join.
     Indexed(IndexedJoin<'t>),
 }
 
@@ -427,39 +504,56 @@ mod tests {
     use similarity::{Attribute, Schema, Table, Value};
     use std::sync::Arc;
 
-    fn toy_task() -> MatchTask {
-        let schema = Arc::new(Schema::new(vec![
-            Attribute::text("name"),
-            Attribute::number("year"),
-        ]));
-        let names_a = [
-            "kingston hyperx 4gb memory kit",
-            "kingston valueram 4gb",
-            "corsair vengeance 8gb memory",
-            "",
-            "samsung evo ssd 500gb",
-            "western digital caviar blue",
-            "kingston hyperx",
-            "seagate barracuda 2tb",
-        ];
-        let names_b = [
-            "kingston hyperx 4gb kit",
-            "corsair 8gb memory",
-            "",
-            "totally unrelated tokens",
-            "samsung evo ssd",
-            "seagate barracuda",
-        ];
-        let rows = |names: &[&str]| -> Vec<Vec<Value>> {
+    const NAMES_A: [&str; 8] = [
+        "kingston hyperx 4gb memory kit",
+        "kingston valueram 4gb",
+        "corsair vengeance 8gb memory",
+        "",
+        "samsung evo ssd 500gb",
+        "western digital caviar blue",
+        "kingston hyperx",
+        "seagate barracuda 2tb",
+    ];
+    const NAMES_B: [&str; 6] = [
+        "kingston hyperx 4gb kit",
+        "corsair 8gb memory",
+        "",
+        "totally unrelated tokens",
+        "samsung evo ssd",
+        "seagate barracuda",
+    ];
+
+    /// A task over the names (`None` a null name) and a year per record.
+    fn task_of(names_a: &[Option<&str>], names_b: &[Option<&str>]) -> MatchTask {
+        let schema =
+            Arc::new(Schema::new(vec![Attribute::text("name"), Attribute::number("year")]));
+        let rows = |names: &[Option<&str>]| -> Vec<Vec<Value>> {
             names
                 .iter()
                 .enumerate()
-                .map(|(i, &n)| vec![Value::Text(n.into()), Value::Number(2000.0 + i as f64)])
+                .map(|(i, n)| {
+                    let name = n.map_or(Value::Null, |n| Value::Text(n.into()));
+                    vec![name, Value::Number(2000.0 + i as f64)]
+                })
                 .collect()
         };
-        let a = Table::new("a", schema.clone(), rows(&names_a));
-        let b = Table::new("b", schema, rows(&names_b));
+        let a = Table::new("a", schema.clone(), rows(names_a));
+        let b = Table::new("b", schema, rows(names_b));
         task_from_parts(a, b, "same?", [(0, 0), (4, 4)], [(0, 3), (2, 5)])
+    }
+
+    fn toy_task() -> MatchTask {
+        task_of(&NAMES_A.map(Some), &NAMES_B.map(Some))
+    }
+
+    /// [`toy_task`] with one more record in each table, whose name is
+    /// null.
+    fn toy_task_with_nulls() -> MatchTask {
+        let mut a = NAMES_A.map(Some).to_vec();
+        let mut b = NAMES_B.map(Some).to_vec();
+        a.insert(2, None);
+        b.insert(1, None);
+        task_of(&a, &b)
     }
 
     fn feature(task: &MatchTask, name: &str) -> usize {
@@ -532,21 +626,24 @@ mod tests {
 
     #[test]
     fn planner_falls_back_on_unindexable_rules() {
-        let task = toy_task();
+        let task = toy_task_with_nulls();
         let jac = feature(&task, "name_jac_w");
         let lev = feature(&task, "name_lev");
+        let jw = feature(&task, "name_jw");
         let num = feature(&task, "year_num_rel");
-        // Char-level kind.
+        // Char-level kinds.
         assert!(IndexedJoin::plan(&task, &[rule(vec![le(lev, 0.5)])]).is_none());
+        assert!(IndexedJoin::plan(&task, &[rule(vec![le(jw, 0.5)])]).is_none());
         // Numeric kind.
         assert!(IndexedJoin::plan(&task, &[rule(vec![le(num, 0.5)])]).is_none());
         // Negated threshold direction (Gt).
         let gt = Predicate { feature: jac, op: Op::Gt, threshold: 0.5, nan_satisfies: true };
         assert!(IndexedJoin::plan(&task, &[rule(vec![gt])]).is_none());
-        // NaN does not satisfy: the survivor set includes NaN pairs the
-        // index cannot enumerate.
+        // NaN does not satisfy: the survivors add the pairs with a
+        // missing value, which the join lists per attribute.
         let no_nan = Predicate { feature: jac, op: Op::Le, threshold: 0.5, nan_satisfies: false };
-        assert!(IndexedJoin::plan(&task, &[rule(vec![no_nan])]).is_none());
+        assert!(IndexedJoin::plan(&task, &[rule(vec![no_nan])]).is_some());
+        assert_equivalent(&task, &[rule(vec![no_nan])]);
         // Threshold at/above 1.0 (predicate `f <= 1` never fails).
         assert!(IndexedJoin::plan(&task, &[rule(vec![le(jac, 1.0)])]).is_none());
         // One indexable rule among unindexable ones is enough.
@@ -556,6 +653,59 @@ mod tests {
         // ... and the mixed rule set still produces scan-identical
         // survivors (the unindexable rule participates in verification).
         assert_equivalent(&task, &rules);
+    }
+
+    #[test]
+    fn indexed_join_matches_scan_on_prefix_and_containment_rules() {
+        for task in [toy_task(), toy_task_with_nulls()] {
+            let prefix = feature(&task, "name_prefix");
+            let contain = feature(&task, "name_contain");
+            let jac = feature(&task, "name_jac_w");
+            for t in [0.0, 0.3, 0.5, 0.92] {
+                assert_equivalent(&task, &[rule(vec![le(prefix, t)])]);
+                assert_equivalent(&task, &[rule(vec![le(contain, t), le(jac, t)])]);
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_join_matches_scan_when_a_missing_value_fails_the_predicate() {
+        let task = toy_task_with_nulls();
+        let no_nan = |name, threshold| Predicate {
+            feature: feature(&task, name),
+            op: Op::Le,
+            threshold,
+            nan_satisfies: false,
+        };
+        for name in ["name_prefix", "name_contain", "name_exact", "name_dice_w", "name_cos_tfidf"] {
+            for t in [0.0, 0.5] {
+                assert_equivalent(&task, &[rule(vec![no_nan(name, t)])]);
+                let prefix = le(feature(&task, "name_prefix"), 0.4);
+                assert_equivalent(&task, &[rule(vec![prefix, no_nan(name, t)])]);
+            }
+        }
+    }
+
+    #[test]
+    fn describe_names_every_probe() {
+        let task = toy_task();
+        let f = |name| feature(&task, name);
+        let no_nan = Predicate {
+            feature: f("name_dice_w"),
+            op: Op::Le,
+            threshold: 0.58,
+            nan_satisfies: false,
+        };
+        let rules = [rule(vec![le(f("name_prefix"), 0.92), le(f("name_contain"), 0.5), no_nan])];
+        assert_eq!(
+            plan_blocking_source(&task, &rules).describe(),
+            "indexed_join[a0:prefix>0.920 | a0:contain | a0:words:dice>0.580+missing]"
+        );
+        let rules = [rule(vec![le(f("name_jac_3g"), 0.3), le(f("name_exact"), 0.5)])];
+        assert_eq!(
+            plan_blocking_source(&task, &rules).describe(),
+            "indexed_join[a0:grams:jaccard>0.300 | a0:exact]"
+        );
     }
 
     #[test]

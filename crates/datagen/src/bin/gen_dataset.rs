@@ -6,13 +6,16 @@
 //! ```
 //!
 //! Produces `DIR/a.csv`, `DIR/b.csv`, `DIR/gold.csv` and prints the seed
-//! example pairs to pass as `--pos` / `--neg`.
+//! example pairs to pass as `--pos` / `--neg`, through
+//! [`exec::lines::Lines`]: a reader that closes the pipe early ends the
+//! printing, not the run.
 
 use datagen::{by_name, export, GenConfig};
+use exec::lines::Lines;
 use std::path::PathBuf;
-use std::process::exit;
+use std::process::{exit, ExitCode};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(name) = args.first() else {
         eprintln!("usage: gen_dataset <restaurants|citations|products> [--scale f] [--seed n] [--out dir]");
@@ -49,17 +52,19 @@ fn main() {
         exit(1);
     });
     let st = ds.stats();
-    println!(
+    let mut lines = Lines::stdout();
+    lines.print(&format!(
         "wrote {}/{{a,b,gold}}.csv  (|A|={}, |B|={}, matches={})",
         out.display(),
         st.n_a,
         st.n_b,
         st.n_matches
-    );
+    ));
     let p = ds.seeds.positive;
     let n = ds.seeds.negative;
-    println!("seed flags for corleone-cli:");
-    println!("  --pos {}:{},{}:{}", p[0].0, p[0].1, p[1].0, p[1].1);
-    println!("  --neg {}:{},{}:{}", n[0].0, n[0].1, n[1].0, n[1].1);
-    println!("  --instruction \"{}\"", ds.instruction);
+    lines.print("seed flags for corleone-cli:");
+    lines.print(&format!("  --pos {}:{},{}:{}", p[0].0, p[0].1, p[1].0, p[1].1));
+    lines.print(&format!("  --neg {}:{},{}:{}", n[0].0, n[0].1, n[1].0, n[1].1));
+    lines.print(&format!("  --instruction \"{}\"", ds.instruction));
+    lines.finish()
 }

@@ -31,6 +31,15 @@
 //! [`std::thread::available_parallelism`]. A budget of 1 runs inline on
 //! the caller's thread with zero spawning overhead, which also makes
 //! single-threaded runs trivially deterministic.
+//!
+//! # Process output
+//!
+//! [`lines::Lines`] is the stdout every command-line bin of the workspace
+//! prints through. It lives here, in the crate every other crate already
+//! depends on, so the dataset generator and the pipeline's bins share one
+//! writer without a dependency cycle.
+
+pub mod lines;
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -16,11 +16,11 @@
 //!     --datasets restaurants,citations,products --scale 0.2 --seed 7
 //! ```
 
-use corleone::lines::Lines;
 use corleone::{BlockerConfig, CorleoneConfig};
 use corleone::task::task_from_parts;
 use crowd::{CrowdConfig, CrowdPlatform, FaultConfig, GoldOracle, RetryPolicy, WorkerPool};
 use datagen::{EmDataset, GenConfig};
+use exec::lines::Lines;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use service::{MatchService, ServiceConfig, TenantSpec};

@@ -83,7 +83,8 @@ echo "==> blocking hot-path perf smoke (quick: all three datasets, scale 0.05)"
 # file so the committed BENCH_blocking.json (full-scale run) is untouched.
 # Per dataset the bin prints five markers once each, after asserting:
 # index_equivalence=ok (the indexed join's candidate list is
-# byte-identical to the Cartesian scan's), char_equivalence=ok (per-pair
+# byte-identical to the Cartesian scan's, for the bench rules and for a
+# prefix, a containment and a missing-value rule), char_equivalence=ok (per-pair
 # bit identity of the bit-parallel/scratch char kernels against the
 # string reference) and arena_equivalence=ok (every pair's full feature
 # vector off the arena views equals the string path's with to_bits
@@ -195,6 +196,20 @@ cargo run --release -q -p service --bin corleone-serve -- \
 [ -f "$svc_dir/piped/restaurants.json" ] \
     || { echo "FAIL: corleone-serve wrote no report when its stdout closed"; exit 1; }
 
+echo "==> gen_dataset with a closed stdout"
+# The dataset generator prints its summary and seed flags through the
+# same writer (exec::lines): a closed pipe must still leave the three
+# CSVs and exit 0.
+code=0
+cargo run --release -q -p datagen --bin gen_dataset -- \
+    restaurants --scale 0.05 --out "$svc_dir/gen-piped" | true || code=$?
+[ "$code" -eq 0 ] \
+    || { echo "FAIL: gen_dataset exited $code when its stdout closed"; exit 1; }
+for csv in a b gold; do
+    [ -f "$svc_dir/gen-piped/$csv.csv" ] \
+        || { echo "FAIL: gen_dataset wrote no $csv.csv when its stdout closed"; exit 1; }
+done
+
 echo "==> corleone-cli with a closed stdout"
 # The CLI prints through the same writer, interactive questions included:
 # a closed pipe must still let the run finish, write --out and exit 0.
@@ -214,7 +229,7 @@ cargo run --release -q -p corleone --bin corleone_cli -- \
     || { echo "FAIL: corleone_cli wrote no report when its stdout closed"; exit 1; }
 
 echo "==> smoke with a closed stdout"
-# The bench bins print through the same writer (corleone::lines): a
+# The bench bins print through the same writer (exec::lines): a
 # closed pipe ends the printing, not the runs, so smoke must still run
 # every dataset, write each --emit-json report and exit 0.
 code=0

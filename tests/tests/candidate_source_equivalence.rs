@@ -5,7 +5,9 @@
 //! row-major order) to [`CartesianScan`] — the equivalence oracle — over
 //! arbitrary tables and rules, at any thread count. Tables here include
 //! the nasty cases: empty strings, whitespace-only values, nulls,
-//! unicode, duplicated rows, and empty tables.
+//! unicode, duplicated rows, and empty tables; and short strings over a
+//! small alphabet, so prefixes, substrings, duplicates and
+//! punctuation-only values are common.
 
 use corleone::prelude::*;
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin, PlannedSource};
@@ -32,11 +34,17 @@ const CORPUS: &[&str] = &[
 /// Degenerate shapes: empty, whitespace-only, symbol-only, unicode.
 const WEIRD: &[&str] = &["", " ", "  !!  ", "héllo wörld", "a a b"];
 
+/// A small alphabet: a letter pair, a multibyte letter, a blank and a
+/// punctuation mark.
+const ALPHABET: &[char] = &['a', 'b', 'é', ' ', '!'];
+
 /// Text values with adversarial shapes for tokenization and analysis.
 fn text_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         3 => (0..CORPUS.len()).prop_map(|i| Value::Text(CORPUS[i].to_string())),
         1 => (0..WEIRD.len()).prop_map(|i| Value::Text(WEIRD[i].to_string())),
+        2 => prop::collection::vec(0..ALPHABET.len(), 0..6)
+            .prop_map(|cs| Value::Text(cs.into_iter().map(|c| ALPHABET[c]).collect())),
         1 => Just(Value::Null),
     ]
 }
@@ -71,6 +79,8 @@ const INDEXABLE: &[FeatureKind] = &[
     FeatureKind::CosineTfIdf,
     FeatureKind::ExactMatch,
     FeatureKind::Soundex,
+    FeatureKind::PrefixSim,
+    FeatureKind::Containment,
 ];
 
 fn feature_of(task: &MatchTask, kind: FeatureKind) -> usize {
@@ -82,23 +92,21 @@ fn feature_of(task: &MatchTask, kind: FeatureKind) -> usize {
         .expect("kind present in text library")
 }
 
-/// An indexable rule: 1–3 predicates over indexable kinds.
-fn indexable_rule() -> impl Strategy<Value = Vec<(usize, f64)>> {
-    prop::collection::vec(
-        (0..INDEXABLE.len(), 0.0f64..0.999),
-        1..4,
-    )
+/// An indexable rule: 1–3 predicates over indexable kinds, each with
+/// `nan_satisfies` drawn either way.
+fn indexable_rule() -> impl Strategy<Value = Vec<(usize, f64, bool)>> {
+    prop::collection::vec((0..INDEXABLE.len(), 0.0f64..0.999, any::<bool>()), 1..4)
 }
 
-fn to_rule(task: &MatchTask, spec: &[(usize, f64)]) -> Rule {
+fn to_rule(task: &MatchTask, spec: &[(usize, f64, bool)]) -> Rule {
     Rule {
         predicates: spec
             .iter()
-            .map(|&(ki, t)| Predicate {
+            .map(|&(ki, t, nan_satisfies)| Predicate {
                 feature: feature_of(task, INDEXABLE[ki]),
                 op: Op::Le,
                 threshold: t,
-                nan_satisfies: true,
+                nan_satisfies,
             })
             .collect(),
         label: false,

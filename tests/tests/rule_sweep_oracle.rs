@@ -174,8 +174,9 @@ proptest! {
 
 /// Fixed cases the proptest reaches only by chance: a zero-predicate rule
 /// ahead of the others, a rule that blocks nothing, char-kernel and
-/// numeric predicates, and `Gt` / `nan_satisfies = false` on a feature
-/// another rule also reads.
+/// numeric predicates, `Gt` / `nan_satisfies = false` on a feature
+/// another rule also reads, and generators the join serves through its
+/// prefix, containment and missing-value probes.
 #[test]
 fn fixed_rule_mixes_keep_the_string_path_survivors() {
     let text = |s: &str| Value::Text(s.to_string());
@@ -199,23 +200,59 @@ fn fixed_rule_mixes_keep_the_string_path_survivors() {
     let jw = f(FeatureKind::JaroWinkler);
     let year = f(FeatureKind::NumRelSim);
     let jac = f(FeatureKind::JaccardWords);
-    let mixes: Vec<Vec<Rule>> = vec![
-        vec![rule(vec![]), rule(vec![pred(jac, Op::Le, 0.5, true)])],
-        vec![
-            rule(vec![pred(lev, Op::Le, 0.4, false), pred(year, Op::Gt, 0.99, true)]),
-            rule(vec![pred(jac, Op::Le, 0.3, true)]),
-            rule(vec![pred(jw, Op::Le, 0.8, true), pred(jac, Op::Gt, 0.9, false)]),
-        ],
-        vec![rule(vec![pred(jac, Op::Le, -1.0, false)]), rule(vec![pred(year, Op::Le, 0.5, true)])],
+    let prefix = f(FeatureKind::PrefixSim);
+    let contain = f(FeatureKind::Containment);
+    let dice = f(FeatureKind::DiceWords);
+    // Each mix, and whether the join plans for it.
+    let mixes: Vec<(Vec<Rule>, bool)> = vec![
+        (vec![rule(vec![]), rule(vec![pred(jac, Op::Le, 0.5, true)])], true),
+        (
+            vec![
+                rule(vec![pred(lev, Op::Le, 0.4, false), pred(year, Op::Gt, 0.99, true)]),
+                rule(vec![pred(jac, Op::Le, 0.3, true)]),
+                rule(vec![pred(jw, Op::Le, 0.8, true), pred(jac, Op::Gt, 0.9, false)]),
+            ],
+            true,
+        ),
+        (
+            vec![
+                rule(vec![pred(jac, Op::Le, -1.0, false)]),
+                rule(vec![pred(year, Op::Le, 0.5, true)]),
+            ],
+            false,
+        ),
+        (
+            vec![
+                rule(vec![pred(prefix, Op::Le, 0.5, true)]),
+                rule(vec![pred(lev, Op::Le, 0.3, true)]),
+            ],
+            true,
+        ),
+        (
+            vec![
+                rule(vec![pred(jw, Op::Le, 0.9, true)]),
+                rule(vec![pred(contain, Op::Le, 0.5, true), pred(prefix, Op::Le, 0.2, false)]),
+            ],
+            true,
+        ),
+        (
+            vec![
+                rule(vec![pred(dice, Op::Le, 0.4, false)]),
+                rule(vec![pred(year, Op::Gt, 0.5, false), pred(dice, Op::Le, 0.1, true)]),
+            ],
+            true,
+        ),
     ];
-    for rules in mixes {
+    for (rules, plans) in mixes {
         let (want, want_features) = string_path(&task, &rules);
+        let join = IndexedJoin::plan(&task, &rules);
+        assert_eq!(join.is_some(), plans, "the join plans for {rules:?}");
         for threads in [1usize, 2, 8] {
             let before = task.kernel_counters();
             let got = CartesianScan::new(&task, rules.clone()).generate(Threads::new(threads));
             assert_eq!(got, want, "scan at {threads} threads");
             assert_eq!(task.kernel_counters().delta(&before).single_features, want_features);
-            if let Some(join) = IndexedJoin::plan(&task, &rules) {
+            if let Some(join) = &join {
                 assert_eq!(join.generate(Threads::new(threads)), want, "join at {threads} threads");
             }
         }
