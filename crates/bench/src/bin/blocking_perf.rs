@@ -14,7 +14,12 @@
 //! Every phase is timed under one repetition policy: it runs up to
 //! three times, fewer once its runs have taken two seconds, and
 //! `wall_ms` is the median run. One run per phase let the file swing
-//! with the load on a shared machine; long phases still run once.
+//! with the load on a shared machine; long phases still run once. The
+//! analysis-path vectorize phases (`vectorize_pre`, `vectorize_run`,
+//! `char_kernels_pre`, and each kind of `--kinds`) time cold builds:
+//! every run gets an analysis of its own, built untimed, whose new
+//! generation flushes the per-thread value rows and token table, so no
+//! run reads what an earlier phase or run left there.
 //!
 //! Phases per dataset × scale:
 //! * `analysis_build`   — one-time `TableAnalysis` build (rate = records/s)
@@ -65,7 +70,7 @@
 use bench::{dataset, dataset_list, flag_value, make_task, render_table, ExpOptions};
 use corleone::blocker;
 use corleone::source::{CandidateSource, CartesianScan, IndexedJoin};
-use corleone::task::MatchTask;
+use corleone::task::{AnalysisCell, MatchTask};
 use corleone::CandidateSet;
 use crowd::PairKey;
 use exec::lines::Lines;
@@ -76,6 +81,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 use similarity::{FeatureKind, Record, TaskAnalysis};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Bump when the JSON layout changes. v2 added the envelope object and
@@ -321,16 +327,28 @@ const REP_BUDGET_S: f64 = 2.0;
 /// over its runs, and the last run's output (every run computes the
 /// same output).
 fn timed<T>(mut phase: impl FnMut() -> T) -> (f64, T) {
-    let start = Instant::now();
+    timed_fresh(|| (), |()| phase())
+}
+
+/// [`timed`], each run of `phase` on an input of its own from `fresh`,
+/// built untimed.
+fn timed_fresh<S, T>(mut fresh: impl FnMut() -> S, mut phase: impl FnMut(S) -> T) -> (f64, T) {
     let mut walls = Vec::with_capacity(REPS);
     loop {
+        let input = fresh();
         let t0 = Instant::now();
-        let out = phase();
+        let out = phase(input);
         walls.push(t0.elapsed().as_secs_f64() * 1000.0);
-        if walls.len() == REPS || start.elapsed().as_secs_f64() >= REP_BUDGET_S {
+        if walls.len() == REPS || walls.iter().sum::<f64>() >= REP_BUDGET_S * 1000.0 {
             return (median(&mut walls), out);
         }
     }
+}
+
+/// A new analysis of the task's tables: a generation of its own, so the
+/// kernels' per-thread tables start cold.
+fn fresh_analysis(task: &MatchTask, threads: Threads) -> TaskAnalysis {
+    task.vectorizer.analyze(&task.table_a, &task.table_b, threads)
 }
 
 /// The median of a non-empty list (the mean of the middle two when its
@@ -347,9 +365,10 @@ fn median(xs: &mut [f64]) -> f64 {
 
 /// Per-kernel ns/pair on both paths (calibration data for
 /// `FeatureKind::unit_cost`), the pre path one `feature_run` per run of
-/// sampled pairs sharing the left record. With `all_defs`, times every
-/// feature def (per attribute) instead of the first def per kind — the
-/// per-def breakdown of a full `vectorize_pre` pass. Returns the table.
+/// sampled pairs sharing the left record, on a fresh analysis per kind
+/// (the string path ignores `an`). With `all_defs`, times every feature
+/// def (per attribute) instead of the first def per kind — the per-def
+/// breakdown of a full `vectorize_pre` pass. Returns the table.
 fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs: bool) -> String {
     let pairs = sample_pairs(task, 20_000);
     let runs: Vec<&[(u32, u32)]> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
@@ -362,6 +381,8 @@ fn kind_timings(task: &MatchTask, an: &TaskAnalysis, threads: Threads, all_defs:
             continue;
         }
         let run = |pre: bool| {
+            let fresh = pre.then(|| fresh_analysis(task, threads));
+            let an = fresh.as_ref().unwrap_or(an);
             let t0 = Instant::now();
             let sums: Vec<f64> = exec::indexed_par_map(threads, runs.len(), |ri| {
                 let mut col = vec![0.0; runs[ri].len()];
@@ -530,34 +551,34 @@ fn main() -> ExitCode {
             // pair on each path, so the timing overhead cancels), which
             // feeds the whole-vector byte-identity assertion below.
             let pairs = sample_pairs(&task, vec_sample);
-            let vectorize = |pre: bool| -> (f64, Vec<Vec<u64>>) {
+            // Through the analysis `pre`, or the string path without one.
+            let vectorize = |pre: Option<&TaskAnalysis>| -> Vec<Vec<u64>> {
                 // Reused per-thread output buffer: the pre phase measures
                 // the allocation-free `vectorize_pre_into` hot path.
                 thread_local! {
                     static VBUF: std::cell::RefCell<Vec<f64>> =
                         const { std::cell::RefCell::new(Vec::new()) };
                 }
-                timed(|| {
-                    exec::indexed_par_map(threads, pairs.len(), |i| {
-                        let (a, b) = pairs[i];
-                        let (ra, rb) = (task.table_a.record(a), task.table_b.record(b));
-                        if pre {
-                            VBUF.with(|v| {
-                                let mut v = v.borrow_mut();
-                                v.resize(task.n_features(), 0.0);
-                                task.vectorizer.vectorize_pre_into(ra, &[rb], an, &mut v);
-                                v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
-                            })
-                        } else {
-                            let v = task.vectorizer.vectorize(ra, rb);
+                exec::indexed_par_map(threads, pairs.len(), |i| {
+                    let (a, b) = pairs[i];
+                    let (ra, rb) = (task.table_a.record(a), task.table_b.record(b));
+                    if let Some(an) = pre {
+                        VBUF.with(|v| {
+                            let mut v = v.borrow_mut();
+                            v.resize(task.n_features(), 0.0);
+                            task.vectorizer.vectorize_pre_into(ra, &[rb], an, &mut v);
                             v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
-                        }
-                    })
+                        })
+                    } else {
+                        let v = task.vectorizer.vectorize(ra, rb);
+                        v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
+                    }
                 })
             };
-            let (wall_s, vbits_s) = vectorize(false);
+            let fresh = || fresh_analysis(&task, threads);
+            let (wall_s, vbits_s) = timed(|| vectorize(None));
             let (_, vrate_s) = push("vectorize_string", wall_s, pairs.len() as f64);
-            let (wall_p, vbits_p) = vectorize(true);
+            let (wall_p, vbits_p) = timed_fresh(fresh, |an| vectorize(Some(&an)));
             let (_, vrate_p) = push("vectorize_pre", wall_p, pairs.len() as f64);
             for (pi, (bs, bp)) in vbits_s.iter().zip(&vbits_p).enumerate() {
                 assert_eq!(
@@ -580,8 +601,15 @@ fn main() -> ExitCode {
             let mut rng = StdRng::seed_from_u64(42);
             let run_pairs = blocker::sample_pairs(&task, vec_sample as u64, &mut rng);
             let n_runs = run_pairs.windows(2).filter(|w| w[0].a != w[1].a).count() + 1;
-            let (wall_r, built) =
-                timed(|| CandidateSet::build_with(&task, run_pairs.clone(), threads, None));
+            // A copy of the task per run, holding a fresh analysis.
+            let fresh_task = || {
+                let t = MatchTask { analysis: AnalysisCell::default(), ..task.clone() };
+                t.install_analysis(Arc::new(fresh_analysis(&task, threads)));
+                t
+            };
+            let (wall_r, built) = timed_fresh(fresh_task, |t| {
+                CandidateSet::build_with(&t, run_pairs.clone(), threads, None)
+            });
             let (_, vrate_r) = push("vectorize_run", wall_r, run_pairs.len() as f64);
             let diverged: Vec<bool> = exec::indexed_par_map(threads, run_pairs.len(), |i| {
                 let p = run_pairs[i];
@@ -623,26 +651,26 @@ fn main() -> ExitCode {
                 .map(|(i, _)| i)
                 .collect();
             let runs: Vec<&[(u32, u32)]> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
-            let char_run = |pre: bool| -> (f64, Vec<Vec<u64>>) {
-                timed(|| {
-                    let per_run = exec::indexed_par_map(threads, runs.len(), |ri| {
-                        let run = runs[ri];
-                        let mut bits = vec![Vec::with_capacity(char_defs.len()); run.len()];
-                        let mut col = vec![0.0; run.len()];
-                        for &fi in &char_defs {
-                            run_column(&task, an, fi, run, pre, &mut col);
-                            for (row, x) in bits.iter_mut().zip(&col) {
-                                row.push(x.to_bits());
-                            }
+            // Through the analysis `pre`, or the string path (which
+            // ignores the analysis it is handed).
+            let char_run = |an: &TaskAnalysis, pre: bool| -> Vec<Vec<u64>> {
+                let per_run = exec::indexed_par_map(threads, runs.len(), |ri| {
+                    let run = runs[ri];
+                    let mut bits = vec![Vec::with_capacity(char_defs.len()); run.len()];
+                    let mut col = vec![0.0; run.len()];
+                    for &fi in &char_defs {
+                        run_column(&task, an, fi, run, pre, &mut col);
+                        for (row, x) in bits.iter_mut().zip(&col) {
+                            row.push(x.to_bits());
                         }
-                        bits
-                    });
-                    per_run.into_iter().flatten().collect()
-                })
+                    }
+                    bits
+                });
+                per_run.into_iter().flatten().collect()
             };
-            let (wall_cs, bits_s) = char_run(false);
+            let (wall_cs, bits_s) = timed(|| char_run(an, false));
             let (_, crate_s) = push("char_kernels_string", wall_cs, pairs.len() as f64);
-            let (wall_cp, bits_p) = char_run(true);
+            let (wall_cp, bits_p) = timed_fresh(fresh, |an| char_run(&an, true));
             let (_, crate_p) = push("char_kernels_pre", wall_cp, pairs.len() as f64);
             for (pi, (bs, bp)) in bits_s.iter().zip(&bits_p).enumerate() {
                 assert_eq!(
@@ -747,5 +775,14 @@ mod tests {
             runs
         });
         assert_eq!((runs, out), (REPS, REPS), "a fast phase runs REPS times");
+        let mut built = 0;
+        let (_, out) = timed_fresh(
+            || {
+                built += 1;
+                built
+            },
+            |input| input,
+        );
+        assert_eq!((built, out), (REPS, REPS), "each run on an input of its own");
     }
 }

@@ -133,8 +133,8 @@ struct AttrHeader {
     str_off: u32,
     str_len: u32,
     /// Rank of the raw value in the shared distinct-value pool, or
-    /// [`MISSING`]. Id equality is raw-string equality — the char
-    /// kernels key their whole-value memo cache on it.
+    /// [`MISSING`]. Id equality is raw-string equality — the
+    /// vectorizer keys its per-thread value rows on it.
     value_id: u32,
     /// `sqrt(Σ w²)` over the TF/IDF weights, accumulated in id order
     /// (identical to the reference's per-call norm computation).
@@ -450,9 +450,10 @@ pub struct TaskAnalysis {
     pub stats: AnalysisStats,
     /// Process-unique id of this analysis build. `value_id` / word ids
     /// are ranks into *this task's* pools, so cross-task caches (the char
-    /// kernels' per-thread result cache) key on the generation to never
-    /// serve an id interned by a different task. The counter only
-    /// disambiguates cache entries — no output depends on its value.
+    /// kernels' per-thread value rows, token table and left table) key on
+    /// the generation to never serve an id interned by a different task.
+    /// The counter only disambiguates cache entries — no output depends
+    /// on its value.
     pub generation: u64,
     /// Per attribute: its values recur (see [`Self::recurring`]).
     recurring: Vec<bool>,
@@ -473,9 +474,9 @@ impl TaskAnalysis {
 
     /// True when attribute `attr` has at most one distinct value per two
     /// non-null text cells, counted across both tables (cities, cuisines,
-    /// brands, venues). Only there do pairs repeat whole-value kernel
-    /// inputs often enough for the char kernels' result cache to pay for
-    /// its probes (see [`crate::charkernels`]). Not part of
+    /// brands, venues). Only there do pairs repeat whole values often
+    /// enough for the per-thread value rows to pay for their probes (see
+    /// [`crate::charkernels`]). Not part of
     /// [`AnalysisStats`]: it is a policy read off the build, not a size.
     #[inline]
     pub fn recurring(&self, attr: usize) -> bool {

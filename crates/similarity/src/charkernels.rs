@@ -14,10 +14,13 @@
 //!   value as the pattern and its bit table kept across a run of pairs:
 //!   `O(⌈m/64⌉·n)` word operations instead of `O(m·n)` cell updates, and
 //!   the exact integer distance of the reference DP.
-//! * **Jaro / Jaro-Winkler** match through per-char availability
-//!   bitmasks: each `a` char finds the lowest untaken matching `b`
-//!   position in its window with a find-first-set instead of a linear
-//!   scan — `O(n·⌈n/64⌉)` instead of `O(n·window)`.
+//! * **Jaro / Jaro-Winkler** of two whole values of at most 64 chars
+//!   match through the left value's positional table, the one
+//!   Levenshtein keeps for the run: each right char, in order, takes the
+//!   lowest untaken matching left position in its window with one mask
+//!   and a find-first-set, so a run builds no table per pair. Longer
+//!   values, and Monge-Elkan's token pairs, match through availability
+//!   bitmasks over the right value (`jaro_ids`), rebuilt per pair.
 //! * **Monge-Elkan** scores one left value against a whole run of right
 //!   values ([`monge_elkan_run`]): the bitset Jaro-Winkler grid of the
 //!   left value's distinct tokens against the distinct tokens of all the
@@ -35,16 +38,21 @@
 //!   sequence past [`SW_I16_MAX_LEN`]) take the reference recurrence in
 //!   two rolling rows ([`sw_fallback`]).
 //!
-//! # Whole-value result cache
+//! # Value rows and the token table
 //!
-//! A per-thread direct-mapped table memoizes whole-value results by
-//! `(kernel, value id, value id)`. It pays only where values recur, so a
-//! kernel consults it only for attributes that
-//! [`crate::analysis::TaskAnalysis::recurring`] flags (distinct values
-//! at most half of the non-null cells). On near-unique attributes (names,
-//! addresses, titles) a probe almost never hits and both the probe and
-//! the fill are skipped. Monge-Elkan's inner token pairs recur on every
-//! attribute and always use the table.
+//! Two per-thread direct-mapped tables remember results, 2 MiB each:
+//!
+//! * **Value rows** ([`ValueRow`]) hold the text features of one pair of
+//!   values on one attribute, keyed by `(attribute, value id, value id)`
+//!   ([`row_key`]). They pay only where values recur, so the vectorizer
+//!   keys them only on attributes that
+//!   [`crate::analysis::TaskAnalysis::recurring`] flags (distinct values
+//!   at most half of the non-null cells): one probe then serves a
+//!   pair's whole feature row. A row's mask says which slots it holds,
+//!   since the rule sweep fills one feature at a time.
+//! * **The token table** remembers Monge-Elkan's inner Jaro-Winkler
+//!   scores of longer token pairs, keyed by word-pool ids: token pairs
+//!   recur on every attribute.
 //!
 //! # Bit-identity contract
 //!
@@ -59,17 +67,21 @@
 //!   so `1 - d/max` is the identical f64 expression on identical
 //!   integers. Likewise Smith-Waterman's integer score and
 //!   `(s/max).clamp(..)`; the lanes' padding argument is at [`sw_lanes`].
-//! * Jaro's bitset matching selects the same `b` position for each `a`
-//!   char as the reference's greedy window scan (the lowest untaken
-//!   match), so its match/transposition counts are identical integers.
-//!   Jaro-Winkler applies the reference's prefix boost to that score.
+//! * Jaro's bitset matching over the right value selects the same `b`
+//!   position for each `a` char as the reference's greedy window scan
+//!   (the lowest untaken match), so its match/transposition counts are
+//!   identical integers. Matching from the left table runs the same
+//!   greedy pass with the roles swapped, which takes the same position
+//!   sets on both sides (see [`jaro_left`]), so the counts are the
+//!   reference's too. Jaro-Winkler applies the reference's prefix boost
+//!   to that score.
 //!   Monge-Elkan's run grid leaves every per-token fold of both
 //!   directions equal to its true maximum (see [`monge_elkan_run`] for
 //!   the symmetry argument) and sums per-occurrence terms in the
 //!   reference's order.
-//! * A hit in the result cache or in the scratch's last-pair Jaro slot
-//!   returns the bits the kernel computed for the same inputs, so
-//!   whether a kernel consults them cannot change a result.
+//! * A hit in a value row, the token table or the scratch's last-pair
+//!   Jaro slot returns the bits the kernel computed for the same inputs,
+//!   so whether a kernel consults them cannot change a result.
 //!
 //! The property suite (`tests/analysis_equivalence.rs`) enforces this
 //! with `f64::to_bits` equality over arbitrary inputs, including
@@ -93,19 +105,20 @@ pub struct CharScratch {
     /// char id: row `c` holds the positions of char `c` in the current
     /// subject string. Zeroed wholesale per build (it is a few KiB), so
     /// absent chars read an all-zero row with no mapping layer at all.
-    /// Jaro's per-pair availability rows.
+    /// The per-pair availability rows of [`jaro_ids`].
     peq: Vec<u64>,
-    /// Persistent Myers Peq table for the Levenshtein *pattern* side.
-    /// Candidate streams arrive grouped by the left record, so the table
-    /// is rebuilt only when `(pat_gen, pat_value_id)` changes and
-    /// amortizes across a whole run of pairs.
+    /// Persistent positional table of the left value: Myers' Peq for
+    /// Levenshtein, whose *pattern* the left value is, and the table
+    /// [`jaro_left`] matches against. Candidate streams arrive grouped by
+    /// the left record, so the table is rebuilt only when `(pat_gen,
+    /// pat_value_id)` changes and amortizes across a whole run of pairs.
     pat_peq: Vec<u64>,
     pat_gen: u64,
     pat_value_id: u32,
     /// Myers vertical-delta bit vectors, one u64 per 64-row block.
     pv: Vec<u64>,
     mv: Vec<u64>,
-    /// Jaro: bitmask of taken `b` positions and matched `a` chars.
+    /// [`jaro_ids`]: bitmask of taken `b` positions and matched `a` chars.
     taken: Vec<u64>,
     a_matches: Vec<u32>,
     /// Monge-Elkan run grid ([`monge_elkan_run`]): the cells, column-major
@@ -119,18 +132,22 @@ pub struct CharScratch {
     me_pairs: Vec<u32>,
     me_tokens: Vec<(u32, u32, u32)>,
     me_pair_columns: Vec<u32>,
-    /// Direct-mapped result cache keyed by `(kernel tag, id, id)` — whole
-    /// values through `AttrView::value_id`, Monge-Elkan inner token
-    /// pairs through word-pool ids. Attribute values (cities, brands,
-    /// venues) and token pairs recur across record pairs far more often
-    /// than records do, and id equality is input equality, so a hit
-    /// returns the exact bits a recompute would. Collisions simply evict.
+    /// The token table: Monge-Elkan's inner token-pair scores,
+    /// direct-mapped by the unordered pair of word-pool ids. Token pairs
+    /// recur across record pairs far more often than records do, and id
+    /// equality is input equality, so a hit returns the exact bits a
+    /// recompute would. Collisions simply evict.
     cache_keys: Vec<u64>,
     cache_vals: Vec<f64>,
-    /// `TaskAnalysis::generation` the cache's entries belong to. Ids are
-    /// ranks into per-task pools, so entries from another analysis build
-    /// must never hit; a generation change flushes the cache.
+    /// `TaskAnalysis::generation` the token table's entries belong to.
+    /// Ids are ranks into per-task pools, so entries from another
+    /// analysis build must never hit; a generation change flushes it.
     cache_gen: u64,
+    /// The value rows ([`ValueRow`]), direct-mapped by [`row_key`], and
+    /// the generation they belong to, flushed on a change like the token
+    /// table.
+    rows: Vec<ValueRow>,
+    rows_gen: u64,
     /// Smith-Waterman lanes ([`sw_lanes`]): the right sequences
     /// transposed, `sw_bt[j][lane]` (`-1` past a sequence's end), and the
     /// DP column over the left sequence.
@@ -138,8 +155,8 @@ pub struct CharScratch {
     sw_col: Vec<[i16; SW_LANES]>,
     /// The two rolling DP rows of [`sw_fallback`], back to back.
     sw_rows: Vec<i64>,
-    /// The last value pair's Jaro score. Keyed like the result cache, so
-    /// a hit is the same two strings, but on every attribute: a pair's
+    /// The last value pair's Jaro score, keyed by the analysis generation
+    /// and both value ids, so a hit is the same two strings: a pair's
     /// Jaro-Winkler reuses its Jaro matching when a run computes both.
     last_jaro: Option<(PairId, f64)>,
 }
@@ -168,73 +185,56 @@ pub(crate) struct Ctx {
     /// Char intern-pool size (`AnalysisStats::distinct_chars`): every
     /// char id is below it.
     pub pool: usize,
-    /// `TaskAnalysis::generation`, which scopes the result cache.
+    /// `TaskAnalysis::generation`, which scopes the per-thread tables.
     pub gen: u64,
-    /// Consult the whole-value result cache: the attribute's values
-    /// recur (`TaskAnalysis::recurring`).
-    pub memo: bool,
 }
 
 impl Ctx {
-    /// The context for attribute `attr` of `an`'s tables.
-    pub fn new(an: &TaskAnalysis, attr: usize) -> Ctx {
-        Ctx { pool: an.stats.distinct_chars, gen: an.generation, memo: an.recurring(attr) }
+    /// The context for the tables of `an`.
+    pub fn new(an: &TaskAnalysis) -> Ctx {
+        Ctx { pool: an.stats.distinct_chars, gen: an.generation }
     }
 }
 
-// ---- per-thread result cache ---------------------------------------------
-
-/// Cache geometry: 2^18 direct-mapped slots (4 MiB per thread — sized so
-/// the distinct token-pair working set of a large dataset doesn't thrash
-/// the direct mapping; an L2-resident 2^14 table measured no faster on
-/// misses and lost the cross-kind hits).
-const CACHE_BITS: u32 = 18;
 /// Bits reserved per id in a packed key; ids at or above `1 << ID_BITS`
-/// bypass the cache (correct, just uncached).
+/// bypass both tables (correct, just not remembered).
 const ID_BITS: u32 = 24;
-/// Key tags, one per cached kernel. Tag 0 is never used, so the all-ones
-/// empty-slot sentinel can't collide with a real key.
-const TAG_LEV: u64 = 1;
-const TAG_JARO: u64 = 2;
-const TAG_JW: u64 = 3;
-const TAG_ME: u64 = 4;
-const TAG_SW: u64 = 5;
-/// Monge-Elkan inner token-pair scores, keyed by the unordered pair of
-/// word-pool ids (not value ids): Jaro-Winkler is symmetric.
-const TAG_ME_TOKEN: u64 = 6;
 const EMPTY_KEY: u64 = u64::MAX;
 
-/// Compute-through-cache: return the cached result for
-/// `(tag, ida, idb)` within analysis build `gen`, or run `f` once and
-/// remember its bits. Only exact key matches from the same generation
-/// hit, and both id spaces are injective into their inputs within a
-/// generation, so the cache can only ever substitute a value `f` itself
-/// would return — determinism (and the bit-identity contract) is
-/// unaffected by hit patterns, thread counts, or evictions.
+/// The slot of `key` in a direct-mapped table of `2^bits` slots.
+#[inline]
+fn slot_of(key: u64, bits: u32) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+}
+
+// ---- per-thread token table ----------------------------------------------
+
+/// Token-table geometry: 2^17 direct-mapped slots (2 MiB per thread).
+/// 2^18 slots measured no faster on the blocker samples, and 2^16 about
+/// 4% slower; the other 2 MiB of the budget hold the value rows.
+const CACHE_BITS: u32 = 17;
+/// Key tag of Monge-Elkan's inner token-pair scores, keyed by the
+/// unordered pair of word-pool ids: Jaro-Winkler is symmetric. Nonzero,
+/// so the all-ones empty-slot sentinel can't collide with a real key.
+const TAG_ME_TOKEN: u64 = 6;
+
+/// Compute-through-the-token-table: return the remembered score of the
+/// token pair `(ida, idb)` within analysis build `gen`, or run `f` once
+/// and remember its bits. Only exact key matches from the same
+/// generation hit, and word-pool ids are injective into their tokens
+/// within a generation, so the table can only ever substitute a value
+/// `f` itself would return — determinism (and the bit-identity contract)
+/// is unaffected by hit patterns, thread counts, or evictions.
 #[inline]
 fn cached(
     s: &mut CharScratch,
     gen: u64,
-    tag: u64,
     ida: u32,
     idb: u32,
     f: impl FnOnce(&mut CharScratch) -> f64,
 ) -> f64 {
-    if let Some(v) = cache_get(s, gen, tag, ida, idb) {
-        return v;
-    }
-    let v = f(s);
-    cache_put(s, gen, tag, ida, idb, v);
-    v
-}
-
-/// The slot and key of `(tag, ida, idb)` in the result cache, once the
-/// cache holds only entries of generation `gen`; `None` when an id is too
-/// wide to key.
-#[inline]
-fn cache_slot(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32) -> Option<(usize, u64)> {
     if (ida | idb) >> ID_BITS != 0 {
-        return None;
+        return f(s);
     }
     if s.cache_keys.is_empty() {
         s.cache_keys.resize(1 << CACHE_BITS, EMPTY_KEY);
@@ -244,71 +244,103 @@ fn cache_slot(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32) -> Op
         s.cache_keys.fill(EMPTY_KEY);
         s.cache_gen = gen;
     }
-    let key = (tag << (2 * ID_BITS)) | (u64::from(ida) << ID_BITS) | u64::from(idb);
-    let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_BITS)) as usize;
-    Some((slot, key))
-}
-
-/// The cached result for `(tag, ida, idb)` within generation `gen`, if any.
-#[inline]
-fn cache_get(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32) -> Option<f64> {
-    let (slot, key) = cache_slot(s, gen, tag, ida, idb)?;
-    (s.cache_keys[slot] == key).then(|| s.cache_vals[slot])
-}
-
-/// Remember `v` as the result for `(tag, ida, idb)` within generation
-/// `gen`, evicting whatever shared its slot.
-#[inline]
-fn cache_put(s: &mut CharScratch, gen: u64, tag: u64, ida: u32, idb: u32, v: f64) {
-    if let Some((slot, key)) = cache_slot(s, gen, tag, ida, idb) {
-        s.cache_keys[slot] = key;
-        s.cache_vals[slot] = v;
-    }
-}
-
-/// The remembered result of kernel `tag` for the whole values `a` and
-/// `b`, on attributes whose values recur (`cx.memo`); elsewhere `None`.
-#[inline]
-fn memo_get(
-    s: &mut CharScratch,
-    cx: Ctx,
-    tag: u64,
-    a: AttrView<'_>,
-    b: AttrView<'_>,
-) -> Option<f64> {
-    if cx.memo {
-        cache_get(s, cx.gen, tag, a.value_id(), b.value_id())
-    } else {
-        None
-    }
-}
-
-/// Remember `v` as kernel `tag`'s result for the whole values `a` and
-/// `b`, on attributes whose values recur (`cx.memo`).
-#[inline]
-fn memo_put(s: &mut CharScratch, cx: Ctx, tag: u64, a: AttrView<'_>, b: AttrView<'_>, v: f64) {
-    if cx.memo {
-        cache_put(s, cx.gen, tag, a.value_id(), b.value_id(), v);
-    }
-}
-
-/// [`cached`] keyed by the two whole values, for attributes whose values
-/// recur (`cx.memo`); elsewhere `f` runs directly.
-#[inline]
-fn memoized(
-    s: &mut CharScratch,
-    cx: Ctx,
-    tag: u64,
-    a: AttrView<'_>,
-    b: AttrView<'_>,
-    f: impl FnOnce(&mut CharScratch) -> f64,
-) -> f64 {
-    if let Some(v) = memo_get(s, cx, tag, a, b) {
-        return v;
+    let key = (TAG_ME_TOKEN << (2 * ID_BITS)) | (u64::from(ida) << ID_BITS) | u64::from(idb);
+    let slot = slot_of(key, CACHE_BITS);
+    if s.cache_keys[slot] == key {
+        return s.cache_vals[slot];
     }
     let v = f(s);
-    memo_put(s, cx, tag, a, b, v);
+    s.cache_keys[slot] = key;
+    s.cache_vals[slot] = v;
     v
+}
+
+// ---- per-thread value rows -----------------------------------------------
+
+/// Value-row geometry: 2^14 direct-mapped rows of 128 bytes (2 MiB per
+/// thread). Restaurants@3's name, recurring with 17,921 distinct value
+/// pairs in a 30k-pair sample, is the largest working set the benchmark
+/// workloads bring.
+const ROW_BITS: u32 = 14;
+
+/// Slots of a [`ValueRow`]: one per text feature kind, at
+/// `FeatureKind as usize` (the text kinds come first in its declaration).
+pub(crate) const ROW_SLOTS: usize = 14;
+
+/// The text features of one pair of values on one attribute: slot `k`
+/// holds the feature of kind `k` when bit `k` of the mask is set. Two
+/// cache lines, so a hit reads no more than a pair's own features.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+pub(crate) struct ValueRow {
+    key: u64,
+    mask: u16,
+    vals: [f64; ROW_SLOTS],
+}
+
+impl ValueRow {
+    const EMPTY: ValueRow = ValueRow { key: EMPTY_KEY, mask: 0, vals: [0.0; ROW_SLOTS] };
+
+    /// The feature in slot `k` (which the row holds).
+    #[inline]
+    pub(crate) fn get(&self, k: usize) -> f64 {
+        debug_assert!(self.mask & (1 << k) != 0, "slot {k} not filled");
+        self.vals[k]
+    }
+
+    /// Fill slot `k` with `v`.
+    #[inline]
+    pub(crate) fn put(&mut self, k: usize, v: f64) {
+        self.vals[k] = v;
+        self.mask |= 1 << k;
+    }
+}
+
+/// The value-row key of the values `a` and `b` of attribute `attr`, or
+/// `None` when the attribute or an id is too wide to key. The key holds
+/// the attribute because value ids are shared across attributes while
+/// cosine's TF/IDF weights are not.
+#[inline]
+pub(crate) fn row_key(attr: usize, a: AttrView<'_>, b: AttrView<'_>) -> Option<u64> {
+    let (ida, idb) = (a.value_id(), b.value_id());
+    // An attribute of 0xFFFF could spell the empty sentinel.
+    if attr >= 0xFFFF || (ida | idb) >> ID_BITS != 0 {
+        return None;
+    }
+    Some(((attr as u64) << (2 * ID_BITS)) | (u64::from(ida) << ID_BITS) | u64::from(idb))
+}
+
+impl CharScratch {
+    /// The value rows, once they hold only rows of generation `gen`.
+    #[inline]
+    fn rows_of(&mut self, gen: u64) -> &mut [ValueRow] {
+        if self.rows.is_empty() {
+            self.rows.resize(1 << ROW_BITS, ValueRow::EMPTY);
+        }
+        if self.rows_gen != gen {
+            self.rows.fill(ValueRow::EMPTY);
+            self.rows_gen = gen;
+        }
+        &mut self.rows
+    }
+
+    /// Row `key` of generation `gen`, if it holds every slot of `need`.
+    #[inline]
+    pub(crate) fn row(&mut self, gen: u64, key: u64, need: u16) -> Option<&ValueRow> {
+        let row = &self.rows_of(gen)[slot_of(key, ROW_BITS)];
+        (row.key == key && row.mask & need == need).then_some(row)
+    }
+
+    /// Row `key` of generation `gen`, to fill: the row already kept for
+    /// `key`, or an empty one in place of whatever shared its slot.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, gen: u64, key: u64) -> &mut ValueRow {
+        let row = &mut self.rows_of(gen)[slot_of(key, ROW_BITS)];
+        if row.key != key {
+            *row = ValueRow { key, ..ValueRow::EMPTY };
+        }
+        row
+    }
 }
 
 // ---- Myers bit-parallel edit distance ------------------------------------
@@ -339,16 +371,28 @@ fn myers_distance_pat(
         return pat.len();
     }
     let m = pat.len();
-    let words = m.div_ceil(64);
+    let words = left_table(a, pool, gen, s);
+    match words {
+        1 => myers_64(&s.pat_peq, text, m),
+        _ => myers_blocked(&s.pat_peq, &mut s.pv, &mut s.mv, text, m, words),
+    }
+}
+
+/// Make `s.pat_peq` the positional table of the left value `a` (raw char
+/// ids, `⌈|a|/64⌉` words per char), building it only when the scratch
+/// holds another value's or another generation's; returns its words per
+/// char. One table per value, whichever kernel asks first: Levenshtein
+/// drives Myers with it, and [`jaro_left`] matches against it.
+#[inline]
+fn left_table(a: AttrView<'_>, pool: usize, gen: u64, s: &mut CharScratch) -> usize {
+    let pat = a.raw_char_ids();
+    let words = pat.len().div_ceil(64);
     if s.pat_gen != gen || s.pat_value_id != a.value_id() {
         build_peq(pat, pool, words, &mut s.pat_peq);
         s.pat_gen = gen;
         s.pat_value_id = a.value_id();
     }
-    match words {
-        1 => myers_64(&s.pat_peq, text, m),
-        _ => myers_blocked(&s.pat_peq, &mut s.pv, &mut s.mv, text, m, words),
-    }
+    words
 }
 
 /// (Re)build a direct-indexed positional bitmask table over `seq`: row
@@ -464,14 +508,12 @@ pub(crate) fn levenshtein_pre(
     cx: Ctx,
     s: &mut CharScratch,
 ) -> f64 {
-    memoized(s, cx, TAG_LEV, a, b, |s| {
-        let max = a.raw_char_ids().len().max(b.raw_char_ids().len());
-        if max == 0 {
-            return 1.0;
-        }
-        let d = myers_distance_pat(a, b, cx.pool, cx.gen, s);
-        1.0 - d as f64 / max as f64
-    })
+    let max = a.raw_char_ids().len().max(b.raw_char_ids().len());
+    if max == 0 {
+        return 1.0;
+    }
+    let d = myers_distance_pat(a, b, cx.pool, cx.gen, s);
+    1.0 - d as f64 / max as f64
 }
 
 // ---- Jaro / Jaro-Winkler -------------------------------------------------
@@ -481,7 +523,9 @@ pub(crate) fn levenshtein_pre(
 /// Myers Peq) lets each `a` char find its match with a find-first-set
 /// per word of its window instead of a linear window scan: one word
 /// for `b` up to 64 chars, a loop over the window's words past that.
-/// Sequences of at most 8 chars take the plain window scan.
+/// Sequences of at most 8 chars take the plain window scan. The kernel
+/// of whole values past 64 chars and of Monge-Elkan's token pairs; a
+/// run's shorter whole values take [`jaro_left`].
 ///
 /// The greedy semantics are the reference's exactly — the lowest untaken
 /// matching `b` position inside the window, processed in `a` order — so
@@ -613,9 +657,78 @@ fn jaro_finish(a: &[u32], b: &[u32], taken: &[u64], a_matches: &[u32]) -> f64 {
             t &= t - 1;
         }
     }
+    jaro_expr(m, transpositions, a.len(), b.len())
+}
+
+/// The reference's final Jaro expression over `m > 0` matches, of which
+/// `mismatches` zip to different chars (half of them, rounded down, are
+/// transpositions), between sequences of lengths `la` and `lb`.
+#[inline]
+fn jaro_expr(m: usize, mismatches: usize, la: usize, lb: usize) -> f64 {
     let m = m as f64;
-    let t = (transpositions / 2) as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+    let t = (mismatches / 2) as f64;
+    (m / la as f64 + m / lb as f64 + (m - t) / m) / 3.0
+}
+
+/// Jaro of two whole values `a` (left) and `b` of at most 64 chars each,
+/// matched against the left value's positional table ([`left_table`]),
+/// which a run builds once for Levenshtein and Jaro together: no table
+/// per pair. Bit-identical to `jaro::jaro`.
+///
+/// Each right position `j`, in order, takes the lowest untaken left
+/// position `i` with `a[i] == b[j]` and `|i − j| ≤ w`: one load of char
+/// `b[j]`'s row, masked to the free positions of the window, and a
+/// find-first-set. This is the reference's greedy pass with the roles
+/// swapped, and the two take the same position sets on both sides
+/// ([`monge_elkan_run`] has the argument: the window has the same radius
+/// from either side, and one char's matching never touches another
+/// char's positions). So `m` is the reference's, and zipping the matched
+/// chars in ascending left and ascending right order gives the
+/// reference's transposition count.
+fn jaro_left(a: AttrView<'_>, b: AttrView<'_>, cx: Ctx, s: &mut CharScratch) -> f64 {
+    let (ca, cb) = (a.raw_char_ids(), b.raw_char_ids());
+    let (la, lb) = (ca.len(), cb.len());
+    debug_assert!(la <= 64 && lb <= 64, "one word per side");
+    if la == 0 && lb == 0 {
+        return 1.0;
+    }
+    if la == 0 || lb == 0 {
+        return 0.0;
+    }
+    if ca == cb {
+        // As in `jaro_ids`: every position matches itself, t = 0.
+        return 1.0;
+    }
+    left_table(a, cx.pool, cx.gen, s);
+    let window = (la.max(lb) / 2).saturating_sub(1);
+    let all = !0u64 >> (64 - la);
+    let mut free = all;
+    let mut taken_b = 0u64;
+    for (j, &c) in cb.iter().enumerate() {
+        let lo = j.saturating_sub(window);
+        if lo >= la {
+            // Every later window starts past the left value too.
+            break;
+        }
+        let hi = (j + window + 1).min(la);
+        let mask = s.pat_peq[c as usize] & free & (!0u64 << lo) & (!0u64 >> (64 - hi));
+        if mask != 0 {
+            free ^= mask & mask.wrapping_neg();
+            taken_b |= 1u64 << j;
+        }
+    }
+    let (mut ta, mut tb) = (all & !free, taken_b);
+    let m = ta.count_ones() as usize;
+    if m == 0 {
+        return 0.0;
+    }
+    let mut mismatches = 0;
+    while ta != 0 {
+        mismatches += usize::from(ca[ta.trailing_zeros() as usize] != cb[tb.trailing_zeros() as usize]);
+        ta &= ta - 1;
+        tb &= tb - 1;
+    }
+    jaro_expr(m, mismatches, la, lb)
 }
 
 /// Jaro-Winkler over char-id slices; prefix boost replicates
@@ -634,34 +747,36 @@ fn winkler(j: f64, a: &[u32], b: &[u32]) -> f64 {
     j + prefix as f64 * 0.1 * (1.0 - j)
 }
 
-/// Jaro over precomputed raw char ids; mirrors `jaro::jaro`.
+/// Jaro over precomputed raw char ids; mirrors `jaro::jaro`. Values of
+/// at most 64 chars match against the left value's table
+/// ([`jaro_left`]), longer ones through [`jaro_ids`].
 pub(crate) fn jaro_pre(a: AttrView<'_>, b: AttrView<'_>, cx: Ctx, s: &mut CharScratch) -> f64 {
     let id = (cx.gen, a.value_id(), b.value_id());
-    match s.last_jaro {
-        Some((last, j)) if last == id => j,
-        _ => {
-            let j = memoized(s, cx, TAG_JARO, a, b, |s| {
-                jaro_ids(a.raw_char_ids(), b.raw_char_ids(), cx.pool, s)
-            });
-            s.last_jaro = Some((id, j));
-            j
+    if let Some((last, j)) = s.last_jaro {
+        if last == id {
+            return j;
         }
     }
+    let (ca, cb) = (a.raw_char_ids(), b.raw_char_ids());
+    let j = if ca.len() <= 64 && cb.len() <= 64 {
+        jaro_left(a, b, cx, s)
+    } else {
+        jaro_ids(ca, cb, cx.pool, s)
+    };
+    s.last_jaro = Some((id, j));
+    j
 }
 
 /// Jaro-Winkler over precomputed raw char ids; mirrors
 /// `jaro::jaro_winkler`. Right after [`jaro_pre`] on the same pair the
-/// matching is not redone. Where values recur the result is cached as
-/// well: a hit reads no char ids at all.
+/// matching is not redone.
 pub(crate) fn jaro_winkler_pre(
     a: AttrView<'_>,
     b: AttrView<'_>,
     cx: Ctx,
     s: &mut CharScratch,
 ) -> f64 {
-    memoized(s, cx, TAG_JW, a, b, |s| {
-        winkler(jaro_pre(a, b, cx, s), a.raw_char_ids(), b.raw_char_ids())
-    })
+    winkler(jaro_pre(a, b, cx, s), a.raw_char_ids(), b.raw_char_ids())
 }
 
 // ---- Monge-Elkan ---------------------------------------------------------
@@ -745,9 +860,8 @@ impl TokenColumns {
 /// Both sums then add per-occurrence terms in occurrence order (through
 /// `word_dedup_rank`), and the result is the reference's
 /// `(fwd/na + bwd/nb)/2`. Each cell keeps the per-pair kernel's policy
-/// ([`me_cell`]). On attributes whose values recur the whole-value memo
-/// is checked per pair first, and only the pairs it misses enter the
-/// grid.
+/// ([`me_cell`]). On attributes whose values recur the vectorizer hands
+/// in only the pairs its value rows miss.
 pub(crate) fn monge_elkan_run(
     a: AttrView<'_>,
     bs: &[(usize, AttrView<'_>)],
@@ -769,10 +883,6 @@ pub(crate) fn monge_elkan_run(
         let nb = b.n_word_tokens();
         if na == 0 || nb == 0 {
             put(row, if na == nb { 1.0 } else { 0.0 });
-            continue;
-        }
-        if let Some(v) = memo_get(s, cx, TAG_ME, a, b) {
-            put(row, v);
             continue;
         }
         chunk.add(i, s);
@@ -920,9 +1030,7 @@ impl MeChunk<'_, '_> {
             }
             let fwd: f64 = a.word_dedup_rank().iter().map(|&r| best_row[r as usize]).sum();
             let bwd: f64 = b.word_dedup_rank().iter().map(|&c| best_col[own[c as usize] as usize]).sum();
-            let v = (fwd / na + bwd / b.n_word_tokens() as f64) / 2.0;
-            memo_put(s, cx, TAG_ME, a, b, v);
-            put(row, v);
+            put(row, (fwd / na + bwd / b.n_word_tokens() as f64) / 2.0);
         }
         s.me_grid = grid;
         s.me_cols = best_col;
@@ -934,8 +1042,8 @@ impl MeChunk<'_, '_> {
 /// (chars `tb`): an exact 1.0 for the same token; tiny token pairs
 /// (numeric fragments, initials) directly, faster than a probe-plus-fill
 /// on the low hit rates their near-unique values see; longer vocabulary
-/// words, which recur across runs, through the `TAG_ME_TOKEN` memo, keyed
-/// by the unordered id pair since the score is symmetric.
+/// words, which recur across runs, through the token table, keyed by the
+/// unordered id pair since the score is symmetric.
 #[inline]
 fn me_cell(x: u32, ta: &[u32], y: u32, tb: &[u32], cx: Ctx, s: &mut CharScratch) -> f64 {
     if x == y {
@@ -944,7 +1052,7 @@ fn me_cell(x: u32, ta: &[u32], y: u32, tb: &[u32], cx: Ctx, s: &mut CharScratch)
         jaro_winkler_ids(ta, tb, cx.pool, s)
     } else {
         let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-        cached(s, cx.gen, TAG_ME_TOKEN, lo, hi, |s| jaro_winkler_ids(ta, tb, cx.pool, s))
+        cached(s, cx.gen, lo, hi, |s| jaro_winkler_ids(ta, tb, cx.pool, s))
     }
 }
 
@@ -993,49 +1101,41 @@ fn lane_seq(v: AttrView<'_>) -> Option<&[i16]> {
 /// bit for bit on every pair, a lone pair being a run of one. `put(row,
 /// score)` receives each result.
 ///
-/// On attributes whose values recur the whole-value memo is checked per
-/// pair first, as in [`monge_elkan_run`]. The pairs it misses are
-/// grouped by right-sequence length, sixteen to a group, and scored by
-/// [`sw_lanes`]; a pair a lane cannot hold ([`lane_seq`]) takes
-/// [`sw_fallback`].
+/// The pairs are grouped by right-sequence length, sixteen to a group,
+/// and scored by [`sw_lanes`]; a pair a lane cannot hold ([`lane_seq`])
+/// takes [`sw_fallback`]. On attributes whose values recur the
+/// vectorizer hands in only the pairs its value rows miss.
 pub(crate) fn smith_waterman_run(
     a: AttrView<'_>,
     bs: &[(usize, AttrView<'_>)],
-    cx: Ctx,
     s: &mut CharScratch,
     mut put: impl FnMut(usize, f64),
 ) {
     let ca = a.lower_char_ids();
     let qa = lane_seq(a);
-    let mut laned: Vec<(usize, AttrView<'_>, &[i16])> = Vec::with_capacity(bs.len());
+    let mut laned: Vec<(usize, &[i16])> = Vec::with_capacity(bs.len());
     for &(row, b) in bs {
         let cb = b.lower_char_ids();
         if ca.is_empty() || cb.is_empty() {
             put(row, if ca.len() == cb.len() { 1.0 } else { 0.0 });
-        } else if let Some(v) = memo_get(s, cx, TAG_SW, a, b) {
-            put(row, v);
         } else if let (Some(_), Some(qb)) = (qa, lane_seq(b)) {
-            laned.push((row, b, qb));
+            laned.push((row, qb));
         } else {
-            let v = sw_similarity(sw_fallback(ca, cb, s), ca.len(), cb.len());
-            memo_put(s, cx, TAG_SW, a, b, v);
-            put(row, v);
+            put(row, sw_similarity(sw_fallback(ca, cb, s), ca.len(), cb.len()));
         }
     }
     let Some(qa) = qa else { return };
     // A group sweeps to its longest sequence; similar lengths together
     // leave the least padding.
-    laned.sort_unstable_by_key(|&(_, _, qb)| qb.len());
+    laned.sort_unstable_by_key(|&(_, qb)| qb.len());
     let mut group: [&[i16]; SW_LANES] = [&[]; SW_LANES];
     for chunk in laned.chunks(SW_LANES) {
-        for (g, &(_, _, qb)) in group.iter_mut().zip(chunk) {
+        for (g, &(_, qb)) in group.iter_mut().zip(chunk) {
             *g = qb;
         }
         let scores = sw_lanes(qa, &group[..chunk.len()], s);
-        for (&score, &(row, b, qb)) in scores.iter().zip(chunk) {
-            let v = sw_similarity(i64::from(score), qa.len(), qb.len());
-            memo_put(s, cx, TAG_SW, a, b, v);
-            put(row, v);
+        for (&score, &(row, qb)) in scores.iter().zip(chunk) {
+            put(row, sw_similarity(i64::from(score), qa.len(), qb.len()));
         }
     }
 }
@@ -1121,6 +1221,8 @@ fn sw_fallback(a: &[u32], b: &[u32], s: &mut CharScratch) -> i64 {
 mod tests {
     use super::*;
     use crate::edit;
+    use crate::record::{Record, Table};
+    use crate::{FeatureKind, FeatureVectorizer};
 
     /// Intern two strings against a tiny shared pool, mirroring what the
     /// analysis layer does for `raw_char_ids`.
@@ -1136,16 +1238,19 @@ mod tests {
         (ids(a), ids(b), pool.len())
     }
 
-    /// An analysis of one text attribute: table A holds `xs`, B `ys`.
-    fn analyzed(xs: &[&str], ys: &[&str]) -> TaskAnalysis {
-        use crate::analysis::analyze_task;
-        use crate::record::{Attribute, Schema, Table, Value};
+    /// Tables of one text attribute: A holds `xs`, B `ys`.
+    fn tables(xs: &[&str], ys: &[&str]) -> (Table, Table) {
+        use crate::record::{Attribute, Schema, Value};
         use std::sync::Arc;
         let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
         let rows = |ts: &[&str]| ts.iter().map(|t| vec![Value::Text(t.to_string())]).collect();
-        let a = Table::new("a", schema.clone(), rows(xs));
-        let b = Table::new("b", schema, rows(ys));
-        analyze_task(&a, &b, &[None], exec::Threads::new(1))
+        (Table::new("a", schema.clone(), rows(xs)), Table::new("b", schema, rows(ys)))
+    }
+
+    /// An analysis of one text attribute: table A holds `xs`, B `ys`.
+    fn analyzed(xs: &[&str], ys: &[&str]) -> TaskAnalysis {
+        let (a, b) = tables(xs, ys);
+        crate::analysis::analyze_task(&a, &b, &[None], exec::Threads::new(1))
     }
 
     fn strs(v: &[String]) -> Vec<&str> {
@@ -1275,6 +1380,48 @@ mod tests {
         }
     }
 
+    #[test]
+    fn jaro_left_matches_reference_in_both_orders() {
+        use crate::jaro;
+        // Alphabets of 2 to 8 chars and lengths 1 to 64 on both sides;
+        // each value is the left one against every value of the other
+        // table, in turn, on one scratch (so every left value replaces the
+        // last one's table).
+        let text = |k: u64, seed: u64, len: usize| -> String {
+            let mut x = seed | 1;
+            (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    char::from(b'a' + ((x >> 33) % k) as u8)
+                })
+                .collect()
+        };
+        let mut s = CharScratch::default();
+        for k in 2..=8u64 {
+            let len = |i: u64| 1 + ((i * 29 + k * 7) % 64) as usize;
+            let xs: Vec<String> = (0..16).map(|i| text(k, k * 1000 + i, len(i))).collect();
+            let ys: Vec<String> = (0..16).map(|i| text(k, k * 2000 + i, len(i + 5))).collect();
+            let an = analyzed(&strs(&xs), &strs(&ys));
+            let cx = Ctx::new(&an);
+            for (i, x) in xs.iter().enumerate() {
+                let a = an.attr_a(i as u32, 0).unwrap();
+                for (j, y) in ys.iter().enumerate() {
+                    let b = an.attr_b(j as u32, 0).unwrap();
+                    let got = jaro_left(a, b, cx, &mut s);
+                    assert_eq!(got.to_bits(), jaro::jaro(x, y).to_bits(), "({x:?}, {y:?})");
+                }
+            }
+            for (j, y) in ys.iter().enumerate() {
+                let b = an.attr_b(j as u32, 0).unwrap();
+                for (i, x) in xs.iter().enumerate() {
+                    let a = an.attr_a(i as u32, 0).unwrap();
+                    let got = jaro_left(b, a, cx, &mut s);
+                    assert_eq!(got.to_bits(), jaro::jaro(y, x).to_bits(), "({y:?}, {x:?})");
+                }
+            }
+        }
+    }
+
     /// Deterministic pseudo-random lowercase strings over a small
     /// alphabet (frequent matches), so the reference lowercasing is the
     /// identity.
@@ -1386,46 +1533,98 @@ mod tests {
             (an.attr_a(ra as u32, 0).expect("text"), bs.enumerate().collect())
         };
         // The run of `lefts[ra]` against the right values `ks`, in order.
-        let check = |ra: usize, ks: &[usize], cx: Ctx, s: &mut CharScratch, what: &str| {
+        let check = |ra: usize, ks: &[usize], s: &mut CharScratch, what: &str| {
             let (av, bs) = views(ra, ks);
             let mut got = vec![f64::NAN; ks.len()];
-            smith_waterman_run(av, &bs, cx, s, |row, v| got[row] = v);
+            smith_waterman_run(av, &bs, s, |row, v| got[row] = v);
             for (row, (&k, g)) in ks.iter().zip(&got).enumerate() {
                 let want = align::smith_waterman_similarity(&lefts[ra], &texts[k]);
                 let at = format!("{what}: a{ra}, pair {row} (b{k})");
                 assert_eq!(g.to_bits(), want.to_bits(), "{at}: {g} vs {want}");
             }
         };
-        let cx = Ctx { pool: an.stats.distinct_chars, gen: an.generation, memo: false };
         let all: Vec<usize> = (0..texts.len()).collect();
         let mut s = CharScratch::default();
         for count in 1..=texts.len() {
-            check(0, &all[..count], cx, &mut s, "lane count");
+            check(0, &all[..count], &mut s, "lane count");
         }
-        check(1, &all, cx, &mut s, "past the cap");
+        check(1, &all, &mut s, "past the cap");
 
-        // With the memo, each run twice over one analysis: all misses,
-        // then all hits.
-        let memo = Ctx { memo: true, ..cx };
-        let mut s = CharScratch::default();
-        for ra in 0..lefts.len() {
-            check(ra, &all, memo, &mut s, "misses");
-            let (av, bs) = views(ra, &all);
-            for &(k, bv) in &bs {
-                let remembered = memo_get(&mut s, memo, TAG_SW, av, bv).is_some();
-                assert_eq!(remembered, !texts[k].is_empty(), "a{ra}, b{k} remembered");
+        // The same runs through the vectorizer, on an attribute whose
+        // values recur (B holds the texts three times over), where value
+        // rows serve the pairs this thread has already scored.
+        let (ta, tb) = {
+            let bs: Vec<&str> = texts.iter().chain(&texts).chain(&texts).map(String::as_str).collect();
+            tables(&strs(&lefts), &bs)
+        };
+        let vz = FeatureVectorizer::fit(&ta, &tb);
+        let sw = FeatureKind::SmithWaterman;
+        let fi = vz.library().defs.iter().position(|d| d.kind == sw).expect("a text attribute");
+        let sweep = |an: &TaskAnalysis, ra: usize, ks: &[usize], what: &str| {
+            let bs: Vec<&Record> = ks.iter().map(|&k| tb.record(k as u32)).collect();
+            let mut got = vec![f64::NAN; ks.len()];
+            vz.feature_run(fi, ta.record(ra as u32), &bs, an, &mut got);
+            for (row, (&k, g)) in ks.iter().zip(&got).enumerate() {
+                let want = align::smith_waterman_similarity(&lefts[ra], &texts[k % texts.len()]);
+                let at = format!("{what}: a{ra}, pair {row} (b{k})");
+                assert_eq!(g.to_bits(), want.to_bits(), "{at}: {g} vs {want}");
             }
-            check(ra, &all, memo, &mut s, "hits");
+        };
+        // The Smith-Waterman slot of the row of `(lefts[ra], b record k)`.
+        let remembered = |an: &TaskAnalysis, ra: usize, k: usize| -> Option<u64> {
+            let (av, bv) = (an.attr_a(ra as u32, 0).unwrap(), an.attr_b(k as u32, 0).unwrap());
+            let key = row_key(0, av, bv).expect("narrow ids");
+            with_scratch(|s| s.row(an.generation, key, 1 << sw as usize).map(|r| r.get(sw as usize).to_bits()))
+        };
+
+        // Each run twice over one analysis: all misses, which fill one
+        // slot per pair, then all hits.
+        let an = vz.analyze(&ta, &tb, exec::Threads::new(1));
+        assert!(an.recurring(0), "B repeats every text");
+        for (ra, left) in lefts.iter().enumerate() {
+            sweep(&an, ra, &all, "misses");
+            for &k in &all {
+                let want = align::smith_waterman_similarity(left, &texts[k]).to_bits();
+                assert_eq!(remembered(&an, ra, k), Some(want), "a{ra}, b{k} remembered");
+            }
+            sweep(&an, ra, &all, "hits");
         }
 
         // A run mixing hits (the even right values, remembered by a first
-        // run), misses, and right values repeated within the run.
-        let mut s = CharScratch::default();
+        // run), misses, and right values repeated within the run, some as
+        // other records holding the same text; then the same run as full
+        // feature rows.
+        let an = vz.analyze(&ta, &tb, exec::Threads::new(1));
         let evens: Vec<usize> = all.iter().copied().step_by(2).collect();
-        check(0, &evens, memo, &mut s, "the even values");
-        let mixed: Vec<usize> = all.iter().copied().chain([3, 3, 8, 4, 9, 12, 1, 3]).collect();
-        check(0, &mixed, memo, &mut s, "mixed");
-        check(0, &mixed, memo, &mut s, "mixed, again");
+        sweep(&an, 0, &evens, "the even values");
+        assert_eq!(remembered(&an, 0, 1), None, "an odd value is not remembered yet");
+        let mixed: Vec<usize> = all.iter().copied().chain([3, 3, 8, 4, 20, 9, 12, 21, 1, 3]).collect();
+        sweep(&an, 0, &mixed, "mixed");
+        sweep(&an, 0, &mixed, "mixed, again");
+        let nf = vz.n_features();
+        let bs: Vec<&Record> = mixed.iter().map(|&k| tb.record(k as u32)).collect();
+        let mut rows = vec![0.0; bs.len() * nf];
+        vz.vectorize_pre_into(ta.record(0), &bs, &an, &mut rows);
+        for (rb, row) in bs.iter().zip(rows.chunks_exact(nf)) {
+            let want = vz.vectorize(ta.record(0), rb);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(row), bits(&want), "full row of a0, b{}", rb.id);
+        }
+    }
+
+    #[test]
+    fn token_table_and_value_rows_fit_the_per_thread_budget() {
+        // Both tables at their full size, as the first probe of each
+        // allocates them.
+        let mut s = CharScratch::default();
+        cached(&mut s, 1, 2, 3, |_| 0.5);
+        s.row_mut(1, 7).put(0, 0.5);
+        assert_eq!(std::mem::size_of::<ValueRow>(), 128, "two cache lines a row");
+        let bytes = s.cache_keys.capacity() * std::mem::size_of::<u64>()
+            + s.cache_vals.capacity() * std::mem::size_of::<f64>()
+            + s.rows.capacity() * std::mem::size_of::<ValueRow>();
+        // The budget: the 2^18-slot result table the two replaced.
+        assert!(bytes <= 4 << 20, "{bytes} bytes per thread");
     }
 
     #[test]

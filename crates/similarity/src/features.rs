@@ -98,9 +98,14 @@ impl FeatureKind {
     /// the distinct-token grid served both directions, and then one token
     /// grid per run of pairs sharing the left value (DESIGN.md §4h), so a
     /// right token that recurs across the run is scored against the left
-    /// tokens once. Its 9.5 stays, like every entry: the table ranks
-    /// blocking rules, so changing it would change which rules run, and
-    /// the run bytes with them; a recalibration is a change of its own.
+    /// tokens once. Jaro's has fallen too: whole values of at most 64
+    /// chars match against the left value's table, built once per run
+    /// instead of a table per pair; and on attributes whose values recur
+    /// every kind reads a pair's value row when the thread has scored the
+    /// same two values before. Monge-Elkan's 9.5 and Jaro's 6.0 stay, like
+    /// every entry: the table ranks blocking rules, so changing it would
+    /// change which rules run, and the run bytes with them; a
+    /// recalibration is a change of its own.
     /// `tests::costs_track_measured_kernel_timings` keeps this table
     /// honest against kernel drift.
     pub fn unit_cost(self) -> f64 {

@@ -133,14 +133,19 @@ impl FeatureVectorizer {
     ///   feeds 3-gram Jaccard (integers, so the `*_of` formulas return
     ///   the bits the merge would give);
     /// * a pair's Jaro score feeds both Jaro and Jaro-Winkler (through
-    ///   the scratch's last-pair slot), and Levenshtein keeps `a`'s
-    ///   pattern table across the run;
+    ///   the scratch's last-pair slot), and Levenshtein and Jaro share
+    ///   `a`'s positional table across the run;
     /// * Monge-Elkan computes the Jaro-Winkler grid of `a`'s tokens
     ///   against the run's right tokens once for the run
     ///   ([`charkernels::monge_elkan_run`]), and Smith-Waterman scores `a`
     ///   against sixteen `b`s per DP sweep
     ///   ([`charkernels::smith_waterman_run`]); both score the whole run
-    ///   after the per-pair loop.
+    ///   after the per-pair loop;
+    /// * on attributes whose values recur ([`TaskAnalysis::recurring`]) a
+    ///   pair whose two values the thread has already scored copies its
+    ///   features from one value row ([`charkernels::ValueRow`]) and
+    ///   skips the counts and every kernel, a right value repeated within
+    ///   the run is scored once, and the scored pairs fill rows.
     ///
     /// # Panics
     /// Panics if `out` does not hold `bs.len()` rows.
@@ -173,7 +178,10 @@ impl FeatureVectorizer {
     /// through the same body. Blocking-rule evaluation reads features one
     /// at a time, for the pairs of a run no earlier rule blocked. Only the
     /// token pool `fi` counts in is marked: a word-set feature pays for
-    /// no 3-gram marks, and a char kernel for none at all.
+    /// no 3-gram marks, and a char kernel for none at all. On attributes
+    /// whose values recur a pair reads `fi` from its value row when the
+    /// row holds it, and otherwise computes `fi` alone and fills that one
+    /// slot.
     ///
     /// # Panics
     /// Panics if `out` does not hold one value per `b`.
@@ -216,13 +224,46 @@ impl FeatureVectorizer {
         let defs = &self.lib.defs[fis.clone()];
         let attr = defs[0].attr;
         let va = an.attr_a(a.id, attr);
+        let cx = charkernels::Ctx::new(an);
         // Kinds scored for the whole run at once, after the per-pair loop.
         let by_run = |kind| matches!(kind, FeatureKind::MongeElkan | FeatureKind::SmithWaterman);
+        // The row slots these features fill, one per kind; no rows where
+        // values do not recur (a probe would almost never hit).
+        let rows = an.recurring(attr)
+            && defs.iter().all(|d| (d.kind as usize) < charkernels::ROW_SLOTS);
+        let need = defs.iter().fold(0u16, |m, d| m | 1 << d.kind as usize);
+        let collect = rows || defs.iter().any(|d| by_run(d.kind));
         if let Some(va) = va {
             marks.mark(va);
         }
+        // The pairs with both values present that no row served (each
+        // right value once where values recur): the run kernels score
+        // them, and they fill rows.
+        let mut present: Vec<(usize, AttrView<'_>)> = Vec::new();
+        // Where values recur, the pairs `(k, k0)` whose right value an
+        // earlier pair `k0` of `present` holds: copied once it is scored.
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         for (k, b) in bs.iter().enumerate() {
             let vb = an.attr_b(b.id, attr);
+            if let (Some(va), Some(vb)) = (va, vb) {
+                if rows {
+                    let row = charkernels::row_key(attr, va, vb);
+                    if let Some(row) = row.and_then(|key| s.row(cx.gen, key, need)) {
+                        for (fi, def) in fis.clone().zip(defs) {
+                            out[at(k, fi)] = row.get(def.kind as usize);
+                        }
+                        continue;
+                    }
+                    let id = vb.value_id();
+                    if let Some(&(k0, _)) = present.iter().find(|(_, v)| v.value_id() == id) {
+                        repeats.push((k, k0));
+                        continue;
+                    }
+                }
+                if collect {
+                    present.push((k, vb));
+                }
+            }
             // The counts exist iff both values are text; otherwise every
             // text feature is NaN, as on the reference path.
             let sets = match (va, vb) {
@@ -230,12 +271,12 @@ impl FeatureVectorizer {
                 _ => None,
             };
             for (fi, def) in fis.clone().zip(defs) {
-                if by_run(def.kind) {
-                    continue;
-                }
                 out[at(k, fi)] = match (def.kind, sets) {
                     (FeatureKind::NumExact | FeatureKind::NumRelSim, _) => self.feature(fi, a, b),
-                    (_, None) => f64::NAN,
+                    // The run kernels overwrite the present pairs below.
+                    (_, None) | (FeatureKind::MongeElkan | FeatureKind::SmithWaterman, _) => {
+                        f64::NAN
+                    }
                     (FeatureKind::JaccardWords, Some((va, vb, (w, _)))) => {
                         analysis::jaccard_of(w, va.word_ids().len(), vb.word_ids().len())
                     }
@@ -252,32 +293,28 @@ impl FeatureVectorizer {
                 };
             }
         }
-        if let Some(va) = va {
-            marks.clear(va);
-        }
-        if !defs.iter().any(|d| by_run(d.kind)) {
-            return;
-        }
-        // The run kernels score the pairs both of whose values are
-        // present; the others keep NaN, as on every path.
-        let present: Vec<(usize, AttrView<'_>)> = match va {
-            Some(_) => bs
-                .iter()
-                .enumerate()
-                .filter_map(|(k, b)| an.attr_b(b.id, attr).map(|vb| (k, vb)))
-                .collect(),
-            None => Vec::new(),
-        };
-        let cx = charkernels::Ctx::new(an, attr);
-        for (fi, def) in fis.zip(defs).filter(|(_, d)| by_run(d.kind)) {
-            for k in 0..bs.len() {
-                out[at(k, fi)] = f64::NAN;
-            }
-            let Some(va) = va else { continue };
+        let Some(va) = va else { return };
+        marks.clear(va);
+        for (fi, def) in fis.clone().zip(defs).filter(|(_, d)| by_run(d.kind)) {
             let put = |k: usize, x: f64| out[at(k, fi)] = x;
             match def.kind {
                 FeatureKind::MongeElkan => charkernels::monge_elkan_run(va, &present, cx, s, put),
-                _ => charkernels::smith_waterman_run(va, &present, cx, s, put),
+                _ => charkernels::smith_waterman_run(va, &present, s, put),
+            }
+        }
+        if !rows {
+            return;
+        }
+        for &(k, vb) in &present {
+            let Some(key) = charkernels::row_key(attr, va, vb) else { continue };
+            let row = s.row_mut(cx.gen, key);
+            for (fi, def) in fis.clone().zip(defs) {
+                row.put(def.kind as usize, out[at(k, fi)]);
+            }
+        }
+        for &(k, k0) in &repeats {
+            for fi in fis.clone() {
+                out[at(k, fi)] = out[at(k0, fi)];
             }
         }
     }
@@ -287,8 +324,7 @@ impl FeatureVectorizer {
     /// marks nor scores by run: set/vector kernels run allocation-free
     /// over interned ids, and the character-level measures (edit
     /// distance, Jaro/Jaro-Winkler) over the precomputed char-id material
-    /// in [`crate::charkernels`]. Whole-value results are cached only on
-    /// attributes whose values recur ([`TaskAnalysis::recurring`]).
+    /// in [`crate::charkernels`].
     fn text_feature(
         &self,
         def: &FeatureDef,
@@ -297,7 +333,7 @@ impl FeatureVectorizer {
         an: &TaskAnalysis,
         s: &mut charkernels::CharScratch,
     ) -> f64 {
-        let cx = || charkernels::Ctx::new(an, def.attr);
+        let cx = || charkernels::Ctx::new(an);
         match def.kind {
             FeatureKind::CosineTfIdf => {
                 if self.tfidf[def.attr].is_some() {

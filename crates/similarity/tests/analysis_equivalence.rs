@@ -210,12 +210,29 @@ proptest! {
     }
 }
 
+/// A string-path measure.
+type Reference = fn(&str, &str) -> f64;
+
+/// Jaro and Jaro-Winkler, each with its string-path reference.
+const JARO_KINDS: [(FeatureKind, Reference); 2] =
+    [(FeatureKind::Jaro, jaro), (FeatureKind::JaroWinkler, jaro_winkler)];
+
+/// Strings over the first `2..=8` letters, of a length drawn from 1–8,
+/// 9–64 or 65–80 chars: both sides of the 8-char window-scan crossover,
+/// of one left-table word, and past it.
+fn small_alphabet_text() -> impl Strategy<Value = String> {
+    let lengths = prop_oneof![vec(0..8u8, 1..=8), vec(0..8u8, 9..=64), vec(0..8u8, 65..=80)];
+    (2..=8u8, lengths).prop_map(|(k, cs)| cs.into_iter().map(|c| char::from(b'a' + c % k)).collect())
+}
+
 /// Strings for the Jaro symmetry premise: tiny alphabets (many equal
 /// chars competing for window slots), repeats, unicode, and lengths on
 /// both sides of the kernel's 8-char window-scan/bitset crossover and
 /// past the 64-char bitmask word.
 fn symmetry_text() -> impl Strategy<Value = String> {
     prop_oneof![
+        small_alphabet_text(),
+        small_alphabet_text(),
         "[ab]{0,12}",
         "[a-d]{0,11}",
         "[a-c]{5,11}",
@@ -251,7 +268,11 @@ fn one_attr_tables(values: &[Value]) -> (Table, Table) {
 proptest! {
     /// The premise of the Monge-Elkan run grid: Jaro and Jaro-Winkler
     /// return the same bits with their arguments swapped, in the
-    /// reference and in the analysis-path kernels.
+    /// reference and in the analysis-path kernels. The kernels also equal
+    /// the reference on every path, each on a fresh analysis (so no value
+    /// row answers for a kernel): `feature_run` of each kind alone (Jaro
+    /// then builds the left value's table without Levenshtein), full
+    /// `vectorize_pre_into` rows, and runs of one.
     #[test]
     fn jaro_and_jaro_winkler_are_bitwise_symmetric(
         x in symmetry_text(),
@@ -259,13 +280,47 @@ proptest! {
     ) {
         prop_assert_eq!(jaro(&x, &y).to_bits(), jaro(&y, &x).to_bits());
         prop_assert_eq!(jaro_winkler(&x, &y).to_bits(), jaro_winkler(&y, &x).to_bits());
+        let texts = [x.as_str(), y.as_str()];
         let (a, b) = one_attr_tables(&[Value::Text(x.clone()), Value::Text(y.clone())]);
         let vz = FeatureVectorizer::fit(&a, &b);
-        let an = vz.analyze(&a, &b, exec::Threads::new(1));
-        for kind in [FeatureKind::Jaro, FeatureKind::JaroWinkler] {
-            let fi = vz.library().defs.iter().position(|d| d.kind == kind).unwrap();
-            let xy = feature_of(&vz, fi, a.record(0), b.record(1), &an);
-            let yx = feature_of(&vz, fi, a.record(1), b.record(0), &an);
+        let fi = |kind| vz.library().defs.iter().position(|d| d.kind == kind).unwrap();
+        let all_b: Vec<&Record> = b.records.iter().collect();
+        let fresh = || vz.analyze(&a, &b, exec::Threads::new(1));
+
+        let an = fresh();
+        for (kind, reference) in JARO_KINDS {
+            for (i, ra) in a.records.iter().enumerate() {
+                let mut col = [0.0; 2];
+                vz.feature_run(fi(kind), ra, &all_b, &an, &mut col);
+                for (j, got) in col.iter().enumerate() {
+                    let want = reference(texts[i], texts[j]);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} run on a{} b{}", kind, i, j);
+                }
+            }
+        }
+
+        let an = fresh();
+        let nf = vz.n_features();
+        let mut rows = vec![0.0; 2 * nf];
+        for (i, ra) in a.records.iter().enumerate() {
+            vz.vectorize_pre_into(ra, &all_b, &an, &mut rows);
+            for (kind, reference) in JARO_KINDS {
+                for j in 0..2 {
+                    let (got, want) = (rows[j * nf + fi(kind)], reference(texts[i], texts[j]));
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} row of a{} b{}", kind, i, j);
+                }
+            }
+        }
+
+        let an = fresh();
+        for (kind, reference) in JARO_KINDS {
+            for (i, j) in [(0, 1), (1, 0), (0, 0), (1, 1)] {
+                let got = feature_of(&vz, fi(kind), a.record(i), b.record(j), &an);
+                let want = reference(texts[i as usize], texts[j as usize]);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} alone on a{} b{}", kind, i, j);
+            }
+            let xy = feature_of(&vz, fi(kind), a.record(0), b.record(1), &an);
+            let yx = feature_of(&vz, fi(kind), a.record(1), b.record(0), &an);
             prop_assert_eq!(xy.to_bits(), yx.to_bits(), "{:?} on ({:?}, {:?})", kind, x, y);
         }
     }
@@ -635,14 +690,15 @@ fn multi_attribute_runs_are_bit_identical() {
 }
 
 /// Analyses built one after another on one thread whose values get the
-/// same ids but differ in content: nothing computed for one (the char
-/// kernels' result cache, the scratch's last-pair slots) may answer for
-/// the other.
+/// same ids but differ in content: nothing computed for one (the value
+/// rows, the token table, the scratch's last-pair slots and left table)
+/// may answer for the other. Each table holds its value twice, so the
+/// attribute recurs and its pairs take value rows.
 #[test]
 fn consecutive_analyses_share_no_results() {
     let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
     let table = |name: &str, t: &str| {
-        Table::new(name, schema.clone(), vec![vec![Value::Text(t.to_string())]])
+        Table::new(name, schema.clone(), vec![vec![Value::Text(t.to_string())]; 2])
     };
     // Each task's two distinct values sort to ids 0 (A) and 1 (B).
     for (x, y) in [
@@ -650,9 +706,132 @@ fn consecutive_analyses_share_no_results() {
         ("beta", "gamma"),
         ("alpha beta", "alpha gamma"),
     ] {
-        assert_all_pairs_bitwise_at(&table("a", x), &table("b", y), 1)
-            .expect("each analysis computes its own results");
+        let (a, b) = (table("a", x), table("b", y));
+        let vz = FeatureVectorizer::fit(&a, &b);
+        assert!(vz.analyze(&a, &b, exec::Threads::new(1)).recurring(0), "{x:?} recurs");
+        assert_all_pairs_bitwise_at(&a, &b, 1).expect("each analysis computes its own results");
     }
+}
+
+/// Jaro through the left value's table, where a stale table would show:
+/// runs back to back whose left values have equal lengths and share
+/// their chars, Jaro alone (the table built without Levenshtein) and in
+/// full rows; then a left value past 64 chars (Levenshtein builds it a
+/// two-word table, Jaro takes the per-pair kernel) followed by one under
+/// 64, whose one-word table must be its own.
+#[test]
+fn jaro_left_tables_follow_the_run() {
+    let long = "dixon martha ".repeat(6);
+    let lefts = ["dixon", "nodix", "xodin", long.as_str(), "martha", "marhta", "dicksonx"];
+    let rights = ["dickson", "dixon", "nodix", "ixdon", "martha", "marhta", "dwayne", long.as_str()];
+    let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
+    let rows = |ts: &[&str]| ts.iter().map(|t| vec![Value::Text(t.to_string())]).collect();
+    let a = Table::new("a", schema.clone(), rows(&lefts));
+    let b = Table::new("b", schema, rows(&rights));
+    let vz = FeatureVectorizer::fit(&a, &b);
+    let all_b: Vec<&Record> = b.records.iter().collect();
+    let nf = vz.n_features();
+    let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    assert!(!an.recurring(0), "every pair reaches the kernels");
+    // Each left value's Jaro run comes right after the previous left
+    // value's full rows, whose Levenshtein left its own table behind.
+    let mut rows = vec![0.0; all_b.len() * nf];
+    for (i, ra) in a.records.iter().enumerate() {
+        for (kind, reference) in JARO_KINDS {
+            let fi = vz.library().defs.iter().position(|d| d.kind == kind).unwrap();
+            let mut col = vec![0.0; all_b.len()];
+            vz.feature_run(fi, ra, &all_b, &an, &mut col);
+            for (j, y) in rights.iter().enumerate() {
+                let want = reference(lefts[i], y).to_bits();
+                assert_eq!(col[j].to_bits(), want, "{kind:?} run of {:?} on {y:?}", lefts[i]);
+            }
+        }
+        vz.vectorize_pre_into(ra, &all_b, &an, &mut rows);
+        for (kind, reference) in JARO_KINDS {
+            let fi = vz.library().defs.iter().position(|d| d.kind == kind).unwrap();
+            for (j, y) in rights.iter().enumerate() {
+                let want = reference(lefts[i], y).to_bits();
+                assert_eq!(rows[j * nf + fi].to_bits(), want, "{kind:?} row of {:?} on {y:?}", lefts[i]);
+            }
+        }
+    }
+}
+
+/// The value of `fi` for `(ra, rb)` on the string path, through a run of
+/// one, and as the whole run's column: all three must agree bitwise.
+fn assert_feature_paths(
+    vz: &FeatureVectorizer,
+    an: &TaskAnalysis,
+    fi: usize,
+    ra: &Record,
+    bs: &[&Record],
+) {
+    let mut col = vec![0.0; bs.len()];
+    vz.feature_run(fi, ra, bs, an, &mut col);
+    for (rb, got) in bs.iter().zip(&col) {
+        let want = vz.vectorize(ra, rb)[fi].to_bits();
+        let at = format!("{} of a{} b{}", vz.library().defs[fi].name(), ra.id, rb.id);
+        assert_eq!(got.to_bits(), want, "{at}: run");
+        assert_eq!(feature_of(vz, fi, ra, rb, an).to_bits(), want, "{at}: run of one");
+    }
+}
+
+/// A value row the rule sweep filled one slot at a time is never served
+/// as a whole row: `feature_run` fills one slot of a recurring pair, a
+/// full row is then built for the same pair (it must compute the slots
+/// the row lacks), and `feature_run` then reads another slot.
+#[test]
+fn a_partly_filled_row_is_never_served_whole() {
+    let schema = Arc::new(Schema::new(vec![Attribute::text("city")]));
+    let rows = |ts: &[&str]| ts.iter().map(|t| vec![Value::Text(t.to_string())]).collect();
+    let a = Table::new("a", schema.clone(), rows(&["new york city", "new york city", "boston"]));
+    let b = Table::new("b", schema, rows(&["new york", "new york", "boston", "new york"]));
+    let vz = FeatureVectorizer::fit(&a, &b);
+    let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    assert!(an.recurring(0));
+    let fi = |kind| vz.library().defs.iter().position(|d| d.kind == kind).unwrap();
+    let (ra, bs) = (a.record(0), [b.record(0)]);
+    assert_feature_paths(&vz, &an, fi(FeatureKind::Jaro), ra, &bs);
+    let mut row = vec![0.0; vz.n_features()];
+    vz.vectorize_pre_into(ra, &bs, &an, &mut row);
+    let want = vz.vectorize(ra, bs[0]);
+    for (fi, (g, w)) in row.iter().zip(&want).enumerate() {
+        let def = vz.library().defs[fi].name();
+        assert_eq!(g.to_bits(), w.to_bits(), "{def}: full row after one slot");
+    }
+    // Records 0, 1 and 3 of B hold the same value: one row serves them.
+    let bs = [b.record(1), b.record(3), b.record(0)];
+    for kind in [FeatureKind::SmithWaterman, FeatureKind::Levenshtein, FeatureKind::CosineTfIdf] {
+        assert_feature_paths(&vz, &an, fi(kind), ra, &bs);
+    }
+    assert_all_pairs_bitwise(&a, &b).expect("every path");
+}
+
+/// The same two strings under two recurring attributes whose TF/IDF
+/// corpora differ: value ids are shared across attributes, so only the
+/// attribute in a row's key keeps one attribute's cosine from answering
+/// for the other's.
+#[test]
+fn recurring_attributes_keep_their_own_rows() {
+    let schema = Arc::new(Schema::new(vec![Attribute::text("t1"), Attribute::text("t2")]));
+    let (x, y) = ("red apple", "red pear");
+    let pair = |s: &str| vec![Value::Text(s.into()), Value::Text(s.into())];
+    let a = Table::new("a", schema.clone(), vec![pair(x); 3]);
+    let mut rows_b = vec![pair(y); 2];
+    // "red" is common in t1's corpus and rare in t2's.
+    rows_b.extend((0..4).map(|_| vec![Value::Text("red wine".into()), Value::Text("green tea".into())]));
+    let b = Table::new("b", schema, rows_b);
+    let vz = FeatureVectorizer::fit(&a, &b);
+    let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    assert!(an.recurring(0) && an.recurring(1));
+    let (v1, v2) = (an.attr_a(0, 0).unwrap(), an.attr_a(0, 1).unwrap());
+    assert_eq!(v1.value_id(), v2.value_id(), "one id for the value in both attributes");
+    let cos = |attr| {
+        let fi = vz.library().defs.iter().position(|d| d.attr == attr && d.kind == FeatureKind::CosineTfIdf);
+        vz.vectorize(a.record(0), b.record(0))[fi.unwrap()]
+    };
+    assert_ne!(cos(0).to_bits(), cos(1).to_bits(), "the corpora weigh the pair differently");
+    assert_all_pairs_bitwise(&a, &b).expect("each attribute's rows are its own");
 }
 
 #[test]
