@@ -5,7 +5,7 @@
 //! `--runs` independent runs like the paper's three weekly runs.
 
 use baselines::{baseline1, baseline2};
-use bench::{dataset, dollars, make_task, mean, parse_args, pct, render_table, run_corleone};
+use bench::{dollars, make_task, mean, parse_args, pct, render_table, run_corleone};
 use exec::lines::Lines;
 use std::process::ExitCode;
 
@@ -52,7 +52,6 @@ fn main() -> ExitCode {
             b2_r.push(b2.prf.recall);
             b2_f1.push(b2.prf.f1);
         }
-        let _ = dataset(name, &opts, 0);
         rows.push(vec![
             name.clone(),
             pct(mean(&c_p)),

@@ -132,17 +132,12 @@ impl CandidateSet {
     /// product is at most `t_B` (the no-blocking path). An empty table on
     /// either side yields an empty set.
     pub fn full_cartesian(task: &MatchTask) -> Self {
-        Self::full_cartesian_with(task, Threads::auto(), None)
-    }
-
-    /// [`CandidateSet::full_cartesian`] with an explicit thread budget and
-    /// optional feature cache.
-    pub fn full_cartesian_with(
-        task: &MatchTask,
-        threads: Threads,
-        cache: Option<&FeatureCache>,
-    ) -> Self {
-        Self::from_source(task, &CartesianScan::new(task, Vec::new()), threads, cache)
+        Self::from_source(
+            task,
+            &CartesianScan::new(task, Vec::new()),
+            Threads::auto(),
+            None,
+        )
     }
 
     /// Number of pairs.

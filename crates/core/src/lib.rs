@@ -75,7 +75,6 @@ pub mod join;
 pub mod learner;
 pub mod locator;
 pub mod metrics;
-pub mod report;
 pub mod ruleeval;
 pub mod session;
 pub mod snapshot;

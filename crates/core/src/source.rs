@@ -285,11 +285,11 @@ impl ProbeSpec {
 /// Map a predicate onto an index probe, or `None` when the index cannot
 /// serve it. Indexable: `f <= t` with `0 ≤ t < 1` and `f` a set/vector
 /// similarity with a precomputed token set, exact match, prefix
-/// similarity or containment (the other char-level kinds, numeric kinds,
-/// `Gt` predicates, and cosine without a corpus model all fall back to
-/// the scan). Every such kind is NaN exactly when a value is missing, so
-/// a predicate without `nan_satisfies` maps to the same probe plus the
-/// pairs with a missing value.
+/// similarity or containment (the other char-level kinds, numeric kinds
+/// and `Gt` predicates fall back to the scan). Every such kind is NaN
+/// exactly when a value is missing, so a predicate without
+/// `nan_satisfies` maps to the same probe plus the pairs with a missing
+/// value.
 fn probe_spec(task: &MatchTask, pred: &forest::Predicate) -> Option<ProbeSpec> {
     if pred.op != Op::Le {
         return None;
@@ -308,9 +308,7 @@ fn probe_spec(task: &MatchTask, pred: &forest::Predicate) -> Option<ProbeSpec> {
         // Soundex similarity is Jaccard over packed code sets, with the
         // same empty-set conventions.
         FeatureKind::Soundex => set(TokenSpace::Soundex, SetMeasure::Jaccard),
-        FeatureKind::CosineTfIdf if task.vectorizer.has_corpus_model(def.attr) => {
-            set(TokenSpace::TfIdf, SetMeasure::Cosine)
-        }
+        FeatureKind::CosineTfIdf => set(TokenSpace::TfIdf, SetMeasure::Cosine),
         FeatureKind::ExactMatch => Probe::Exact,
         FeatureKind::PrefixSim => Probe::Prefix { threshold: t },
         FeatureKind::Containment => Probe::Contain,

@@ -4,7 +4,7 @@
 use crowd::PairKey;
 use exec::Threads;
 use serde::{Deserialize, Serialize};
-use similarity::{FeatureVectorizer, Record, Table, TaskAnalysis, Value};
+use similarity::{AttrType, FeatureVectorizer, Record, Table, TaskAnalysis, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -193,20 +193,42 @@ impl MatchTask {
     }
 
     /// Content address of this task's record-analysis layer: a hash of
-    /// both tables and the fitted vectorizer — exactly the inputs
-    /// [`Self::ensure_analysis`] is a pure function of. Two tasks with
-    /// equal fingerprints produce bit-identical [`TaskAnalysis`], so a
+    /// the schema and both tables' values, in one pass over the records.
+    /// [`Self::ensure_analysis`] is a pure function of those (the
+    /// vectorizer is fitted from them), so two tasks with equal
+    /// fingerprints produce bit-identical [`TaskAnalysis`], and a
     /// cross-tenant registry can hand one build to all of them.
-    pub fn analysis_fingerprint(&self) -> Result<String, String> {
-        let material = serde_json::to_string(&(&self.table_a, &self.table_b, &self.vectorizer))
-            .map_err(|e| e.to_string())?;
-        Ok(store::fingerprint64(material.as_bytes()))
+    pub fn analysis_fingerprint(&self) -> String {
+        let mut h = store::Fnv64::default();
+        let attrs = &self.table_a.schema.attrs;
+        h.write(&(attrs.len() as u64).to_le_bytes());
+        for attr in attrs {
+            h.write(&[match attr.ty {
+                AttrType::Text => 1,
+                AttrType::Number => 2,
+            }]);
+            h.write(&(attr.name.len() as u64).to_le_bytes());
+            h.write(attr.name.as_bytes());
+        }
+        self.digest_values(&mut h);
+        h.hex()
     }
 
     /// Feed both tables' values and the seed pairs to `h`, in one pass
-    /// over the records. Each value is tagged and each text
-    /// length-prefixed, so two different tasks never feed the same bytes.
+    /// over the records.
     pub(crate) fn digest_records(&self, h: &mut store::Fnv64) {
+        self.digest_values(h);
+        for &(p, label) in &self.seeds {
+            h.write(&p.a.to_le_bytes());
+            h.write(&p.b.to_le_bytes());
+            h.write(&[u8::from(label)]);
+        }
+    }
+
+    /// Feed both tables' values to `h`. Each value is tagged and each
+    /// text length-prefixed, so two different tables never feed the same
+    /// bytes.
+    fn digest_values(&self, h: &mut store::Fnv64) {
         for table in [&self.table_a, &self.table_b] {
             h.write(&(table.len() as u64).to_le_bytes());
             for value in table.records.iter().flat_map(|r| &r.values) {
@@ -223,11 +245,6 @@ impl MatchTask {
                     Value::Null => h.write(&[0]),
                 }
             }
-        }
-        for &(p, label) in &self.seeds {
-            h.write(&p.a.to_le_bytes());
-            h.write(&p.b.to_le_bytes());
-            h.write(&[u8::from(label)]);
         }
     }
 
@@ -351,6 +368,33 @@ mod tests {
         assert_eq!((bits(&seeds[0].0), seeds[0].1), (bits(&v), true), "seed (0, 0)");
         assert_eq!(t.feature_costs().len(), t.n_features());
         assert_eq!(t.feature_names().len(), t.n_features());
+    }
+
+    #[test]
+    fn attribute_types_separate_analysis_fingerprints() {
+        // The same values under a text and under a number `code` column:
+        // only a text column is analyzed, so the two builds differ.
+        let task = |ty| {
+            let code = Attribute {
+                name: "code".into(),
+                ty,
+            };
+            let schema = Arc::new(Schema::new(vec![Attribute::text("name"), code]));
+            let rows: Vec<Vec<Value>> = (0..6)
+                .map(|i| {
+                    vec![
+                        Value::Text(format!("item {i}")),
+                        Value::Text(format!("c{i}")),
+                    ]
+                })
+                .collect();
+            let a = Table::new("a", schema.clone(), rows.clone());
+            let b = Table::new("b", schema, rows);
+            task_from_parts(a, b, "match same item", [(0, 0), (1, 1)], [(0, 5), (2, 4)])
+        };
+        let text = task(AttrType::Text).analysis_fingerprint();
+        assert_eq!(text, task(AttrType::Text).analysis_fingerprint());
+        assert_ne!(text, task(AttrType::Number).analysis_fingerprint());
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //!   majority* vote (gap ≥ 3 or 7 answers), and the paper's asymmetric
 //!   hybrid that escalates to strong majority only when the running
 //!   majority is positive, because false positives corrupt recall
-//!   estimates far more than false negatives do (§8.2).
+//!   estimates far more than false negatives do (§8.2). These are the
+//!   only ways answers are combined: the paper sets EM-style
+//!   aggregation aside (§8.2) and leaves spam defense to AMT's
+//!   qualifications (§9), which the pool's error-rate bounds stand in
+//!   for.
 //! * **HITs** ([`hit`]): questions are packed 10 to a HIT, priced per
 //!   question, and rendered as the side-by-side record comparison of
 //!   paper Fig. 4.
@@ -45,22 +49,18 @@
 //! assert!(platform.ledger().total_cents > 0.0);
 //! ```
 
-pub mod aggregate;
 pub mod cache;
 pub mod fault;
 pub mod hit;
 pub mod oracle;
 pub mod platform;
-pub mod quality;
 pub mod stats;
 pub mod voting;
 pub mod worker;
 
-pub use aggregate::{dawid_skene, EmAggregate};
 pub use cache::{LabelCache, Strength};
 pub use fault::{CrowdError, FaultConfig, FaultStats, RetryPolicy};
 pub use oracle::{GoldOracle, PairKey, TruthOracle};
 pub use platform::{CrowdConfig, CrowdPlatform, Ledger, PlatformState};
-pub use quality::{screen_workers, Qualification, ScreeningReport};
 pub use voting::Scheme;
 pub use worker::WorkerPool;

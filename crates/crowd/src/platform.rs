@@ -93,13 +93,6 @@ pub struct Ledger {
     pub simulated_secs: f64,
 }
 
-impl Ledger {
-    /// Total spend in dollars.
-    pub fn total_dollars(&self) -> f64 {
-        self.total_cents / 100.0
-    }
-}
-
 /// Complete serializable state of a [`CrowdPlatform`] mid-run, captured by
 /// [`CrowdPlatform::export_state`] for checkpointing and restored by
 /// [`CrowdPlatform::import_state`].
@@ -207,16 +200,6 @@ impl CrowdPlatform {
     /// Fault and recovery counters.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats
-    }
-
-    /// The fault configuration in effect.
-    pub fn fault_config(&self) -> &FaultConfig {
-        &self.faults
-    }
-
-    /// The retry policy in effect.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// The worker pool (shrinks under attrition faults).

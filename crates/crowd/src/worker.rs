@@ -49,20 +49,6 @@ impl WorkerPool {
         WorkerPool { error_rates }
     }
 
-    /// Build a pool from explicit per-worker error rates (used by the
-    /// qualification screen).
-    ///
-    /// # Panics
-    /// Panics if `rates` is empty or any rate is outside `[0, 0.5)`.
-    pub fn from_error_rates(rates: Vec<f64>) -> Self {
-        assert!(!rates.is_empty(), "pool must have at least one worker");
-        assert!(
-            rates.iter().all(|r| (0.0..0.5).contains(r)),
-            "error rates must be in [0, 0.5)"
-        );
-        WorkerPool { error_rates: rates }
-    }
-
     /// Number of workers.
     pub fn len(&self) -> usize {
         self.error_rates.len()
@@ -101,16 +87,9 @@ impl WorkerPool {
     /// One answer to a question with the given true label, from a worker
     /// drawn uniformly from the pool.
     pub fn answer<R: Rng>(&self, true_label: bool, rng: &mut R) -> bool {
-        self.answer_tagged(true_label, rng).1
-    }
-
-    /// Like [`Self::answer`], but also reveals which worker answered —
-    /// needed by aggregation methods that model workers individually
-    /// (e.g. [`crate::aggregate::dawid_skene`]).
-    pub fn answer_tagged<R: Rng>(&self, true_label: bool, rng: &mut R) -> (usize, bool) {
         let w = rng.gen_range(0..self.error_rates.len());
         let wrong = rng.gen_bool(self.error_rates[w]);
-        (w, true_label ^ wrong)
+        true_label ^ wrong
     }
 }
 

@@ -7,7 +7,6 @@
 //! primitives here instead of hand-rolled `crossbeam::scope` blocks:
 //!
 //! * [`par_map`] — chunked data-parallel map with work stealing;
-//! * [`par_for_each`] — the side-effect variant;
 //! * [`par_split_at_mut`] — in-place fill of a buffer, one disjoint
 //!   `&mut` part per task, cut at caller-given split points;
 //! * [`par_map_seeded`] — deterministic randomized map: per-item RNG
@@ -102,16 +101,6 @@ where
     F: Fn(&T) -> U + Sync,
 {
     indexed_par_map(threads, items.len(), |i| f(&items[i]))
-}
-
-/// Apply `f` to every item in parallel; order of side effects is
-/// unspecified (use only with independent effects).
-pub fn par_for_each<T, F>(threads: Threads, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    indexed_par_map(threads, items.len(), |i| f(&items[i]));
 }
 
 /// Map over `0..len` by index in parallel, preserving index order.
@@ -257,17 +246,6 @@ mod tests {
             let out = par_map(Threads::new(4), &items, |&x| x + 1);
             assert_eq!(out, (1..=len).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn par_for_each_visits_every_item_once() {
-        use std::sync::atomic::AtomicU64;
-        let items: Vec<usize> = (0..5_000).collect();
-        let sum = AtomicU64::new(0);
-        par_for_each(Threads::new(8), &items, |&x| {
-            sum.fetch_add(x as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.into_inner(), 5_000 * 4_999 / 2);
     }
 
     #[test]

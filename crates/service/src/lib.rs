@@ -19,7 +19,7 @@
 //!   run cannot starve the rest. [`MatchService::run_all`] ticks to
 //!   completion.
 //! * **Content-addressed analysis sharing.** A tenant's record-analysis
-//!   layer is a pure function of its tables + fitted vectorizer
+//!   layer is a pure function of its schema and table values
 //!   ([`MatchTask::analysis_fingerprint`]). The service keeps a registry
 //!   of built analyses keyed by that fingerprint; two tenants matching
 //!   the same table pay the build once. Because the shared value is
@@ -499,10 +499,10 @@ fn start_tenant(
     perf: &mut ServicePerf,
 ) -> Result<(), CorleoneError> {
     // Content-addressed sharing: if any prior tenant built the analysis
-    // for identical tables + vectorizer, adopt it. The shared value is
+    // for an identical schema and tables, adopt it. The shared value is
     // bit-identical to what this tenant would build, so run bytes are
     // unaffected — only build time (and this counter) changes.
-    let afp = t.task.analysis_fingerprint().map_err(CorleoneError::Serialization)?;
+    let afp = t.task.analysis_fingerprint();
     let mut adopted = false;
     if let Some((_, a)) = analyses.iter().find(|(k, _)| *k == afp) {
         adopted = t.task.install_analysis(Arc::clone(a));

@@ -10,12 +10,15 @@
 //! built once per task (in parallel through [`exec`]): for every record
 //! and text attribute it precomputes the whitespace-collapsed normalized
 //! string, the trimmed char sequence, interned word-token and 3-gram ids
-//! as sorted `u32` runs, packed Soundex code sets, the sparse TF/IDF
-//! weight vector with its precomputed L2 norm, and the interned char-id
-//! sequences (raw, lowercased, and per-word-token) that the char-level
-//! kernels in [`crate::charkernels`] consume. The per-pair set kernels
-//! then reduce to allocation-free sorted-merge intersections and sparse
-//! dot products, and the char-level measures to bit-parallel /
+//! as sorted `u32` runs, packed Soundex code sets, the TF/IDF weights
+//! with their precomputed L2 norm, and the interned char-id sequences
+//! (raw, lowercased, and per-word-token) that the char-level kernels in
+//! [`crate::charkernels`] consume. A value keeps one set of word ids,
+//! the sorted run: the set kernels, the index, the TF/IDF weights
+//! (parallel to it) and Monge-Elkan (through each token's index into it
+//! and each distinct word's first token) all read it. The per-pair set
+//! kernels then reduce to allocation-free sorted-merge intersections and
+//! sparse dot products, and the char-level measures to bit-parallel /
 //! scratch-buffer sweeps with no per-pair allocation.
 //!
 //! # Arena layout
@@ -28,10 +31,9 @@
 //! fixed-size header of offsets/lengths in a dense row-major array
 //! (`record * n_attrs + attr`), and **all segments of one value are
 //! adjacent** in the `u32` slab, so evaluating a pair's feature defs
-//! reads sequential cache lines instead of chasing ~12 separately
-//! allocated `Vec`s per value. [`AttrView`] is the borrowed accessor
-//! type: a `Copy` pair of pointers whose methods return slices into the
-//! slabs.
+//! reads sequential cache lines instead of chasing separately allocated
+//! `Vec`s per value. [`AttrView`] is the borrowed accessor type: a `Copy`
+//! pair of pointers whose methods return slices into the slabs.
 //!
 //! # Build
 //!
@@ -94,18 +96,16 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 // Segment ranks of one value's runs inside the shared `u32` slab. All
 // segments of a value are adjacent (segment `k` ends where `k + 1`
 // starts), so a header stores N_SEGS + 1 boundaries, not lengths.
-const SEG_WORDS: usize = 0; // distinct word-token ids, sorted
+const SEG_WORDS: usize = 0; // distinct word-token ids, sorted (weights in f64 slab)
 const SEG_GRAMS: usize = 1; // distinct 3-gram ids, sorted
 const SEG_SOUNDEX: usize = 2; // packed soundex codes, sorted, deduped
-const SEG_TFIDF_IDS: usize = 3; // TF/IDF token ids (weights in f64 slab)
-const SEG_RAW_CHARS: usize = 4; // raw-value char ids, in order
-const SEG_LOWER_CHARS: usize = 5; // lowercased-value char ids, in order
-const SEG_WORD_CHARS: usize = 6; // flattened token char ids, in order
-const SEG_WORD_ENDS: usize = 7; // exclusive end of token k in WORD_CHARS
-const SEG_DEDUP_RANK: usize = 8; // rank into DEDUP_IDS of token k
-const SEG_DEDUP_IDS: usize = 9; // distinct token ids, first-occurrence order
-const SEG_DEDUP_FIRST: usize = 10; // first token index of DEDUP_IDS entry
-const N_SEGS: usize = 11;
+const SEG_RAW_CHARS: usize = 3; // raw-value char ids, in order
+const SEG_LOWER_CHARS: usize = 4; // lowercased-value char ids, in order
+const SEG_WORD_CHARS: usize = 5; // flattened token char ids, in order
+const SEG_WORD_ENDS: usize = 6; // exclusive end of token k in WORD_CHARS
+const SEG_WORD_RANK: usize = 7; // index into WORDS of token k
+const SEG_WORD_FIRST: usize = 8; // first token index of WORDS entry i
+const N_SEGS: usize = 9;
 
 /// `value_id` sentinel marking a `(record, attr)` cell with no analysis
 /// (null or non-text). Real ids are ranks into the distinct-value pool,
@@ -113,7 +113,7 @@ const N_SEGS: usize = 11;
 const MISSING: u32 = u32::MAX;
 
 /// Fixed-size descriptor of one analyzed `(record, attr)` cell: offsets
-/// and lengths into the owning [`TableAnalysis`] slabs. 88 bytes, stored
+/// and lengths into the owning [`TableAnalysis`] slabs. 80 bytes, stored
 /// densely row-major — the only per-value metadata the arena keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct AttrHeader {
@@ -121,7 +121,7 @@ struct AttrHeader {
     /// `segs[k]..segs[k + 1]` (absolute slab offsets after stitching).
     segs: [u32; N_SEGS + 1],
     /// Start of the TF/IDF weight run in the `f64` slab (its length is
-    /// the `SEG_TFIDF_IDS` segment length).
+    /// the `SEG_WORDS` segment length).
     f64_off: u32,
     /// Start of the narrowed lowercase run in the `i16` slab (length =
     /// `SEG_LOWER_CHARS` length; meaningful only when the table narrows).
@@ -183,7 +183,10 @@ impl<'a> AttrView<'a> {
         &self.table.chars[self.h.char_off as usize..(self.h.char_off + self.h.char_len) as usize]
     }
 
-    /// Interned ids of the distinct word tokens, sorted ascending.
+    /// Interned ids of the distinct word tokens, sorted ascending — the
+    /// value's one word set: the set kernels, the TF/IDF vector and
+    /// Monge-Elkan's grid rows and columns all read it. Ids are
+    /// lexicographic ranks, so id order is token order.
     #[inline]
     pub fn word_ids(&self) -> &'a [u32] {
         self.seg(SEG_WORDS)
@@ -201,18 +204,11 @@ impl<'a> AttrView<'a> {
         self.seg(SEG_SOUNDEX)
     }
 
-    /// TF/IDF token ids in id order — which is lexicographic token
-    /// order, matching the reference merge-join. Empty when the
-    /// attribute has no fitted TF/IDF model.
-    #[inline]
-    pub fn tfidf_ids(&self) -> &'a [u32] {
-        self.seg(SEG_TFIDF_IDS)
-    }
-
-    /// TF/IDF weights, parallel to [`Self::tfidf_ids`].
+    /// TF/IDF weights, parallel to [`Self::word_ids`] (whose id order is
+    /// the reference merge-join's token order).
     #[inline]
     pub fn tfidf_weights(&self) -> &'a [f64] {
-        let len = self.h.segs[SEG_TFIDF_IDS + 1] - self.h.segs[SEG_TFIDF_IDS];
+        let len = self.h.segs[SEG_WORDS + 1] - self.h.segs[SEG_WORDS];
         &self.table.f64s[self.h.f64_off as usize..(self.h.f64_off + len) as usize]
     }
 
@@ -269,28 +265,20 @@ impl<'a> AttrView<'a> {
         self.seg(SEG_WORD_ENDS)
     }
 
-    /// Interned pool ids of the distinct word tokens in first-occurrence
-    /// order (parallel to [`Self::word_dedup_first`]). Id equality is
-    /// token equality: Monge-Elkan reads these instead of
-    /// re-deduplicating the token list on every pair.
+    /// Position of the first occurrence of each [`Self::word_ids`]
+    /// entry, i.e. the representative token index compared for that id
+    /// (parallel to [`Self::word_ids`]).
     #[inline]
-    pub fn word_dedup_ids(&self) -> &'a [u32] {
-        self.seg(SEG_DEDUP_IDS)
+    pub fn word_first(&self) -> &'a [u32] {
+        self.seg(SEG_WORD_FIRST)
     }
 
-    /// Position of the first occurrence of each [`Self::word_dedup_ids`]
-    /// entry, i.e. the representative token index compared for that id.
+    /// Index into [`Self::word_ids`] of each token position (parallel
+    /// to [`Self::word_ends`]): token `k`'s pool id is
+    /// `word_ids()[word_rank()[k]]`.
     #[inline]
-    pub fn word_dedup_first(&self) -> &'a [u32] {
-        self.seg(SEG_DEDUP_FIRST)
-    }
-
-    /// Rank into [`Self::word_dedup_ids`] of each token position
-    /// (parallel to [`Self::word_ends`]): token `k`'s pool id is
-    /// `word_dedup_ids()[word_dedup_rank()[k]]`.
-    #[inline]
-    pub fn word_dedup_rank(&self) -> &'a [u32] {
-        self.seg(SEG_DEDUP_RANK)
+    pub fn word_rank(&self) -> &'a [u32] {
+        self.seg(SEG_WORD_RANK)
     }
 
     /// Rank of the **raw** value string in the task's shared sorted
@@ -749,9 +737,9 @@ struct Ranked {
     /// Packed Soundex code per word rank, computed once per distinct word.
     soundex: Vec<Option<u32>>,
     /// One entry per attribute: `idf[attr][word rank]` for text-typed
-    /// attributes with a TF/IDF model, computed once per (attribute,
-    /// distinct word) that occurs in it.
-    idf: Vec<Option<Vec<f64>>>,
+    /// attributes, computed once per (attribute, distinct word) that
+    /// occurs in it; empty for the others.
+    idf: Vec<Vec<f64>>,
     /// The char pool fits in `i16` (see [`TableAnalysis`]).
     narrow: bool,
 }
@@ -771,9 +759,12 @@ impl Ranked {
             crate::phonetic::soundex(w).map(|c| pack_soundex(&c))
         });
         let idf = exec::indexed_par_map(threads, is_text.len(), |ai| {
-            let (true, Some(model)) = (is_text[ai], tfidf[ai].as_ref()) else {
-                return None;
-            };
+            if !is_text[ai] {
+                return Vec::new();
+            }
+            let model = tfidf[ai]
+                .as_ref()
+                .expect("a TF/IDF model for every text attribute");
             // NaN marks words absent from this attribute (an idf is
             // always finite).
             let mut idf = vec![f64::NAN; words.len()];
@@ -787,7 +778,7 @@ impl Ranked {
                     }
                 }
             }
-            Some(idf)
+            idf
         });
         Ranked {
             stats: AnalysisStats {
@@ -854,7 +845,7 @@ fn fill_chunk(
     let mut headers = vec![MISSING_HEADER; n_records * n_attrs];
     let mut out = Slabs::default();
     // Per-value scratch, reused across the chunk's cells.
-    let (mut counts, mut dedup_ids, mut dedup_first) = (Vec::new(), Vec::new(), Vec::new());
+    let mut counts = Vec::new();
     for (k, cell) in t.cells.iter().enumerate() {
         let attr = cell.slot % n_attrs;
         let u = &mut out.u32s;
@@ -871,19 +862,18 @@ fn fill_chunk(
         // the attribute's idf — the same bits as `TfIdfModel::weights`,
         // which adds 1.0 per occurrence and multiplies once.
         let f64_off = off32(out.f64s.len());
-        let idf = ranked.idf[attr].as_ref();
-        let tfidf_norm = match idf {
-            Some(idf) => {
-                out.f64s.extend(
-                    u[words_start..words_end]
-                        .iter()
-                        .zip(&counts)
-                        .map(|(&r, &n)| f64::from(n) * idf[r as usize]),
-                );
-                out.f64s[f64_off as usize..].iter().map(|x| x * x).sum::<f64>().sqrt()
-            }
-            None => 0.0,
-        };
+        let idf = &ranked.idf[attr];
+        out.f64s.extend(
+            u[words_start..words_end]
+                .iter()
+                .zip(&counts)
+                .map(|(&r, &n)| f64::from(n) * idf[r as usize]),
+        );
+        let tfidf_norm = out.f64s[f64_off as usize..]
+            .iter()
+            .map(|x| x * x)
+            .sum::<f64>()
+            .sqrt();
 
         segs[SEG_GRAMS] = off32(u.len());
         let start = u.len();
@@ -900,11 +890,6 @@ fn fill_chunk(
         }
         sort_dedup_from(u, start, &mut counts);
 
-        segs[SEG_TFIDF_IDS] = off32(u.len());
-        if idf.is_some() {
-            u.extend_from_within(words_start..words_end);
-        }
-
         let char_runs = [SEG_RAW_CHARS, SEG_LOWER_CHARS, SEG_WORD_CHARS];
         for (run, seg) in char_runs.into_iter().enumerate() {
             segs[seg] = off32(u.len());
@@ -915,28 +900,23 @@ fn fill_chunk(
         segs[SEG_WORD_ENDS] = off32(u.len());
         u.extend_from_slice(&t.ends[cell.words[0] as usize..cell.words[1] as usize]);
 
-        // First-occurrence dedup of the token ids, hoisted out of the
-        // Monge-Elkan inner loop (values hold few enough tokens that the
-        // quadratic scan is negligible one-time work).
-        segs[SEG_DEDUP_RANK] = off32(u.len());
-        dedup_ids.clear();
-        dedup_first.clear();
-        for (pos, &w) in wids.iter().enumerate() {
+        // Each token's index into the sorted word run (a binary search
+        // of the run), and each distinct word's first token: positions
+        // are walked backwards, so the first occurrence writes last.
+        segs[SEG_WORD_RANK] = off32(u.len());
+        let ranks = u.len();
+        for &w in wids {
             let id = word[w as usize];
-            let rank = match dedup_ids.iter().position(|&x| x == id) {
-                Some(r) => r,
-                None => {
-                    dedup_ids.push(id);
-                    dedup_first.push(pos as u32);
-                    dedup_ids.len() - 1
-                }
-            };
+            let rank = u[words_start..words_end].partition_point(|&x| x < id);
             u.push(rank as u32);
         }
-        segs[SEG_DEDUP_IDS] = off32(u.len());
-        u.extend_from_slice(&dedup_ids);
-        segs[SEG_DEDUP_FIRST] = off32(u.len());
-        u.extend_from_slice(&dedup_first);
+        segs[SEG_WORD_FIRST] = off32(u.len());
+        let first = u.len();
+        u.resize(first + (words_end - words_start), 0);
+        for pos in (0..wids.len()).rev() {
+            let rank = u[ranks + pos] as usize;
+            u[first + rank] = pos as u32;
+        }
         segs[N_SEGS] = off32(u.len());
 
         let i16_off = off32(out.i16s.len());
@@ -978,13 +958,14 @@ fn append<T: Copy>(dst: &mut Vec<T>, src: Vec<T>) {
 
 /// Build the analysis layer for a task's two tables.
 ///
-/// `tfidf` is the vectorizer's per-attribute model list (`None` entries
-/// for attributes without a corpus model). Exactly the text-typed
+/// `tfidf` is the fitted vectorizer's per-attribute model list, which
+/// holds a model for every text attribute: the build is reached only
+/// through [`crate::FeatureVectorizer::analyze`]. Exactly the text-typed
 /// attributes are analyzed; every other cell is missing. The pools are
 /// shared across both tables and all text attributes, and ids are
 /// lexicographic ranks — see the module docs for the stages and why the
 /// ranks matter.
-pub fn analyze_task(
+pub(crate) fn analyze_task(
     a: &Table,
     b: &Table,
     tfidf: &[Option<TfIdfModel>],
@@ -1171,7 +1152,7 @@ pub fn soundex_pre(a: AttrView<'_>, b: AttrView<'_>) -> f64 {
 /// and touches the `f64` lane only on hits.
 #[inline]
 pub fn cosine_pre(a: AttrView<'_>, b: AttrView<'_>) -> f64 {
-    let (ia, ib) = (a.tfidf_ids(), b.tfidf_ids());
+    let (ia, ib) = (a.word_ids(), b.word_ids());
     if ia.is_empty() && ib.is_empty() {
         return 1.0;
     }
@@ -1233,17 +1214,21 @@ mod tests {
     use super::*;
     use crate::record::{Attribute, Schema, Value};
     use crate::tokenize::{qgrams, words};
-    use crate::{exact, jaccard, phonetic};
+    use crate::{exact, jaccard, phonetic, FeatureVectorizer};
     use std::sync::Arc;
+
+    /// The analysis of `a` and `b` at `threads`, as a fitted vectorizer
+    /// builds it.
+    fn analyze(a: &Table, b: &Table, threads: usize) -> TaskAnalysis {
+        FeatureVectorizer::fit(a, b).analyze(a, b, exec::Threads::new(threads))
+    }
 
     fn analyzed(values: &[&str]) -> (TaskAnalysis, Table, Table) {
         let schema = Arc::new(Schema::new(vec![Attribute::text("t")]));
         let rows: Vec<Vec<Value>> = values.iter().map(|&s| vec![Value::Text(s.into())]).collect();
         let a = Table::new("a", schema.clone(), rows.clone());
         let b = Table::new("b", schema, rows);
-        let docs: Vec<&str> = values.iter().copied().chain(values.iter().copied()).collect();
-        let model = Some(TfIdfModel::fit(docs));
-        let an = analyze_task(&a, &b, &[model], exec::Threads::new(2));
+        let an = analyze(&a, &b, 2);
         (an, a, b)
     }
 
@@ -1298,7 +1283,7 @@ mod tests {
             &long_y,
         ];
         let (an, a, b) = analyzed(&vals);
-        assert!(an.attr_a(5, 0).unwrap().tfidf_ids().len() >= 18);
+        assert!(an.attr_a(5, 0).unwrap().word_ids().len() >= 18);
         let docs: Vec<&str> = vals.iter().copied().chain(vals.iter().copied()).collect();
         let model = TfIdfModel::fit(docs);
         for i in 0..vals.len() as u32 {
@@ -1338,11 +1323,15 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             for view in [an.attr_a(i as u32, 0).unwrap(), an.attr_b(i as u32, 0).unwrap()] {
                 let occurrences = ranks(&word_pool, words(v));
-                let dedup = view.word_dedup_ids();
-                let tokens: Vec<u32> =
-                    view.word_dedup_rank().iter().map(|&r| dedup[r as usize]).collect();
+                let ids = view.word_ids();
+                let tokens: Vec<u32> = view.word_rank().iter().map(|&r| ids[r as usize]).collect();
                 assert_eq!(tokens, occurrences, "{v:?}: occurrence order");
-                assert_eq!(view.word_ids(), sorted(occurrences), "{v:?}: sorted word ranks");
+                let first: Vec<u32> = ids
+                    .iter()
+                    .map(|id| occurrences.iter().position(|x| x == id).unwrap() as u32)
+                    .collect();
+                assert_eq!(view.word_first(), first, "{v:?}: first occurrences");
+                assert_eq!(ids, sorted(occurrences), "{v:?}: sorted word ranks");
                 assert_eq!(view.gram_ids(), sorted(ranks(&gram_pool, qgrams(v, 3))), "{v:?}");
             }
             for (j, w) in vals.iter().enumerate() {
@@ -1367,7 +1356,7 @@ mod tests {
             vec![vec![Value::Null, Value::Number(1.0)], vec!["x".into(), Value::Null]],
         );
         let b = Table::new("b", schema, vec![vec!["y".into(), Value::Number(2.0)]]);
-        let an = analyze_task(&a, &b, &[None, None], exec::Threads::new(1));
+        let an = analyze(&a, &b, 1);
         assert!(an.attr_a(0, 0).is_none(), "null text has no analysis");
         assert!(an.attr_a(1, 0).is_some());
         assert!(an.attr_a(0, 1).is_none(), "numeric attrs are not analyzed");
@@ -1410,7 +1399,7 @@ mod tests {
                 row("fay's fries", "austin", "10001", Some("x4")),
             ],
         );
-        let an = analyze_task(&a, &b, &[None, None, None, None, None], exec::Threads::new(2));
+        let an = analyze(&a, &b, 2);
         let flags: Vec<bool> = (0..5).map(|attr| an.recurring(attr)).collect();
         assert_eq!(flags, [false, true, true, false, false]);
     }
@@ -1456,9 +1445,7 @@ mod tests {
         let rows: Vec<Vec<Value>> = vals.iter().map(|&s| vec![Value::Text(s.into())]).collect();
         let a = Table::new("a", schema.clone(), rows.clone());
         let b = Table::new("b", schema, rows);
-        let m = || Some(TfIdfModel::fit(vals.iter().copied()));
-        let an1 = analyze_task(&a, &b, &[m()], exec::Threads::new(1));
-        let an8 = analyze_task(&a, &b, &[m()], exec::Threads::new(8));
+        let (an1, an8) = (analyze(&a, &b, 1), analyze(&a, &b, 8));
         for i in 0..vals.len() as u32 {
             assert_eq!(an1.attr_a(i, 0), an8.attr_a(i, 0));
         }

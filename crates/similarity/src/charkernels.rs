@@ -857,8 +857,11 @@ impl TokenColumns {
 ///   to `x` scores an exact 1.0 (`jaro_winkler(x, x)`'s bits) without a
 ///   kernel call.
 ///
-/// Both sums then add per-occurrence terms in occurrence order (through
-/// `word_dedup_rank`), and the result is the reference's
+/// Rows and columns follow word-id order (each value's sorted
+/// `word_ids`), not the reference's first-occurrence order; by the points
+/// above no best depends on the order. Both sums then add per-occurrence
+/// terms in occurrence order (through `word_rank`), and the result is the
+/// reference's
 /// `(fwd/na + bwd/nb)/2`. Each cell keeps the per-pair kernel's policy
 /// ([`me_cell`]). On attributes whose values recur the vectorizer hands
 /// in only the pairs its value rows miss.
@@ -870,7 +873,7 @@ pub(crate) fn monge_elkan_run(
     mut put: impl FnMut(usize, f64),
 ) {
     let na = a.n_word_tokens();
-    let m = a.word_dedup_ids().len();
+    let m = a.word_ids().len();
     let mut chunk = MeChunk {
         a,
         bs,
@@ -916,7 +919,7 @@ struct MeChunk<'r, 'a> {
     /// position in that value)`.
     columns: Vec<(u32, u32, u32)>,
     /// Each pair's columns, pair after pair: the column of each of the
-    /// pair's `word_dedup_ids`, in that order.
+    /// pair's `word_ids`, in that order.
     pair_columns: Vec<u32>,
 }
 
@@ -933,7 +936,7 @@ impl MeChunk<'_, '_> {
     /// a new column.
     fn add(&mut self, i: usize, s: &mut CharScratch) {
         let b = self.bs[i].1;
-        for (&y, &k) in b.word_dedup_ids().iter().zip(b.word_dedup_first()) {
+        for (&y, &k) in b.word_ids().iter().zip(b.word_first()) {
             let (u, new) = s.me_columns.column(y, self.columns.len());
             if new {
                 self.columns.push((y, i as u32, k));
@@ -949,7 +952,7 @@ impl MeChunk<'_, '_> {
     fn drop_last(&mut self, i: usize) {
         let b = self.bs[i].1;
         self.pairs.pop();
-        self.pair_columns.truncate(self.pair_columns.len() - b.word_dedup_ids().len());
+        self.pair_columns.truncate(self.pair_columns.len() - b.word_ids().len());
         while self.columns.last().is_some_and(|&(_, j, _)| j as usize == i) {
             self.columns.pop();
         }
@@ -958,7 +961,7 @@ impl MeChunk<'_, '_> {
     /// The chars of `a`'s distinct token `r` (row `r` of the grid).
     #[inline]
     fn row_token(&self, r: usize) -> &[u32] {
-        self.a.word_token(self.a.word_dedup_first()[r] as usize)
+        self.a.word_token(self.a.word_first()[r] as usize)
     }
 
     /// The token id and chars of column `u`.
@@ -979,7 +982,7 @@ impl MeChunk<'_, '_> {
         if self.pairs.is_empty() {
             return;
         }
-        let (a, da) = (self.a, self.a.word_dedup_ids());
+        let (a, da) = (self.a, self.a.word_ids());
         let m = da.len();
         let single = self.pairs.len() == 1;
         let mut grid = std::mem::take(&mut s.me_grid);
@@ -988,7 +991,7 @@ impl MeChunk<'_, '_> {
         best_col.clear();
         best_row.clear();
         if single {
-            let db = self.bs[self.pairs[0] as usize].1.word_dedup_ids();
+            let db = self.bs[self.pairs[0] as usize].1.word_ids();
             best_row.extend(da.iter().map(|x| if db.contains(x) { 1.0 } else { 0.0 }));
             for u in 0..self.columns.len() {
                 let (y, tb) = self.column_token(u);
@@ -1020,7 +1023,7 @@ impl MeChunk<'_, '_> {
         for &i in &self.pairs {
             let (row, b) = self.bs[i as usize];
             let own;
-            (own, cols) = cols.split_at(b.word_dedup_ids().len());
+            (own, cols) = cols.split_at(b.word_ids().len());
             if !single {
                 best_row.fill(0.0);
                 for &u in own {
@@ -1028,8 +1031,8 @@ impl MeChunk<'_, '_> {
                     fold_max(&mut best_row, &grid[u * m..(u + 1) * m]);
                 }
             }
-            let fwd: f64 = a.word_dedup_rank().iter().map(|&r| best_row[r as usize]).sum();
-            let bwd: f64 = b.word_dedup_rank().iter().map(|&c| best_col[own[c as usize] as usize]).sum();
+            let fwd: f64 = a.word_rank().iter().map(|&r| best_row[r as usize]).sum();
+            let bwd: f64 = b.word_rank().iter().map(|&c| best_col[own[c as usize] as usize]).sum();
             put(row, (fwd / na + bwd / b.n_word_tokens() as f64) / 2.0);
         }
         s.me_grid = grid;
@@ -1250,7 +1253,7 @@ mod tests {
     /// An analysis of one text attribute: table A holds `xs`, B `ys`.
     fn analyzed(xs: &[&str], ys: &[&str]) -> TaskAnalysis {
         let (a, b) = tables(xs, ys);
-        crate::analysis::analyze_task(&a, &b, &[None], exec::Threads::new(1))
+        FeatureVectorizer::fit(&a, &b).analyze(&a, &b, exec::Threads::new(1))
     }
 
     fn strs(v: &[String]) -> Vec<&str> {

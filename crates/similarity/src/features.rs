@@ -296,9 +296,10 @@ mod tests {
                 .expect("kind in library");
             let mut reps: Vec<f64> = (0..5)
                 .map(|_| {
-                    // Fresh analysis per rep: its new cache generation
-                    // flushes the char-kernel result cache, so every rep
-                    // measures the kernel, not a table lookup.
+                    // Fresh analysis per rep: its new generation misses
+                    // every entry the char kernels' per-thread token table,
+                    // left table and value rows hold, so every rep measures
+                    // the kernel, not a table lookup.
                     let an = vz.analyze(&a, &b, exec::Threads::new(1));
                     let t0 = Instant::now();
                     let mut sink = 0.0;

@@ -65,7 +65,8 @@ pub enum TokenSpace {
     Grams,
     /// Packed Soundex codes of the word tokens (`soundex_codes`).
     Soundex,
-    /// Word ids carrying TF/IDF weight (`tfidf_ids`).
+    /// The word ids again (`word_ids`), named for the TF/IDF cosine
+    /// they serve, whose weights are parallel to them.
     TfIdf,
 }
 
@@ -214,14 +215,13 @@ pub struct ProbeScratch {
 }
 
 /// The token ids of `an` for `space` — a zero-copy slice into the
-/// analysis arena (TF/IDF ids are their own slab segment, so even the
-/// weighted space needs no extraction pass).
+/// analysis arena (the weighted space reads the word ids, so it needs no
+/// extraction pass either).
 fn tokens_of<'a>(an: AttrView<'a>, space: TokenSpace) -> &'a [u32] {
     match space {
-        TokenSpace::Words => an.word_ids(),
+        TokenSpace::Words | TokenSpace::TfIdf => an.word_ids(),
         TokenSpace::Grams => an.gram_ids(),
         TokenSpace::Soundex => an.soundex_codes(),
-        TokenSpace::TfIdf => an.tfidf_ids(),
     }
 }
 
@@ -664,9 +664,9 @@ impl ContainmentIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{self, analyze_task};
-    use crate::cosine::TfIdfModel;
+    use crate::analysis;
     use crate::record::{Attribute, Schema, Table, Value};
+    use crate::FeatureVectorizer;
     use std::sync::Arc;
 
     fn analyzed(vals_a: &[&str], vals_b: &[&str]) -> crate::analysis::TaskAnalysis {
@@ -687,9 +687,7 @@ mod tests {
         };
         let a = Table::new("a", schema.clone(), rows(vals_a));
         let b = Table::new("b", schema, rows(vals_b));
-        let docs = vals_a.iter().chain(vals_b).flatten().map(String::as_str);
-        let model = Some(TfIdfModel::fit(docs));
-        analyze_task(&a, &b, &[model], exec::Threads::new(2))
+        FeatureVectorizer::fit(&a, &b).analyze(&a, &b, exec::Threads::new(2))
     }
 
     /// The B records of `an` whose `kernel` score with A record `x`

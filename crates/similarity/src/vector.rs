@@ -77,13 +77,6 @@ impl FeatureVectorizer {
         self.lib.len()
     }
 
-    /// True when `attr` has a fitted TF/IDF corpus model. Without one,
-    /// `CosineTfIdf` features of that attribute are always `NaN` — the
-    /// blocking planner uses this to decide indexability.
-    pub fn has_corpus_model(&self, attr: usize) -> bool {
-        self.tfidf.get(attr).is_some_and(|m| m.is_some())
-    }
-
     /// Compute the full feature vector for a record pair.
     pub fn vectorize(&self, a: &Record, b: &Record) -> Vec<f64> {
         self.lib
@@ -104,8 +97,10 @@ impl FeatureVectorizer {
     }
 
     /// Build the precomputed analysis layer for a task's two tables (see
-    /// [`crate::analysis`]). The result feeds [`Self::vectorize_pre_into`]
-    /// and [`Self::feature_run`], whose outputs are bit-identical to the
+    /// [`crate::analysis`]): the only way to build one, since its TF/IDF
+    /// weights come from this vectorizer's models, one per text
+    /// attribute. The result feeds [`Self::vectorize_pre_into`] and
+    /// [`Self::feature_run`], whose outputs are bit-identical to the
     /// string-based [`Self::vectorize`] / [`Self::feature`].
     pub fn analyze(&self, a: &Table, b: &Table, threads: exec::Threads) -> TaskAnalysis {
         analysis::analyze_task(a, b, &self.tfidf, threads)
@@ -335,13 +330,7 @@ impl FeatureVectorizer {
     ) -> f64 {
         let cx = || charkernels::Ctx::new(an);
         match def.kind {
-            FeatureKind::CosineTfIdf => {
-                if self.tfidf[def.attr].is_some() {
-                    analysis::cosine_pre(ra, rb)
-                } else {
-                    f64::NAN
-                }
-            }
+            FeatureKind::CosineTfIdf => analysis::cosine_pre(ra, rb),
             FeatureKind::ExactMatch => analysis::exact_pre(ra, rb),
             FeatureKind::Containment => analysis::containment_pre(ra, rb),
             FeatureKind::PrefixSim => analysis::prefix_pre(ra, rb),

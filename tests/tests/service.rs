@@ -230,10 +230,13 @@ fn same_table_tenants_share_one_analysis_build() {
         .expect("admitted");
     svc.submit(spec_over("beta", "restaurants", 17, 99, FaultConfig::default()))
         .expect("admitted");
+    // Another dataset seed: other tables, so an analysis of its own.
+    svc.submit(spec_over("gamma", "restaurants", 18, 17, FaultConfig::default()))
+        .expect("admitted");
     svc.run_all();
     let perf = svc.service_perf();
-    assert_eq!(perf.analysis_cache_misses, 1, "first tenant builds the analysis");
-    assert_eq!(perf.analysis_cache_hits, 1, "second tenant adopts it");
+    assert_eq!(perf.analysis_cache_misses, 2, "the first and the third tenant build");
+    assert_eq!(perf.analysis_cache_hits, 1, "second tenant adopts the first's build");
     // Sharing must not leak into run bytes: the adopting tenant still
     // matches its solo run (which builds the analysis itself).
     let beta = svc.take_report("beta").expect("finished").deterministic_json();
