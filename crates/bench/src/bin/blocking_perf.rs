@@ -35,8 +35,8 @@
 //!   for `t_B` = the pair-sample size (`corleone::blocker::sample_pairs`:
 //!   all of A × a seeded subset of B, row-major), materialized by
 //!   `CandidateSet::build_with`: one vectorizer call per run of pairs
-//!   sharing the left record, transposed into the set's column-major
-//!   tiles
+//!   sharing the left record, each build task's rows then written into
+//!   the set's whole columns
 //! * `char_kernels_string` / `char_kernels_pre` — only the five
 //!   character-level measures (Levenshtein, Jaro, Jaro-Winkler,
 //!   Monge-Elkan, Smith-Waterman) on the same pair sample, isolating the

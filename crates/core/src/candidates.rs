@@ -12,17 +12,15 @@
 //!
 //! # Layout
 //!
-//! The matrix is stored in tiles, the row ranges of the parallel build
-//! tasks ([`task_ends`], a function of the pair list alone). A tile of
-//! `n` rows holds its `n × n_features` values column-major: feature `f`
-//! of the tile's row `r` sits at `f·n + r`, so each feature is one
-//! contiguous slice per tile. The scans that run over a whole set again
-//! and again read only a few features of each row, and here they read
-//! them by column: forest votes ([`CandidateSet::positive_votes`]) go one
-//! tree at a time over a tile's rows, from one predicate bitmask per
-//! split node, and rule coverage ([`CandidateSet::coverage`]) filters a
-//! tile's rows one predicate at a time. Nothing outside this module sees
-//! the layout: [`CandidateSet::row`] gathers an owned vector.
+//! The matrix is one column-major block: feature `f` of row `r` sits at
+//! `f·len + r`, so each feature is one contiguous slice of `len` values.
+//! The scans that run over a whole set again and again read only a few
+//! features of each row, and here they read them by column: forest votes
+//! ([`CandidateSet::positive_votes`]) go one tree at a time over whole
+//! columns, from one predicate bitmask per split node, and rule coverage
+//! ([`CandidateSet::coverage`]) filters its rows one predicate at a time.
+//! Nothing outside this module sees the layout: [`CandidateSet::row`]
+//! gathers an owned vector.
 
 use crate::cache::FeatureCache;
 use crate::source::{CandidateSource, CartesianScan};
@@ -32,35 +30,22 @@ use exec::Threads;
 use forest::tree::Node;
 use forest::{RandomForest, Rule};
 
-/// Below this many rows a vote scan runs on the calling thread: spawning
-/// would cost more than it saves.
+/// Rows per thread a vote scan needs before it fans out: on fewer,
+/// spawning would cost more than it saves.
 const PAR_MIN_ROWS: usize = 8192;
+
+/// Build tasks whose column slices are held at once: a wave of tasks
+/// fills its rows of every column before the next wave's slices are cut,
+/// so the slice headers stay bounded however long the set.
+const TASKS_PER_WAVE: usize = 64;
 
 /// Pairs plus their feature vectors.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     pairs: Vec<PairKey>,
     n_features: usize,
-    /// Row ends of the tiles: [`task_ends`] of `pairs`.
-    tile_ends: Vec<usize>,
-    /// The tiles in row order, each column-major.
+    /// Column-major: feature `f` of row `r` at `f * pairs.len() + r`.
     matrix: Vec<f64>,
-}
-
-/// One tile of a [`CandidateSet`]: rows `start..start + len`, feature `f`
-/// of row `start + r` at `cells[f * len + r]`.
-#[derive(Clone, Copy)]
-struct Tile<'a> {
-    start: usize,
-    len: usize,
-    cells: &'a [f64],
-}
-
-impl<'a> Tile<'a> {
-    /// Feature `f` of every row of the tile.
-    fn col(self, f: usize) -> &'a [f64] {
-        &self.cells[f * self.len..(f + 1) * self.len]
-    }
 }
 
 impl CandidateSet {
@@ -74,46 +59,66 @@ impl CandidateSet {
     /// Materialize feature vectors for `pairs` with an explicit thread
     /// budget, consulting `cache` (read-through) when given. Builds the
     /// task's record analysis on that budget first if it is missing.
-    /// The matrix is allocated once and each tile is filled by one
-    /// parallel task, which holds whole runs of pairs sharing the left
-    /// record ([`task_ends`]): without a cache, each run is vectorized in
-    /// one call into a row-major buffer, which is then transposed into
-    /// the tile's columns.
+    /// The matrix is allocated once and filled by parallel tasks, each
+    /// holding whole runs of pairs sharing the left record
+    /// ([`task_ends`]): without a cache, each run is vectorized in one
+    /// call into the task's row-major buffer, and the task then writes its
+    /// rows of every column. Tasks run in waves of [`TASKS_PER_WAVE`], each
+    /// wave cutting its tasks' column slices afresh.
     pub fn build_with(
         task: &MatchTask,
         pairs: Vec<PairKey>,
         threads: Threads,
         cache: Option<&FeatureCache>,
     ) -> Self {
-        let n_features = task.n_features();
+        let nf = task.n_features();
+        let len = pairs.len();
         task.ensure_analysis(threads);
-        let mut matrix = vec![0.0; pairs.len() * n_features];
-        let tile_ends = task_ends(&pairs);
-        let splits: Vec<usize> = tile_ends.iter().map(|&e| e * n_features).collect();
-        exec::par_split_at_mut(threads, &mut matrix, &splits, |t, cells| {
-            let start = if t == 0 { 0 } else { tile_ends[t - 1] };
-            let keys = &pairs[start..tile_ends[t]];
-            let mut rows = vec![0.0; cells.len()];
-            if let Some(cache) = cache {
-                for (k, &key) in keys.iter().enumerate() {
-                    let row = &mut rows[k * n_features..(k + 1) * n_features];
-                    row.copy_from_slice(&cache.get_or_compute(key, || task.vectorize(key)));
+        let mut matrix = vec![0.0; len * nf];
+        let ends = task_ends(&pairs);
+        let mut done = 0;
+        for wave in ends.chunks(TASKS_PER_WAVE) {
+            // Task `t` of the wave gets its rows of every column, at
+            // `cols[t * nf..(t + 1) * nf]`.
+            let mut rests: Vec<&mut [f64]> =
+                matrix.chunks_exact_mut(len).map(|col| &mut col[done..]).collect();
+            let mut cols: Vec<&mut [f64]> = Vec::with_capacity(wave.len() * nf);
+            let mut start = done;
+            for &end in wave {
+                for rest in &mut rests {
+                    let (mine, tail) = std::mem::take(rest).split_at_mut(end - start);
+                    cols.push(mine);
+                    *rest = tail;
                 }
-            } else {
-                let mut done = 0;
-                for run in keys.chunk_by(|x, y| x.a == y.a) {
-                    let end = done + run.len();
-                    task.vectorize_run_into(run, &mut rows[done * n_features..end * n_features]);
-                    done = end;
-                }
+                start = end;
             }
-            for (f, col) in cells.chunks_exact_mut(keys.len()).enumerate() {
-                for (r, x) in col.iter_mut().enumerate() {
-                    *x = rows[r * n_features + f];
+            let splits: Vec<usize> = (1..=wave.len()).map(|t| t * nf).collect();
+            exec::par_split_at_mut(threads, &mut cols, &splits, |t, cols| {
+                let start = if t == 0 { done } else { wave[t - 1] };
+                let keys = &pairs[start..wave[t]];
+                let mut rows = vec![0.0; keys.len() * nf];
+                if let Some(cache) = cache {
+                    for (k, &key) in keys.iter().enumerate() {
+                        let row = &mut rows[k * nf..(k + 1) * nf];
+                        row.copy_from_slice(&cache.get_or_compute(key, || task.vectorize(key)));
+                    }
+                } else {
+                    let mut at = 0;
+                    for run in keys.chunk_by(|x, y| x.a == y.a) {
+                        let end = at + run.len();
+                        task.vectorize_run_into(run, &mut rows[at * nf..end * nf]);
+                        at = end;
+                    }
                 }
-            }
-        });
-        CandidateSet { pairs, n_features, tile_ends, matrix }
+                for (f, col) in cols.iter_mut().enumerate() {
+                    for (r, x) in col.iter_mut().enumerate() {
+                        *x = rows[r * nf + f];
+                    }
+                }
+            });
+            done = start;
+        }
+        CandidateSet { pairs, n_features: nf, matrix }
     }
 
     /// Materialize the pairs produced by a [`CandidateSource`]: generate
@@ -155,17 +160,21 @@ impl CandidateSet {
         self.n_features
     }
 
-    /// The feature vector of pair `i`, gathered from its tile's columns.
+    /// Feature `f` of every pair.
+    fn col(&self, f: usize) -> &[f64] {
+        let len = self.len();
+        &self.matrix[f * len..(f + 1) * len]
+    }
+
+    /// The feature vector of pair `i`, gathered from the columns.
     pub fn row(&self, i: usize) -> Vec<f64> {
-        let tile = self.tile(self.tile_of(i));
-        let r = i - tile.start;
-        (0..self.n_features).map(|f| tile.col(f)[r]).collect()
+        (0..self.n_features).map(|f| self.col(f)[i]).collect()
     }
 
     /// The whole feature buffer, `len × n_features` values in the set's
-    /// own tiled layout (see the module docs). For comparing the bits of
-    /// two sets built from the same pairs, which share a layout; read
-    /// features through [`Self::row`] and the scans.
+    /// own column-major layout (see the module docs). For comparing the
+    /// bits of two sets built from the same pairs, which share a layout;
+    /// read features through [`Self::row`] and the scans.
     pub fn matrix(&self) -> &[f64] {
         &self.matrix
     }
@@ -186,85 +195,52 @@ impl CandidateSet {
         self.pairs.iter().position(|&p| p == key)
     }
 
-    /// Restrict to a subset of indices, keeping their order. The subset
-    /// is tiled for its own pair list, so its rows are gathered column by
-    /// column.
+    /// Restrict to a subset of indices, keeping their order, gathered one
+    /// column at a time.
     pub fn subset(&self, indices: &[usize]) -> CandidateSet {
         let pairs: Vec<PairKey> = indices.iter().map(|&i| self.pairs[i]).collect();
-        let nf = self.n_features;
-        // Where each chosen row's feature 0 sits, and the stride to its
-        // next feature (its tile's row count).
-        let mut src: Vec<(usize, usize)> = Vec::with_capacity(indices.len());
-        for (tile, rows) in self.stretches(indices) {
-            let base = tile.start * nf;
-            src.extend(rows.iter().map(|&i| (base + i - tile.start, tile.len)));
+        let mut matrix = Vec::with_capacity(pairs.len() * self.n_features);
+        for f in 0..self.n_features {
+            let col = self.col(f);
+            matrix.extend(indices.iter().map(|&i| col[i]));
         }
-        let tile_ends = task_ends(&pairs);
-        let mut matrix = vec![0.0; pairs.len() * nf];
-        let mut start = 0;
-        let mut rest = matrix.as_mut_slice();
-        for &end in &tile_ends {
-            let (cells, tail) = rest.split_at_mut((end - start) * nf);
-            for (f, col) in cells.chunks_exact_mut(end - start).enumerate() {
-                for (x, &(at, stride)) in col.iter_mut().zip(&src[start..end]) {
-                    *x = self.matrix[at + f * stride];
-                }
-            }
-            rest = tail;
-            start = end;
-        }
-        CandidateSet { pairs, n_features: nf, tile_ends, matrix }
+        CandidateSet { pairs, n_features: self.n_features, matrix }
     }
 
     /// How many of `forest`'s trees vote "matched" for each pair of
     /// `indices`, in the order given: [`RandomForest::positive_votes`] of
-    /// each row, in parallel over tiles for large lists. Every tile the
-    /// list touches is scored whole, one tree at a time, from one predicate
-    /// bitmask per split node ([`TileMasks`]), and the chosen rows' counts
-    /// are read off. So a call costs a pass over each tile it touches,
-    /// however few of the tile's rows it asks for: a caller that scores a
-    /// few scattered rows again and again gathers them first
-    /// ([`Self::subset`]), as the learner's monitor set does. A count is an
-    /// integer, so the order rows and trees are visited in cannot change
-    /// it: an unsorted list is scanned in ascending order and its counts
-    /// put back in the given order.
+    /// each row. Every row of the set is scored, one tree at a time over
+    /// whole columns, from one predicate bitmask per split node
+    /// ([`VoteMasks`]), and the asked rows' counts are read off. So a call
+    /// costs a pass over the whole set however few rows it asks for: a
+    /// caller that scores a few scattered rows again and again gathers
+    /// them first ([`Self::subset`]), as the learner's monitor set does.
+    /// Sets of twice [`PAR_MIN_ROWS`] rows or more fan out over at most
+    /// `len / PAR_MIN_ROWS` threads, each scoring an equal range of rows
+    /// aligned to 64; a count is an integer, so neither the split nor the
+    /// order rows and trees are visited in can change it.
     pub fn positive_votes(
         &self,
         forest: &RandomForest,
         indices: &[usize],
         threads: Threads,
     ) -> Vec<usize> {
-        if !indices.is_sorted() {
-            let mut order: Vec<(usize, usize)> = indices.iter().copied().zip(0..).collect();
-            order.sort_unstable();
-            let ascending: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
-            let mut votes = vec![0; indices.len()];
-            for (&(_, k), v) in order.iter().zip(self.positive_votes(forest, &ascending, threads)) {
-                votes[k] = v;
-            }
-            return votes;
+        if indices.is_empty() {
+            return Vec::new();
         }
-        let stretches = self.stretches(indices);
-        let ends: Vec<usize> = stretches
-            .iter()
-            .scan(0, |end, (_, rows)| {
-                *end += rows.len();
-                Some(*end)
-            })
-            .collect();
-        let threads = if indices.len() < PAR_MIN_ROWS { Threads::new(1) } else { threads };
-        let mut votes = vec![0; indices.len()];
-        exec::par_split_at_mut(threads, &mut votes, &ends, |s, out| {
-            let (tile, rows) = stretches[s];
-            let mut masks = TileMasks::new(tile);
+        let len = self.len();
+        let parts = threads.get().min(len / PAR_MIN_ROWS).max(1);
+        let per = len.div_ceil(64 * parts) * 64;
+        let ends: Vec<usize> = (1..=parts).map(|p| (p * per).min(len)).collect();
+        let mut votes = vec![0u32; len];
+        exec::par_split_at_mut(threads, &mut votes, &ends, |p, votes| {
+            let start = if p == 0 { 0 } else { ends[p - 1] };
+            let mut masks = VoteMasks::new(self, start, votes);
             for tree in forest.trees() {
                 masks.add_votes(tree.nodes(), 0, 0);
             }
-            for (v, &i) in out.iter_mut().zip(rows) {
-                *v = masks.votes[i - tile.start] as usize;
-            }
         });
-        votes
+        indices.iter().map(|&i| votes[i] as usize).collect()
     }
 
     /// `forest`'s prediction for every pair, in order: a majority of
@@ -280,72 +256,25 @@ impl CandidateSet {
     }
 
     /// The pairs `rule` covers ([`Rule::matches`] their vectors), among
-    /// `within` when given, else among all pairs, in that order. Each
-    /// tile's candidate rows are filtered one predicate at a time, each
-    /// predicate reading its feature's column; a conjunction keeps the
-    /// same rows whatever order its predicates are tested in. A rule
-    /// without predicates covers every candidate.
+    /// `within` when given, else among all pairs, in that order. The
+    /// candidate rows are filtered one predicate at a time, each predicate
+    /// reading its feature's column; a conjunction keeps the same rows
+    /// whatever order its predicates are tested in. A rule without
+    /// predicates covers every candidate.
     pub fn coverage(&self, rule: &Rule, within: Option<&[usize]>) -> Vec<usize> {
-        let mut covered = Vec::new();
-        let mut rows: Vec<usize> = Vec::new();
-        let mut filter = |tile: Tile<'_>, rows: &mut Vec<usize>| {
-            for p in &rule.predicates {
-                let col = tile.col(p.feature);
-                rows.retain(|&r| p.holds_value(col[r]));
-            }
-            covered.extend(rows.iter().map(|&r| tile.start + r));
+        let mut rows: Vec<usize> = match within {
+            Some(indices) => indices.to_vec(),
+            None => (0..self.len()).collect(),
         };
-        match within {
-            Some(indices) => {
-                for (tile, chosen) in self.stretches(indices) {
-                    rows.clear();
-                    rows.extend(chosen.iter().map(|&i| i - tile.start));
-                    filter(tile, &mut rows);
-                }
-            }
-            None => {
-                for t in 0..self.tile_ends.len() {
-                    let tile = self.tile(t);
-                    rows.clear();
-                    rows.extend(0..tile.len);
-                    filter(tile, &mut rows);
-                }
-            }
+        for p in &rule.predicates {
+            let col = self.col(p.feature);
+            rows.retain(|&r| p.holds_value(col[r]));
         }
-        covered
-    }
-
-    /// Tile `t`.
-    fn tile(&self, t: usize) -> Tile<'_> {
-        let start = if t == 0 { 0 } else { self.tile_ends[t - 1] };
-        let end = self.tile_ends[t];
-        let cells = &self.matrix[start * self.n_features..end * self.n_features];
-        Tile { start, len: end - start, cells }
-    }
-
-    /// The tile holding row `i`.
-    fn tile_of(&self, i: usize) -> usize {
-        self.tile_ends.partition_point(|&end| end <= i)
-    }
-
-    /// `indices` cut into maximal stretches of rows in one tile, each
-    /// with its tile: one stretch per tile touched when `indices` ascend.
-    fn stretches<'a>(&'a self, indices: &'a [usize]) -> Vec<(Tile<'a>, &'a [usize])> {
-        let mut out = Vec::new();
-        let mut rest = indices;
-        while let Some(&i) = rest.first() {
-            let tile = self.tile(self.tile_of(i));
-            let rows = tile.start..tile.start + tile.len;
-            let (stretch, tail) =
-                rest.split_at(rest.iter().take_while(|i| rows.contains(i)).count());
-            out.push((tile, stretch));
-            rest = tail;
-        }
-        out
+        rows
     }
 }
 
-/// Forest votes over every row of one tile, counted from predicate
+/// Forest votes over a range of rows of a set, counted from predicate
 /// bitmasks instead of one tree walk per row. Each split node gets the
 /// mask of the rows that reach it: the root's mask is every row, and a
 /// split's left child gets its mask ANDed with the rows that go left
@@ -361,25 +290,32 @@ impl CandidateSet {
 /// trees are small (at most 19 nodes on the benchmark's workloads), and
 /// there the masks win; a wide, balanced tree of a hundred nodes or more
 /// would cost up to about twice its walk (DESIGN §4k).
-struct TileMasks<'a> {
-    tile: Tile<'a>,
-    /// Words per mask: one bit per row of the tile.
+struct VoteMasks<'a> {
+    set: &'a CandidateSet,
+    /// The range's first mask word: vote ranges are aligned to 64 rows,
+    /// so word `k` of the range holds the set's rows `64 * (first + k)..`.
+    first: usize,
+    /// Words per mask: one bit per row of the range.
     words: usize,
     /// The masks on the current root-to-node path, `words` per level.
     levels: Vec<u64>,
-    /// Positive votes per row of the tile.
-    votes: Vec<u32>,
+    /// Positive votes per row of the range.
+    votes: &'a mut [u32],
 }
 
-impl<'a> TileMasks<'a> {
-    fn new(tile: Tile<'a>) -> Self {
-        let words = tile.len.div_ceil(64);
+impl<'a> VoteMasks<'a> {
+    /// Masks over the rows `start..start + votes.len()` of `set`, where
+    /// `start` is a multiple of 64.
+    fn new(set: &'a CandidateSet, start: usize, votes: &'a mut [u32]) -> Self {
+        debug_assert!(start.is_multiple_of(64), "vote ranges are aligned to 64 rows");
+        let n = votes.len();
+        let words = n.div_ceil(64);
         let mut levels = vec![!0u64; words];
-        if !tile.len.is_multiple_of(64) {
-            // No bit past the tile's last row.
-            levels[words - 1] = (1u64 << (tile.len % 64)) - 1;
+        if !n.is_multiple_of(64) {
+            // No bit past the range's last row.
+            levels[words - 1] = (1u64 << (n % 64)) - 1;
         }
-        TileMasks { tile, words, levels, votes: vec![0; tile.len] }
+        VoteMasks { set, first: start / 64, words, levels, votes }
     }
 
     /// Add the votes of the subtree at `nodes[at]`, whose rows are the mask
@@ -401,15 +337,15 @@ impl<'a> TileMasks<'a> {
                 if self.levels.len() < (level + 2) * w {
                     self.levels.resize((level + 2) * w, 0);
                 }
-                let col = self.tile.col(feature as usize);
+                let col = self.set.col(feature as usize);
                 let (path, below) = self.levels.split_at_mut((level + 1) * w);
                 let (mask, child) = (&path[level * w..], &mut below[..w]);
                 for (k, (c, &m)) in child.iter_mut().zip(mask).enumerate() {
                     *c = if m == 0 {
                         0
                     } else {
-                        let vals = &col[k * 64..col.len().min((k + 1) * 64)];
-                        m & goes_left(vals, threshold, nan_left)
+                        let row = (self.first + k) * 64;
+                        m & goes_left(&col[row..col.len().min(row + 64)], threshold, nan_left)
                     };
                 }
                 self.add_votes(nodes, left as usize, level + 1);
@@ -450,10 +386,10 @@ fn goes_left(vals: &[f64], threshold: f64, nan_left: bool) -> u64 {
     bits
 }
 
-/// Row ends of the parallel tasks [`CandidateSet::build_with`] fills, and
-/// so of the set's tiles: whole runs of pairs sharing the left record,
-/// grouped until a task holds at least `ROWS_PER_TASK` rows, so no run
-/// shorter than a task is vectorized in two calls. Only a run longer
+/// Row ends of the parallel tasks [`CandidateSet::build_with`] fills:
+/// whole runs of pairs sharing the left record, grouped until a task
+/// holds at least `ROWS_PER_TASK` rows, so no run shorter than a task is
+/// vectorized in two calls. Only a run longer
 /// than `MAX_ROWS_PER_TASK` is cut, into near-equal pieces, so a long
 /// Cartesian run still spreads over the threads. The split depends on
 /// the pair list only, never on the thread budget.
@@ -631,7 +567,8 @@ mod tests {
     }
 
     /// A text and a number attribute with missing values, so some cells
-    /// are NaN, and 1,100 B records, so a run can be longer than a tile.
+    /// are NaN, and 1,100 B records, so a run can be longer than a build
+    /// task.
     fn layout_task() -> MatchTask {
         let schema =
             Arc::new(Schema::new(vec![Attribute::text("name"), Attribute::number("price")]));
@@ -649,13 +586,13 @@ mod tests {
                 })
                 .collect()
         };
-        let a = Table::new("a", schema.clone(), rows(4));
+        let a = Table::new("a", schema.clone(), rows(16));
         let b = Table::new("b", schema, rows(1100));
         task_from_parts(a, b, "same?", [(0, 0), (1, 1)], [(0, 5), (2, 7)])
     }
 
-    /// Pair lists whose runs are grouped into tiles (runs of 30), cut
-    /// across tiles (runs of 1,100, in two orders of B), or both.
+    /// Pair lists whose runs are grouped into build tasks (runs of 30),
+    /// cut across tasks (runs of 1,100, in two orders of B), or both.
     fn layout_pair_lists() -> Vec<Vec<PairKey>> {
         let run = |a: u32, bs: &mut dyn Iterator<Item = u32>| -> Vec<PairKey> {
             bs.map(|b| PairKey::new(a, b)).collect()
@@ -666,6 +603,19 @@ mod tests {
         mixed.extend(run(2, &mut (0..1100).rev()));
         mixed.extend(run(3, &mut (500..540)));
         vec![grouped, mixed, Vec::new()]
+    }
+
+    /// 176 runs of 100 pairs, each a build task of its own (three waves of
+    /// tasks), 17,600 rows: a set long enough for two vote ranges.
+    fn long_pair_list() -> Vec<PairKey> {
+        let list: Vec<PairKey> = (0..176u32)
+            .flat_map(|k| {
+                let b0 = (k * 37) % 1000;
+                (b0..b0 + 100).map(move |b| PairKey::new(k % 16, b))
+            })
+            .collect();
+        assert!(list.len() > 2 * PAR_MIN_ROWS && task_ends(&list).len() > 2 * TASKS_PER_WAVE);
+        list
     }
 
     fn bits(x: &[f64]) -> Vec<u64> {
@@ -689,8 +639,8 @@ mod tests {
 
     /// Index lists over `n` rows: all; all but every 20th (dense, like
     /// the selection pool); every row four times (dense with repeats, and
-    /// long enough to split over threads); a sparse ascending stride that
-    /// spans tiles; the same stride reversed (unsorted, like the monitor
+    /// long enough to split over threads); a sparse ascending stride; the
+    /// same stride reversed (unsorted, like the monitor
     /// set); a shuffle with repeats; and none.
     fn index_lists(n: usize) -> Vec<Vec<usize>> {
         let gaps: Vec<usize> = (0..n).filter(|i| i % 20 != 0).collect();
@@ -782,7 +732,9 @@ mod tests {
     #[test]
     fn rows_and_subsets_equal_direct_vectorization_at_any_thread_count() {
         let t = layout_task();
-        for pairs in layout_pair_lists() {
+        let mut lists = layout_pair_lists();
+        lists.push(long_pair_list());
+        for pairs in lists {
             let want: Vec<Vec<f64>> = pairs.iter().map(|&p| t.vectorize(p)).collect();
             let mut first: Option<Vec<u64>> = None;
             for n in [1, 2, 8] {
@@ -795,8 +747,8 @@ mod tests {
                 let m = bits(c.matrix());
                 assert_eq!(first.get_or_insert_with(|| m.clone()), &m, "layout at {n} threads");
 
-                // A subset of a subset, in an order that crosses tiles
-                // and repeats rows.
+                // A subset of a subset, in an order that crosses build
+                // tasks and repeats rows.
                 let outer: Vec<usize> = (0..pairs.len()).rev().step_by(3).collect();
                 let inner: Vec<usize> = (0..outer.len()).map(|j| (j * 5) % outer.len()).collect();
                 let s = c.subset(&outer).subset(&inner);
@@ -814,9 +766,12 @@ mod tests {
         let t = layout_task();
         let mut saw_tie = false;
         let mut lists = layout_pair_lists();
-        // Tiles of exactly 64 and 128 rows: masks with no partial word.
-        lists.push((0..4).flat_map(|a| (0..64).map(move |b| PairKey::new(a, b))).collect());
-        lists.push((0..2).flat_map(|a| (0..128).map(move |b| PairKey::new(a, b))).collect());
+        // Sets of exactly 64 and 128 rows: masks with no partial word.
+        lists.push((0..4).flat_map(|a| (0..16).map(move |b| PairKey::new(a, b))).collect());
+        lists.push((0..2).flat_map(|a| (0..64).map(move |b| PairKey::new(a, b))).collect());
+        // Two vote ranges at 2 and 8 threads: every index list but the
+        // empty one crosses their boundary.
+        lists.push(long_pair_list());
         for pairs in lists {
             let want: Vec<Vec<f64>> = pairs.iter().map(|&p| t.vectorize(p)).collect();
             let train: Vec<Vec<f64>> = want.iter().step_by(3).cloned().collect();

@@ -112,8 +112,8 @@ pub fn run_active_learning(
         .max(1.min(cand.len()))
         .min(cand.len() / 2);
     let monitor: Vec<usize> = all[..n_monitor].to_vec();
-    // The monitor's rows, gathered once in its order: a few random rows
-    // of each tile of `cand`, scored densely every iteration.
+    // The monitor's rows, gathered once in its order: random rows spread
+    // over all of `cand`, scored densely every iteration.
     let monitor_rows = cand.subset(&monitor);
     let monitor_all: Vec<usize> = (0..n_monitor).collect();
     // Candidates out of the selection pool: the monitor set and every

@@ -12,14 +12,16 @@
 //! string, the trimmed char sequence, interned word-token and 3-gram ids
 //! as sorted `u32` runs, packed Soundex code sets, the TF/IDF weights
 //! with their precomputed L2 norm, and the interned char-id sequences
-//! (raw, lowercased, and per-word-token) that the char-level kernels in
+//! (raw and lowercased) that the char-level kernels in
 //! [`crate::charkernels`] consume. A value keeps one set of word ids,
 //! the sorted run: the set kernels, the index, the TF/IDF weights
-//! (parallel to it) and Monge-Elkan (through each token's index into it
-//! and each distinct word's first token) all read it. The per-pair set
-//! kernels then reduce to allocation-free sorted-merge intersections and
-//! sparse dot products, and the char-level measures to bit-parallel /
-//! scratch-buffer sweeps with no per-pair allocation.
+//! (parallel to it) and Monge-Elkan (through each token's index into it)
+//! all read it. Monge-Elkan's inner strings are the words themselves:
+//! the task keeps one char run and one 64-bit char set per distinct word
+//! ([`WordTable`]), read by word id. The per-pair set kernels then reduce
+//! to allocation-free sorted-merge intersections and sparse dot products,
+//! and the char-level measures to bit-parallel / scratch-buffer sweeps
+//! with no per-pair allocation.
 //!
 //! # Arena layout
 //!
@@ -50,8 +52,9 @@
 //!    order, and every occurrence is stored as that `u32`.
 //! 3. **Rank** (serial): the distinct keys of all chunks are sorted once
 //!    per pool, which maps each chunk's provisional ids to lexicographic
-//!    ranks. Soundex codes are computed once per distinct word, and each
-//!    attribute's IDF once per distinct word that occurs in it.
+//!    ranks. Soundex codes and the word table's char runs are computed
+//!    once per distinct word, and each attribute's IDF once per distinct
+//!    word that occurs in it.
 //! 4. **Fill** (per chunk, in parallel): the slabs are filled from the
 //!    remapped ids into chunk-local slabs, then a serial stitch appends
 //!    the chunks in record order and rebases their offsets.
@@ -101,11 +104,8 @@ const SEG_GRAMS: usize = 1; // distinct 3-gram ids, sorted
 const SEG_SOUNDEX: usize = 2; // packed soundex codes, sorted, deduped
 const SEG_RAW_CHARS: usize = 3; // raw-value char ids, in order
 const SEG_LOWER_CHARS: usize = 4; // lowercased-value char ids, in order
-const SEG_WORD_CHARS: usize = 5; // flattened token char ids, in order
-const SEG_WORD_ENDS: usize = 6; // exclusive end of token k in WORD_CHARS
-const SEG_WORD_RANK: usize = 7; // index into WORDS of token k
-const SEG_WORD_FIRST: usize = 8; // first token index of WORDS entry i
-const N_SEGS: usize = 9;
+const SEG_WORD_RANK: usize = 5; // index into WORDS of token k
+const N_SEGS: usize = 6;
 
 /// `value_id` sentinel marking a `(record, attr)` cell with no analysis
 /// (null or non-text). Real ids are ranks into the distinct-value pool,
@@ -113,7 +113,7 @@ const N_SEGS: usize = 9;
 const MISSING: u32 = u32::MAX;
 
 /// Fixed-size descriptor of one analyzed `(record, attr)` cell: offsets
-/// and lengths into the owning [`TableAnalysis`] slabs. 80 bytes, stored
+/// and lengths into the owning [`TableAnalysis`] slabs. 64 bytes, stored
 /// densely row-major — the only per-value metadata the arena keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct AttrHeader {
@@ -250,32 +250,10 @@ impl<'a> AttrView<'a> {
         &self.table.i16s[self.h.i16_off as usize..(self.h.i16_off + len) as usize]
     }
 
-    /// Flattened interned char ids of the word tokens in occurrence
-    /// order, duplicates kept — Monge-Elkan's inner strings.
-    #[inline]
-    pub fn word_char_ids(&self) -> &'a [u32] {
-        self.seg(SEG_WORD_CHARS)
-    }
-
-    /// End offset (exclusive) into [`Self::word_char_ids`] of each word
-    /// token: token `k` spans `word_ends[k-1]..word_ends[k]` (`0` for
-    /// `k = 0`). Offsets are value-local.
-    #[inline]
-    pub fn word_ends(&self) -> &'a [u32] {
-        self.seg(SEG_WORD_ENDS)
-    }
-
-    /// Position of the first occurrence of each [`Self::word_ids`]
-    /// entry, i.e. the representative token index compared for that id
-    /// (parallel to [`Self::word_ids`]).
-    #[inline]
-    pub fn word_first(&self) -> &'a [u32] {
-        self.seg(SEG_WORD_FIRST)
-    }
-
-    /// Index into [`Self::word_ids`] of each token position (parallel
-    /// to [`Self::word_ends`]): token `k`'s pool id is
-    /// `word_ids()[word_rank()[k]]`.
+    /// Index into [`Self::word_ids`] of each word token, in occurrence
+    /// order, duplicates kept (what `tokenize::words` yields): token `k`'s
+    /// pool id is `word_ids()[word_rank()[k]]`, and its chars are that
+    /// word's run in the task's [`WordTable`].
     #[inline]
     pub fn word_rank(&self) -> &'a [u32] {
         self.seg(SEG_WORD_RANK)
@@ -288,19 +266,10 @@ impl<'a> AttrView<'a> {
         self.h.value_id
     }
 
-    /// Char ids of word token `k` (see [`Self::word_ends`]).
-    #[inline]
-    pub fn word_token(&self, k: usize) -> &'a [u32] {
-        let ends = self.word_ends();
-        let base = self.h.segs[SEG_WORD_CHARS] as usize;
-        let lo = if k == 0 { 0 } else { ends[k - 1] as usize };
-        &self.table.u32s[base + lo..base + ends[k] as usize]
-    }
-
     /// Number of word tokens (duplicates included).
     #[inline]
     pub fn n_word_tokens(&self) -> usize {
-        self.word_ends().len()
+        self.word_rank().len()
     }
 }
 
@@ -347,7 +316,7 @@ pub struct AnalysisStats {
     pub distinct_words: usize,
     /// Distinct 3-grams interned.
     pub distinct_grams: usize,
-    /// Distinct chars interned (raw, lowercased, and token scalars of
+    /// Distinct chars interned (raw, lowercased, and word scalars of
     /// both tables). Bounds every char id; the bit-parallel kernels size
     /// their direct-indexed scratch tables off this.
     pub distinct_chars: usize,
@@ -355,7 +324,7 @@ pub struct AnalysisStats {
     /// behind [`AttrView::value_id`].
     pub distinct_values: usize,
     /// Bytes of the `u32` id slabs (both tables): every token/gram/
-    /// soundex/char-id/offset sequence.
+    /// soundex/char-id/offset sequence; and of the [`WordTable`].
     pub id_bytes: usize,
     /// Bytes of the `f64` TF/IDF weight slabs.
     pub weight_bytes: usize,
@@ -426,6 +395,72 @@ impl TableAnalysis {
     }
 }
 
+/// The char runs of the task's distinct words, by word id: Monge-Elkan's
+/// inner strings. Equal word ids are equal strings, so the run of word
+/// `y` is the run every occurrence of `y` in either table would hold, and
+/// the rank stage builds each once from the sorted word pool.
+#[derive(Debug)]
+pub struct WordTable {
+    /// Char ids of every word, back to back in word-id order: word `y`
+    /// spans `bounds[y]..bounds[y + 1]`.
+    chars: Vec<u32>,
+    bounds: Vec<u32>,
+    /// Per word, bit `c mod 64` set for each of its char ids `c`.
+    sets: Vec<u64>,
+}
+
+impl WordTable {
+    /// The table of the ranked word pool `words`, whose chars are all in
+    /// the ranked char pool `chars` (char ids are ranks in it).
+    fn new(words: &[&str], chars: &[char]) -> WordTable {
+        let mut ascii = [MISSING; 128];
+        for (id, &c) in chars.iter().enumerate().filter(|(_, c)| c.is_ascii()) {
+            ascii[c as usize] = id as u32;
+        }
+        let id_of = |c: char| match ascii.get(c as usize) {
+            Some(&id) if id != MISSING => id,
+            _ => chars.binary_search(&c).expect("every word char is interned") as u32,
+        };
+        let mut t = WordTable {
+            chars: Vec::new(),
+            bounds: Vec::with_capacity(words.len() + 1),
+            sets: Vec::with_capacity(words.len()),
+        };
+        t.bounds.push(0);
+        for w in words {
+            let mut set = 0u64;
+            for c in w.chars() {
+                let id = id_of(c);
+                set |= 1 << (id % 64);
+                t.chars.push(id);
+            }
+            t.bounds.push(off32(t.chars.len()));
+            t.sets.push(set);
+        }
+        t
+    }
+
+    /// Char ids of word `id`.
+    #[inline]
+    pub fn chars(&self, id: u32) -> &[u32] {
+        let y = id as usize;
+        &self.chars[self.bounds[y] as usize..self.bounds[y + 1] as usize]
+    }
+
+    /// Char set of word `id`: bit `c mod 64` for each of its char ids `c`.
+    /// It over-approximates the word's chars, so two words whose sets are
+    /// disjoint share no char.
+    #[inline]
+    pub fn char_set(&self, id: u32) -> u64 {
+        self.sets[id as usize]
+    }
+
+    /// Resident bytes of the table.
+    fn bytes(&self) -> usize {
+        (self.chars.len() + self.bounds.len()) * 4 + self.sets.len() * 8
+    }
+}
+
 /// The analysis layer of one EM task: both tables, analyzed against a
 /// shared intern pool (so ids are comparable across tables).
 #[derive(Debug)]
@@ -445,6 +480,8 @@ pub struct TaskAnalysis {
     pub generation: u64,
     /// Per attribute: its values recur (see [`Self::recurring`]).
     recurring: Vec<bool>,
+    /// The char run of every distinct word (see [`Self::words`]).
+    words: WordTable,
 }
 
 impl TaskAnalysis {
@@ -469,6 +506,13 @@ impl TaskAnalysis {
     #[inline]
     pub fn recurring(&self, attr: usize) -> bool {
         self.recurring[attr]
+    }
+
+    /// The char runs and char sets of the task's distinct words, by word
+    /// id: Monge-Elkan's inner strings.
+    #[inline]
+    pub fn words(&self) -> &WordTable {
+        &self.words
     }
 }
 
@@ -650,10 +694,10 @@ struct Cell {
     slot: usize,
     /// Provisional value id.
     value: u32,
-    /// Raw, lowercased and word-token char runs in `cids`:
-    /// `chars[0]..chars[1]`, `chars[1]..chars[2]`, `chars[2]..chars[3]`.
-    chars: [u32; 4],
-    /// Word-id run in `wids`, and the parallel word-end run in `ends`.
+    /// Raw and lowercased char runs in `cids`: `chars[0]..chars[1]` and
+    /// `chars[1]..chars[2]`.
+    chars: [u32; 3],
+    /// Word-id run in `wids`.
     words: [u32; 2],
     /// Gram-id run in `gids` (occurrence order, duplicates kept).
     grams: [u32; 2],
@@ -668,13 +712,10 @@ struct Tokenized<'t> {
     values: Interner<&'t str>,
     chars: CharInterner,
     cells: Vec<Cell>,
-    /// Provisional char ids of every cell's three char runs.
+    /// Provisional char ids of every cell's two char runs.
     cids: Vec<u32>,
     /// Provisional word ids, in occurrence order.
     wids: Vec<u32>,
-    /// End (exclusive, value-local) of each token's chars in the cell's
-    /// word-token char run, parallel to `wids`.
-    ends: Vec<u32>,
     /// Provisional gram ids, in occurrence order.
     gids: Vec<u32>,
 }
@@ -701,9 +742,18 @@ fn tokenize_chunk<'t>(
         let g0 = off32(t.gids.len());
         if !collapsed.is_empty() {
             for w in collapsed.split(' ') {
-                t.cids.extend(w.chars().map(|c| t.chars.id(c)));
-                t.ends.push(off32(t.cids.len()) - c2);
+                let seen = t.words.keys.len();
                 t.wids.push(t.words.id(w));
+                if t.words.keys.len() > seen {
+                    // A word's chars enter the char pool once per chunk,
+                    // for the word table: `normalize` lowercases char by
+                    // char, so a word can hold a char that neither char run
+                    // holds (a word-final `Σ` is `σ` here, `ς` in the
+                    // lowercased run).
+                    for c in w.chars() {
+                        t.chars.id(c);
+                    }
+                }
             }
             // Padded 3-grams are windows of three chars, not bytes.
             char_starts.clear();
@@ -716,7 +766,7 @@ fn tokenize_chunk<'t>(
         t.cells.push(Cell {
             slot,
             value: t.values.id(s),
-            chars: [c0, c1, c2, off32(t.cids.len())],
+            chars: [c0, c1, c2],
             words: [w0, off32(t.wids.len())],
             grams: [g0, off32(t.gids.len())],
         });
@@ -736,6 +786,8 @@ struct Ranked {
     value_rank: Vec<Vec<u32>>,
     /// Packed Soundex code per word rank, computed once per distinct word.
     soundex: Vec<Option<u32>>,
+    /// The char run of every word rank.
+    words: WordTable,
     /// One entry per attribute: `idf[attr][word rank]` for text-typed
     /// attributes, computed once per (attribute, distinct word) that
     /// occurs in it; empty for the others.
@@ -758,6 +810,7 @@ impl Ranked {
         let soundex = exec::par_map(threads, &words, |w| {
             crate::phonetic::soundex(w).map(|c| pack_soundex(&c))
         });
+        let word_table = WordTable::new(&words, &chars);
         let idf = exec::indexed_par_map(threads, is_text.len(), |ai| {
             if !is_text[ai] {
                 return Vec::new();
@@ -794,6 +847,7 @@ impl Ranked {
             char_rank,
             value_rank,
             soundex,
+            words: word_table,
             idf,
         }
     }
@@ -890,32 +944,19 @@ fn fill_chunk(
         }
         sort_dedup_from(u, start, &mut counts);
 
-        let char_runs = [SEG_RAW_CHARS, SEG_LOWER_CHARS, SEG_WORD_CHARS];
-        for (run, seg) in char_runs.into_iter().enumerate() {
+        for (run, seg) in [SEG_RAW_CHARS, SEG_LOWER_CHARS].into_iter().enumerate() {
             segs[seg] = off32(u.len());
             let ids = &t.cids[cell.chars[run] as usize..cell.chars[run + 1] as usize];
             u.extend(ids.iter().map(|&ch| chr[ch as usize]));
         }
 
-        segs[SEG_WORD_ENDS] = off32(u.len());
-        u.extend_from_slice(&t.ends[cell.words[0] as usize..cell.words[1] as usize]);
-
         // Each token's index into the sorted word run (a binary search
-        // of the run), and each distinct word's first token: positions
-        // are walked backwards, so the first occurrence writes last.
+        // of the run).
         segs[SEG_WORD_RANK] = off32(u.len());
-        let ranks = u.len();
         for &w in wids {
             let id = word[w as usize];
             let rank = u[words_start..words_end].partition_point(|&x| x < id);
             u.push(rank as u32);
-        }
-        segs[SEG_WORD_FIRST] = off32(u.len());
-        let first = u.len();
-        u.resize(first + (words_end - words_start), 0);
-        for pos in (0..wids.len()).rev() {
-            let rank = u[ranks + pos] as usize;
-            u[first + rank] = pos as u32;
         }
         segs[N_SEGS] = off32(u.len());
 
@@ -1043,10 +1084,12 @@ pub(crate) fn analyze_task(
     }
     let [ta, tb] = tables;
 
+    let words = ranked.words;
     let mut stats = AnalysisStats { records: a.len() + b.len(), ..ranked.stats };
     for t in [&ta, &tb] {
         t.tally(&mut stats);
     }
+    stats.id_bytes += words.bytes();
     stats.resident_bytes = stats.id_bytes
         + stats.weight_bytes
         + stats.narrow_bytes
@@ -1057,7 +1100,7 @@ pub(crate) fn analyze_task(
     let recurring = recurring_attrs([&ta, &tb], n_attrs);
     static TASK_GENERATION: AtomicU64 = AtomicU64::new(1);
     let generation = TASK_GENERATION.fetch_add(1, AtomicOrdering::Relaxed);
-    TaskAnalysis { a: ta, b: tb, stats, generation, recurring }
+    TaskAnalysis { a: ta, b: tb, stats, generation, recurring, words }
 }
 
 // ---- allocation-free kernels over precomputed analyses -------------------
@@ -1312,6 +1355,15 @@ mod tests {
             p
         };
         let (word_pool, gram_pool) = (pool(words), pool(|v| qgrams(v, 3)));
+        // The char pool: raw, lowercased and word chars of every value.
+        let char_pool = pool(|v| {
+            let lower = v.to_lowercase();
+            let word_chars = words(v).concat();
+            v.chars().chain(lower.chars()).chain(word_chars.chars()).map(String::from).collect()
+        });
+        let char_ids = |t: &str| -> Vec<u32> {
+            t.chars().map(|c| char_pool.binary_search(&c.to_string()).unwrap() as u32).collect()
+        };
         let ranks = |pool: &[String], toks: Vec<String>| -> Vec<u32> {
             toks.iter().map(|t| pool.binary_search(t).unwrap() as u32).collect()
         };
@@ -1326,11 +1378,13 @@ mod tests {
                 let ids = view.word_ids();
                 let tokens: Vec<u32> = view.word_rank().iter().map(|&r| ids[r as usize]).collect();
                 assert_eq!(tokens, occurrences, "{v:?}: occurrence order");
-                let first: Vec<u32> = ids
-                    .iter()
-                    .map(|id| occurrences.iter().position(|x| x == id).unwrap() as u32)
-                    .collect();
-                assert_eq!(view.word_first(), first, "{v:?}: first occurrences");
+                // Each occurrence's chars, interned through the char pool,
+                // are its word's run in the table.
+                for (w, &id) in words(v).iter().zip(&tokens) {
+                    assert_eq!(an.words().chars(id), char_ids(w), "{v:?}: {w:?}");
+                    let set = char_ids(w).iter().fold(0u64, |s, c| s | 1 << (c % 64));
+                    assert_eq!(an.words().char_set(id), set, "{v:?}: {w:?}");
+                }
                 assert_eq!(ids, sorted(occurrences), "{v:?}: sorted word ranks");
                 assert_eq!(view.gram_ids(), sorted(ranks(&gram_pool, qgrams(v, 3))), "{v:?}");
             }
@@ -1341,6 +1395,7 @@ mod tests {
         }
         assert_eq!(an.stats.distinct_words, word_pool.len());
         assert_eq!(an.stats.distinct_grams, gram_pool.len());
+        assert_eq!(an.stats.distinct_chars, char_pool.len());
         assert_eq!(an.stats.distinct_values, vals.len());
     }
 

@@ -20,15 +20,19 @@
 //!   lowest untaken matching left position in its window with one mask
 //!   and a find-first-set, so a run builds no table per pair. Longer
 //!   values, and Monge-Elkan's token pairs, match through availability
-//!   bitmasks over the right value (`jaro_ids`), rebuilt per pair.
+//!   bitmasks over the right value (`jaro_ids`), rebuilt per pair; a pair
+//!   of at most 8 chars together takes the plain window scan instead.
 //! * **Monge-Elkan** scores one left value against a whole run of right
 //!   values ([`monge_elkan_run`]): the bitset Jaro-Winkler grid of the
 //!   left value's distinct tokens against the distinct tokens of all the
 //!   run's right values is computed once, a right token's backward best
 //!   is its column's maximum whichever pair it sits in, and each pair
-//!   folds only its own columns into its forward bests. The sums walk
-//!   the precomputed token ranges in occurrence order, duplicates kept —
-//!   exactly what `tokenize::words` yields.
+//!   folds only its own columns into its forward bests. Rows and columns
+//!   are word ids, whose chars and char sets the task's
+//!   [`crate::analysis::WordTable`] holds; a cell of two words with
+//!   disjoint char sets is 0.0 without a kernel call. The sums walk each
+//!   value's tokens in occurrence order, duplicates kept — exactly what
+//!   `tokenize::words` yields.
 //! * **Smith-Waterman** scores one left value against a whole run of
 //!   right values ([`smith_waterman_run`]), sixteen at a time: the right
 //!   sequences are transposed into `[i16; 16]` lane arrays and one DP
@@ -77,8 +81,8 @@
 //!   to that score.
 //!   Monge-Elkan's run grid leaves every per-token fold of both
 //!   directions equal to its true maximum (see [`monge_elkan_run`] for
-//!   the symmetry argument) and sums per-occurrence terms in the
-//!   reference's order.
+//!   the symmetry argument and the char-set zero) and sums per-occurrence
+//!   terms in the reference's order.
 //! * A hit in a value row, the token table or the scratch's last-pair
 //!   Jaro slot returns the bits the kernel computed for the same inputs,
 //!   so whether a kernel consults them cannot change a result.
@@ -93,7 +97,7 @@
 //! depend on scratch history (every call fully overwrites the regions it
 //! reads), so the determinism contract is untouched.
 
-use crate::analysis::{AttrView, TaskAnalysis};
+use crate::analysis::{AttrView, TaskAnalysis, WordTable};
 use std::cell::RefCell;
 
 /// Reusable per-thread scratch for the char kernels. All buffers grow to
@@ -130,7 +134,7 @@ pub struct CharScratch {
     me_columns: TokenColumns,
     /// The buffers of a run chunk's lists (`MeChunk`).
     me_pairs: Vec<u32>,
-    me_tokens: Vec<(u32, u32, u32)>,
+    me_tokens: Vec<u32>,
     me_pair_columns: Vec<u32>,
     /// The token table: Monge-Elkan's inner token-pair scores,
     /// direct-mapped by the unordered pair of word-pool ids. Token pairs
@@ -523,9 +527,9 @@ pub(crate) fn levenshtein_pre(
 /// Myers Peq) lets each `a` char find its match with a find-first-set
 /// per word of its window instead of a linear window scan: one word
 /// for `b` up to 64 chars, a loop over the window's words past that.
-/// Sequences of at most 8 chars take the plain window scan. The kernel
-/// of whole values past 64 chars and of Monge-Elkan's token pairs; a
-/// run's shorter whole values take [`jaro_left`].
+/// Pairs of at most 8 chars together take the plain window scan. The
+/// kernel of whole values past 64 chars and of Monge-Elkan's token pairs;
+/// a run's shorter whole values take [`jaro_left`].
 ///
 /// The greedy semantics are the reference's exactly — the lowest untaken
 /// matching `b` position inside the window, processed in `a` order — so
@@ -546,13 +550,14 @@ fn jaro_ids(a: &[u32], b: &[u32], pool: usize, s: &mut CharScratch) -> f64 {
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
 
-    // Short inputs (word tokens, codes): the plain window scan beats the
-    // availability-row build, whose fixed cost is a pool-sized table
-    // clear. It *is* the reference scan, so the match set is trivially
-    // identical.
-    if b.len() <= 8 {
+    // Short pairs (Monge-Elkan's short token pairs, which skip the token
+    // table): the plain window scan beats the availability-row build,
+    // whose fixed cost is a pool-sized table clear. It *is* the reference
+    // scan, so the match set is trivially identical. At most 4 chars
+    // match, so the matched chars fit a fixed array: no scratch.
+    if a.len() + b.len() <= 8 {
         let mut taken = 0u64;
-        s.a_matches.clear();
+        let (mut matched, mut m) = ([0u32; 4], 0);
         for (i, &ca) in a.iter().enumerate() {
             let hi = (i + window + 1).min(b.len());
             // An `a` position past the window's reach yields an empty
@@ -562,12 +567,13 @@ fn jaro_ids(a: &[u32], b: &[u32], pool: usize, s: &mut CharScratch) -> f64 {
                 let j = lo + off;
                 if taken & (1u64 << j) == 0 && cb == ca {
                     taken |= 1u64 << j;
-                    s.a_matches.push(ca);
+                    matched[m] = ca;
+                    m += 1;
                     break;
                 }
             }
         }
-        return jaro_finish(a, b, &[taken], &s.a_matches);
+        return jaro_finish(a, b, &[taken], &matched[..m]);
     }
     let words = b.len().div_ceil(64);
 
@@ -830,7 +836,8 @@ impl TokenColumns {
 /// Symmetric Monge-Elkan of one left value `a` against a run of right
 /// values `bs` (each with the output row it belongs to), equal to
 /// `monge_elkan::monge_elkan_sym` bit for bit on every pair; `put(row,
-/// score)` receives each result.
+/// score)` receives each result. `words` is the word table of the
+/// analysis the views come from.
 ///
 /// The Jaro-Winkler grid of `a`'s distinct tokens (rows) against the
 /// distinct tokens of all the run's right values (columns) is computed
@@ -857,17 +864,18 @@ impl TokenColumns {
 ///   to `x` scores an exact 1.0 (`jaro_winkler(x, x)`'s bits) without a
 ///   kernel call.
 ///
-/// Rows and columns follow word-id order (each value's sorted
-/// `word_ids`), not the reference's first-occurrence order; by the points
-/// above no best depends on the order. Both sums then add per-occurrence
+/// Rows and columns are word ids (each value's sorted `word_ids`), not
+/// the reference's first-occurrence order; by the points above no best
+/// depends on the order. Equal word ids are equal strings, so a token's
+/// chars are its word's run in `words`. Both sums then add per-occurrence
 /// terms in occurrence order (through `word_rank`), and the result is the
-/// reference's
-/// `(fwd/na + bwd/nb)/2`. Each cell keeps the per-pair kernel's policy
-/// ([`me_cell`]). On attributes whose values recur the vectorizer hands
-/// in only the pairs its value rows miss.
+/// reference's `(fwd/na + bwd/nb)/2`. Each cell keeps the per-pair
+/// kernel's policy ([`me_cell`]). On attributes whose values recur the
+/// vectorizer hands in only the pairs its value rows miss.
 pub(crate) fn monge_elkan_run(
     a: AttrView<'_>,
     bs: &[(usize, AttrView<'_>)],
+    words: &WordTable,
     cx: Ctx,
     s: &mut CharScratch,
     mut put: impl FnMut(usize, f64),
@@ -877,6 +885,7 @@ pub(crate) fn monge_elkan_run(
     let mut chunk = MeChunk {
         a,
         bs,
+        words,
         pairs: std::mem::take(&mut s.me_pairs),
         columns: std::mem::take(&mut s.me_tokens),
         pair_columns: std::mem::take(&mut s.me_pair_columns),
@@ -888,11 +897,12 @@ pub(crate) fn monge_elkan_run(
             put(row, if na == nb { 1.0 } else { 0.0 });
             continue;
         }
+        let before = chunk.columns.len();
         chunk.add(i, s);
         if chunk.pairs.len() > 1 && chunk.columns.len() * m > ME_GRID_CELLS {
             // The pair's new columns would outgrow the grid: score the
             // chunk without it, then start the next chunk with it.
-            chunk.drop_last(i);
+            chunk.drop_last(i, before);
             chunk.score(cx, s, &mut put);
             chunk.clear(s);
             chunk.add(i, s);
@@ -905,19 +915,20 @@ pub(crate) fn monge_elkan_run(
 }
 
 /// The pairs of a [`monge_elkan_run`] waiting for their grid, and the
-/// grid's columns. All three lists hold plain indices, so their buffers
-/// stay in the scratch across runs.
+/// grid's columns. All three lists hold plain indices or ids, so their
+/// buffers stay in the scratch across runs.
 struct MeChunk<'r, 'a> {
     /// The run's left value.
     a: AttrView<'a>,
     /// The whole run.
     bs: &'r [(usize, AttrView<'a>)],
+    /// The chars and char sets of every word id.
+    words: &'r WordTable,
     /// The chunk's pairs, as indices into `bs`.
     pairs: Vec<u32>,
-    /// The grid's columns in first-seen order: each distinct right token
-    /// of the chunk's pairs, as `(word-pool id, index into bs, token
-    /// position in that value)`.
-    columns: Vec<(u32, u32, u32)>,
+    /// The grid's columns in first-seen order: the word id of each
+    /// distinct right token of the chunk's pairs.
+    columns: Vec<u32>,
     /// Each pair's columns, pair after pair: the column of each of the
     /// pair's `word_ids`, in that order.
     pair_columns: Vec<u32>,
@@ -935,40 +946,23 @@ impl MeChunk<'_, '_> {
     /// Add pair `bs[i]`, giving each of its tokens not seen in the chunk
     /// a new column.
     fn add(&mut self, i: usize, s: &mut CharScratch) {
-        let b = self.bs[i].1;
-        for (&y, &k) in b.word_ids().iter().zip(b.word_first()) {
+        for &y in self.bs[i].1.word_ids() {
             let (u, new) = s.me_columns.column(y, self.columns.len());
             if new {
-                self.columns.push((y, i as u32, k));
+                self.columns.push(y);
             }
             self.pair_columns.push(u as u32);
         }
         self.pairs.push(i as u32);
     }
 
-    /// Take back the last [`Self::add`], of pair `bs[i]`. Its new columns
-    /// are the last ones, and the chunk is scored and cleared before the
-    /// token map is read again.
-    fn drop_last(&mut self, i: usize) {
-        let b = self.bs[i].1;
+    /// Take back the last [`Self::add`], of pair `bs[i]`, made when the
+    /// chunk had `columns` columns. Its new columns are the last ones, and
+    /// the chunk is scored and cleared before the token map is read again.
+    fn drop_last(&mut self, i: usize, columns: usize) {
         self.pairs.pop();
-        self.pair_columns.truncate(self.pair_columns.len() - b.word_ids().len());
-        while self.columns.last().is_some_and(|&(_, j, _)| j as usize == i) {
-            self.columns.pop();
-        }
-    }
-
-    /// The chars of `a`'s distinct token `r` (row `r` of the grid).
-    #[inline]
-    fn row_token(&self, r: usize) -> &[u32] {
-        self.a.word_token(self.a.word_first()[r] as usize)
-    }
-
-    /// The token id and chars of column `u`.
-    #[inline]
-    fn column_token(&self, u: usize) -> (u32, &[u32]) {
-        let (y, i, k) = self.columns[u];
-        (y, self.bs[i as usize].1.word_token(k as usize))
+        self.pair_columns.truncate(self.pair_columns.len() - self.bs[i].1.word_ids().len());
+        self.columns.truncate(columns);
     }
 
     /// Compute the chunk's grid and hand every pair's score to `put`. A
@@ -982,7 +976,7 @@ impl MeChunk<'_, '_> {
         if self.pairs.is_empty() {
             return;
         }
-        let (a, da) = (self.a, self.a.word_ids());
+        let (a, da, words) = (self.a, self.a.word_ids(), self.words);
         let m = da.len();
         let single = self.pairs.len() == 1;
         let mut grid = std::mem::take(&mut s.me_grid);
@@ -993,14 +987,13 @@ impl MeChunk<'_, '_> {
         if single {
             let db = self.bs[self.pairs[0] as usize].1.word_ids();
             best_row.extend(da.iter().map(|x| if db.contains(x) { 1.0 } else { 0.0 }));
-            for u in 0..self.columns.len() {
-                let (y, tb) = self.column_token(u);
+            for &y in &self.columns {
                 let mut best = if da.contains(&y) { 1.0 } else { 0.0 };
-                for (r, (row, &x)) in best_row.iter_mut().zip(da).enumerate() {
+                for (row, &x) in best_row.iter_mut().zip(da) {
                     if best == 1.0 && *row == 1.0 {
                         continue;
                     }
-                    let v = me_cell(x, self.row_token(r), y, tb, cx, s);
+                    let v = me_cell(x, y, words, cx, s);
                     best = f64::max(best, v);
                     *row = row.max(v);
                 }
@@ -1009,10 +1002,9 @@ impl MeChunk<'_, '_> {
         } else {
             grid.clear();
             grid.resize(self.columns.len() * m, 0.0);
-            for (u, cells) in grid.chunks_exact_mut(m).enumerate() {
-                let (y, tb) = self.column_token(u);
-                for (r, (cell, &x)) in cells.iter_mut().zip(da).enumerate() {
-                    *cell = me_cell(x, self.row_token(r), y, tb, cx, s);
+            for (cells, &y) in grid.chunks_exact_mut(m).zip(&self.columns) {
+                for (cell, &x) in cells.iter_mut().zip(da) {
+                    *cell = me_cell(x, y, words, cx, s);
                 }
                 best_col.push(cells.iter().copied().fold(0.0, f64::max));
             }
@@ -1041,17 +1033,29 @@ impl MeChunk<'_, '_> {
     }
 }
 
-/// Jaro-Winkler of `a`'s token `x` (chars `ta`) and a right token `y`
-/// (chars `tb`): an exact 1.0 for the same token; tiny token pairs
-/// (numeric fragments, initials) directly, faster than a probe-plus-fill
-/// on the low hit rates their near-unique values see; longer vocabulary
-/// words, which recur across runs, through the token table, keyed by the
-/// unordered id pair since the score is symmetric.
+/// Jaro-Winkler of `a`'s token `x` and a right token `y` (word ids in
+/// `words`): an exact 1.0 for the same word; an exact 0.0 for two words
+/// whose char sets are disjoint; tiny token pairs (numeric fragments,
+/// initials) directly, faster than a probe-plus-fill on the low hit rates
+/// their near-unique values see; longer vocabulary words, which recur
+/// across runs, through the token table, keyed by the unordered id pair
+/// since the score is symmetric.
+///
+/// The 0.0 is the kernel's: disjoint sets mean no shared char, since a
+/// set only folds chars together (bit `c mod 64`), so Jaro matches
+/// nothing and returns `+0.0`; and the Winkler prefix is 0, since a
+/// shared first char would match at distance 0. `+0.0 + 0 · 0.1 · 1.0` is
+/// `+0.0`.
 #[inline]
-fn me_cell(x: u32, ta: &[u32], y: u32, tb: &[u32], cx: Ctx, s: &mut CharScratch) -> f64 {
+fn me_cell(x: u32, y: u32, words: &WordTable, cx: Ctx, s: &mut CharScratch) -> f64 {
     if x == y {
-        1.0
-    } else if ta.len() + tb.len() <= 8 {
+        return 1.0;
+    }
+    if words.char_set(x) & words.char_set(y) == 0 {
+        return 0.0;
+    }
+    let (ta, tb) = (words.chars(x), words.chars(y));
+    if ta.len() + tb.len() <= 8 {
         jaro_winkler_ids(ta, tb, cx.pool, s)
     } else {
         let (lo, hi) = if x <= y { (x, y) } else { (y, x) };

@@ -293,7 +293,9 @@ impl FeatureVectorizer {
         for (fi, def) in fis.clone().zip(defs).filter(|(_, d)| by_run(d.kind)) {
             let put = |k: usize, x: f64| out[at(k, fi)] = x;
             match def.kind {
-                FeatureKind::MongeElkan => charkernels::monge_elkan_run(va, &present, cx, s, put),
+                FeatureKind::MongeElkan => {
+                    charkernels::monge_elkan_run(va, &present, an.words(), cx, s, put)
+                }
                 _ => charkernels::smith_waterman_run(va, &present, s, put),
             }
         }

@@ -349,6 +349,16 @@ fn monge_elkan_grid_cases_match_the_reference() {
     // is found in the long side, but not the other way round.
     let (short, long) = ("kingston", "kingston hyperx 4gb");
     assert_ne!(monge_elkan(short, long).to_bits(), monge_elkan(long, short).to_bits());
+    // One-char words over 70 chars, so the char pool passes 64 and some
+    // words' char sets (bit `id mod 64`) alias without a shared char.
+    let wide: String = ('a'..='z')
+        .chain('0'..='9')
+        .chain(('\u{e0}'..='\u{ff}').filter(|c| c.is_alphabetic() && c.is_lowercase()))
+        .take(70)
+        .map(String::from)
+        .collect::<Vec<_>>()
+        .join(" ");
+    let wide_reversed: String = wide.split(' ').rev().collect::<Vec<_>>().join(" ");
     let texts = [
         // Duplicate tokens on both sides.
         "acme acme widget",
@@ -367,11 +377,42 @@ fn monge_elkan_grid_cases_match_the_reference() {
         // Short tokens (direct path) beside long ones (memo path).
         "a b ab",
         "ba a vengeance",
+        // Words with disjoint char sets.
+        "qqq jjj",
+        "vvv kkk",
+        // Words that share a char only outside the Jaro window: short
+        // pairs and token-table pairs that reach the kernel and score 0.
+        "abcdefgh abcd",
+        "hzzzzzzz dxy",
+        &wide,
+        &wide_reversed,
+        // A word-final `Σ`: `σ` in its word, `ς` in the lowercased run.
+        "ΟΔΟΣ",
+        "οδος",
     ];
     let values: Vec<Value> = texts.iter().map(|t| Value::Text(t.to_string())).collect();
     let (a, b) = one_attr_tables(&values);
     let vz = FeatureVectorizer::fit(&a, &b);
     let an = vz.analyze(&a, &b, exec::Threads::new(1));
+    // Each case is in the analysis as described.
+    let word = |text: usize, k: usize| an.attr_a(text as u32, 0).unwrap().word_ids()[k];
+    let (sets, chars) = (|id| an.words().char_set(id), |id| an.words().chars(id));
+    let shares = |x: u32, y: u32| chars(x).iter().any(|c| chars(y).contains(c));
+    assert_eq!(sets(word(12, 0)) & sets(word(13, 0)), 0, "disjoint char sets");
+    for (x, y) in [("abcdefgh", "hzzzzzzz"), ("abcd", "dxy")] {
+        assert_eq!(jaro_winkler(x, y).to_bits(), 0.0f64.to_bits(), "{x} against {y}");
+    }
+    let window = [(word(14, 1), word(15, 1)), (word(14, 0), word(15, 0))];
+    assert!(window.iter().all(|&(x, y)| sets(x) & sets(y) != 0 && shares(x, y)), "one shared char");
+    assert!(an.stats.distinct_chars > 64);
+    let wide_ids = an.attr_a(16, 0).unwrap().word_ids();
+    let aliased = wide_ids
+        .iter()
+        .any(|&x| wide_ids.iter().any(|&y| x != y && sets(x) & sets(y) != 0 && !shares(x, y)));
+    assert!(aliased, "char sets alias without a shared char");
+    let sigma = an.attr_a(18, 0).unwrap();
+    let runs = [sigma.raw_char_ids(), sigma.lower_char_ids()].concat();
+    assert!(chars(sigma.word_ids()[0]).iter().any(|c| !runs.contains(c)), "a word-only char");
     let me = vz.library().defs.iter().position(|d| d.kind == FeatureKind::MongeElkan).unwrap();
     let nf = vz.n_features();
     let all_b: Vec<&Record> = b.records.iter().collect();
@@ -414,7 +455,7 @@ fn grid_value() -> impl Strategy<Value = Value> {
 /// `monge_elkan_sym`'s bits (NaN where a value is missing) on every path:
 /// the run as one `feature_run`, its `vectorize_pre_into` rows, the run
 /// cut into pieces ending at `cuts` (as a candidate build cuts a long run
-/// across tiles), and each pair as a run of one.
+/// across build tasks), and each pair as a run of one.
 fn check_monge_elkan_runs(a: &Table, b: &Table, cuts: &[usize]) -> Result<(), TestCaseError> {
     let vz = FeatureVectorizer::fit(a, b);
     let an = vz.analyze(a, b, exec::Threads::new(1));
@@ -478,7 +519,7 @@ proptest! {
 }
 
 /// Runs whose grid outgrows one chunk: 1,100 right values (longer than a
-/// 1,024-row tile, cut in two as the candidate build cuts it), nearly all
+/// 1,024-row build task, cut in two as the candidate build cuts it), nearly all
 /// of their tokens their own, against a left value of 40 distinct tokens;
 /// and a left value of 400 distinct tokens against a right value sharing
 /// half of them, a pair whose grid alone outgrows a chunk.

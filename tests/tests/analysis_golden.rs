@@ -3,26 +3,26 @@
 //! Every pair feature of a run is read out of the per-record
 //! [`TaskAnalysis`], so its bytes pin every run output. This test folds
 //! everything an [`AttrView`] exposes for every `(record, attr)` cell of
-//! both tables, which cells are missing, and the [`AnalysisStats`] into
-//! one FNV-1a digest per dataset. The digest must be the same at 1, 2 and
+//! both tables, which cells are missing, every word id's char run and
+//! char set, and the [`AnalysisStats`] into one FNV-1a digest per
+//! dataset. The digest must be the same at 1, 2 and
 //! 8 threads, and must equal the constant recorded below. A build change
 //! that moves any id, weight bit, offset-visible length or statistic
 //! fails here before it can move a run.
 
+use similarity::tokenize::words;
 use similarity::{AnalysisStats, AttrView, FeatureVectorizer, TableAnalysis, TaskAnalysis};
 
-/// `(dataset, digest)` at scale 0.05, seed 7. Re-recorded when the TF/IDF
-/// id copy and the first-occurrence dedup segments were dropped from the
-/// arena (the word ranks and first occurrences now index the sorted word
-/// run): a digest that leaves out `id_bytes`, `header_bytes` and
-/// `resident_bytes`, and folds each token occurrence's id and each
-/// distinct word's first occurrence in word-id order instead of the
-/// dropped runs, was the same before and after the drop, so these pin
+/// `(dataset, digest)` at scale 0.05, seed 7. Re-recorded when each
+/// value's token char runs, token ends and first occurrences were dropped
+/// for the task's word table (one char run per distinct word): a digest
+/// that leaves out those three runs, `id_bytes`, `header_bytes` and
+/// `resident_bytes` was the same before and after the drop, so these pin
 /// the current build to the same bytes.
 const GOLDEN: [(&str, &str); 3] = [
-    ("restaurants", "14744d74a3295505"),
-    ("citations", "b0215f86b3a408ab"),
-    ("products", "18d13a2d8bebfcb8"),
+    ("restaurants", "c7778eba9396ddde"),
+    ("citations", "5fc432ce63c5fb1e"),
+    ("products", "0f7817266a736e8b"),
 ];
 
 /// Length-prefixed little-endian byte sink: a run boundary can never be
@@ -61,10 +61,7 @@ impl Sink {
             v.soundex_codes(),
             v.raw_char_ids(),
             v.lower_char_ids(),
-            v.word_char_ids(),
-            v.word_ends(),
             v.word_rank(),
-            v.word_first(),
         ] {
             self.u32s(run);
         }
@@ -118,6 +115,10 @@ fn digest(an: &TaskAnalysis, n_attrs: usize) -> String {
     let mut sink = Sink::default();
     sink.table(&an.a, n_attrs);
     sink.table(&an.b, n_attrs);
+    for id in 0..an.stats.distinct_words as u32 {
+        sink.u32s(an.words().chars(id));
+        sink.u64(an.words().char_set(id));
+    }
     sink.stats(&an.stats);
     store::fingerprint64(&sink.0)
 }
@@ -145,4 +146,65 @@ fn analysis_bytes_match_golden_digests_at_every_thread_count() {
     }
     let want: Vec<(&str, String)> = GOLDEN.iter().map(|&(n, d)| (n, d.to_string())).collect();
     assert_eq!(got, want, "analysis bytes moved");
+}
+
+/// The char pool a task's analysis interns, rebuilt from the strings:
+/// every char of the raw text values, of their `str::to_lowercase` and of
+/// their word tokens, sorted. Char ids are ranks in it.
+fn char_pool(tables: [&similarity::Table; 2], is_text: &[bool]) -> Vec<char> {
+    let mut pool = Vec::new();
+    for t in tables {
+        for r in &t.records {
+            for (v, _) in r.values.iter().zip(is_text).filter(|(_, &text)| text) {
+                if let Some(s) = v.as_text() {
+                    pool.extend(s.chars());
+                    pool.extend(s.to_lowercase().chars());
+                    pool.extend(words(s).iter().flat_map(|w| w.chars()));
+                }
+            }
+        }
+    }
+    pool.sort_unstable();
+    pool.dedup();
+    pool
+}
+
+#[test]
+fn word_table_holds_every_tokens_chars() {
+    for seed in [7, 42] {
+        let cfg = datagen::GenConfig { scale: 0.05, seed };
+        for name in ["restaurants", "citations", "products"] {
+            let ds = datagen::by_name(name, cfg).expect("known dataset");
+            let (ta, tb) = (&ds.table_a, &ds.table_b);
+            let is_text: Vec<bool> =
+                ta.schema.attrs.iter().map(|a| a.ty == similarity::AttrType::Text).collect();
+            let an = FeatureVectorizer::fit(ta, tb).analyze(ta, tb, corleone::Threads::new(2));
+            let pool = char_pool([ta, tb], &is_text);
+            assert_eq!(an.stats.distinct_chars, pool.len(), "{name}, seed {seed}: char pool");
+            let ids = |w: &str| -> Vec<u32> {
+                w.chars().map(|c| pool.binary_search(&c).expect("interned") as u32).collect()
+            };
+            let mut tokens = 0;
+            for (t, analysis) in [(ta, &an.a), (tb, &an.b)] {
+                for r in &t.records {
+                    for (attr, v) in r.values.iter().enumerate().filter(|&(ai, _)| is_text[ai]) {
+                        let (Some(s), Some(view)) = (v.as_text(), analysis.attr(r.id, attr)) else {
+                            continue;
+                        };
+                        let occurrences = words(s);
+                        assert_eq!(occurrences.len(), view.n_word_tokens(), "{name}: {s:?}");
+                        for (w, &k) in occurrences.iter().zip(view.word_rank()) {
+                            let id = view.word_ids()[k as usize];
+                            let chars = ids(w);
+                            assert_eq!(an.words().chars(id), chars, "{name}: {w:?} of {s:?}");
+                            let set = chars.iter().fold(0u64, |m, c| m | 1 << (c % 64));
+                            assert_eq!(an.words().char_set(id), set, "{name}: {w:?}");
+                            tokens += 1;
+                        }
+                    }
+                }
+            }
+            assert!(tokens > 0, "{name}: no tokens");
+        }
+    }
 }
